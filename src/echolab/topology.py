@@ -1,18 +1,33 @@
 """Persistent homology over F2.
 
 Vietoris-Rips filtrations by clique expansion, Cech membership through
-minimum enclosing balls, boundary matrices, Betti numbers by F2
-elimination, persistence pairing by column reduction (union-find for
-degree zero), the Rips/Cech squeezing check, and the farthest-point
-attractor experiment.
+minimum enclosing balls, boundary matrices, the Rips/Cech squeezing
+check, and the farthest-point attractor experiment.
+
+Persistence pairs come from cohomology with clearing (Bauer, "Ripser",
+arXiv:1908.02518): degree 0 by union-find, then for each degree k the
+coboundary columns of the k-simplices, reduced in reverse filtration
+order. Simplices that already killed a class one degree down are
+skipped, and a column whose earliest coface is still free pairs at
+once without being copied. By the duality of de Silva, Morozov and
+Vejdemo-Johansson (Inverse Problems 27, 2011) the pairs equal those of
+boundary-column reduction. Betti numbers are read off the diagram.
+
+The filtration stays a materialised list of simplices rather than an
+implicit enumeration by combinatorial index: every simplex of the top
+dimension that does not kill a class is an essential class and is
+listed in the diagram, so the top simplices are enumerated anyway, and
+one generic path serves Rips and hand-built filtrations alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import operator
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +73,7 @@ class Filtration:
         return Filtration(sorted(self.simplices))
 
     def is_sorted(self) -> bool:
-        return all(a <= b for a, b in zip(self.simplices, self.simplices[1:]))
+        return all(map(operator.le, self.simplices, itertools.islice(self.simplices, 1, None)))
 
     def restrict(self, eps: float) -> List[Tuple[float, int, Simplex]]:
         return [s for s in self.simplices if s[0] <= eps]
@@ -254,52 +269,17 @@ def boundary_matrix(
     return out
 
 
-def _f2_rank(columns: List[int]) -> int:
-    """Rank over F2 of columns given as integer bitmasks."""
-    pivots: Dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low in pivots:
-                col ^= pivots[low]
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
-
-
-def _bitmask_columns(matrix: np.ndarray) -> List[int]:
-    cols = []
-    for j in range(matrix.shape[1]):
-        mask = 0
-        for i in np.nonzero(matrix[:, j])[0]:
-            mask |= 1 << int(i)
-        cols.append(mask)
-    return cols
-
-
 def betti_numbers(filtration: Filtration, eps: float) -> List[int]:
     """Betti numbers of the complex at threshold eps.
 
-    beta_k = nullity(d_k) - rank(d_{k+1}) over F2, with d_0 the zero
-    map so its nullity is the vertex count.
+    Counts the persistence classes alive at eps (birth <= eps < death),
+    one entry per dimension up to the filtration's largest.
     """
-    max_dim = filtration.max_dimension()
-    counts = [len(filtration.of_dimension(k, eps)) for k in range(max_dim + 1)]
-    ranks = [0] * (max_dim + 2)
-    for k in range(1, max_dim + 1):
-        if counts[k]:
-            ranks[k] = _f2_rank(_bitmask_columns(boundary_matrix(filtration, k, eps=eps)))
-    betti = []
-    for k in range(max_dim + 1):
-        nullity = counts[k] - ranks[k]
-        betti.append(nullity - ranks[k + 1])
-    return betti
+    curve = persistence(filtration).betti_at(eps)
+    return [curve.get(k, 0) for k in range(filtration.max_dimension() + 1)]
 
 
-@dataclass
+@dataclass(slots=True)
 class PersistencePair:
     degree: int
     birth: float
@@ -346,90 +326,167 @@ class _UnionFind:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(j)] = self.find(i)
+
+def _positions(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Positions of the queries in a sorted array that must hold them all."""
+    pos = np.searchsorted(table, queries)
+    if queries.size and (table.size == 0 or np.any(table.take(pos, mode="clip") != queries)):
+        raise ValueError("filtration is not closed under taking faces")
+    return pos
+
+
+def _vertex_rows(labels: np.ndarray, simplices: List[Simplex], width: int) -> np.ndarray:
+    """Simplices as rows of positions in the sorted vertex labels."""
+    raw = np.fromiter(itertools.chain.from_iterable(simplices), np.int64, len(simplices) * width)
+    return _positions(labels, raw).reshape(-1, width)
+
+
+def _simplex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
+    """One int64 per row of vertex ids in [0, radix), the row read in base radix."""
+    if radix ** rows.shape[1] > np.iinfo(np.int64).max:
+        raise ValueError(f"{radix} vertices are too many for {rows.shape[1]}-vertex keys")
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        keys *= radix
+        keys += col
+    return keys
+
+
+def _facet_index(faces: np.ndarray, cofaces: np.ndarray, radix: int) -> np.ndarray:
+    """Entry (t, p) is the index in faces of coface t without its vertex p."""
+    face_keys = _simplex_keys(faces, radix)
+    by_key = np.argsort(face_keys)
+    facet_keys = np.empty((len(cofaces), cofaces.shape[1]), dtype=np.int64)
+    for p in range(cofaces.shape[1]):
+        facet_keys[:, p] = _simplex_keys(np.delete(cofaces, p, axis=1), radix)
+    return by_key[_positions(face_keys[by_key], facet_keys)]
+
+
+def _coboundaries(
+    faces: np.ndarray, cofaces: np.ndarray, radix: int
+) -> Tuple[List[int], np.ndarray]:
+    """Coboundaries of k-simplices in compressed sparse row form.
+
+    faces (n x k+1) and cofaces (m x k+2) hold vertex ids in filtration
+    order. Returns (indptr, indices): the cofaces of face i, as indices
+    into cofaces in increasing (filtration) order, are
+    indices[indptr[i]:indptr[i + 1]].
+    """
+    n, m, per_coface = len(faces), len(cofaces), cofaces.shape[1]
+    entry_face = _facet_index(faces, cofaces, radix).reshape(-1)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(entry_face, minlength=n))])
+    # Entry e is a facet of coface e // per_coface. Sorting the entries by
+    # face * m + coface (built in place to spare a copy) lists each face's
+    # cofaces in filtration order.
+    entry_face *= m
+    entry_face += np.arange(len(entry_face)) // per_coface
+    return indptr.tolist(), np.argsort(entry_face) // per_coface
+
+
+def _reduce_coboundaries(
+    indptr: List[int], cofaces: np.ndarray, cleared: Set[int]
+) -> Tuple[Dict[int, int], List[int]]:
+    """Pair k-simplices with (k+1)-simplices by reducing coboundary columns.
+
+    Columns are taken in reverse filtration order, skipping the cleared
+    faces (those that killed a class one degree down, whose columns
+    would reduce to zero). A column's pivot is its earliest coface;
+    while an earlier column owns that pivot, the two are added over F2.
+    A column is held as its face's index, read back from the CSR
+    arrays, and becomes a set only once it has been reduced, so the
+    apparent pairs (pivot free at once) build no set at all.
+
+    Returns {pivot coface: face} for the finite pairs and the faces
+    whose columns vanished, which are essential classes.
+    """
+    owner: Dict[int, int] = {}
+    reduced: Dict[int, Set[int]] = {}  # face -> its column, once reduced
+    essential: List[int] = []
+    for face in range(len(indptr) - 2, -1, -1):
+        if face in cleared:
+            continue
+        start, stop = indptr[face], indptr[face + 1]
+        low = int(cofaces[start]) if start < stop else None
+        col = None
+        while low is not None and low in owner:
+            if col is None:
+                col = set(cofaces[start:stop].tolist())
+            other = owner[low]
+            col.symmetric_difference_update(
+                reduced[other] if other in reduced
+                else cofaces[indptr[other]:indptr[other + 1]].tolist()
+            )
+            low = min(col) if col else None
+        if low is None:
+            essential.append(face)
+            continue
+        owner[low] = face
+        if col is not None:
+            reduced[face] = col
+    return owner, essential
 
 
 def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> PersistenceDiagram:
-    """Birth/death pairing by column reduction in filtration order.
+    """Birth/death pairing by persistent cohomology with clearing.
 
-    Degree 0 uses union-find with the elder rule; higher degrees reduce
-    the boundary columns over their facet indices, storing only pivot
-    columns. Classes alive at the end get death = infinity with the
-    truncated flag when a cutoff is known.
+    Degree 0 uses union-find with the elder rule. Each degree k >= 1
+    then reduces the coboundary columns of its k-simplices in reverse
+    filtration order (`_reduce_coboundaries`), skipping the simplices
+    that killed a class in degree k - 1: the union-find tree edges, then
+    each degree's death simplices. The pairs equal those of boundary
+    column reduction in filtration order. Classes alive at the end get
+    death = infinity with the truncated flag when a cutoff is known.
     """
     if not filtration.is_sorted():
         raise FiltrationOrderError("filtration must be sorted")
     simplices = filtration.simplices
     if max_eps is None and simplices:
-        max_eps = max(s[0] for s in simplices)
+        max_eps = simplices[-1][0]
+    values: Dict[int, List[float]] = defaultdict(list)
+    verts: Dict[int, List[Simplex]] = defaultdict(list)
+    for value, dim, vs in simplices:
+        values[dim].append(value)
+        verts[dim].append(vs)
+    max_dim = max(values, default=-1)
 
-    vertex_birth: Dict[int, float] = {}
-    for value, dim, verts in simplices:
-        if dim == 0:
-            vertex_birth[verts[0]] = value
-    vertex_ids = {v: i for i, v in enumerate(sorted(vertex_birth))}
-    uf = _UnionFind(len(vertex_ids))
-    root_birth = {vertex_ids[v]: vertex_birth[v] for v in vertex_ids}
+    vertex_birth = dict(zip((vs[0] for vs in verts[0]), values[0]))
+    labels = np.array(sorted(vertex_birth), dtype=np.int64)
+    rows = [_vertex_rows(labels, verts[k], k + 1) for k in range(max_dim + 1)]
+    root_birth = [vertex_birth[v] for v in labels.tolist()]
 
     pairs: List[PersistencePair] = []
-    # Positive simplices by dimension awaiting a death, keyed by their
-    # index within that dimension.
-    index_of: Dict[int, Dict[Simplex, int]] = {}
-    values_of: Dict[int, List[float]] = {}
-    positive: Dict[int, Dict[int, float]] = {0: {}}
-    pivot_cols: Dict[int, Dict[int, frozenset]] = {}
-    pivot_owner: Dict[int, Dict[int, int]] = {}
-
-    for value, dim, verts in simplices:
-        idx = index_of.setdefault(dim, {})
-        idx[verts] = len(idx)
-        values_of.setdefault(dim, []).append(value)
-        if dim == 0:
-            positive[0][vertex_ids[verts[0]]] = value
-            continue
-        if dim == 1:
-            i, j = uf.find(vertex_ids[verts[0]]), uf.find(vertex_ids[verts[1]])
-            if i != j:
-                # Elder rule: the younger component's class dies here.
-                bi, bj = root_birth[i], root_birth[j]
-                if (bj, j) >= (bi, i):
-                    young, old = j, i
-                else:
-                    young, old = i, j
-                pairs.append(PersistencePair(0, root_birth[young], value))
-                positive[0].pop(young, None)
-                uf.parent[young] = old
+    # Births of the classes that never die, by degree.
+    essential: List[List[float]] = [root_birth]
+    cleared: Set[int] = set()
+    if max_dim >= 1:
+        uf = _UnionFind(len(labels))
+        for edge, ((a, b), value) in enumerate(zip(rows[1].tolist(), values[1])):
+            i, j = uf.find(a), uf.find(b)
+            if i == j:
                 continue
-            # Cycle-creating edge: a degree-1 class is born.
-            positive.setdefault(1, {})[index_of[1][verts]] = value
-            continue
-        # General reduction for dim >= 2 over facet indices.
-        facet_index = index_of[dim - 1]
-        col = frozenset(facet_index[f] for f in itertools.combinations(verts, dim))
-        pivots = pivot_cols.setdefault(dim, {})
-        owners = pivot_owner.setdefault(dim, {})
-        while col:
-            low = max(col)
-            if low in pivots:
-                col = col ^ pivots[low]
-            else:
-                pivots[low] = col
-                owners[low] = index_of[dim][verts]
-                # The pivot row is always a positive facet, whose class
-                # (born at the facet's value) dies here.
-                positive.get(dim - 1, {}).pop(low, None)
-                pairs.append(PersistencePair(dim - 1, values_of[dim - 1][low], value))
-                break
-        if not col:
-            positive.setdefault(dim, {})[index_of[dim][verts]] = value
-
-    for dim, alive in positive.items():
-        for _, birth in sorted(alive.items()):
-            pairs.append(
-                PersistencePair(dim, birth, math.inf, truncated=max_eps is not None)
+            # Elder rule: the younger component's class dies here.
+            young, old = (j, i) if (root_birth[j], j) >= (root_birth[i], i) else (i, j)
+            pairs.append(PersistencePair(0, root_birth[young], value))
+            uf.parent[young] = old
+            cleared.add(edge)
+        essential[0] = [b for i, b in enumerate(root_birth) if uf.parent[i] == i]
+    for k in range(1, max_dim + 1):
+        if k == max_dim:
+            alive = [s for s in range(len(values[k])) if s not in cleared]
+        else:
+            indptr, cofaces = _coboundaries(rows[k], rows[k + 1], len(labels))
+            owner, alive = _reduce_coboundaries(indptr, cofaces, cleared)
+            pairs.extend(
+                PersistencePair(k, values[k][face], values[k + 1][low])
+                for low, face in owner.items()
             )
-    pairs.sort(key=lambda p: (p.degree, p.birth, p.death))
+            cleared = set(owner)
+        essential.append([values[k][s] for s in alive])
+
+    truncated = max_eps is not None
+    for k, births in enumerate(essential):
+        pairs.extend(PersistencePair(k, b, math.inf, truncated) for b in births)
+    pairs.sort(key=operator.attrgetter("degree", "birth", "death"))
     return PersistenceDiagram(pairs=pairs, max_eps=max_eps)
 
 

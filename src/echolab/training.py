@@ -8,7 +8,7 @@ transform that turns value estimation into ordinary regression.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -38,23 +38,26 @@ class Readout:
             raise ValueError("readout weights must be finite")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w": self.w.tolist(),
-                "lambda": self.lam,
-                "provenance": self.provenance,
-                "burn_in": self.burn_in,
-            }
-        )
+        doc = {
+            "w": self.w.tolist(),
+            "lambda": self.lam,
+            "provenance": self.provenance,
+            "burn_in": self.burn_in,
+        }
+        if self.regularizer is not None:
+            doc["regularizer"] = self.regularizer.tolist()
+        return json.dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "Readout":
         doc = json.loads(text)
+        regularizer = doc.get("regularizer")
         return Readout(
             w=np.array(doc["w"]),
             lam=doc["lambda"],
             provenance=doc["provenance"],
             burn_in=doc["burn_in"],
+            regularizer=None if regularizer is None else np.array(regularizer, dtype=float),
         )
 
 
@@ -96,7 +99,8 @@ def solve_offline(
     raised; truncate=True takes the pseudo-inverse over the surviving
     directions instead, which rank-deficient feature stacks need.
     Passing a regularizer matrix L switches the penalty to ||L W||^2
-    and solves the normal equations directly.
+    and solves the normal equations directly; the readout then records
+    lam = 0 and keeps L.
     """
     X, Y = problem.states, problem.targets
     if lam < 0:
@@ -105,7 +109,7 @@ def solve_offline(
         L = np.asarray(regularizer, dtype=float)
         gram = X.T @ X + L.T @ L
         w = np.linalg.solve(gram, X.T @ Y)
-        return Readout(w=w, lam=1.0, provenance="offline_svd", regularizer=L)
+        return Readout(w=w, lam=0.0, provenance="offline_svd", regularizer=L)
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     keep = slice(None)
     if lam == 0.0:
@@ -123,10 +127,16 @@ def solve_offline(
 
 
 def normal_equation_residual(problem: RegressionProblem, readout: Readout) -> float:
-    """Relative residual of (X^T X + lam I) W - X^T Y."""
+    """Relative residual of (X^T X + lam I + L^T L) W - X^T Y.
+
+    L is the readout's regularizer matrix, absent (zero) for ridge readouts.
+    """
     X, Y = problem.states, problem.targets
     rhs = X.T @ Y
     lhs = X.T @ (X @ readout.w) + readout.lam * readout.w
+    if readout.regularizer is not None:
+        L = readout.regularizer
+        lhs += L.T @ (L @ readout.w)
     denom = np.linalg.norm(rhs)
     return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else float(
         np.linalg.norm(lhs)

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used only by the test suite."""
 
 import itertools
+import math
 
 import numpy as np
+
+from echolab.topology import PersistenceDiagram, PersistencePair
 
 
 def f2_rank_dense(matrix) -> int:
@@ -58,6 +61,78 @@ def brute_force_betti(points, eps, max_dim):
         nullity = len(simplices[k]) - ranks.get(k, 0)
         betti.append(nullity - ranks[k + 1])
     return betti
+
+
+def persistence_by_column_reduction(filtration, max_eps=None):
+    """Persistence pairs by reducing boundary columns in filtration order.
+
+    Degree 0 runs union-find with the elder rule. Each higher simplex's
+    boundary, held as a frozenset of facet indices, is reduced by XOR
+    against earlier pivot columns until its largest index is a new
+    pivot (the facet's class dies here) or the column vanishes (the
+    simplex gives birth). Classes still alive get death = infinity,
+    flagged truncated when a cutoff is known.
+    """
+    simplices = filtration.simplices
+    if max_eps is None and simplices:
+        max_eps = max(s[0] for s in simplices)
+
+    vertex_birth = {}
+    for value, dim, verts in simplices:
+        if dim == 0:
+            vertex_birth[verts[0]] = value
+    vertex_ids = {v: i for i, v in enumerate(sorted(vertex_birth))}
+    parent = list(range(len(vertex_ids)))
+    root_birth = {vertex_ids[v]: vertex_birth[v] for v in vertex_ids}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    pairs = []
+    index_of = {}
+    values_of = {}
+    positive = {0: {}}
+    pivot_cols = {}
+
+    for value, dim, verts in simplices:
+        idx = index_of.setdefault(dim, {})
+        idx[verts] = len(idx)
+        values_of.setdefault(dim, []).append(value)
+        if dim == 0:
+            positive[0][vertex_ids[verts[0]]] = value
+            continue
+        if dim == 1:
+            i, j = find(vertex_ids[verts[0]]), find(vertex_ids[verts[1]])
+            if i != j:
+                bi, bj = root_birth[i], root_birth[j]
+                young, old = (j, i) if (bj, j) >= (bi, i) else (i, j)
+                pairs.append(PersistencePair(0, root_birth[young], value))
+                positive[0].pop(young, None)
+                parent[young] = old
+            else:
+                positive.setdefault(1, {})[index_of[1][verts]] = value
+            continue
+        facet_index = index_of[dim - 1]
+        col = frozenset(facet_index[f] for f in itertools.combinations(verts, dim))
+        pivots = pivot_cols.setdefault(dim, {})
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = col
+                positive.get(dim - 1, {}).pop(low, None)
+                pairs.append(PersistencePair(dim - 1, values_of[dim - 1][low], value))
+                break
+            col = col ^ pivots[low]
+        if not col:
+            positive.setdefault(dim, {})[index_of[dim][verts]] = value
+
+    for dim, alive in positive.items():
+        for _, birth in sorted(alive.items()):
+            pairs.append(PersistencePair(dim, birth, math.inf, truncated=max_eps is not None))
+    pairs.sort(key=lambda p: (p.degree, p.birth, p.death))
+    return PersistenceDiagram(pairs=pairs, max_eps=max_eps)
 
 
 def hexagon_points():

@@ -29,6 +29,7 @@ from oracles import (
     HEXAGON_VERTICES,
     brute_force_betti,
     hexagon_points,
+    persistence_by_column_reduction,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -276,7 +277,7 @@ class TestPersistence:
         filt = rips_filtration(PointCloud(pts), max_dim=2, max_eps=1.5)
         diag = persistence(filt)
         for eps in (0.1, 0.25, 0.4, 0.6, 0.9, 1.2):
-            betti = betti_numbers(filt, eps)
+            betti = brute_force_betti(pts, eps, 2)
             curve = diag.betti_at(eps)
             for k, b in enumerate(betti):
                 assert curve.get(k, 0) == b, f"mismatch at eps={eps}, degree {k}"
@@ -321,6 +322,68 @@ class TestPersistence:
         text = persistence(filt).to_csv()
         assert text.splitlines()[0] == "degree,birth,death"
         assert "inf" in text
+
+
+class TestPersistenceMatchesColumnReduction:
+    """Cohomology with clearing pairs exactly as boundary-column reduction."""
+
+    @staticmethod
+    def assert_same_diagram(filt, max_eps=None):
+        got = persistence(filt, max_eps=max_eps)
+        want = persistence_by_column_reduction(filt, max_eps=max_eps)
+        assert [(p.degree, p.birth, p.death, p.truncated) for p in got.pairs] == [
+            (p.degree, p.birth, p.death, p.truncated) for p in want.pairs
+        ]
+        assert got.to_csv() == want.to_csv()
+        assert got.max_eps == want.max_eps
+
+    def assert_same_as_experiment(self, res):
+        filt = rips_filtration(PointCloud(res.landmarks), max_dim=2, max_eps=res.max_eps)
+        self.assert_same_diagram(filt, max_eps=res.max_eps)
+
+    def test_hexagon_example(self):
+        self.assert_same_diagram(hexagon_example_filtration())
+
+    def test_true_rips_hexagon(self):
+        filt = rips_filtration(PointCloud(hexagon_points()), max_dim=3, max_eps=2.5)
+        self.assert_same_diagram(filt)
+
+    def test_random_clouds(self):
+        rng = make_rng(21)
+        for trial in range(20):
+            pts = rng.uniform(0, 1, (15, 2))
+            max_eps = float(rng.uniform(0.3, 1.5))
+            filt = rips_filtration(PointCloud(pts), max_dim=3, max_eps=max_eps)
+            self.assert_same_diagram(filt, max_eps=max_eps if trial % 2 else None)
+
+    def test_circle_and_figure_eight(self):
+        angles = np.linspace(0, 2 * np.pi, 200, endpoint=False)
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        self.assert_same_as_experiment(attractor_h1_experiment(circle, subsample=50))
+        eight = np.vstack([circle - [1.0, 0.0], circle + [1.0, 0.0]])
+        self.assert_same_as_experiment(attractor_h1_experiment(eight, subsample=100))
+
+    def test_lorenz_landmarks(self):
+        ts = integrate_lorenz(LorenzParams(), 8000)
+        res = attractor_h1_experiment(ts.samples[4000:], subsample=150, max_eps=10.0)
+        self.assert_same_as_experiment(res)
+
+    def test_empty_and_vertex_only(self):
+        self.assert_same_diagram(Filtration([]))
+        self.assert_same_diagram(Filtration([(0.0, 0, (0,)), (0.5, 0, (1,)), (0.5, 0, (3,))]))
+
+    def test_non_contiguous_vertex_labels(self):
+        simplices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,)), (1.0, 1, (0, 1)),
+                     (1.0, 1, (0, 3)), (1.0, 1, (1, 3)), (2.0, 2, (0, 1, 3))]
+        self.assert_same_diagram(Filtration(simplices))
+
+    def test_missing_face_rejected(self):
+        vertices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,))]
+        no_edge = vertices + [(1.0, 1, (0, 1)), (1.0, 1, (1, 3)), (1.0, 2, (0, 1, 3))]
+        no_vertex = vertices + [(1.0, 1, (0, 2))]
+        for simplices in (no_edge, no_vertex):
+            with pytest.raises(ValueError, match="closed under taking faces"):
+                persistence(Filtration(simplices))
 
 
 class TestSqueezeCheck:
