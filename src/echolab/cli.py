@@ -20,7 +20,15 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .dynsys import LorenzParams, ObservationFn, TimeSeries, WING_FIXED_POINT, integrate_lorenz, observe
+from .dynsys import (
+    LorenzParams,
+    ObservationFn,
+    TimeSeries,
+    WING_FIXED_POINT,
+    integrate_lorenz,
+    lorenz_tangent_maps,
+    observe,
+)
 from .diagnostics import (
     esn_jacobian,
     lorenz_linearization_eigs,
@@ -28,7 +36,6 @@ from .diagnostics import (
     newton_fixed_point,
     pca_project,
 )
-from .dynsys import lorenz_step, lorenz_step_jacobian
 from .pde import (
     build_feature_model,
     grid_rms_error,
@@ -57,9 +64,7 @@ from .stochastic import (
     value_mc,
 )
 from .topology import (
-    PointCloud,
     attractor_h1_experiment,
-    betti_numbers,
     boundary_matrix,
     hexagon_example_filtration,
     persistence,
@@ -322,14 +327,15 @@ def run_fixed_point(config: ExperimentConfig, outdir: Path) -> None:
 def run_lyapunov(config: ExperimentConfig, outdir: Path) -> None:
     n_iter = config.param("n_iter", 200_000)
     tau = config.param("tau", 0.01)
-    params = LorenzParams(tau=tau)
-    settle = integrate_lorenz(params, 1000)
+    settle = integrate_lorenz(LorenzParams(tau=tau), 1000)
+    # At the default tau = 0.01 the frame's columns separate by about
+    # exp((lambda_1 - lambda_3) * 10 * tau) = exp(15.5 * 0.1) ~ 4.7 over
+    # 10 steps, far from ill-conditioned, so one QR per 10 steps gives the
+    # exponents of a QR per step to ~1e-13 at a tenth of the factorisations.
     result = lyapunov_qr(
-        step=lambda x: lorenz_step(x, params),
-        jacobian=lambda x: lorenz_step_jacobian(x, params),
-        x0=settle.samples[-1],
-        n_iter=n_iter,
+        lorenz_tangent_maps(LorenzParams(tau=tau, initial=settle.samples[-1]), n_iter),
         tau=tau,
+        reorth_every=10,
     )
     _write(outdir, "lyapunov.json", result.to_json())
     _write(outdir, "lyapunov_trace.csv", result.trace_csv())
@@ -343,13 +349,14 @@ def run_homology(config: ExperimentConfig, outdir: Path) -> None:
         d2 = boundary_matrix(filt, 2, eps=1.9)
         for name, M in (("boundary_1.csv", d1), ("boundary_2.csv", d2)):
             _write(outdir, name, "\n".join(",".join(str(int(v)) for v in row) for row in M) + "\n")
-        profile = {
-            "at_1": betti_numbers(filt, 1.0),
-            "at_sqrt3": betti_numbers(filt, float(np.sqrt(3))),
-            "at_2": betti_numbers(filt, 2.0),
-        }
+        diagram = persistence(filt)
+        dims = range(filt.max_dimension() + 1)
+        profile = {}
+        for key, eps in (("at_1", 1.0), ("at_sqrt3", float(np.sqrt(3))), ("at_2", 2.0)):
+            curve = diagram.betti_at(eps)
+            profile[key] = [curve.get(k, 0) for k in dims]
         _write(outdir, "betti.json", json.dumps(profile))
-        _write(outdir, "diagram.csv", persistence(filt).to_csv())
+        _write(outdir, "diagram.csv", diagram.to_csv())
     else:
         ell = config.param("ell", 8000)
         subsample = config.param("subsample", 400)

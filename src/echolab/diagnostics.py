@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -182,45 +182,65 @@ class LyapunovResult:
 
 
 def lyapunov_qr(
-    step: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    n_iter: int,
+    jacobians: Iterable[np.ndarray],
     tau: float = 1.0,
     record_every: int = 100,
+    reorth_every: int = 1,
 ) -> LyapunovResult:
-    """Discrete-QR Lyapunov spectrum of a map along its own orbit.
+    """Discrete-QR Lyapunov spectrum from the Jacobians along an orbit.
 
-    Propagates an orthonormal frame through the Jacobian, re-factoring
-    with QR at every step; R diagonals are sign-normalised positive
-    before the log. The accumulated means are divided by tau to give
-    per-unit-time exponents, with running means recorded periodically.
+    `jacobians` yields the map's Jacobian at x_0, x_1, ... in orbit
+    order (for Lorenz, `dynsys.lorenz_tangent_maps`); the dimension is
+    taken from the first one. A frame Z, started at the identity, is
+    propagated as Z <- J Z and re-factored with QR every `reorth_every`
+    steps (Geist, Parlitz & Lauterborn, Prog. Theor. Phys. 83, 875,
+    1990), and once more after the last step if a partial block
+    remains; R diagonals are sign-normalised positive before the log.
+    The accumulated means are divided by tau to give per-unit-time
+    exponents, with running means recorded every `record_every` steps,
+    which must be a multiple of `reorth_every`.
+
+    Between two factorisations the columns of Z separate by about
+    exp((lambda_1 - lambda_n) * reorth_every * tau), and the QR of Z
+    loses the directions of the smaller exponents once that growth nears
+    1/eps. reorth_every=1 is safe for any map and is the default; a
+    larger interval is for maps whose spread is known to keep that
+    factor small.
     """
-    if n_iter < 100:
-        raise ValueError("n_iter must be >= 100")
-    x = np.asarray(x0, dtype=float).copy()
-    n = x.shape[0]
-    Q = np.eye(n)
-    sums = np.zeros(n)
+    if reorth_every < 1 or record_every % reorth_every != 0:
+        raise ValueError("record_every must be a positive multiple of reorth_every")
+    Z = sums = None
     traces = []
-    for j in range(1, n_iter + 1):
-        Z = jacobian(x) @ Q
-        Q, R = np.linalg.qr(Z)
-        diag = np.diag(R).copy()
-        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-            raise DegenerateJacobianError(f"zero R diagonal at iteration {j}")
-        signs = np.sign(diag)
-        Q = Q * signs[None, :]
-        sums += np.log(np.abs(diag))
-        if j % record_every == 0:
-            traces.append(np.concatenate([[j], np.sort(sums / j / tau)[::-1]]))
-        x = step(x)
-    exponents = np.sort(sums / n_iter / tau)[::-1]
+    j = 0
+    for j, J in enumerate(jacobians, start=1):
+        if Z is None:
+            Z = np.eye(J.shape[1])
+            sums = np.zeros(J.shape[1])
+        Z = J @ Z
+        if j % reorth_every == 0:
+            Z = _absorb_qr(Z, sums, j)
+            if j % record_every == 0:
+                traces.append(np.concatenate([[j], np.sort(sums / j / tau)[::-1]]))
+    if j < 100:
+        raise ValueError("need at least 100 Jacobians")
+    if j % reorth_every:
+        _absorb_qr(Z, sums, j)
+    n = sums.shape[0]
     return LyapunovResult(
-        exponents=exponents,
-        n_iterations=n_iter,
+        exponents=np.sort(sums / j / tau)[::-1],
+        n_iterations=j,
         running_means=np.array(traces) if traces else np.zeros((0, n + 1)),
     )
+
+
+def _absorb_qr(Z: np.ndarray, sums: np.ndarray, j: int) -> np.ndarray:
+    """Add log|diag R| of Z = QR to `sums` in place; return the signed Q."""
+    Q, R = np.linalg.qr(Z)
+    diag = np.diag(R).copy()
+    if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
+        raise DegenerateJacobianError(f"zero R diagonal at iteration {j}")
+    sums += np.log(np.abs(diag))
+    return Q * np.sign(diag)[None, :]
 
 
 @dataclass

@@ -11,16 +11,15 @@ system-isomorphism verifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynsys import DIVERGENCE_THRESHOLD, TWO_PI, TimeSeries
+from .dynsys import TWO_PI, TimeSeries, check_divergence
 from .errors import (
     DegenerateMatrixError,
     DimensionMismatchError,
-    IntegrationDivergedError,
     SeriesDivergentError,
     SpectrumCollisionError,
 )
@@ -271,7 +270,9 @@ def build_gonon(config: GononConfig) -> ReservoirSpec:
 def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> TimeSeries:
     """Iterate x_{k+1} = activation(A x_k + C z_k + b) over the inputs.
 
-    Output has len(input) + 1 samples and starts at x0.
+    Output has len(input) + 1 samples and starts at x0. Raises
+    IntegrationDivergedError (naming the step) if the state leaves the
+    finite range, as an unstable identity reservoir does.
     """
     if input_series.dim != spec.d:
         raise DimensionMismatchError(
@@ -281,9 +282,11 @@ def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> Time
     out = np.empty((len(input_series) + 1, spec.n))
     out[0] = x0
     x = x0
-    for k, z in enumerate(input_series.samples):
-        x = spec.step(x, z)
-        out[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, z in enumerate(input_series.samples):
+            x = spec.step(x, z)
+            out[k + 1] = x
+    check_divergence(out)
     return TimeSeries(
         step=input_series.step, samples=out, origin_index=input_series.origin_index
     )
@@ -303,16 +306,20 @@ def autonomous_map(spec: ReservoirSpec, w: np.ndarray) -> Callable[[np.ndarray],
 def autonomous_drive(
     spec: ReservoirSpec, w: np.ndarray, x0: np.ndarray, n_steps: int
 ) -> TimeSeries:
-    """Run the autonomous phase for n_steps, aborting on divergence."""
+    """Run the autonomous phase for n_steps.
+
+    Raises IntegrationDivergedError, naming the first step out of range,
+    if the state leaves the finite range.
+    """
     psi = autonomous_map(spec, w)
     x = np.asarray(x0, dtype=float).reshape(spec.n)
     out = np.empty((n_steps + 1, spec.n))
     out[0] = x
-    for k in range(n_steps):
-        x = psi(x)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_THRESHOLD:
-            raise IntegrationDivergedError(k + 1)
-        out[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            x = psi(x)
+            out[k + 1] = x
+    check_divergence(out)
     return TimeSeries(step=1.0, samples=out)
 
 

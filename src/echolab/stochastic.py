@@ -9,8 +9,8 @@ empirical contraction check for the one-step expectation operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from echolab.dynsys import DIVERGENCE_THRESHOLD, TimeSeries
+from echolab.errors import DegenerateJacobianError, IntegrationDivergedError
 from echolab.topology import PersistenceDiagram, PersistencePair
 
 
@@ -178,3 +180,108 @@ HEXAGON_DEL1_TABLE = np.array(
     ],
     dtype=np.uint8,
 )
+
+
+# Per-step Lorenz and Lyapunov references: numpy on 3-vectors, one call
+# per RK4 stage and one QR per iteration.
+
+
+def _lorenz_rhs_single(state, params):
+    x, y, z = state
+    return np.array(
+        [
+            params.sigma * (y - x),
+            x * (params.rho - z) - y,
+            x * y - params.beta * z,
+        ]
+    )
+
+
+def _lorenz_jacobian_single(state, params):
+    x, y, z = state
+    return np.array(
+        [
+            [-params.sigma, params.sigma, 0.0],
+            [params.rho - z, -1.0, -x],
+            [y, x, -params.beta],
+        ]
+    )
+
+
+def rk4_step(f, state, h):
+    """One classical Runge-Kutta step of size h."""
+    k1 = f(state)
+    k2 = f(state + 0.5 * h * k1)
+    k3 = f(state + 0.5 * h * k2)
+    k4 = f(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def iterate_with_step_check(fmap, input_series, x0):
+    """x_{k+1} = fmap(x_k, z_k), raising at the first out-of-range state."""
+    states = [np.asarray(x0, dtype=float)]
+    x = states[0]
+    for k, z in enumerate(input_series.samples[:, 0]):
+        x = fmap(x, float(z))
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_THRESHOLD:
+            raise IntegrationDivergedError(k + 1)
+        states.append(x)
+    return np.array(states)
+
+
+def lorenz_step_reference(state, params):
+    return rk4_step(lambda s: _lorenz_rhs_single(s, params), state, params.tau)
+
+
+def integrate_lorenz_reference(params, n_steps):
+    """Lorenz RK4 orbit stepped on numpy 3-vectors with a per-step check."""
+    out = np.empty((n_steps + 1, 3))
+    out[0] = params.initial
+    state = params.initial
+    for k in range(n_steps):
+        state = lorenz_step_reference(state, params)
+        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > DIVERGENCE_THRESHOLD:
+            raise IntegrationDivergedError(k + 1)
+        out[k + 1] = state
+    return TimeSeries(step=params.tau, samples=out)
+
+
+def lorenz_step_jacobian_reference(state, params):
+    """Jacobian of one RK4 step through the variational stages, per state."""
+    h = params.tau
+    eye = np.eye(3)
+    k1 = _lorenz_rhs_single(state, params)
+    d1 = _lorenz_jacobian_single(state, params)
+    s2 = state + 0.5 * h * k1
+    k2 = _lorenz_rhs_single(s2, params)
+    d2 = _lorenz_jacobian_single(s2, params) @ (eye + 0.5 * h * d1)
+    s3 = state + 0.5 * h * k2
+    k3 = _lorenz_rhs_single(s3, params)
+    d3 = _lorenz_jacobian_single(s3, params) @ (eye + 0.5 * h * d2)
+    s4 = state + h * k3
+    d4 = _lorenz_jacobian_single(s4, params) @ (eye + h * d3)
+    return eye + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+
+
+def lyapunov_qr_reference(step, jacobian, x0, n_iter, tau=1.0, record_every=100):
+    """QR Lyapunov spectrum stepping the orbit itself, one QR per step.
+
+    Returns (exponents, running_means) in the layout of LyapunovResult.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    n = x.shape[0]
+    Q = np.eye(n)
+    sums = np.zeros(n)
+    traces = []
+    for j in range(1, n_iter + 1):
+        Z = jacobian(x) @ Q
+        Q, R = np.linalg.qr(Z)
+        diag = np.diag(R).copy()
+        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
+            raise DegenerateJacobianError(f"zero R diagonal at iteration {j}")
+        Q = Q * np.sign(diag)[None, :]
+        sums += np.log(np.abs(diag))
+        if j % record_every == 0:
+            traces.append(np.concatenate([[j], np.sort(sums / j / tau)[::-1]]))
+        x = step(x)
+    return np.sort(sums / n_iter / tau)[::-1], np.array(traces)

@@ -1,6 +1,4 @@
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +96,22 @@ class TestRun:
         assert (outdir / "boundary_2.csv").exists()
         assert (outdir / "diagram.csv").exists()
 
+    def test_homology_hexagon_profiles_come_from_one_diagram(self, tmp_path):
+        # betti.json and diagram.csv read the same bytes as separate
+        # betti_numbers and persistence calls.
+        from echolab.topology import betti_numbers, hexagon_example_filtration, persistence
+
+        config = ExperimentConfig(experiment="homology", seed=1, output_dir=str(tmp_path))
+        assert run(config) == EXIT_OK
+        filt = hexagon_example_filtration()
+        expected = {
+            "at_1": betti_numbers(filt, 1.0),
+            "at_sqrt3": betti_numbers(filt, float(np.sqrt(3))),
+            "at_2": betti_numbers(filt, 2.0),
+        }
+        assert (tmp_path / "betti.json").read_text() == json.dumps(expected)
+        assert (tmp_path / "diagram.csv").read_text() == persistence(filt).to_csv()
+
     def test_value_learn_reproducible_bytes(self, tmp_path):
         outputs = []
         for run_dir in ("a", "b"):
@@ -140,15 +154,23 @@ class TestRun:
         assert field[0] == "r,theta,phi_hat,phi_exact,abs_err"
 
     def test_lyapunov_small_run(self, tmp_path):
+        # The Lorenz spectrum (0.9056, 0, -14.5723) to 0.05 each, a zero
+        # exponent to 0.02 and the sum -(sigma + 1 + beta) to 1e-3.
         config = ExperimentConfig(
             experiment="lyapunov", seed=0, output_dir=str(tmp_path),
-            parameters={"n_iter": 2000},
+            parameters={"n_iter": 20000},
         )
         assert run(config) == EXIT_OK
         doc = json.loads((tmp_path / "lyapunov.json").read_text())
-        assert len(doc["exponents"]) == 3
+        assert doc["n_iterations"] == 20000
+        exponents = np.array(doc["exponents"])
+        assert exponents.shape == (3,)
+        assert np.max(np.abs(exponents - [0.9056, 0.0, -14.5723])) < 0.05
+        assert abs(exponents[1]) <= 0.02
+        assert abs(exponents.sum() + (10.0 + 1.0 + 8.0 / 3.0)) < 1e-3
         trace = (tmp_path / "lyapunov_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,lambda_1,lambda_2,lambda_3"
+        assert len(trace) == 1 + 20000 // 100
 
     def test_manifest_written_before_failure(self, tmp_path, monkeypatch):
         # Force a runtime failure and confirm the crash-forensics

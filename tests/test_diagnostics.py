@@ -3,6 +3,7 @@ import pytest
 
 from echolab.diagnostics import (
     FixedPointResult,
+    LyapunovResult,
     esn_jacobian,
     lorenz_linearization_eigs,
     lorenz_wing_jacobian,
@@ -11,9 +12,18 @@ from echolab.diagnostics import (
     newton_fixed_point,
     pca_project,
 )
-from echolab.dynsys import TimeSeries
-from echolab.errors import NearNeutralFixedPointError, NewtonConvergenceError
-from echolab.reservoir import ReservoirGenConfig, ReservoirSpec, autonomous_map, generate, make_rng
+from echolab.dynsys import LorenzParams, TimeSeries, integrate_lorenz, lorenz_tangent_maps
+from echolab.errors import (
+    DegenerateJacobianError,
+    NearNeutralFixedPointError,
+    NewtonConvergenceError,
+)
+from echolab.reservoir import ReservoirGenConfig, autonomous_map, generate, make_rng
+from oracles import (
+    lorenz_step_jacobian_reference,
+    lorenz_step_reference,
+    lyapunov_qr_reference,
+)
 
 
 class TestNewton:
@@ -143,36 +153,89 @@ class TestLorenzLinearization:
 class TestLyapunovQr:
     def test_constant_diagonal_jacobian_exact(self):
         J = np.diag([0.5, 2.0])
-        res = lyapunov_qr(lambda x: J @ x, lambda x: J, np.array([1.0, 1.0]), 200)
+        res = lyapunov_qr([J] * 200)
         assert np.allclose(res.exponents, [np.log(2.0), np.log(0.5)], atol=1e-12)
 
     def test_rotation_gives_zero_exponents(self):
         th = 0.7
         J = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        res = lyapunov_qr(lambda x: J @ x, lambda x: J, np.array([1.0, 0.0]), 300)
+        res = lyapunov_qr([J] * 300)
         assert np.max(np.abs(res.exponents)) < 1e-10
 
     def test_sum_equals_log_det_over_tau(self):
         J = np.array([[0.8, -0.3], [0.3, 0.8]])
         tau = 0.05
-        res = lyapunov_qr(lambda x: J @ x, lambda x: J, np.array([0.2, 0.1]), 500, tau=tau)
+        res = lyapunov_qr([J] * 500, tau=tau)
         assert abs(res.exponents.sum() - np.log(abs(np.linalg.det(J))) / tau) < 1e-8
 
     def test_running_means_recorded(self):
         J = np.diag([0.9, 1.1])
-        res = lyapunov_qr(lambda x: x, lambda x: J, np.ones(2), 500, record_every=100)
+        res = lyapunov_qr([J] * 500, record_every=100)
         assert res.running_means.shape == (5, 3)
         assert res.running_means[0, 0] == 100
         assert "lambda_1" in res.trace_csv().splitlines()[0]
 
     def test_exponents_sorted_descending(self):
         J = np.diag([1.5, 0.2, 0.9])
-        res = lyapunov_qr(lambda x: x, lambda x: J, np.ones(3), 150)
+        res = lyapunov_qr([J] * 150)
         assert np.all(np.diff(res.exponents) <= 0)
 
     def test_too_few_iterations_rejected(self):
         with pytest.raises(ValueError):
-            lyapunov_qr(lambda x: x, lambda x: np.eye(1), np.ones(1), 10)
+            lyapunov_qr([np.eye(1)] * 10)
+
+    def test_reorth_interval_must_divide_record_interval(self):
+        J = np.diag([0.9, 1.1])
+        for record_every, reorth_every in ((100, 3), (100, 0), (10, 20)):
+            with pytest.raises(ValueError):
+                lyapunov_qr([J] * 200, record_every=record_every, reorth_every=reorth_every)
+
+    def test_partial_block_is_factored(self):
+        # 205 steps at reorth_every=10 leave a 5-step block after the
+        # last QR; its growth must still reach the exponents.
+        J = np.diag([0.5, 2.0])
+        res = lyapunov_qr([J] * 205, reorth_every=10)
+        assert res.n_iterations == 205
+        assert np.allclose(res.exponents, [np.log(2.0), np.log(0.5)], atol=1e-12)
+
+    def test_zero_diagonal_raises(self):
+        with pytest.raises(DegenerateJacobianError):
+            lyapunov_qr([np.diag([1.0, 0.0])] * 200)
+
+
+class TestLyapunovQrLorenz:
+    """The blocked QR on Lorenz tangent maps against the per-step reference."""
+
+    @staticmethod
+    def orbit_start():
+        return integrate_lorenz(LorenzParams(), 1000).samples[-1]
+
+    def test_equals_reference_at_reorth_one(self):
+        params = LorenzParams()
+        x0 = self.orbit_start()
+        exponents, running = lyapunov_qr_reference(
+            lambda x: lorenz_step_reference(x, params),
+            lambda x: lorenz_step_jacobian_reference(x, params),
+            x0, 3000, tau=params.tau,
+        )
+        res = lyapunov_qr(
+            lorenz_tangent_maps(LorenzParams(initial=x0), 3000), tau=params.tau
+        )
+        expected = LyapunovResult(exponents=exponents, n_iterations=3000, running_means=running)
+        assert np.array_equal(res.exponents, exponents)
+        assert res.trace_csv() == expected.trace_csv()
+        assert res.to_json() == expected.to_json()
+
+    def test_reorth_ten_matches_reorth_one(self):
+        x0 = self.orbit_start()
+        tau = LorenzParams().tau
+        one = lyapunov_qr(lorenz_tangent_maps(LorenzParams(initial=x0), 20000), tau=tau)
+        ten = lyapunov_qr(
+            lorenz_tangent_maps(LorenzParams(initial=x0), 20000), tau=tau, reorth_every=10
+        )
+        assert np.max(np.abs(ten.exponents - one.exponents)) < 1e-10
+        assert ten.running_means.shape == one.running_means.shape
+        assert np.max(np.abs(ten.running_means - one.running_means)) < 1e-10
 
 
 class TestPca:

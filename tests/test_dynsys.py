@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,27 @@ from echolab.dynsys import (
     ObservationFn,
     TimeSeries,
     WING_FIXED_POINT,
+    TANGENT_CHUNK,
+    check_divergence,
     circle_rotation,
     circular_distance,
     example_drive,
     example_drive_map,
     integrate_lorenz,
+    lorenz_jacobian,
     lorenz_rhs,
     lorenz_step,
     lorenz_step_jacobian,
+    lorenz_tangent_maps,
     observe,
-    rk4_step,
 )
 from echolab.errors import DimensionMismatchError, IntegrationDivergedError
+from oracles import (
+    integrate_lorenz_reference,
+    iterate_with_step_check,
+    lorenz_step_jacobian_reference,
+    rk4_step,
+)
 
 
 def reference_step(state, tau, substeps=1000):
@@ -80,15 +91,92 @@ class TestIntegrateLorenz:
         assert np.max(np.abs(jac - fd)) < 1e-7
 
     def test_divergence_reports_step(self):
-        # Unstable parameters blow up quickly; the error names the step.
+        # Unstable parameters blow up quickly; the error names the step,
+        # the same one the per-step reference loop stops at.
         params = LorenzParams(sigma=1e6, rho=1e6, tau=10.0, initial=np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(IntegrationDivergedError) as err:
-            integrate_lorenz(params, 100)
-        assert err.value.step >= 1
+        with pytest.raises(IntegrationDivergedError) as ref:
+            integrate_lorenz_reference(params, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as err:
+                integrate_lorenz(params, 100)
+        assert err.value.step == ref.value.step >= 1
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             integrate_lorenz(LorenzParams(), 0)
+
+
+class TestLorenzKernel:
+    """The float orbit and the batched tangent maps against per-step numpy."""
+
+    def test_orbit_bytes_equal_reference(self):
+        params = LorenzParams()
+        new = integrate_lorenz(params, 20000).samples
+        ref = integrate_lorenz_reference(params, 20000).samples
+        assert new.tobytes() == ref.tobytes()
+
+    def test_orbit_bytes_equal_reference_other_parameters(self):
+        params = LorenzParams(sigma=16.0, rho=45.92, beta=4.0, tau=0.003,
+                              initial=np.array([-3.2, 7.5, 30.1]))
+        new = integrate_lorenz(params, 3000).samples
+        ref = integrate_lorenz_reference(params, 3000).samples
+        assert new.tobytes() == ref.tobytes()
+
+    def test_lorenz_step_is_one_orbit_step(self):
+        params = LorenzParams()
+        orbit = integrate_lorenz(params, 3).samples
+        assert np.array_equal(lorenz_step(orbit[2], params), orbit[3])
+
+    def test_batched_step_jacobian_equals_per_state_reference(self):
+        params = LorenzParams()
+        states = np.random.default_rng(0).uniform([-20, -25, 0], [20, 25, 50], (50, 3))
+        batch = lorenz_step_jacobian(states, params)
+        assert batch.shape == (50, 3, 3)
+        for state, jac in zip(states, batch):
+            assert np.array_equal(jac, lorenz_step_jacobian_reference(state, params))
+            assert np.array_equal(lorenz_step_jacobian(state, params), jac)
+
+    def test_batched_field_and_jacobian_match_single_states(self):
+        params = LorenzParams()
+        states = np.random.default_rng(1).standard_normal((7, 3)) * 10
+        rhs, jac = lorenz_rhs(states, params), lorenz_jacobian(states, params)
+        assert rhs.shape == (7, 3) and jac.shape == (7, 3, 3)
+        for k, state in enumerate(states):
+            assert np.array_equal(rhs[k], lorenz_rhs(state, params))
+            assert np.array_equal(jac[k], lorenz_jacobian(state, params))
+
+    def test_tangent_maps_follow_the_orbit_across_chunks(self):
+        params = LorenzParams()
+        n = 2 * TANGENT_CHUNK + 5
+        orbit = integrate_lorenz(params, n).samples
+        maps = list(lorenz_tangent_maps(params, n))
+        assert len(maps) == n
+        for k in (0, TANGENT_CHUNK - 1, TANGENT_CHUNK, TANGENT_CHUNK + 1, n - 1):
+            assert np.array_equal(maps[k], lorenz_step_jacobian_reference(orbit[k], params))
+
+
+class TestCheckDivergence:
+    def test_reports_first_bad_row(self):
+        states = np.ones((6, 2))
+        states[3, 1] = 2e12
+        states[5, 0] = np.nan
+        with pytest.raises(IntegrationDivergedError) as err:
+            check_divergence(states)
+        assert err.value.step == 3
+
+    def test_nan_and_negative_overflow_count(self):
+        for bad in (np.nan, -np.inf, -1.5e12):
+            states = np.zeros((4, 3))
+            states[2, 2] = bad
+            with pytest.raises(IntegrationDivergedError) as err:
+                check_divergence(states)
+            assert err.value.step == 2
+
+    def test_start_row_and_threshold_pass(self):
+        states = np.full((3, 2), 1e12)
+        states[0] = np.inf
+        check_divergence(states)
 
 
 class TestCircleRotation:
@@ -162,8 +250,17 @@ class TestExampleDrives:
         assert abs(radii[50] - 1.0) < 1e-3
 
     def test_polar_square_diverges_beyond_two(self):
-        with pytest.raises(IntegrationDivergedError):
-            example_drive("polar_square", self.zero_input(100), np.array([2.5, 0.0]), delta=0.1)
+        # rho -> rho^2 from 2.5 passes 1e12 at step 5; the per-step loop
+        # stops at the same step, and no overflow warning escapes.
+        z = self.zero_input(100)
+        x0 = np.array([2.5, 0.0])
+        with pytest.raises(IntegrationDivergedError) as ref:
+            iterate_with_step_check(example_drive_map("polar_square", delta=0.1), z, x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as err:
+                example_drive("polar_square", z, x0, delta=0.1)
+        assert err.value.step == ref.value.step == 5
 
     def test_signed_power_box_invariance(self):
         # Each signed-power box [0.9,1.1]^3 (any sign pattern) is mapped

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from echolab.dynsys import TimeSeries, integrate_lorenz, LorenzParams, example_d
 from echolab.errors import (
     DegenerateMatrixError,
     DimensionMismatchError,
+    IntegrationDivergedError,
     SeriesDivergentError,
     SpectrumCollisionError,
 )
@@ -194,7 +197,33 @@ class TestDrive:
             drive(spec, scalar_series([1.0]), np.zeros(4))
 
 
+    def test_unstable_identity_reservoir_reports_step(self):
+        # x_k = 2^k from x0 = 1: 2^39 < 1e12 < 2^40, so step 40 is the
+        # first out of range; the loop runs on to inf without warnings.
+        spec = ReservoirSpec(
+            n=1, d=1, A=np.array([[2.0]]), C=np.zeros((1, 1)), b=np.zeros(1),
+            activation="identity",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as err:
+                drive(spec, scalar_series(np.zeros(2000)), np.array([1.0]))
+        assert err.value.step == 40
+
+
 class TestAutonomousDrive:
+    def test_unstable_readout_loop_reports_step(self):
+        spec = ReservoirSpec(
+            n=2, d=1, A=np.eye(2), C=np.array([[1.0], [1.0]]), b=np.zeros(2),
+            activation="identity",
+        )
+        # psi(x) = x + (x_0, x_0): the first coordinate doubles each step.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError) as err:
+                autonomous_drive(spec, np.array([1.0, 0.0]), np.array([1.0, 0.0]), 3000)
+        assert err.value.step == 40
+
     def test_all_zero_system_constant(self):
         spec = ReservoirSpec(
             n=2, d=1, A=np.zeros((2, 2)), C=np.zeros((2, 1)), b=np.zeros(2), activation="tanh"
