@@ -25,6 +25,9 @@ from .dynsys import (
     ObservationFn,
     TimeSeries,
     WING_FIXED_POINT,
+    circle_rotation,
+    csv_text,
+    example_drive,
     integrate_lorenz,
     lorenz_tangent_maps,
     observe,
@@ -155,6 +158,9 @@ def validate(config: ExperimentConfig) -> List[str]:
         gamma = config.param("gamma", 0.9)
         if not (isinstance(gamma, (int, float)) and 0 <= gamma < 1):
             diagnostics.append("params.gamma: must lie in [0, 1)")
+        length = config.param("length", 400)
+        if not (isinstance(length, int) and length >= 2):
+            diagnostics.append("params.length: must be an integer >= 2")
     if config.experiment in ("lorenz_train", "lorenz_forecast", "fixed_point"):
         n = config.param("n", 300)
         if not (isinstance(n, int) and n >= 1):
@@ -162,10 +168,25 @@ def validate(config: ExperimentConfig) -> List[str]:
         ell = config.param("ell", 20000)
         if not (isinstance(ell, int) and ell >= 200):
             diagnostics.append("params.ell: must be an integer >= 200")
+        lam = config.param("lam", 1e-9)
+        if not (isinstance(lam, (int, float)) and lam >= 0):
+            diagnostics.append("params.lam: must be >= 0")
+    if config.experiment == "lorenz_forecast":
+        horizon = config.param("horizon", 4000)
+        if not (isinstance(horizon, int) and horizon >= 1):
+            diagnostics.append("params.horizon: must be a positive integer")
+    if config.experiment in ("fixed_point", "lyapunov"):
+        tau = config.param("tau", 0.01)
+        if not (isinstance(tau, (int, float)) and tau > 0):
+            diagnostics.append("params.tau: must be > 0")
     if config.experiment == "lyapunov":
         n_iter = config.param("n_iter", 200_000)
         if not (isinstance(n_iter, int) and n_iter >= 100):
             diagnostics.append("params.n_iter: must be an integer >= 100")
+    if config.experiment == "homology":
+        source = config.param("source", "hexagon")
+        if source not in ("hexagon", "lorenz"):
+            diagnostics.append(f"params.source: unknown {source!r}; expected hexagon or lorenz")
     if config.experiment == "pde_dirichlet":
         for key, default in (("n", 500), ("ell", 500), ("ell_prime", 500)):
             v = config.param(key, default)
@@ -238,11 +259,12 @@ def run_lorenz_train(config: ExperimentConfig, outdir: Path) -> None:
         n, ell, lam, config.seed, target="zeta"
     )
     preds = problem.states @ readout.w
-    lines = ["t,target,prediction"]
-    burn = ell - len(problem.targets)
-    for k, (t, p) in enumerate(zip(problem.targets, preds)):
-        lines.append(f"{(burn + k) * trajectory.step:.17g},{t:.17g},{p:.17g}")
-    _write(outdir, "zeta_prediction.csv", "\n".join(lines) + "\n")
+    times = np.arange(ell - len(preds), ell) * trajectory.step
+    _write(
+        outdir,
+        "zeta_prediction.csv",
+        csv_text(["t", "target", "prediction"], [times, problem.targets, preds]),
+    )
     _write(outdir, "readout.json", readout.to_json())
     _write(outdir, "reservoir.json", spec.to_json())
     rms = float(np.sqrt(np.mean((preds - problem.targets) ** 2)))
@@ -261,11 +283,12 @@ def run_lorenz_forecast(config: ExperimentConfig, outdir: Path) -> None:
     auto = autonomous_drive(spec, readout.w, states.samples[ell], horizon)
     forecast = auto.samples[:-1] @ readout.w
     truth = extended.samples[ell + 1 : ell + horizon + 1, 0]
-    lines = ["t,true_xi,forecast_xi"]
-    for k in range(horizon):
-        t = (ell + 1 + k) * trajectory.step
-        lines.append(f"{t:.17g},{truth[k]:.17g},{forecast[k]:.17g}")
-    _write(outdir, "forecast.csv", "\n".join(lines) + "\n")
+    times = np.arange(ell + 1, ell + horizon + 1) * trajectory.step
+    _write(
+        outdir,
+        "forecast.csv",
+        csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
+    )
     pca = pca_project(TimeSeries(step=1.0, samples=states.samples[100:]), 3)
     _write(
         outdir,
@@ -318,10 +341,7 @@ def run_fixed_point(config: ExperimentConfig, outdir: Path) -> None:
             }
         ),
     )
-    lines = ["re,im"]
-    for e in esn_eigs:
-        lines.append(f"{e.real:.17g},{e.imag:.17g}")
-    _write(outdir, "esn_eigenvalues.csv", "\n".join(lines) + "\n")
+    _write(outdir, "esn_eigenvalues.csv", csv_text(["re", "im"], [esn_eigs.real, esn_eigs.imag]))
 
 
 def run_lyapunov(config: ExperimentConfig, outdir: Path) -> None:
@@ -348,7 +368,7 @@ def run_homology(config: ExperimentConfig, outdir: Path) -> None:
         d1 = boundary_matrix(filt, 1, eps=1.9)
         d2 = boundary_matrix(filt, 2, eps=1.9)
         for name, M in (("boundary_1.csv", d1), ("boundary_2.csv", d2)):
-            _write(outdir, name, "\n".join(",".join(str(int(v)) for v in row) for row in M) + "\n")
+            _write(outdir, name, csv_text([], M.T))
         diagram = persistence(filt)
         dims = range(filt.max_dimension() + 1)
         profile = {}
@@ -382,8 +402,6 @@ def run_homology(config: ExperimentConfig, outdir: Path) -> None:
 
 
 def run_gs_examples(config: ExperimentConfig, outdir: Path) -> None:
-    from .dynsys import circle_rotation, example_drive
-
     epsilon = 2 * np.pi / 100
     n_steps = config.param("n_steps", 2000)
     burn_in = config.param("burn_in", 500)
@@ -393,12 +411,10 @@ def run_gs_examples(config: ExperimentConfig, outdir: Path) -> None:
     for label, x0 in (("minus", -0.9), ("plus", 0.9)):
         branches[label] = example_drive("tanh2x", z, np.array([x0])).samples[:, 0]
     gap = np.abs(branches["plus"][burn_in:] - branches["minus"][burn_in:])
-    lines = ["angle,x_minus,x_plus"]
-    for k in range(burn_in, n_steps):
-        lines.append(
-            f"{angles.samples[k - 1, 0]:.17g},{branches['minus'][k]:.17g},{branches['plus'][k]:.17g}"
-        )
-    _write(outdir, "gs_branches.csv", "\n".join(lines) + "\n")
+    # Row k pairs x_k with the angle of the input z_{k-1} that produced it.
+    rows = np.arange(burn_in, n_steps)
+    columns = [angles.samples[rows - 1, 0], branches["minus"][rows], branches["plus"][rows]]
+    _write(outdir, "gs_branches.csv", csv_text(["angle", "x_minus", "x_plus"], columns))
     _write(
         outdir,
         "gs_summary.json",

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynsys import TimeSeries, WING_FIXED_POINT, LorenzParams, lorenz_jacobian
+from .dynsys import TimeSeries, WING_FIXED_POINT, LorenzParams, csv_text, lorenz_jacobian
 from .errors import (
     DegenerateJacobianError,
     NearNeutralFixedPointError,
@@ -119,26 +119,6 @@ def esn_jacobian(spec: ReservoirSpec, w: np.ndarray, x: np.ndarray) -> np.ndarra
     return (1.0 - np.tanh(pre) ** 2)[:, None] * linear
 
 
-def matrix_exponential(Q: np.ndarray, series_tol: float = 1e-12) -> np.ndarray:
-    """exp(Q) by scaling and squaring with a truncated power series."""
-    Q = np.asarray(Q, dtype=float)
-    norm = np.linalg.norm(Q, np.inf)
-    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    B = Q / (2**s)
-    term = np.eye(Q.shape[0])
-    out = np.eye(Q.shape[0])
-    k = 0
-    while np.linalg.norm(term, np.inf) > series_tol:
-        k += 1
-        term = term @ B / k
-        out = out + term
-        if k > 200:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 def lorenz_wing_jacobian() -> np.ndarray:
     """Continuous-time Lorenz Jacobian at the wing equilibrium."""
     return lorenz_jacobian(WING_FIXED_POINT, LorenzParams())
@@ -149,7 +129,7 @@ def lorenz_linearization_eigs(
     tau: float = 0.01,
     jacobian: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Eigenvalues of exp(J tau) at a Lorenz fixed point.
+    """Eigenvalues of exp(J tau) at a Lorenz fixed point, exp(tau * eig J).
 
     Defaults to the wing equilibrium; a user-supplied continuous-time
     Jacobian overrides the analytic one.
@@ -157,7 +137,7 @@ def lorenz_linearization_eigs(
     if jacobian is None:
         point = WING_FIXED_POINT if m_star is None else np.asarray(m_star, dtype=float)
         jacobian = lorenz_jacobian(point, LorenzParams())
-    return np.linalg.eigvals(matrix_exponential(np.asarray(jacobian) * tau))
+    return np.exp(tau * np.linalg.eigvals(jacobian))
 
 
 @dataclass
@@ -173,12 +153,8 @@ class LyapunovResult:
 
     def trace_csv(self) -> str:
         k = self.exponents.shape[0]
-        lines = ["iter," + ",".join(f"lambda_{i+1}" for i in range(k))]
-        for row in self.running_means:
-            lines.append(
-                f"{int(row[0])}," + ",".join(f"{v:.17g}" for v in row[1:])
-            )
-        return "\n".join(lines) + "\n"
+        header = ["iter"] + [f"lambda_{i+1}" for i in range(k)]
+        return csv_text(header, self.running_means.T)
 
 
 def lyapunov_qr(

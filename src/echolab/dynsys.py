@@ -16,10 +16,15 @@ call overhead. Tangent maps are vectorised instead: `lorenz_rhs`,
 an orbit in chunks of TANGENT_CHUNK states, so a Lyapunov run of any
 length holds one chunk in memory.
 
-Every iteration here and in `reservoir` shares one divergence policy:
+Every map iteration (`example_drive` here, `drive` and
+`autonomous_drive` in `reservoir`) runs through `iterate_map`, and every
+iteration, the Lorenz orbit included, shares one divergence policy:
 loops run to the end with overflow warnings silenced, and
 `check_divergence` raises IntegrationDivergedError at the first step
 whose state is non-finite or beyond DIVERGENCE_THRESHOLD.
+
+Every numeric CSV artifact is written by `csv_text`, one `.17g` value
+per cell, so each float reads back to the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,13 +77,9 @@ class TimeSeries:
 
     def to_csv(self) -> str:
         """Serialize as `t,x0,...,x{d-1}` rows at full precision."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{i}" for i in range(self.dim)])
-        for k, row in enumerate(self.samples):
-            t = (self.origin_index + k) * self.step
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-        return buf.getvalue()
+        times = (self.origin_index + np.arange(len(self))) * self.step
+        header = ["t"] + [f"x{i}" for i in range(self.dim)]
+        return csv_text(header, [times, *self.samples.T])
 
     @staticmethod
     def from_csv(text: str) -> "TimeSeries":
@@ -214,6 +215,19 @@ def lorenz_step_jacobian(state: np.ndarray, params: LorenzParams) -> np.ndarray:
     return eye + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
+def csv_text(header: Sequence[str], columns: Sequence[Iterable]) -> str:
+    """CSV text of equal-length columns, every value written as `.17g`.
+
+    `.17g` reads every float64 back to the same bits, writes integral
+    values as integers and infinities as `inf`. An empty header writes no
+    header line. Rows end in a newline, the last one included.
+    """
+    lines = [",".join(header)] if header else []
+    row = ",".join(["%.17g"] * len(columns))
+    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
 def check_divergence(states: np.ndarray) -> None:
     """Raise IntegrationDivergedError at the first step that left the range.
 
@@ -232,6 +246,26 @@ def check_divergence(states: np.ndarray) -> None:
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise IntegrationDivergedError(int(bad[0]) + 1)
+
+
+def iterate_map(
+    fmap: Callable[[np.ndarray, object], np.ndarray], x0: np.ndarray, inputs: Iterable
+) -> np.ndarray:
+    """States x_0 = x0, x_{k+1} = fmap(x_k, z_k) over `inputs`, one per row.
+
+    `inputs` must have a length; the result has len(inputs) + 1 rows of
+    x0's size. The loop runs to the end with overflow warnings silenced,
+    then `check_divergence` raises IntegrationDivergedError at the first
+    step out of range.
+    """
+    out = np.empty((len(inputs) + 1, x0.shape[0]))
+    out[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, z in enumerate(inputs, start=1):
+            x = fmap(x, z)
+            out[k] = x
+    check_divergence(out)
+    return out
 
 
 def integrate_lorenz(params: LorenzParams, n_steps: int) -> TimeSeries:
@@ -389,14 +423,7 @@ def example_drive(kind: str, input_series: TimeSeries, x0: np.ndarray, **params)
     if input_series.dim != 1:
         raise DimensionMismatchError("example drives take scalar input")
     fmap = example_drive_map(kind, **params)
-    states = np.empty((len(input_series) + 1, x0.shape[0]))
-    states[0] = x0
-    x = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, z in enumerate(input_series.samples[:, 0]):
-            x = fmap(x, float(z))
-            states[k + 1] = x
-    check_divergence(states)
+    states = iterate_map(fmap, x0, input_series.samples[:, 0].tolist())
     return TimeSeries(
         step=input_series.step, samples=states, origin_index=input_series.origin_index
     )

@@ -4,6 +4,11 @@ Frozen random tanh features, their Laplacian, area-uniform interior
 and uniform boundary sampling, the offline stacked ridge solve, the
 online 1/k iteration, and the closed-form reference solution for the
 cos(4 theta) boundary condition.
+
+The online solver applies `training.online_step` with unit ridge
+(lam = 1, the regulariser L = I): each step updates W on the two rows
+[Lap f(z); f(z')] with targets [0, h(z')]. A general regulariser L
+stays available offline, through `solve_offline(regularizer=L)`.
 """
 
 from __future__ import annotations
@@ -15,27 +20,28 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .dynsys import csv_text
 from .errors import IntegrationDivergedError
 from .reservoir import make_rng
-from .training import Readout, RegressionProblem, solve_offline
+from .training import (
+    Readout,
+    RegressionProblem,
+    moment_solution,
+    online_step,
+    solve_offline,
+)
 
 ONLINE_DIVERGENCE_GUARD = 1e9
 
 
 @dataclass
 class RandomFeatureModel:
-    """Feature map z -> tanh(C z + b) with frozen random weights.
-
-    include_norm_factor controls the feature Laplacian: the correct
-    chain rule multiplies by ||C_i||^2, while the flag's off position
-    reproduces the bare -2 tanh sech^2 form for compatibility.
-    """
+    """Feature map z -> tanh(C z + b) with frozen random weights."""
 
     n: int
     d: int
     C: np.ndarray
     b: np.ndarray
-    include_norm_factor: bool = True
 
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=float).reshape(self.n, self.d)
@@ -47,13 +53,12 @@ def build_feature_model(
     d: int = 2,
     weight_range: Tuple[float, float] = (-0.05, 0.05),
     seed: int = 0,
-    include_norm_factor: bool = True,
 ) -> RandomFeatureModel:
     """Draw C and b i.i.d. uniform on the given range."""
     rng = make_rng(seed)
     C = rng.uniform(weight_range[0], weight_range[1], (n, d))
     b = rng.uniform(weight_range[0], weight_range[1], n)
-    return RandomFeatureModel(n=n, d=d, C=C, b=b, include_norm_factor=include_norm_factor)
+    return RandomFeatureModel(n=n, d=d, C=C, b=b)
 
 
 def eval_features(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:
@@ -67,16 +72,12 @@ def eval_feature_laplacian(model: RandomFeatureModel, z: np.ndarray) -> np.ndarr
     """Componentwise Laplacian of the feature map.
 
     Each feature tanh(a_i) with a_i = C_i . z + b_i has Laplacian
-    ||C_i||^2 * (-2 tanh(a_i) sech^2(a_i)); the norm factor is dropped
-    when the model's compatibility flag is off.
+    ||C_i||^2 * (-2 tanh(a_i) sech^2(a_i)).
     """
     z = np.asarray(z, dtype=float)
     a = (model.C @ z + model.b) if z.ndim == 1 else (z @ model.C.T + model.b)
     t = np.tanh(a)
-    core = -2.0 * t * (1.0 - t**2)
-    if model.include_norm_factor:
-        core = core * np.sum(model.C**2, axis=1)
-    return core
+    return -2.0 * t * (1.0 - t**2) * np.sum(model.C**2, axis=1)
 
 
 @dataclass
@@ -190,55 +191,41 @@ def solve_dirichlet_online(
     model: RandomFeatureModel,
     sample: DirichletSample,
     n_steps: int,
-    regularizer: Optional[np.ndarray] = None,
     w0: Optional[np.ndarray] = None,
-    boundary_fn: Callable[[np.ndarray], np.ndarray] = default_boundary_data,
 ) -> Readout:
     """Online 1/k iteration over interleaved interior/boundary samples.
 
     Each step consumes one interior and one boundary point (cycling
-    the finite sample) and applies
-    W' = (I - a L L^T) W - a (Lap_f (W . Lap_f) + f (W . f - h)).
+    the finite sample) and applies `online_step` with lam = 1 to the
+    rows [Lap f; f] and targets [0, h]:
+    W' = (1 - a) W - a (Lap_f (W . Lap_f) + f (W . f - h)).
     Diverging iterates (norm above 1e9) abort.
     """
-    n = model.n
-    L = np.eye(n) if regularizer is None else np.asarray(regularizer, dtype=float)
-    LLt = L @ L.T
-    w = np.zeros(n) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.zeros(model.n) if w0 is None else np.asarray(w0, dtype=float).copy()
     lap_all = eval_feature_laplacian(model, sample.interior)
     feat_all = eval_features(model, sample.boundary)
     h_all = sample.boundary_values
     ell, ell_prime = len(lap_all), len(feat_all)
     for k in range(1, n_steps + 1):
-        alpha = 1.0 / k
-        lap = lap_all[(k - 1) % ell]
-        feat = feat_all[(k - 1) % ell_prime]
-        h = h_all[(k - 1) % ell_prime]
-        w = (np.eye(n) - alpha * LLt) @ w - alpha * (
-            lap * (w @ lap) + feat * (w @ feat - h)
-        )
+        i, j = (k - 1) % ell, (k - 1) % ell_prime
+        rows = np.stack((lap_all[i], feat_all[j]))
+        w = online_step(w, rows, (0.0, h_all[j]), 1.0 / k, 1.0)
         if not np.all(np.isfinite(w)) or np.linalg.norm(w) > ONLINE_DIVERGENCE_GUARD:
             raise IntegrationDivergedError(k, f"online weights diverged at step {k}")
     return Readout(w=w, lam=0.0, provenance="online_1k")
 
 
-def online_moment_solution(
-    model: RandomFeatureModel,
-    sample: DirichletSample,
-    regularizer: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def online_moment_solution(model: RandomFeatureModel, sample: DirichletSample) -> np.ndarray:
     """Limit of the online iteration on the cycled finite sample.
 
-    Direct normal-equation solve of the sample-mean second moments plus
-    L L^T, the oracle the 1/k iteration converges to.
+    `moment_solution` of the sample-mean moments at unit ridge, the
+    oracle the 1/k iteration converges to.
     """
-    n = model.n
-    L = np.eye(n) if regularizer is None else np.asarray(regularizer, dtype=float)
     lap = eval_feature_laplacian(model, sample.interior)
     feat = eval_features(model, sample.boundary)
-    B = lap.T @ lap / len(lap) + feat.T @ feat / len(feat) + L @ L.T
-    v = feat.T @ sample.boundary_values / len(feat)
-    return np.linalg.solve(B, v)
+    second = lap.T @ lap / len(lap) + feat.T @ feat / len(feat)
+    cross = feat.T @ sample.boundary_values / len(feat)
+    return moment_solution(second, cross, 1.0)
 
 
 def evaluation_grid(n_r: int = 50, n_theta: int = 200) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,7 +258,7 @@ def solution_field_csv(
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     approx = eval_features(model, pts) @ readout.w
     exact = analytic_disc_solution(r, theta)
-    lines = ["r,theta,phi_hat,phi_exact,abs_err"]
-    for vals in zip(r, theta, approx, exact, np.abs(approx - exact)):
-        lines.append(",".join(f"{v:.17g}" for v in vals))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["r", "theta", "phi_hat", "phi_exact", "abs_err"],
+        [r, theta, approx, exact, np.abs(approx - exact)],
+    )

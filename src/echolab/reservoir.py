@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynsys import TWO_PI, TimeSeries, check_divergence
+from .dynsys import TWO_PI, TimeSeries, iterate_map
 from .errors import (
     DegenerateMatrixError,
     DimensionMismatchError,
@@ -279,14 +279,7 @@ def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> Time
             f"input dim {input_series.dim} != reservoir input dim {spec.d}"
         )
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    out = np.empty((len(input_series) + 1, spec.n))
-    out[0] = x0
-    x = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, z in enumerate(input_series.samples):
-            x = spec.step(x, z)
-            out[k + 1] = x
-    check_divergence(out)
+    out = iterate_map(spec.step, x0, input_series.samples)
     return TimeSeries(
         step=input_series.step, samples=out, origin_index=input_series.origin_index
     )
@@ -294,8 +287,7 @@ def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> Time
 
 def autonomous_map(spec: ReservoirSpec, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The readout-fed map psi(x) = activation(A x + C (W^T x) + b)."""
-    w = np.asarray(w, dtype=float)
-    W = w.reshape(spec.n, spec.d) if w.ndim == 1 and spec.d == 1 else w.reshape(spec.n, spec.d)
+    W = np.asarray(w, dtype=float).reshape(spec.n, spec.d)
 
     def psi(x: np.ndarray) -> np.ndarray:
         return spec.apply_activation(spec.A @ x + spec.C @ (W.T @ x) + spec.b)
@@ -312,14 +304,8 @@ def autonomous_drive(
     if the state leaves the finite range.
     """
     psi = autonomous_map(spec, w)
-    x = np.asarray(x0, dtype=float).reshape(spec.n)
-    out = np.empty((n_steps + 1, spec.n))
-    out[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            x = psi(x)
-            out[k + 1] = x
-    check_divergence(out)
+    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
+    out = iterate_map(lambda x, _: psi(x), x0, range(n_steps))
     return TimeSeries(step=1.0, samples=out)
 
 

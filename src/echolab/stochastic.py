@@ -76,6 +76,29 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-10) -> np.nd
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
+def _draw_finite(
+    spec: ProcessSpec, rng: np.random.Generator, length: int, start: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Emitted rows and hidden state indices of `length` steps of a finite kind.
+
+    i.i.d. kinds draw every index in one call. A Markov chain walks on
+    from state `start`; with no start its first state is drawn from the
+    stationary distribution and is the first of the `length` states.
+    """
+    if spec.tag == "iid_finite":
+        _, table, probs = spec.kind
+        states = rng.choice(len(table), size=length, p=np.asarray(probs, dtype=float))
+    else:
+        _, transition, table = spec.kind
+        P = np.asarray(transition, dtype=float)
+        states = np.empty(length, dtype=int)
+        prev = start
+        for k in range(length):
+            p = stationary_distribution(P) if prev is None else P[prev]
+            prev = states[k] = rng.choice(len(P), p=p)
+    return np.atleast_2d(np.asarray(table, dtype=float))[states], states
+
+
 def sample_path(
     spec: ProcessSpec, length: int, return_states: bool = False
 ) -> Union[TimeSeries, Tuple[TimeSeries, np.ndarray]]:
@@ -87,24 +110,9 @@ def sample_path(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = make_rng(spec.seed)
-    tag = spec.tag
-    if tag == "iid_finite":
-        _, support, probs = spec.kind
-        support = np.atleast_2d(np.asarray(support, dtype=float))
-        idx = rng.choice(len(support), size=length, p=np.asarray(probs, dtype=float))
-        series = TimeSeries(step=1.0, samples=support[idx])
-        return (series, idx) if return_states else series
-    if tag == "markov_chain":
-        _, transition, emissions = spec.kind
-        P = np.asarray(transition, dtype=float)
-        emissions = np.atleast_2d(np.asarray(emissions, dtype=float))
-        pi = stationary_distribution(P)
-        states = np.empty(length, dtype=int)
-        states[0] = rng.choice(len(pi), p=pi)
-        for k in range(1, length):
-            states[k] = rng.choice(len(pi), p=P[states[k - 1]])
-        series = TimeSeries(step=1.0, samples=emissions[states])
+    if spec.tag != "deterministic_wrap":
+        rows, states = _draw_finite(spec, make_rng(spec.seed), length)
+        series = TimeSeries(step=1.0, samples=rows)
         return (series, states) if return_states else series
     series = spec.kind[1]
     out = TimeSeries(
@@ -179,30 +187,6 @@ class ValueEstimate:
     n_rollouts: int
 
 
-def _rollout_emissions(spec, rng, start_state, length):
-    tag = spec.tag
-    if tag == "iid_finite":
-        _, support, probs = spec.kind
-        support = np.atleast_2d(np.asarray(support, dtype=float))
-        idx = rng.choice(len(support), size=length, p=np.asarray(probs, dtype=float))
-        return support[idx]
-    if tag == "markov_chain":
-        _, transition, emissions = spec.kind
-        P = np.asarray(transition, dtype=float)
-        emissions = np.atleast_2d(np.asarray(emissions, dtype=float))
-        states = np.empty(length, dtype=int)
-        prev = start_state
-        for k in range(length):
-            prev = rng.choice(P.shape[0], p=P[prev])
-            states[k] = prev
-        return emissions[states]
-    series = spec.kind[1]
-    start = 0 if start_state is None else start_state + 1
-    if start + length > len(series):
-        raise ValueError("wrapped series too short for the requested horizon")
-    return series.samples[start : start + length]
-
-
 def value_mc(
     spec: ProcessSpec,
     reward: RewardFunctional,
@@ -218,7 +202,8 @@ def value_mc(
 
     `history` holds at least `reward.window` recent inputs (newest
     last); Markov and wrapped kinds condition on `current_state`, the
-    hidden index behind the newest input, while i.i.d. kinds ignore it.
+    hidden index behind the newest input (a Markov rollout without one
+    starts from the stationary law), while i.i.d. kinds ignore it.
     The horizon defaults to the point where the geometric tail drops
     below tail_tol times the largest observed reward magnitude.
     """
@@ -233,9 +218,16 @@ def value_mc(
         else:
             horizon = max(1, int(math.ceil(math.log(tail_tol) / math.log(gamma))))
     rng = make_rng(seed)
+    if spec.tag == "deterministic_wrap":
+        series = spec.kind[1]
+        start = 0 if current_state is None else current_state + 1
+        if start + horizon - 1 > len(series):
+            raise ValueError("wrapped series too short for the requested horizon")
+        future = series.samples[start : start + horizon - 1]
     totals = np.empty(n_rollouts)
     for r in range(n_rollouts):
-        future = _rollout_emissions(spec, rng, current_state, horizon - 1) if horizon > 1 else np.zeros((0, history.shape[1]))
+        if spec.tag != "deterministic_wrap":
+            future = _draw_finite(spec, rng, horizon - 1, current_state)[0]
         path = np.vstack([history, future])
         base = len(history) - 1
         total = 0.0

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .dynsys import TimeSeries
+from .dynsys import TimeSeries, csv_text
 from .errors import DegenerateCloudError, FiltrationOrderError
 from .reservoir import make_rng
 
@@ -307,11 +307,9 @@ class PersistenceDiagram:
         return out
 
     def to_csv(self) -> str:
-        lines = ["degree,birth,death"]
-        for p in self.pairs:
-            death = "inf" if math.isinf(p.death) else f"{p.death:.17g}"
-            lines.append(f"{p.degree},{p.birth:.17g},{death}")
-        return "\n".join(lines) + "\n"
+        pairs = self.pairs
+        columns = [p.degree for p in pairs], [p.birth for p in pairs], [p.death for p in pairs]
+        return csv_text(["degree", "birth", "death"], columns)
 
 
 class _UnionFind:

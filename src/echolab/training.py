@@ -3,12 +3,17 @@
 Offline Tikhonov least squares through the SVD, the two online
 stochastic iterations (constant step and 1/k step), and the feature
 transform that turns value estimation into ordinary regression.
+
+Every online iteration in the library, `run_online` here and the
+Dirichlet solver in `pde`, applies the one update `online_step`,
+W <- (1 - alpha lam) W - alpha G^T (G W - u), whose fixed point in the
+mean is `moment_solution`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -144,15 +149,17 @@ def normal_equation_residual(problem: RegressionProblem, readout: Readout) -> fl
 
 
 def online_step(
-    readout: Readout, g_k: np.ndarray, u_k: float, alpha_k: float
-) -> Readout:
-    """One stochastic update (1 - a*lam) W - a g (W^T g - u)."""
-    if alpha_k <= 0:
-        raise ValueError("alpha_k must be positive")
-    g_k = np.asarray(g_k, dtype=float).reshape(-1)
-    w = readout.w
-    w_next = (1.0 - alpha_k * readout.lam) * w - alpha_k * g_k * (w @ g_k - u_k)
-    return replace(readout, w=w_next)
+    w: np.ndarray, G: np.ndarray, u, alpha: float, lam: float
+) -> np.ndarray:
+    """One stochastic ridge update (1 - alpha lam) W - alpha G^T (G W - u).
+
+    G holds one feature row per target in u: a (P,) row with a scalar
+    target is the single-sample update (1 - alpha lam) W - alpha g (W^T g - u).
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    G = np.atleast_2d(G)
+    return (1.0 - alpha * lam) * w - alpha * (G.T @ (G @ w - u))
 
 
 @dataclass
@@ -197,7 +204,7 @@ def run_online(
                 )
         else:
             alpha = 1.0 / k
-        w = (1.0 - alpha * lam) * w - alpha * g_k * (w @ g_k - u_k)
+        w = online_step(w, g_k, u_k, alpha, lam)
         mean_w += (w - mean_w) / k
         if k % trace_every == 0 or k == 1:
             ref = w_ref if w_ref is not None else np.zeros_like(w)

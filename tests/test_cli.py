@@ -13,8 +13,11 @@ from echolab.cli import (
     main,
     parse_config_text,
     run,
+    train_lorenz_readout,
     validate,
 )
+from echolab.dynsys import LorenzParams, integrate_lorenz
+from echolab.reservoir import autonomous_drive
 
 
 def write_config(tmp_path, text):
@@ -73,6 +76,33 @@ class TestValidate:
     def test_all_violations_reported(self):
         config = ExperimentConfig(experiment="nope", seed=-1, output_dir="")
         assert len(validate(config)) == 3
+
+    @pytest.mark.parametrize(
+        "experiment,key,bad,good",
+        [
+            ("homology", "source", "lorenzz", "lorenz"),
+            ("fixed_point", "tau", -0.01, 0.01),
+            ("lyapunov", "tau", 0, 0.01),
+            ("lorenz_train", "lam", -1e-9, 0),
+            ("lorenz_forecast", "horizon", -1, 1),
+            ("value_learn", "length", 1, 2),
+        ],
+    )
+    def test_parameter_rule(self, tmp_path, experiment, key, bad, good):
+        out = tmp_path / "out"
+        config = ExperimentConfig(experiment, seed=1, output_dir=str(out), parameters={key: bad})
+        problems = validate(config)
+        assert len(problems) == 1 and problems[0].startswith(f"params.{key}:")
+        assert run(config) == EXIT_VALIDATION
+        assert not out.exists()
+        config.parameters[key] = good
+        assert validate(config) == []
+
+    def test_parameter_rules_reported_together(self):
+        config = ExperimentConfig(
+            "lorenz_forecast", seed=1, output_dir="out", parameters={"lam": -1.0, "horizon": 0}
+        )
+        assert [p.split(":")[0] for p in validate(config)] == ["params.lam", "params.horizon"]
 
 
 class TestRun:
@@ -185,6 +215,67 @@ class TestRun:
         assert run(config) == EXIT_RUNTIME
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+
+def read_csv(path):
+    """Header line and the values of every later row, parsed as floats."""
+    lines = path.read_text().splitlines()
+    return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+class TestEsnPipelines:
+    # n=20, ell=300, horizon=50: the benchmark's warm-up sizes.
+    SIZE = {"n": 20, "ell": 300}
+
+    def run_experiment(self, tmp_path, experiment, **params):
+        config = ExperimentConfig(
+            experiment, seed=1, output_dir=str(tmp_path), parameters={**self.SIZE, **params}
+        )
+        assert run(config) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        assert set(manifest) == {
+            "experiment", "seed", "output_dir", "parameters", "version", "status", "wall_time_s",
+        }
+        assert manifest["parameters"] == config.parameters
+
+    def test_lorenz_train(self, tmp_path):
+        self.run_experiment(tmp_path, "lorenz_train")
+        trajectory, _, _, readout, problem = train_lorenz_readout(20, 300, 1e-9, 1, target="zeta")
+        header, values = read_csv(tmp_path / "zeta_prediction.csv")
+        assert header == "t,target,prediction"
+        assert values.shape == (200, 3)
+        assert np.array_equal(values[:, 0], np.arange(100, 300) * trajectory.step)
+        assert np.array_equal(values[:, 1], problem.targets)
+        assert np.array_equal(values[:, 2], problem.states @ readout.w)
+        assert json.loads((tmp_path / "fit.json").read_text())["n_samples"] == 200
+
+    def test_lorenz_forecast(self, tmp_path):
+        self.run_experiment(tmp_path, "lorenz_forecast", horizon=50)
+        trajectory, spec, states, readout, _ = train_lorenz_readout(
+            20, 300, 1e-9, 1, target="next_xi"
+        )
+        auto = autonomous_drive(spec, readout.w, states.samples[300], 50)
+        header, values = read_csv(tmp_path / "forecast.csv")
+        assert header == "t,true_xi,forecast_xi"
+        assert values.shape == (50, 3)
+        assert np.array_equal(values[:, 0], np.arange(301, 351) * trajectory.step)
+        truth = integrate_lorenz(LorenzParams(), 350).samples[301:, 0]
+        assert np.array_equal(values[:, 1], truth)
+        assert np.array_equal(values[:, 2], auto.samples[:-1] @ readout.w)
+        summary = json.loads((tmp_path / "forecast_summary.json").read_text())
+        assert summary["horizon"] == 50 and len(summary["explained_variance"]) == 3
+
+    def test_fixed_point(self, tmp_path):
+        self.run_experiment(tmp_path, "fixed_point")
+        result = json.loads((tmp_path / "fixed_point.json").read_text())
+        header, values = read_csv(tmp_path / "esn_eigenvalues.csv")
+        assert header == "re,im"
+        assert values.shape == (20, 2)
+        assert np.array_equal(values[:, 0], result["jacobian_eigs_real"])
+        assert np.array_equal(values[:, 1], result["jacobian_eigs_imag"])
+        match = json.loads((tmp_path / "eigenvalue_match.json").read_text())
+        assert len(match["match_distances"]) == 3
 
 
 class TestMain:

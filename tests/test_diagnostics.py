@@ -8,11 +8,17 @@ from echolab.diagnostics import (
     lorenz_linearization_eigs,
     lorenz_wing_jacobian,
     lyapunov_qr,
-    matrix_exponential,
     newton_fixed_point,
     pca_project,
 )
-from echolab.dynsys import LorenzParams, TimeSeries, integrate_lorenz, lorenz_tangent_maps
+from echolab.dynsys import (
+    WING_FIXED_POINT,
+    LorenzParams,
+    TimeSeries,
+    integrate_lorenz,
+    lorenz_step_jacobian,
+    lorenz_tangent_maps,
+)
 from echolab.errors import (
     DegenerateJacobianError,
     NearNeutralFixedPointError,
@@ -127,6 +133,15 @@ class TestLorenzLinearization:
         eigs_map = np.sort_complex(np.exp(tau * np.linalg.eigvals(J)))
         assert np.max(np.abs(eigs_exp - eigs_map)) < 1e-10
 
+    @pytest.mark.parametrize("tau,tol", [(0.01, 1e-6), (0.001, 1e-10)])
+    def test_matches_rk4_step_jacobian_at_wing(self, tau, tol):
+        # At an equilibrium the RK4 step Jacobian is the degree-4 Taylor
+        # polynomial of exp(tau J), so the spectra agree to O((tau |lambda|)^5).
+        step = lorenz_step_jacobian(WING_FIXED_POINT, LorenzParams(tau=tau))
+        eigs_step = np.sort_complex(np.linalg.eigvals(step))
+        eigs = np.sort_complex(lorenz_linearization_eigs(tau=tau))
+        assert np.max(np.abs(eigs - eigs_step)) < tol
+
     def test_wing_jacobian_matches_printed_matrix(self):
         s = 6.0 * np.sqrt(2.0)
         printed = np.array([[-10.0, 10.0, 0.0], [1.0, -1.0, -s], [s, s, -8.0 / 3.0]])
@@ -140,14 +155,6 @@ class TestLorenzLinearization:
         pair = [e for e in eigs if e.imag > 1e-9]
         assert len(real) == 1 and real[0].real < 0
         assert len(pair) == 1 and pair[0].real > 0
-
-    def test_matrix_exponential_against_diagonalisation(self):
-        rng = make_rng(5)
-        M = rng.standard_normal((4, 4))
-        E = matrix_exponential(M)
-        vals, vecs = np.linalg.eig(M)
-        oracle = (vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)).real
-        assert np.max(np.abs(E - oracle)) < 1e-10
 
 
 class TestLyapunovQr:

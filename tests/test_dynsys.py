@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from echolab.dynsys import (
     TANGENT_CHUNK,
     check_divergence,
     circle_rotation,
+    csv_text,
     circular_distance,
     example_drive,
     example_drive_map,
@@ -249,6 +251,16 @@ class TestExampleDrives:
         assert np.all(np.diff(radii) <= 1e-15)
         assert abs(radii[50] - 1.0) < 1e-3
 
+    @pytest.mark.parametrize(
+        "kind,x0",
+        [("tanh2x", [0.3]), ("signed_power", [1.0, -0.95, 1.05]), ("polar_sqrt", [4.0, 0.5])],
+    )
+    def test_matches_per_step_reference(self, kind, x0):
+        z = TimeSeries(step=1.0, samples=np.random.default_rng(3).uniform(0, 1, (300, 1)))
+        expected = iterate_with_step_check(example_drive_map(kind), z, np.array(x0))
+        out = example_drive(kind, z, np.array(x0))
+        assert out.samples.tobytes() == expected.tobytes()
+
     def test_polar_square_diverges_beyond_two(self):
         # rho -> rho^2 from 2.5 passes 1e12 at step 5; the per-step loop
         # stops at the same step, and no overflow warning escapes.
@@ -302,3 +314,25 @@ class TestTimeSeriesCsv:
         lines = ts.to_csv().splitlines()
         assert lines[0] == "t,x0,x1"
         assert float(lines[1].split(",")[0]) == 2.0
+
+
+class TestCsvText:
+    def test_values_keep_the_artifact_formats(self):
+        # Integers as integers, -0.0 as -0, inf as inf, floats at .17g:
+        # the formats of str(int(v)), "inf" and f"{v:.17g}" they replace.
+        col = [3, -0.0, math.inf, 1.0 / 3.0, 100.0]
+        lines = csv_text(["v", "w"], [col, np.array(col)]).splitlines()
+        old = [f"{v:.17g}" for v in col]
+        assert old == ["3", "-0", "inf", "0.33333333333333331", "100"]
+        assert lines == ["v,w"] + [f"{v},{v}" for v in old]
+
+    def test_uint8_matrix_without_header(self):
+        M = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=np.uint8)
+        old = "\n".join(",".join(str(int(v)) for v in row) for row in M) + "\n"
+        assert csv_text([], M.T) == old
+
+    def test_floats_parse_back_exactly(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        rows = csv_text(["x"], [x]).splitlines()[1:]
+        assert np.array_equal(np.array([float(r) for r in rows]), x)

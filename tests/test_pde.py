@@ -61,15 +61,6 @@ class TestFeatureLaplacian:
         lap = eval_feature_laplacian(model, np.array([0.1, 0.2]))
         assert lap[2] == 0.0
 
-    def test_unit_norm_rows_match_both_flags(self):
-        model = build_feature_model(4, seed=1)
-        model.C = model.C / np.linalg.norm(model.C, axis=1, keepdims=True)
-        z = np.array([0.3, -0.1])
-        with_factor = eval_feature_laplacian(model, z)
-        model.include_norm_factor = False
-        without = eval_feature_laplacian(model, z)
-        assert np.allclose(with_factor, without, atol=1e-14)
-
     def test_matches_finite_difference_oracle(self):
         model = build_feature_model(20, seed=3, weight_range=(-0.5, 0.5))
         rng = make_rng(4)
@@ -79,13 +70,6 @@ class TestFeatureLaplacian:
             for i in (0, 7, 19):
                 oracle = numerical_laplacian(lambda p, i=i: eval_features(model, p)[i], z)
                 assert abs(lap[i] - oracle) <= 1e-5 * max(1.0, abs(oracle))
-
-    def test_literal_formula_flag_drops_norm(self):
-        model = build_feature_model(6, seed=5, include_norm_factor=False)
-        z = np.array([0.2, 0.4])
-        a = model.C @ z + model.b
-        expected = -2.0 * np.tanh(a) * (1.0 - np.tanh(a) ** 2)
-        assert np.allclose(eval_feature_laplacian(model, z), expected)
 
 
 class TestSampleDisc:

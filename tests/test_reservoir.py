@@ -16,6 +16,7 @@ from echolab.reservoir import (
     ReservoirGenConfig,
     ReservoirSpec,
     autonomous_drive,
+    autonomous_map,
     build_gonon,
     check_condition_C,
     check_condition_D,
@@ -33,6 +34,7 @@ from echolab.reservoir import (
     spectral_radius,
     trajectory_past_obs,
 )
+from oracles import iterate_with_step_check
 
 
 def scalar_series(values):
@@ -197,6 +199,16 @@ class TestDrive:
             drive(spec, scalar_series([1.0]), np.zeros(4))
 
 
+    def test_matches_per_step_reference(self):
+        spec = generate(ReservoirGenConfig(
+            30, 1, ("uniform_rescaled_2norm", 0.9), ("uniform", -1, 1), ("uniform", -0.5, 0.5),
+            seed=4,
+        ))
+        z = scalar_series(np.random.default_rng(4).uniform(-3, 3, 400))
+        x0 = np.full(30, 0.1)
+        expected = iterate_with_step_check(spec.step, z, x0)
+        assert drive(spec, z, x0).samples.tobytes() == expected.tobytes()
+
     def test_unstable_identity_reservoir_reports_step(self):
         # x_k = 2^k from x0 = 1: 2^39 < 1e12 < 2^40, so step 40 is the
         # first out of range; the loop runs on to inf without warnings.
@@ -223,6 +235,18 @@ class TestAutonomousDrive:
             with pytest.raises(IntegrationDivergedError) as err:
                 autonomous_drive(spec, np.array([1.0, 0.0]), np.array([1.0, 0.0]), 3000)
         assert err.value.step == 40
+
+    def test_matches_per_step_reference(self):
+        spec = generate(ReservoirGenConfig(
+            30, 1, ("uniform_rescaled_2norm", 0.9), ("uniform", -1, 1), ("uniform", -0.5, 0.5),
+            seed=5,
+        ))
+        w = np.random.default_rng(5).uniform(-0.1, 0.1, 30)
+        psi = autonomous_map(spec, w)
+        x0 = np.full(30, 0.2)
+        expected = iterate_with_step_check(lambda x, _: psi(x), scalar_series(np.zeros(400)), x0)
+        out = autonomous_drive(spec, w, x0, 400)
+        assert out.samples.tobytes() == expected.tobytes()
 
     def test_all_zero_system_constant(self):
         spec = ReservoirSpec(

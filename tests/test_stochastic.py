@@ -134,6 +134,34 @@ class TestValueMc:
             )
             assert abs(est.value - oracle[state]) < 3 * est.stderr + 1e-9
 
+    def test_fixed_seed_values_pinned(self):
+        # Rollouts draw through the same walk as `sample_path`; these
+        # values pin the order of its rng.choice calls for each kind.
+        P, em = np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([[0.0], [1.0]])
+        r_table = np.array([1.0, -0.5])
+        last = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
+        pair = RewardFunctional(
+            window=2, fn=lambda recent: recent[-1, 0] * recent[0, 0] - 0.25 * recent[-1, 0]
+        )
+        markov = value_mc(
+            ProcessSpec(("markov_chain", P, em)), last, 0.9, history=em[1][None, :],
+            n_rollouts=40, current_state=1, seed=11,
+        )
+        iid = value_mc(
+            ProcessSpec(("iid_finite", [[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3])), pair, 0.8,
+            history=np.array([[0.5], [2.0]]), n_rollouts=40, seed=12,
+        )
+        series = TimeSeries(step=1.0, samples=np.sin(0.3 * np.arange(200.0))[:, None])
+        wrapped = value_mc(
+            ProcessSpec(("deterministic_wrap", series)), pair, 0.7, history=series.samples[4:6],
+            n_rollouts=3, horizon=60, current_state=5, seed=13,
+        )
+        assert (markov.value, markov.stderr, markov.horizon) == (
+            3.3685312725247534, 0.4632201411795544, 197
+        )
+        assert (iid.value, iid.stderr, iid.horizon) == (1.9191826437244526, 0.4012952688387449, 93)
+        assert (wrapped.value, wrapped.horizon) == (1.8497147433638237, 60)
+
     def test_unbounded_reward_flagged(self):
         spec = ProcessSpec(("iid_finite", [[1.0]], [1.0]), seed=0)
         reward = RewardFunctional(window=1, fn=lambda recent: float("nan"))

@@ -98,18 +98,24 @@ class TestOnlineStep:
     def test_exact_solution_is_fixed_point(self):
         g = np.array([1.0, 2.0])
         w = np.array([0.2, 0.4])  # w @ g = 1.0
-        out = online_step(Readout(w=w, lam=0.0), g, u_k=1.0, alpha_k=0.3)
-        assert np.array_equal(out.w, w)
+        out = online_step(w, g, 1.0, 0.3, 0.0)
+        assert np.array_equal(out, w)
 
     def test_single_step_arithmetic(self):
-        out = online_step(
-            Readout(w=np.zeros(3), lam=0.0), np.array([1.0, 0.0, 0.0]), u_k=1.0, alpha_k=0.5
-        )
-        assert np.allclose(out.w, [0.5, 0.0, 0.0])
+        out = online_step(np.zeros(3), np.array([1.0, 0.0, 0.0]), 1.0, 0.5, 0.0)
+        assert np.allclose(out, [0.5, 0.0, 0.0])
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            online_step(Readout(w=np.zeros(1), lam=0.0), np.ones(1), 0.0, 0.0)
+            online_step(np.zeros(1), np.ones(1), 0.0, 0.0, 0.0)
+
+    def test_rows_sum_their_single_row_updates(self):
+        # Two rows at once: (1 - a lam) W - a (g1 (W.g1 - u1) + g2 (W.g2 - u2)).
+        rng = make_rng(8)
+        w, G, u = rng.standard_normal(4), rng.standard_normal((2, 4)), rng.standard_normal(2)
+        alpha, lam = 0.1, 0.5
+        expected = (1 - alpha * lam) * w - alpha * sum(g * (w @ g - t) for g, t in zip(G, u))
+        assert np.allclose(online_step(w, G, u, alpha, lam), expected, atol=1e-14)
 
 
 class TestRunOnline:
