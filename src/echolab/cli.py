@@ -187,6 +187,28 @@ def validate(config: ExperimentConfig) -> List[str]:
         source = config.param("source", "hexagon")
         if source not in ("hexagon", "lorenz"):
             diagnostics.append(f"params.source: unknown {source!r}; expected hexagon or lorenz")
+        if source == "lorenz":
+            ell = config.param("ell", 8000)
+            if not isinstance(ell, int):
+                diagnostics.append("params.ell: must be an integer")
+            subsample = config.param("subsample", 400)
+            # The landmarks come from the orbit's last ell - ell//2 + 1 samples.
+            top = ell - ell // 2 + 1 if isinstance(ell, int) else float("inf")
+            if not (isinstance(subsample, int) and 50 <= subsample <= top):
+                diagnostics.append(
+                    "params.subsample: must be an integer in [50, ell - ell//2 + 1]"
+                )
+            max_eps = config.param("max_eps", 10.0)
+            if not (isinstance(max_eps, (int, float)) and max_eps > 0):
+                diagnostics.append("params.max_eps: must be > 0")
+    if config.experiment == "gs_examples":
+        n_steps = config.param("n_steps", 2000)
+        if not (isinstance(n_steps, int) and n_steps >= 2):
+            diagnostics.append("params.n_steps: must be an integer >= 2")
+        burn_in = config.param("burn_in", 500)
+        top = n_steps if isinstance(n_steps, int) and n_steps >= 2 else float("inf")
+        if not (isinstance(burn_in, int) and 1 <= burn_in < top):
+            diagnostics.append("params.burn_in: must be an integer in [1, n_steps)")
     if config.experiment == "pde_dirichlet":
         for key, default in (("n", 500), ("ell", 500), ("ell_prime", 500)):
             v = config.param(key, default)

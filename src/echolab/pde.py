@@ -212,7 +212,7 @@ def solve_dirichlet_online(
         w = online_step(w, rows, (0.0, h_all[j]), 1.0 / k, 1.0)
         if not np.all(np.isfinite(w)) or np.linalg.norm(w) > ONLINE_DIVERGENCE_GUARD:
             raise IntegrationDivergedError(k, f"online weights diverged at step {k}")
-    return Readout(w=w, lam=0.0, provenance="online_1k")
+    return Readout(w=w, lam=1.0, provenance="online_1k")
 
 
 def online_moment_solution(model: RandomFeatureModel, sample: DirichletSample) -> np.ndarray:

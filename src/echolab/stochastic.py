@@ -1,9 +1,15 @@
 """Stationary ergodic input processes and value functionals.
 
 Finite-state processes (i.i.d. draws, Markov chains started from their
-stationary law, and wrapped deterministic series), the time-shift view,
-Monte-Carlo value estimation, the empirical Bellman residual, and an
-empirical contraction check for the one-step expectation operator.
+stationary law, and wrapped deterministic series), Monte-Carlo value
+estimation, the empirical Bellman residual, and an empirical
+contraction check for the one-step expectation operator.
+
+Every random step of a finite kind consumes exactly one double of its
+generator and maps it through the cumulative law, as
+`Generator.choice(k, p=p)` does, so a path is fixed by its seed however
+many paths are drawn together. Monte-Carlo rollouts run as one batch:
+one draw block per call, and one reward call per distinct window.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynsys import TimeSeries
 from .errors import AdmissibilityError, NonErgodicError
@@ -76,26 +83,45 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-10) -> np.nd
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
-def _draw_finite(
-    spec: ProcessSpec, rng: np.random.Generator, length: int, start: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Emitted rows and hidden state indices of `length` steps of a finite kind.
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative law along the last axis, normalised as `Generator.choice` does."""
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
-    i.i.d. kinds draw every index in one call. A Markov chain walks on
-    from state `start`; with no start its first state is drawn from the
-    stationary distribution and is the first of the `length` states.
+
+def _draw_finite(
+    spec: ProcessSpec,
+    rng: np.random.Generator,
+    shape: Tuple[int, int],
+    start: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Emitted rows and hidden states of `shape = (paths, length)` steps.
+
+    Every step consumes exactly one `rng.random()` double, drawn in one
+    block in C order (path-major), and maps it by inverse CDF: the state
+    is the number of cumulative-law entries <= the draw, with the law
+    normalised by its last entry. This is what `Generator.choice(k, p=p)`
+    does with one double per draw, so a path drawn here equals the
+    per-step `rng.choice` walk bit for bit and leaves `rng` in the same
+    state. i.i.d. kinds map the whole block at once. Markov paths all
+    advance together, one time step per loop pass, from state `start`;
+    with no start the first state is drawn from the stationary law and
+    is the first of the `length` states.
     """
+    u = rng.random(shape)
     if spec.tag == "iid_finite":
         _, table, probs = spec.kind
-        states = rng.choice(len(table), size=length, p=np.asarray(probs, dtype=float))
+        states = _cdf(np.asarray(probs, dtype=float)).searchsorted(u, side="right")
     else:
         _, transition, table = spec.kind
         P = np.asarray(transition, dtype=float)
-        states = np.empty(length, dtype=int)
-        prev = start
-        for k in range(length):
-            p = stationary_distribution(P) if prev is None else P[prev]
-            prev = states[k] = rng.choice(len(P), p=p)
+        cdf = _cdf(P)
+        states = np.empty(shape, dtype=int)
+        prev = None if start is None else np.full(shape[:-1], start)
+        for k in range(shape[-1]):
+            law = _cdf(stationary_distribution(P)) if prev is None else cdf[prev]
+            prev = states[..., k] = (law <= u[..., k, None]).sum(axis=-1)
     return np.atleast_2d(np.asarray(table, dtype=float))[states], states
 
 
@@ -104,16 +130,17 @@ def sample_path(
 ) -> Union[TimeSeries, Tuple[TimeSeries, np.ndarray]]:
     """Seeded, replayable sample of the process.
 
-    Markov paths draw their initial state from the stationary
-    distribution so the path is stationary from index 0; the optional
-    second return value carries the hidden state indices.
+    Finite kinds are one path of `_draw_finite` from a generator seeded
+    with `spec.seed`. Markov paths draw their initial state from the
+    stationary distribution so the path is stationary from index 0; the
+    optional second return value carries the hidden state indices.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     if spec.tag != "deterministic_wrap":
-        rows, states = _draw_finite(spec, make_rng(spec.seed), length)
-        series = TimeSeries(step=1.0, samples=rows)
-        return (series, states) if return_states else series
+        rows, states = _draw_finite(spec, make_rng(spec.seed), (1, length))
+        series = TimeSeries(step=1.0, samples=rows[0])
+        return (series, states[0]) if return_states else series
     series = spec.kind[1]
     out = TimeSeries(
         step=series.step,
@@ -126,44 +153,14 @@ def sample_path(
 
 
 @dataclass
-class PathView:
-    """Index-shifted window into an immutable sample buffer."""
-
-    buffer: np.ndarray
-    offset: int = 0
-
-    def __post_init__(self):
-        self.buffer = np.atleast_2d(np.asarray(self.buffer, dtype=float))
-        if not 0 <= self.offset <= len(self.buffer):
-            raise IndexError("shifted window leaves the available samples")
-
-    def __len__(self) -> int:
-        return len(self.buffer) - self.offset
-
-    def sample(self, i: int) -> np.ndarray:
-        idx = i + self.offset
-        if not 0 <= idx < len(self.buffer):
-            raise IndexError(f"sample {i} outside the shifted window")
-        return self.buffer[idx]
-
-
-def shift(series: Union[TimeSeries, PathView], k: int) -> PathView:
-    """Time-shift view: sample i of the result is sample i + k of the input.
-
-    Shifts compose additively, so a +k followed by a -k shift is the
-    identity; moving outside the stored samples raises IndexError.
-    """
-    if isinstance(series, PathView):
-        return PathView(series.buffer, series.offset + k)
-    return PathView(series.samples, k)
-
-
-@dataclass
 class RewardFunctional:
     """Causal reward depending on the last `window` inputs.
 
     fn receives a (window, d) array, newest input last, and must return
-    a finite float.
+    a finite float, within `sup_bound` in magnitude when one is set;
+    each call checks both and raises AdmissibilityError otherwise. fn
+    must be a pure function of the window's values: `value_mc` calls it
+    once per distinct window of a batch, not once per rollout step.
     """
 
     window: int
@@ -204,8 +201,15 @@ def value_mc(
     last); Markov and wrapped kinds condition on `current_state`, the
     hidden index behind the newest input (a Markov rollout without one
     starts from the stationary law), while i.i.d. kinds ignore it.
-    The horizon defaults to the point where the geometric tail drops
-    below tail_tol times the largest observed reward magnitude.
+    The horizon defaults to the smallest one with gamma**horizon <=
+    tail_tol (1 when gamma is 0).
+
+    All rollouts run as one batch: the `horizon - 1` future steps of
+    every rollout come from one `_draw_finite` block seeded with `seed`
+    (one double per step, rollout-major), and the reward is called once
+    per distinct window, distinct meaning bitwise different. Each
+    rollout's return is accumulated step by step in time order, so the
+    value and stderr are those of the per-rollout, per-step loop.
     """
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
@@ -217,24 +221,30 @@ def value_mc(
             horizon = 1
         else:
             horizon = max(1, int(math.ceil(math.log(tail_tol) / math.log(gamma))))
-    rng = make_rng(seed)
     if spec.tag == "deterministic_wrap":
         series = spec.kind[1]
         start = 0 if current_state is None else current_state + 1
         if start + horizon - 1 > len(series):
             raise ValueError("wrapped series too short for the requested horizon")
-        future = series.samples[start : start + horizon - 1]
-    totals = np.empty(n_rollouts)
-    for r in range(n_rollouts):
-        if spec.tag != "deterministic_wrap":
-            future = _draw_finite(spec, rng, horizon - 1, current_state)[0]
-        path = np.vstack([history, future])
-        base = len(history) - 1
-        total = 0.0
-        for k in range(horizon):
-            window = path[base + k - reward.window + 1 : base + k + 1]
-            total += gamma**k * reward(window)
-        totals[r] = total
+        wrapped = series.samples[start : start + horizon - 1]
+        future = np.broadcast_to(wrapped, (n_rollouts,) + wrapped.shape)
+    else:
+        future = _draw_finite(spec, make_rng(seed), (n_rollouts, horizon - 1), current_state)[0]
+    recent = history[len(history) - reward.window :]
+    paths = np.concatenate([np.broadcast_to(recent, (n_rollouts,) + recent.shape), future], axis=1)
+    # Window k of a rollout is paths[:, k : k + window]. Windows are keyed
+    # by their raw bits, so equal-comparing values such as 0.0 and -0.0
+    # still get their own reward call.
+    windows = sliding_window_view(paths, reward.window, axis=1).swapaxes(-1, -2)
+    bits = np.ascontiguousarray(windows).view(np.uint64).reshape(n_rollouts * horizon, -1)
+    distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
+    values = np.array([reward(row.view(np.float64).reshape(recent.shape)) for row in distinct])
+    rewards = values[inverse.reshape(n_rollouts, horizon)]
+    # Summed in time order, as the per-step loop did; a pairwise sum or a
+    # matrix product would round differently.
+    totals = np.zeros(n_rollouts)
+    for k in range(horizon):
+        totals += gamma**k * rewards[:, k]
     stderr = float(totals.std(ddof=1) / math.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
     return ValueEstimate(
         value=float(totals.mean()), stderr=stderr, horizon=horizon, n_rollouts=n_rollouts

@@ -86,17 +86,37 @@ class TestValidate:
             ("lorenz_train", "lam", -1e-9, 0),
             ("lorenz_forecast", "horizon", -1, 1),
             ("value_learn", "length", 1, 2),
+            ("gs_examples", "n_steps", 1, 2),
+            ("gs_examples", "burn_in", 0, 1),
+            ("gs_examples", "burn_in", 200, 199),
+            ("homology", "ell", 1000.5, 1000),
+            ("homology", "subsample", 49, 50),
+            ("homology", "subsample", 502, 501),
+            ("homology", "max_eps", 0, 0.5),
         ],
     )
     def test_parameter_rule(self, tmp_path, experiment, key, bad, good):
+        # Valid surroundings for rules that involve other keys.
+        base = {
+            "gs_examples": {"n_steps": 200, "burn_in": 1},
+            "homology": {"source": "lorenz", "ell": 1000, "subsample": 60},
+        }.get(experiment, {})
         out = tmp_path / "out"
-        config = ExperimentConfig(experiment, seed=1, output_dir=str(out), parameters={key: bad})
+        config = ExperimentConfig(
+            experiment, seed=1, output_dir=str(out), parameters={**base, key: bad}
+        )
         problems = validate(config)
         assert len(problems) == 1 and problems[0].startswith(f"params.{key}:")
         assert run(config) == EXIT_VALIDATION
         assert not out.exists()
         config.parameters[key] = good
         assert validate(config) == []
+
+    def test_default_parameters_valid(self):
+        for experiment in EXPERIMENTS:
+            assert validate(ExperimentConfig(experiment, seed=1, output_dir="out")) == []
+        lorenz = {"source": "lorenz"}
+        assert validate(ExperimentConfig("homology", 1, "out", parameters=lorenz)) == []
 
     def test_parameter_rules_reported_together(self):
         config = ExperimentConfig(

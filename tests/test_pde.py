@@ -180,6 +180,8 @@ class TestOnlineSolve:
         w_star = online_moment_solution(model, sample)
         out = solve_dirichlet_online(model, sample, 100_000)
         assert np.linalg.norm(out.w - w_star) / np.linalg.norm(w_star) < 1e-3
+        # The update runs at unit ridge, and the readout says so.
+        assert out.lam == 1.0
 
     def test_online_grid_rms_close_to_offline(self):
         model = build_feature_model(100, seed=3)

@@ -6,18 +6,19 @@ import pytest
 from echolab.dynsys import TimeSeries, circle_rotation
 from echolab.errors import AdmissibilityError, NonErgodicError
 from echolab.stochastic import (
-    PathView,
+    _draw_finite,
     ProcessSpec,
     RewardFunctional,
     bellman_contraction_check,
     bellman_residual,
     markov_value_oracle,
     sample_path,
-    shift,
     stationary_distribution,
     value_mc,
 )
 from echolab.training import Readout, solve_offline, value_targets
+
+from oracles import draw_finite_reference, sample_path_reference, value_mc_reference
 
 
 def two_state_chain(p_stay=0.9):
@@ -72,36 +73,6 @@ class TestSamplePath:
         assert np.max(np.abs(early - late)) < 3.0 / math.sqrt(20_000) * 3
 
 
-class TestShift:
-    def test_zero_shift_identity(self):
-        series = TimeSeries(step=1.0, samples=np.arange(5.0)[:, None])
-        view = shift(series, 0)
-        assert np.array_equal(view.sample(2), series.samples[2])
-        assert len(view) == 5
-
-    def test_forward_then_back_is_identity(self):
-        series = TimeSeries(step=1.0, samples=np.arange(5.0)[:, None])
-        view = shift(shift(series, 1), -1)
-        assert np.array_equal(view.sample(0), series.samples[0])
-
-    def test_sample_alignment(self):
-        series = TimeSeries(step=1.0, samples=np.arange(10.0)[:, None])
-        assert shift(series, 3).sample(0)[0] == 3.0
-
-    def test_composition_additivity(self):
-        series = TimeSeries(step=1.0, samples=np.arange(10.0)[:, None])
-        a = shift(shift(series, 2), 3)
-        b = shift(series, 5)
-        assert a.offset == b.offset
-
-    def test_out_of_range_window(self):
-        series = TimeSeries(step=1.0, samples=np.arange(3.0)[:, None])
-        with pytest.raises(IndexError):
-            shift(series, -1)
-        with pytest.raises(IndexError):
-            shift(series, 1).sample(2)
-
-
 class TestValueMc:
     def test_constant_reward_geometric_sum(self):
         spec = ProcessSpec(("iid_finite", [[0.0]], [1.0]), seed=0)
@@ -136,7 +107,7 @@ class TestValueMc:
 
     def test_fixed_seed_values_pinned(self):
         # Rollouts draw through the same walk as `sample_path`; these
-        # values pin the order of its rng.choice calls for each kind.
+        # values pin the order of its draws for each kind.
         P, em = np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([[0.0], [1.0]])
         r_table = np.array([1.0, -0.5])
         last = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
@@ -167,6 +138,122 @@ class TestValueMc:
         reward = RewardFunctional(window=1, fn=lambda recent: float("nan"))
         with pytest.raises(AdmissibilityError):
             value_mc(spec, reward, 0.5, history=np.ones((1, 1)), n_rollouts=2)
+
+
+class TestBatchedRolloutsMatchPerStepReference:
+    """The batched sampler and rollouts equal the per-step `rng.choice`
+    walk and per-rollout reward loop of `tests/oracles.py` bit for bit."""
+
+    TABLE = np.array([[-1.0, 0.5], [0.5, 2.0], [2.0, -0.25]])
+    ZERO_ROW = np.array([[0.0, 0.6, 0.4], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+
+    def process(self, kind, d=1):
+        table = self.TABLE[:, :d]
+        if kind == "iid":
+            return ProcessSpec(("iid_finite", table, [0.2, 0.5, 0.3]), seed=3)
+        if kind == "markov":
+            P = np.array([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]])
+            return ProcessSpec(("markov_chain", P, table), seed=4)
+        if kind == "zero_row":
+            return ProcessSpec(("markov_chain", self.ZERO_ROW, table), seed=5)
+        t = np.arange(300.0)[:, None]
+        series = TimeSeries(step=1.0, samples=np.hstack([np.sin(0.3 * t), np.cos(0.7 * t)])[:, :d])
+        return ProcessSpec(("deterministic_wrap", series))
+
+    @staticmethod
+    def reward(window, d):
+        weights = np.linspace(-1.0, 1.5, window * d).reshape(window, d)
+        return RewardFunctional(
+            window=window, fn=lambda recent: float(np.tanh(weights * recent).sum())
+        )
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "kind,current_state,n_rollouts",
+        [
+            ("iid", None, 30),
+            ("markov", None, 30),
+            ("markov", 2, 30),
+            ("zero_row", 1, 30),
+            ("wrap", 7, 4),
+            ("markov", 0, 1),
+        ],
+    )
+    def test_value_and_stderr(self, kind, current_state, n_rollouts, window, d):
+        spec, reward = self.process(kind, d), self.reward(window, d)
+        history = np.linspace(-0.5, 0.5, 4 * d).reshape(4, d)
+        est = value_mc(
+            spec, reward, 0.8, history, n_rollouts=n_rollouts, horizon=40,
+            current_state=current_state, seed=17,
+        )
+        value, stderr, _ = value_mc_reference(
+            spec, reward, 0.8, history, n_rollouts, 40, current_state, seed=17
+        )
+        assert (est.value, est.stderr) == (value, stderr)
+
+    def test_default_horizon_value(self):
+        spec, reward = self.process("zero_row"), self.reward(2, 1)
+        est = value_mc(spec, reward, 0.9, np.zeros((2, 1)), n_rollouts=50, current_state=2, seed=8)
+        ref = value_mc_reference(spec, reward, 0.9, np.zeros((2, 1)), 50, est.horizon, 2, seed=8)
+        assert est.horizon == 197 and (est.value, est.stderr) == ref[:2]
+
+    @pytest.mark.parametrize("kind", ["iid", "markov", "zero_row"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sample_path_rows_and_states(self, kind, d):
+        spec = self.process(kind, d)
+        series, states = sample_path(spec, 3000, return_states=True)
+        rows, ref_states = sample_path_reference(spec, 3000)
+        assert series.samples.tobytes() == rows.tobytes()
+        assert states.dtype == ref_states.dtype
+        assert states.tobytes() == ref_states.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,start", [("iid", None), ("markov", None), ("markov", 1), ("zero_row", 0)]
+    )
+    def test_draw_block_leaves_generator_at_the_same_draw(self, kind, start):
+        spec = self.process(kind, 2)
+        rng = np.random.default_rng(23)
+        rows, states = _draw_finite(spec, rng, (25, 60), start)
+        ref_rng = np.random.default_rng(23)
+        ref = [draw_finite_reference(spec, ref_rng, 60, start) for _ in range(25)]
+        assert rows.tobytes() == np.stack([r for r, _ in ref]).tobytes()
+        assert states.tobytes() == np.stack([s for _, s in ref]).tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_zero_probability_transitions_never_taken(self):
+        _, states = _draw_finite(self.process("zero_row"), np.random.default_rng(2), (40, 200), 0)
+        pairs = np.stack([states[:, :-1].ravel(), states[:, 1:].ravel()])
+        assert np.all(self.ZERO_ROW[pairs[0], pairs[1]] > 0)
+
+    def test_signed_zeros_are_distinct_windows(self):
+        # 0.0 and -0.0 compare equal but are different inputs to fn.
+        spec = ProcessSpec(("iid_finite", [[0.0], [-0.0]], [0.5, 0.5]), seed=0)
+        reward = RewardFunctional(window=1, fn=lambda recent: math.copysign(1.0, recent[-1, 0]))
+        est = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=20, horizon=10, seed=3)
+        ref = value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 20, 10, seed=3)
+        assert est.stderr > 0 and (est.value, est.stderr) == ref[:2]
+
+    def test_nan_in_a_late_rollout_raises(self):
+        # State 1 is rare: the first rollout (the stream's first draws,
+        # rollout-major) never emits it, a later one does.
+        spec = ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.99, 0.01]), seed=0)
+        reward = RewardFunctional(
+            window=1, fn=lambda recent: float("nan") if recent[-1, 0] == 1.0 else 1.0
+        )
+        first = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=1, horizon=20, seed=6)
+        assert first.value == 2.0 - 0.5**19
+        with pytest.raises(AdmissibilityError, match="non-finite"):
+            value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=200, horizon=20, seed=6)
+        with pytest.raises(AdmissibilityError, match="non-finite"):
+            value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 200, 20, seed=6)
+
+    def test_sup_bound_violation_raises(self):
+        spec = ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.99, 0.01]), seed=0)
+        reward = RewardFunctional(window=1, fn=lambda recent: 2.0 * recent[-1, 0], sup_bound=1.0)
+        value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=1, horizon=20, seed=6)
+        with pytest.raises(AdmissibilityError, match="bound"):
+            value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=200, horizon=20, seed=6)
 
 
 class TestBellmanResidual:
