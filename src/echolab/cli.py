@@ -36,16 +36,10 @@ from .diagnostics import (
     esn_jacobian,
     lorenz_linearization_eigs,
     lyapunov_qr,
+    explained_variances,
     newton_fixed_point,
-    pca_project,
 )
-from .pde import (
-    build_feature_model,
-    grid_rms_error,
-    sample_disc,
-    solution_field_csv,
-    solve_dirichlet_offline,
-)
+from .pde import build_feature_model, grid_solution, sample_disc, solve_dirichlet_offline
 from .reservoir import (
     ReservoirGenConfig,
     autonomous_drive,
@@ -209,6 +203,11 @@ def validate(config: ExperimentConfig) -> List[str]:
         top = n_steps if isinstance(n_steps, int) and n_steps >= 2 else float("inf")
         if not (isinstance(burn_in, int) and 1 <= burn_in < top):
             diagnostics.append("params.burn_in: must be an integer in [1, n_steps)")
+    if config.experiment == "embedding_check":
+        for key, default in (("n", 10), ("trials", 200), ("period", 3)):
+            v = config.param(key, default)
+            if not (isinstance(v, int) and v >= 1):
+                diagnostics.append(f"params.{key}: must be a positive integer")
     if config.experiment == "pde_dirichlet":
         for key, default in (("n", 500), ("ell", 500), ("ell_prime", 500)):
             v = config.param(key, default)
@@ -250,13 +249,12 @@ def standard_esn(n: int, seed: int) -> ReservoirGenConfig:
     )
 
 
-def train_lorenz_readout(
-    n: int, ell: int, lam: float, seed: int, target: str = "zeta", burn_in: int = 100
-):
+def train_lorenz_readout(n: int, ell: int, lam: float, seed: int, target: str = "zeta"):
     """Shared pipeline: integrate, drive, and fit a readout.
 
     target 'zeta' learns the third coordinate from the first; 'next_xi'
-    learns the one-step-ahead first coordinate for forecasting.
+    learns the one-step-ahead first coordinate for forecasting. The
+    first 100 states are dropped as transient.
     """
     trajectory = integrate_lorenz(LorenzParams(), ell)
     xi = observe(trajectory, ObservationFn("coord", index=0))
@@ -268,7 +266,7 @@ def train_lorenz_readout(
     else:
         targets = trajectory.samples[1 : ell + 1, 0]
     aligned = TimeSeries(step=xi.step, samples=states.samples[:ell])
-    problem = problem_from_series(aligned, targets, burn_in=burn_in)
+    problem = problem_from_series(aligned, targets)
     readout = solve_offline(problem, lam=lam)
     return trajectory, spec, states, readout, problem
 
@@ -311,7 +309,7 @@ def run_lorenz_forecast(config: ExperimentConfig, outdir: Path) -> None:
         "forecast.csv",
         csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
     )
-    pca = pca_project(TimeSeries(step=1.0, samples=states.samples[100:]), 3)
+    variances = explained_variances(states.samples[100:], 3)
     _write(
         outdir,
         "forecast_summary.json",
@@ -319,15 +317,15 @@ def run_lorenz_forecast(config: ExperimentConfig, outdir: Path) -> None:
             {
                 "horizon": horizon,
                 "bounded": bool(np.max(np.abs(auto.samples)) < 1e6),
-                "explained_variance": pca.explained_variance.tolist(),
+                "explained_variance": variances.tolist(),
             }
         ),
     )
 
 
-def wing_start_state(spec, n_settle: int = 2000) -> np.ndarray:
-    """Reservoir state synchronised to the constant wing observation."""
-    const = TimeSeries(step=1.0, samples=np.full((n_settle, 1), WING_FIXED_POINT[0]))
+def wing_start_state(spec) -> np.ndarray:
+    """Reservoir state after 2000 steps of the constant wing observation."""
+    const = TimeSeries(step=1.0, samples=np.full((2000, 1), WING_FIXED_POINT[0]))
     return drive(spec, const, np.zeros(spec.n)).samples[-1]
 
 
@@ -510,8 +508,8 @@ def run_pde_dirichlet(config: ExperimentConfig, outdir: Path) -> None:
     model = build_feature_model(n, seed=config.seed)
     sample = sample_disc(ell, ell_prime, seed=config.seed + 1)
     sol = solve_dirichlet_offline(model, sample, lam=lam)
-    grid_rms = grid_rms_error(model, sol.readout)
-    _write(outdir, "solution_field.csv", solution_field_csv(model, sol.readout))
+    field_csv, grid_rms = grid_solution(model, sol.readout)
+    _write(outdir, "solution_field.csv", field_csv)
     _write(
         outdir,
         "report.json",

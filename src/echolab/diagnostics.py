@@ -2,19 +2,19 @@
 
 Newton search for fixed points of the readout-fed map, analytic ESN
 Jacobians, eigenvalues of the discretised drive linearisation, the
-discrete-QR Lyapunov spectrum, and PCA projection of state clouds.
+discrete-QR Lyapunov spectrum, and the principal-component variances of
+state clouds.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynsys import TimeSeries, WING_FIXED_POINT, LorenzParams, csv_text, lorenz_jacobian
+from .dynsys import WING_FIXED_POINT, LorenzParams, csv_text, lorenz_jacobian
 from .errors import (
     DegenerateJacobianError,
     NearNeutralFixedPointError,
@@ -74,21 +74,20 @@ def newton_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 100,
     n_retries: int = 3,
-    retry_magnitude: float = 0.01,
-    seed: int = 0,
 ) -> FixedPointResult:
     """Newton iteration x <- x - (J - I)^{-1} (psi(x) - x).
 
     Solves the linear system rather than forming the inverse. On
-    failure, retries from a few slightly perturbed starts before
-    raising; the returned result carries the eigenvalues of the
-    Jacobian at the fixed point and the residual history.
+    failure, retries from starts perturbed by 0.01 times a standard
+    normal draw (seed 0) before raising; the returned result carries
+    the eigenvalues of the Jacobian at the fixed point and the residual
+    history.
     """
-    rng = make_rng(seed)
+    rng = make_rng(0)
     x0 = np.asarray(x0, dtype=float)
     last_error: Optional[Exception] = None
     for attempt in range(n_retries + 1):
-        start = x0 if attempt == 0 else x0 + retry_magnitude * rng.standard_normal(x0.shape)
+        start = x0 if attempt == 0 else x0 + 0.01 * rng.standard_normal(x0.shape)
         try:
             x, residual, iters, history = _newton_once(psi, jac, start, tol, max_iter)
             eigs = np.linalg.eigvals(jac(x))
@@ -119,24 +118,9 @@ def esn_jacobian(spec: ReservoirSpec, w: np.ndarray, x: np.ndarray) -> np.ndarra
     return (1.0 - np.tanh(pre) ** 2)[:, None] * linear
 
 
-def lorenz_wing_jacobian() -> np.ndarray:
-    """Continuous-time Lorenz Jacobian at the wing equilibrium."""
-    return lorenz_jacobian(WING_FIXED_POINT, LorenzParams())
-
-
-def lorenz_linearization_eigs(
-    m_star: Optional[np.ndarray] = None,
-    tau: float = 0.01,
-    jacobian: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Eigenvalues of exp(J tau) at a Lorenz fixed point, exp(tau * eig J).
-
-    Defaults to the wing equilibrium; a user-supplied continuous-time
-    Jacobian overrides the analytic one.
-    """
-    if jacobian is None:
-        point = WING_FIXED_POINT if m_star is None else np.asarray(m_star, dtype=float)
-        jacobian = lorenz_jacobian(point, LorenzParams())
+def lorenz_linearization_eigs(tau: float = 0.01) -> np.ndarray:
+    """Eigenvalues of exp(J tau) at the wing equilibrium, exp(tau * eig J)."""
+    jacobian = lorenz_jacobian(WING_FIXED_POINT, LorenzParams())
     return np.exp(tau * np.linalg.eigvals(jacobian))
 
 
@@ -219,45 +203,14 @@ def _absorb_qr(Z: np.ndarray, sums: np.ndarray, j: int) -> np.ndarray:
     return Q * np.sign(diag)[None, :]
 
 
-@dataclass
-class PcaResult:
-    projected: TimeSeries
-    components: np.ndarray  # (n, k) orthonormal columns
-    explained_variance: np.ndarray
-    mean: np.ndarray
+def explained_variances(samples: np.ndarray, k: int) -> np.ndarray:
+    """Variances of the state cloud along its top-k principal directions.
 
-
-def pca_project(states: TimeSeries, k: int) -> PcaResult:
-    """Project centered states onto their top-k principal directions.
-
-    Components are the leading right singular vectors of the centered
-    state matrix. Asking for more components than the data's rank emits
-    a warning and zero-pads the basis.
+    The squared leading singular values of the centred samples over
+    (rows - 1); only the singular values are computed, not the
+    directions.
     """
-    X = states.samples
-    if k > X.shape[1]:
-        raise ValueError("k must not exceed the state dimension")
-    if k > X.shape[0]:
-        raise ValueError("need at least k samples")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    U, sv, Vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(X.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
-    comps = Vt[:k].T.copy()
-    if rank < k:
-        warnings.warn(
-            f"requested {k} components but data rank is {rank}; zero-padding",
-            RuntimeWarning,
-        )
-        comps[:, rank:] = 0.0
-    projected = centered @ comps
-    var = (sv[:k] ** 2) / max(X.shape[0] - 1, 1)
-    return PcaResult(
-        projected=TimeSeries(
-            step=states.step, samples=projected, origin_index=states.origin_index
-        ),
-        components=comps,
-        explained_variance=var,
-        mean=mean,
-    )
+    if k > min(samples.shape):
+        raise ValueError("k must not exceed the sample count or the state dimension")
+    sv = np.linalg.svd(samples - samples.mean(axis=0), compute_uv=False)
+    return sv[:k] ** 2 / max(samples.shape[0] - 1, 1)

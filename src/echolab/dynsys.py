@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -312,32 +312,23 @@ def circle_rotation(epsilon: float, m0: float, n_steps: int) -> TimeSeries:
     return TimeSeries(step=1.0, samples=angles[:, None])
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two angles."""
-    d = np.mod(a - b, TWO_PI)
-    return float(np.minimum(d, TWO_PI - d))
-
-
 @dataclass
 class ObservationFn:
     """Pointwise observation applied to every sample of a series.
 
     kind: 'coord' selects component `index`; 'scaled_sin' maps a scalar
-    sample m to amplitude * sin(m); 'custom' applies `fn` rowwise.
+    sample m to amplitude * sin(m).
     """
 
     kind: str
     index: int = 0
     amplitude: float = 1.0
-    fn: Optional[Callable[[np.ndarray], float]] = None
 
     def __call__(self, sample: np.ndarray) -> np.ndarray:
         if self.kind == "coord":
             return np.atleast_1d(sample[self.index])
         if self.kind == "scaled_sin":
             return np.atleast_1d(self.amplitude * np.sin(sample[0]))
-        if self.kind == "custom":
-            return np.atleast_1d(self.fn(sample))
         raise ValueError(f"unknown observation kind {self.kind!r}")
 
 

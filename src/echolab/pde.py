@@ -1,14 +1,10 @@
 """Random-feature solver for the Dirichlet problem on the unit disc.
 
-Frozen random tanh features, their Laplacian, area-uniform interior
-and uniform boundary sampling, the offline stacked ridge solve, the
-online 1/k iteration, and the closed-form reference solution for the
-cos(4 theta) boundary condition.
-
-The online solver applies `training.online_step` with unit ridge
-(lam = 1, the regulariser L = I): each step updates W on the two rows
-[Lap f(z); f(z')] with targets [0, h(z')]. A general regulariser L
-stays available offline, through `solve_offline(regularizer=L)`.
+Frozen random tanh features on the plane, their Laplacian,
+area-uniform interior and uniform boundary sampling, the offline
+stacked ridge solve, and the closed-form reference solution for the
+cos(4 theta) boundary condition, against which the learned solution is
+scored on a polar grid.
 """
 
 from __future__ import annotations
@@ -21,17 +17,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .dynsys import csv_text
-from .errors import IntegrationDivergedError
 from .reservoir import make_rng
-from .training import (
-    Readout,
-    RegressionProblem,
-    moment_solution,
-    online_step,
-    solve_offline,
-)
-
-ONLINE_DIVERGENCE_GUARD = 1e9
+from .training import Readout, RegressionProblem, solve_offline
 
 
 @dataclass
@@ -50,15 +37,14 @@ class RandomFeatureModel:
 
 def build_feature_model(
     n: int,
-    d: int = 2,
     weight_range: Tuple[float, float] = (-0.05, 0.05),
     seed: int = 0,
 ) -> RandomFeatureModel:
-    """Draw C and b i.i.d. uniform on the given range."""
+    """Draw C (n x 2) and b i.i.d. uniform on the given range."""
     rng = make_rng(seed)
-    C = rng.uniform(weight_range[0], weight_range[1], (n, d))
+    C = rng.uniform(weight_range[0], weight_range[1], (n, 2))
     b = rng.uniform(weight_range[0], weight_range[1], n)
-    return RandomFeatureModel(n=n, d=d, C=C, b=b)
+    return RandomFeatureModel(n=n, d=2, C=C, b=b)
 
 
 def eval_features(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:
@@ -187,47 +173,6 @@ def solve_dirichlet_offline(
     )
 
 
-def solve_dirichlet_online(
-    model: RandomFeatureModel,
-    sample: DirichletSample,
-    n_steps: int,
-    w0: Optional[np.ndarray] = None,
-) -> Readout:
-    """Online 1/k iteration over interleaved interior/boundary samples.
-
-    Each step consumes one interior and one boundary point (cycling
-    the finite sample) and applies `online_step` with lam = 1 to the
-    rows [Lap f; f] and targets [0, h]:
-    W' = (1 - a) W - a (Lap_f (W . Lap_f) + f (W . f - h)).
-    Diverging iterates (norm above 1e9) abort.
-    """
-    w = np.zeros(model.n) if w0 is None else np.asarray(w0, dtype=float).copy()
-    lap_all = eval_feature_laplacian(model, sample.interior)
-    feat_all = eval_features(model, sample.boundary)
-    h_all = sample.boundary_values
-    ell, ell_prime = len(lap_all), len(feat_all)
-    for k in range(1, n_steps + 1):
-        i, j = (k - 1) % ell, (k - 1) % ell_prime
-        rows = np.stack((lap_all[i], feat_all[j]))
-        w = online_step(w, rows, (0.0, h_all[j]), 1.0 / k, 1.0)
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > ONLINE_DIVERGENCE_GUARD:
-            raise IntegrationDivergedError(k, f"online weights diverged at step {k}")
-    return Readout(w=w, lam=1.0, provenance="online_1k")
-
-
-def online_moment_solution(model: RandomFeatureModel, sample: DirichletSample) -> np.ndarray:
-    """Limit of the online iteration on the cycled finite sample.
-
-    `moment_solution` of the sample-mean moments at unit ridge, the
-    oracle the 1/k iteration converges to.
-    """
-    lap = eval_feature_laplacian(model, sample.interior)
-    feat = eval_features(model, sample.boundary)
-    second = lap.T @ lap / len(lap) + feat.T @ feat / len(feat)
-    cross = feat.T @ sample.boundary_values / len(feat)
-    return moment_solution(second, cross, 1.0)
-
-
 def evaluation_grid(n_r: int = 50, n_theta: int = 200) -> Tuple[np.ndarray, np.ndarray]:
     """Polar evaluation grid over the open disc."""
     radii = np.linspace(0.0, 1.0, n_r, endpoint=False)
@@ -236,29 +181,20 @@ def evaluation_grid(n_r: int = 50, n_theta: int = 200) -> Tuple[np.ndarray, np.n
     return R.ravel(), T.ravel()
 
 
-def grid_rms_error(
-    model: RandomFeatureModel,
-    readout: Readout,
-    n_r: int = 50,
-    n_theta: int = 200,
-) -> float:
-    """RMS difference to the closed-form solution on the polar grid."""
-    r, theta = evaluation_grid(n_r, n_theta)
-    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    approx = eval_features(model, pts) @ readout.w
-    exact = analytic_disc_solution(r, theta)
-    return float(np.sqrt(np.mean((approx - exact) ** 2)))
-
-
-def solution_field_csv(
+def grid_solution(
     model: RandomFeatureModel, readout: Readout, n_r: int = 50, n_theta: int = 200
-) -> str:
-    """Export `r,theta,phi_hat,phi_exact,abs_err` rows for the grid."""
+) -> Tuple[str, float]:
+    """The learned solution on the polar grid, against the closed form.
+
+    Returns the `r,theta,phi_hat,phi_exact,abs_err` CSV rows of the grid
+    and the RMS of the error over it, both from one prediction.
+    """
     r, theta = evaluation_grid(n_r, n_theta)
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     approx = eval_features(model, pts) @ readout.w
     exact = analytic_disc_solution(r, theta)
-    return csv_text(
-        ["r", "theta", "phi_hat", "phi_exact", "abs_err"],
-        [r, theta, approx, exact, np.abs(approx - exact)],
+    err = approx - exact
+    text = csv_text(
+        ["r", "theta", "phi_hat", "phi_exact", "abs_err"], [r, theta, approx, exact, np.abs(err)]
     )
+    return text, float(np.sqrt(np.mean(err**2)))

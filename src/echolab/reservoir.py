@@ -1,11 +1,10 @@
 """Reservoir construction and iteration.
 
-Covers random ESN generation, the paired-block construction for
-admissible stochastic inputs, driven and readout-fed autonomous
-iteration, global and local state-contraction checks, the explicit
-series form of the linear generalised synchronisation, the two
-linear-independence predicates behind the embedding result, and a
-system-isomorphism verifier.
+Covers random ESN generation, driven and readout-fed autonomous
+iteration, the local state-contraction check, the explicit series form
+of the linear generalised synchronisation, the two linear-independence
+predicates behind the embedding result, and a system-isomorphism
+verifier.
 """
 
 from __future__ import annotations
@@ -96,10 +95,9 @@ class ReservoirGenConfig:
 
     Schemes are tagged tuples:
       a_scheme: ('uniform_rescaled_2norm', target) | ('gaussian_erdos_renyi',
-                mean_degree, spectral_radius) | ('lower_shift',) |
-                ('explicit', matrix)
+                mean_degree, spectral_radius) | ('lower_shift',)
       c_scheme / b_scheme: ('uniform', lo, hi) | ('gaussian', sd) |
-                ('unit_e1',) | ('zero',) | ('explicit', array)
+                ('unit_e1',) | ('zero',)
     """
 
     n: int
@@ -120,18 +118,22 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def matrix_2norm(A: np.ndarray, n_iter: int = 1000, tol: float = 1e-10) -> float:
-    """2-norm by power iteration on A^T A, with a dense fallback."""
+def matrix_2norm(A: np.ndarray) -> float:
+    """2-norm by power iteration on A^T A, with a dense fallback.
+
+    Stops once the estimate of ||A||_2^2 moves by at most 1e-10
+    relative, or after 1000 iterations falls back to the dense norm.
+    """
     AtA = A.T @ A
     v = np.ones(A.shape[1]) / np.sqrt(A.shape[1])
     prev = 0.0
-    for _ in range(n_iter):
+    for _ in range(1000):
         w = AtA @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(norm - prev) <= tol * norm:
+        if abs(norm - prev) <= 1e-10 * norm:
             return float(np.sqrt(norm))
         prev = norm
     return float(np.linalg.norm(A, 2))
@@ -156,8 +158,6 @@ def _draw_vector_scheme(scheme: Scheme, shape, rng: np.random.Generator) -> np.n
         return out
     if tag == "zero":
         return np.zeros(shape)
-    if tag == "explicit":
-        return np.asarray(scheme[1], dtype=float).reshape(shape)
     raise ValueError(f"unknown scheme {tag!r}")
 
 
@@ -189,8 +189,6 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
         A *= target / rho
     elif tag == "lower_shift":
         A = lower_shift_matrix(n)
-    elif tag == "explicit":
-        A = np.asarray(config.a_scheme[1], dtype=float)
     else:
         raise ValueError(f"unknown a_scheme {tag!r}")
 
@@ -198,72 +196,6 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
     b = _draw_vector_scheme(config.b_scheme, (n,), rng)
     return ReservoirSpec(
         n=n, d=config.d, A=A, C=C, b=b, activation=config.activation, seed=config.seed
-    )
-
-
-@dataclass
-class GononConfig:
-    """Inputs for the paired-block reservoir construction.
-
-    n internal neurons, a length-(T0+1) input window, draw radius R for
-    the random rows, input dim d, and the input bound M_T0 that sets
-    the bias range.
-    """
-
-    n: int
-    T0: int
-    R: float
-    d: int = 1
-    M_T0: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1 or self.T0 < 1 or self.R <= 0:
-            raise ValueError("require n, T0 >= 1 and R > 0")
-
-
-def gonon_shift_blocks(d: int, T0: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Shift matrix S (nilpotent of index T0+1) and injection block c."""
-    m = d * (T0 + 1)
-    S = np.zeros((m, m))
-    S[d:, : d * T0] = np.eye(d * T0)
-    c = np.zeros((m, d))
-    c[:d, :] = np.eye(d)
-    return S, c
-
-
-def build_gonon(config: GononConfig) -> ReservoirSpec:
-    """Construct the 2(d(T0+1)+n)-dimensional paired-sign tanh reservoir.
-
-    The upper-left block holds a delay line of the last T0+1 inputs
-    feeding n random neurons; the full matrix repeats that block in the
-    sign pattern [[B, -B], [-B, B]] so the pair of half-states stays
-    antisymmetric under iteration.
-    """
-    d, T0, n = config.d, config.T0, config.n
-    rng = make_rng(config.seed)
-    m = d * (T0 + 1)
-    # Uniform draws from the radius-R ball: scaled directions.
-    directions = rng.standard_normal((n, m))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = config.R * rng.uniform(0.0, 1.0, n) ** (1.0 / m)
-    a = directions * radii[:, None]
-    bound = max(config.M_T0 * config.R, 1.0)
-    biases = rng.uniform(-bound, bound, n)
-
-    S, c = gonon_shift_blocks(d, T0)
-    half = m + n
-    A_bar = np.zeros((half, half))
-    A_bar[:m, :m] = S
-    A_bar[m:, :m] = a @ S
-    C_bar = np.vstack([c, a @ c])
-    b_bar = np.concatenate([np.zeros(m), biases])
-
-    A = np.block([[A_bar, -A_bar], [-A_bar, A_bar]])
-    C = np.vstack([C_bar, -C_bar])
-    b = np.concatenate([b_bar, -b_bar])
-    return ReservoirSpec(
-        n=2 * half, d=d, A=A, C=C, b=b, activation="tanh", seed=config.seed
     )
 
 
@@ -307,22 +239,6 @@ def autonomous_drive(
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
     out = iterate_map(lambda x, _: psi(x), x0, range(n_steps))
     return TimeSeries(step=1.0, samples=out)
-
-
-@dataclass
-class ContractionResult:
-    is_contracting: bool
-    c: float
-
-
-def check_global_contraction(spec: ReservoirSpec) -> ContractionResult:
-    """Upper bound on the state-contraction factor.
-
-    tanh and identity are 1-Lipschitz, so ||A||_2 bounds the Lipschitz
-    constant of x -> F(x, z) uniformly in z.
-    """
-    c = matrix_2norm(spec.A)
-    return ContractionResult(is_contracting=c < 1.0, c=c)
 
 
 @dataclass
@@ -385,14 +301,14 @@ def linear_gs_series(
     spec: ReservoirSpec,
     past_obs: Union[np.ndarray, Callable[[int], float]],
     truncation: int,
-    sup_obs: Optional[float] = None,
 ) -> GsSeriesResult:
     """Truncated series sum_{k=0}^{K} A^k C w_k for a linear reservoir.
 
     `past_obs` supplies w_k = omega(phi^{-k}(m)) for k = 0..K, either
     as an array or a callable on k. Requires identity activation, zero
     bias, and spectral radius strictly below one; reports the geometric
-    tail bound ||A||_2^(K+1) sup|omega| ||C|| / (1 - ||A||_2).
+    tail bound ||A||_2^(K+1) sup|omega| ||C|| / (1 - ||A||_2), with
+    sup|omega| taken over the supplied observations.
     """
     if spec.activation != "identity" or np.any(spec.b != 0.0):
         raise ValueError("series form requires identity activation and zero bias")
@@ -408,7 +324,7 @@ def linear_gs_series(
         value = value + power_times_c @ obs[k]
         power_times_c = spec.A @ power_times_c
     norm_a = matrix_2norm(spec.A)
-    sup = float(np.max(np.abs(obs))) if sup_obs is None else sup_obs
+    sup = float(np.max(np.abs(obs)))
     if norm_a < 1.0:
         tail = norm_a ** (truncation + 1) * sup * matrix_2norm(spec.C) / (1.0 - norm_a)
     else:
@@ -504,15 +420,13 @@ def check_system_isomorphism(
     input_series: TimeSeries,
     w: np.ndarray,
     x0_bar: Optional[np.ndarray] = None,
-    burn_in: int = 0,
 ) -> float:
     """Max output deviation between similarity-related linear systems.
 
     System A uses readout h(x) = w^T x; system B uses h(P x_bar), the
     pullback of h through the similarity. Initial states are P-related
     (x0 = P x0_bar), so when A = P A_bar P^{-1} and C = P C_bar the two
-    outputs agree up to roundoff; `burn_in` discards a transient for
-    non-related starts.
+    outputs agree up to roundoff.
     """
     for s in (spec_a, spec_b):
         if s.activation != "identity" or np.any(s.b != 0.0):
@@ -527,4 +441,4 @@ def check_system_isomorphism(
     w = np.asarray(w, dtype=float).reshape(spec_a.n)
     out_a = states_a @ w
     out_b = states_b @ (P.T @ w)
-    return float(np.max(np.abs(out_a[burn_in:] - out_b[burn_in:])))
+    return float(np.max(np.abs(out_a - out_b)))

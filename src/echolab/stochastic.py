@@ -69,8 +69,11 @@ class ProcessSpec:
         return self.kind[0]
 
 
-def stationary_distribution(transition: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Unique stationary law of an ergodic chain, or NonErgodicError."""
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Unique stationary law of an ergodic chain, or NonErgodicError.
+
+    Entries down to -1e-10 count as roundoff and are clipped to zero.
+    """
     P = np.asarray(transition, dtype=float)
     vals, vecs = np.linalg.eig(P.T)
     close = np.where(np.abs(vals - 1.0) < 1e-9)[0]
@@ -78,7 +81,7 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-10) -> np.nd
         raise NonErgodicError("transition matrix has no unique stationary distribution")
     pi = np.real(vecs[:, close[0]])
     pi = pi / pi.sum()
-    if np.any(pi < -tol):
+    if np.any(pi < -1e-10):
         raise NonErgodicError("stationary vector has negative mass")
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
@@ -191,7 +194,6 @@ def value_mc(
     history: np.ndarray,
     n_rollouts: int = 200,
     horizon: Optional[int] = None,
-    tail_tol: float = 1e-9,
     current_state: Optional[int] = None,
     seed: int = 0,
 ) -> ValueEstimate:
@@ -202,7 +204,7 @@ def value_mc(
     hidden index behind the newest input (a Markov rollout without one
     starts from the stationary law), while i.i.d. kinds ignore it.
     The horizon defaults to the smallest one with gamma**horizon <=
-    tail_tol (1 when gamma is 0).
+    1e-9 (1 when gamma is 0).
 
     All rollouts run as one batch: the `horizon - 1` future steps of
     every rollout come from one `_draw_finite` block seeded with `seed`
@@ -220,7 +222,7 @@ def value_mc(
         if gamma == 0.0:
             horizon = 1
         else:
-            horizon = max(1, int(math.ceil(math.log(tail_tol) / math.log(gamma))))
+            horizon = max(1, int(math.ceil(math.log(1e-9) / math.log(gamma))))
     if spec.tag == "deterministic_wrap":
         series = spec.kind[1]
         start = 0 if current_state is None else current_state + 1
@@ -263,7 +265,6 @@ def bellman_residual(
     w: Union[Readout, np.ndarray],
     rewards: np.ndarray,
     gamma: float,
-    burn_in: int = 0,
 ) -> float:
     """Path average of (W^T (H_k - gamma H_{k+1}) - R_k)^2.
 
@@ -274,13 +275,13 @@ def bellman_residual(
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
     H = np.atleast_2d(np.asarray(features, dtype=float))
-    if len(H) < burn_in + 2:
-        raise ValueError("path must be longer than burn_in + 2")
+    if len(H) < 2:
+        raise ValueError("path must have at least 2 samples")
     weights = w.w if isinstance(w, Readout) else np.asarray(w, dtype=float)
     rewards = np.asarray(rewards, dtype=float)
-    diffs = H[burn_in:-1] - gamma * H[burn_in + 1 :]
+    diffs = H[:-1] - gamma * H[1:]
     preds = diffs @ weights
-    r = rewards[burn_in : burn_in + len(preds)]
+    r = rewards[: len(preds)]
     return float(np.mean((preds - r) ** 2))
 
 

@@ -1,8 +1,8 @@
 """Persistent homology over F2.
 
-Vietoris-Rips filtrations by clique expansion, Cech membership through
-minimum enclosing balls, boundary matrices, the Rips/Cech squeezing
-check, and the farthest-point attractor experiment.
+Vietoris-Rips filtrations by clique expansion, the worked hexagon
+complex, boundary matrices, persistence diagrams, and the
+farthest-point attractor experiment.
 
 Persistence pairs come from cohomology with clearing (Bauer, "Ripser",
 arXiv:1908.02518): degree 0 by union-find, then for each degree k the
@@ -33,7 +33,6 @@ import numpy as np
 
 from .dynsys import TimeSeries, csv_text
 from .errors import DegenerateCloudError, FiltrationOrderError
-from .reservoir import make_rng
 
 
 @dataclass
@@ -68,9 +67,6 @@ class Filtration:
                 raise ValueError("filtration values must be nonnegative")
             if len(verts) != dim + 1:
                 raise ValueError(f"simplex {verts} has wrong dimension tag {dim}")
-
-    def sorted_copy(self) -> "Filtration":
-        return Filtration(sorted(self.simplices))
 
     def is_sorted(self) -> bool:
         return all(map(operator.le, self.simplices, itertools.islice(self.simplices, 1, None)))
@@ -153,96 +149,6 @@ def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtrati
     return Filtration(entries)
 
 
-def _ball_from_support(points: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Smallest ball with all given points on its boundary (affine hull)."""
-    p0 = points[0]
-    if len(points) == 1:
-        return p0.copy(), 0.0
-    V = points[1:] - p0
-    # Solve 2 V alpha segments: |c - p_i|^2 = |c - p0|^2 with c = p0 + V^T x.
-    G = 2.0 * V @ V.T
-    rhs = np.einsum("ij,ij->i", V, V)
-    try:
-        x = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        x, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    center = p0 + V.T @ x
-    radius = float(np.linalg.norm(center - p0))
-    return center, radius
-
-
-def _welzl(points: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Iterative move-to-front Welzl over a fixed processing order."""
-    d = points.shape[1]
-
-    def ball_with_boundary(interior: List[int], boundary: List[int]):
-        if boundary:
-            center, radius = _ball_from_support(points[boundary])
-        else:
-            center, radius = points[interior[0]].copy() if interior else points[0].copy(), 0.0
-        for idx_pos, i in enumerate(interior):
-            if np.linalg.norm(points[i] - center) > radius * (1 + 1e-12) + 1e-14:
-                if len(boundary) == d + 1:
-                    continue
-                center, radius = ball_with_boundary(interior[:idx_pos], boundary + [i])
-        return center, radius
-
-    return ball_with_boundary(list(order), [])
-
-
-def minimum_enclosing_ball(
-    points: np.ndarray, seed: int = 0, tol: float = 1e-9
-) -> Tuple[np.ndarray, float]:
-    """Center and radius of the smallest ball containing the points.
-
-    Exact Welzl recursion for ambient dimension <= 3; small point sets
-    in higher dimension fall back to exhaustive support enumeration,
-    and large high-dimensional inputs to an iterative scheme with the
-    given relative tolerance.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = points.shape
-    if m == 1:
-        return points[0].copy(), 0.0
-    if d <= 3 or m <= 12:
-        if d <= 3:
-            order = make_rng(seed).permutation(m)
-            return _welzl(points, order)
-        best: Tuple[np.ndarray, float] = (points[0], np.inf)
-        for size in range(1, min(m, d + 1) + 1):
-            for support in itertools.combinations(range(m), size):
-                center, radius = _ball_from_support(points[list(support)])
-                if radius < best[1] and np.all(
-                    np.linalg.norm(points - center, axis=1) <= radius + 1e-12
-                ):
-                    best = (center, radius)
-        return best
-    # Badoiu-Clarkson style iteration for large high-dimensional clouds.
-    center = points.mean(axis=0)
-    radius = 0.0
-    for k in range(1, 100_000):
-        dists = np.linalg.norm(points - center, axis=1)
-        far = int(np.argmax(dists))
-        radius = dists[far]
-        step = (points[far] - center) / (k + 1)
-        if np.linalg.norm(step) <= tol * max(radius, 1.0):
-            break
-        center = center + step
-    return center, float(np.max(np.linalg.norm(points - center, axis=1)))
-
-
-def cech_membership(points: np.ndarray, eps: float, seed: int = 0) -> bool:
-    """True iff the eps/2 balls around the points share a common point,
-
-    i.e. the minimum enclosing ball radius is at most eps/2.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) == 0:
-        raise ValueError("subset must be nonempty")
-    _, radius = minimum_enclosing_ball(points, seed=seed)
-    return radius <= eps / 2.0 + 1e-12
-
-
 def boundary_matrix(
     filtration: Filtration,
     k: int,
@@ -267,16 +173,6 @@ def boundary_matrix(
         for facet in itertools.combinations(verts, k):
             out[row_index[facet], j] = 1
     return out
-
-
-def betti_numbers(filtration: Filtration, eps: float) -> List[int]:
-    """Betti numbers of the complex at threshold eps.
-
-    Counts the persistence classes alive at eps (birth <= eps < death),
-    one entry per dimension up to the filtration's largest.
-    """
-    curve = persistence(filtration).betti_at(eps)
-    return [curve.get(k, 0) for k in range(filtration.max_dimension() + 1)]
 
 
 @dataclass(slots=True)
@@ -488,77 +384,7 @@ def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> Pers
     return PersistenceDiagram(pairs=pairs, max_eps=max_eps)
 
 
-def _triangle_meb_radii(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Enclosing-ball radii of triangles given their side lengths.
-
-    Obtuse (and right) triangles are covered by the ball on their
-    longest side; acute ones need the circumradius abc / (4 * area).
-    """
-    sides = np.sort(np.stack([a, b, c]), axis=0)
-    s0, s1, s2 = sides[0], sides[1], sides[2]
-    obtuse = s2**2 >= s0**2 + s1**2
-    radii = np.where(obtuse, s2 / 2.0, 0.0)
-    area_sq = np.maximum(
-        (s0 + s1 + s2) * (-s0 + s1 + s2) * (s0 - s1 + s2) * (s0 + s1 - s2), 0.0
-    ) / 16.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        circum = (s0 * s1 * s2) / (4.0 * np.sqrt(area_sq))
-    return np.where(obtuse, radii, circum)
-
-
-def squeeze_check(cloud: PointCloud, eps: float, max_dim: int = 2) -> bool:
-    """Verify the Rips/Cech interleaving on a concrete cloud.
-
-    Every simplex of the Rips complex at eps must pass the Cech test at
-    eps * sqrt(2), and every subset passing that Cech test must be a
-    Rips simplex at eps * sqrt(2). Up to triangles the membership radii
-    come from closed forms; higher dimensions enumerate subsets and
-    call the enclosing-ball solver directly.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pts = cloud.points
-    m = len(cloud)
-    upper = eps * math.sqrt(2.0)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    # Pairs: Rips at eps demands d <= eps, Cech at upper demands
-    # d / 2 <= upper / 2, and both directions reduce to comparing d.
-    iu, ju = np.triu_indices(m, k=1)
-    d = dist[iu, ju]
-    if np.any((d <= eps + 1e-12) & (d / 2.0 > upper / 2.0 + 1e-12)):
-        return False
-    if np.any((d / 2.0 <= upper / 2.0 + 1e-12) & (d > upper + 1e-12)):
-        return False
-
-    if m >= 3 and max_dim >= 2:
-        trips = np.array(list(itertools.combinations(range(m), 3)))
-        a = dist[trips[:, 0], trips[:, 1]]
-        b = dist[trips[:, 0], trips[:, 2]]
-        c = dist[trips[:, 1], trips[:, 2]]
-        diam = np.max(np.stack([a, b, c]), axis=0)
-        radii = _triangle_meb_radii(a, b, c)
-        in_rips_eps = diam <= eps + 1e-12
-        in_cech_upper = radii <= upper / 2.0 + 1e-12
-        in_rips_upper = diam <= upper + 1e-12
-        if np.any(in_rips_eps & ~in_cech_upper):
-            return False
-        if np.any(in_cech_upper & ~in_rips_upper):
-            return False
-
-    for size in range(4, max_dim + 2):
-        for subset in itertools.combinations(range(m), size):
-            sub = pts[list(subset)]
-            sub_diam = float(np.max(dist[np.ix_(list(subset), list(subset))]))
-            if sub_diam <= eps + 1e-12 and not cech_membership(sub, upper):
-                return False
-            if cech_membership(sub, upper) and sub_diam > upper + 1e-12:
-                return False
-    return True
-
-
-def hexagon_example_filtration(max_dim: int = 3) -> Filtration:
+def hexagon_example_filtration() -> Filtration:
     """The worked hexagon complex with exact entry values.
 
     Unit-side regular hexagon, vertices 0..5 in cyclic order: sides
@@ -583,13 +409,11 @@ def hexagon_example_filtration(max_dim: int = 3) -> Filtration:
         entries.append((sqrt3, 2, f))
     for e in long_diagonals:
         entries.append((2.0, 1, e))
-    if max_dim >= 2:
-        for f in itertools.combinations(range(6), 3):
-            if f not in ears:
-                entries.append((2.0, 2, f))
-    if max_dim >= 3:
-        for t in itertools.combinations(range(6), 4):
-            entries.append((2.0, 3, t))
+    for f in itertools.combinations(range(6), 3):
+        if f not in ears:
+            entries.append((2.0, 2, f))
+    for t in itertools.combinations(range(6), 4):
+        entries.append((2.0, 3, t))
     return Filtration(sorted(entries))
 
 

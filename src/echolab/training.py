@@ -4,10 +4,10 @@ Offline Tikhonov least squares through the SVD, the two online
 stochastic iterations (constant step and 1/k step), and the feature
 transform that turns value estimation into ordinary regression.
 
-Every online iteration in the library, `run_online` here and the
-Dirichlet solver in `pde`, applies the one update `online_step`,
-W <- (1 - alpha lam) W - alpha G^T (G W - u), whose fixed point in the
-mean is `moment_solution`.
+The online iterations of `run_online` apply the one update
+`online_step`, W <- (1 - alpha lam) W - alpha G^T (G W - u), whose
+fixed point in the mean is the ridge solution of the feature moments,
+(E[g g^T] + lam I)^{-1} E[g u].
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class Readout:
     lam: float = 0.0
     provenance: str = "offline_svd"
     burn_in: int = 0
-    regularizer: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float).reshape(-1)
@@ -43,26 +42,23 @@ class Readout:
             raise ValueError("readout weights must be finite")
 
     def to_json(self) -> str:
-        doc = {
-            "w": self.w.tolist(),
-            "lambda": self.lam,
-            "provenance": self.provenance,
-            "burn_in": self.burn_in,
-        }
-        if self.regularizer is not None:
-            doc["regularizer"] = self.regularizer.tolist()
-        return json.dumps(doc)
+        return json.dumps(
+            {
+                "w": self.w.tolist(),
+                "lambda": self.lam,
+                "provenance": self.provenance,
+                "burn_in": self.burn_in,
+            }
+        )
 
     @staticmethod
     def from_json(text: str) -> "Readout":
         doc = json.loads(text)
-        regularizer = doc.get("regularizer")
         return Readout(
             w=np.array(doc["w"]),
             lam=doc["lambda"],
             provenance=doc["provenance"],
             burn_in=doc["burn_in"],
-            regularizer=None if regularizer is None else np.array(regularizer, dtype=float),
         )
 
 
@@ -94,7 +90,6 @@ def problem_from_series(
 def solve_offline(
     problem: RegressionProblem,
     lam: float = 0.0,
-    regularizer: Optional[np.ndarray] = None,
     truncate: bool = False,
 ) -> Readout:
     """Ridge solution W* = sum_k sigma_k (U_k^T Y) / (sigma_k^2 + lam) V_k.
@@ -103,18 +98,10 @@ def solve_offline(
     below 1e-12 of the largest count as zero) or SingularProblemError is
     raised; truncate=True takes the pseudo-inverse over the surviving
     directions instead, which rank-deficient feature stacks need.
-    Passing a regularizer matrix L switches the penalty to ||L W||^2
-    and solves the normal equations directly; the readout then records
-    lam = 0 and keeps L.
     """
     X, Y = problem.states, problem.targets
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if regularizer is not None:
-        L = np.asarray(regularizer, dtype=float)
-        gram = X.T @ X + L.T @ L
-        w = np.linalg.solve(gram, X.T @ Y)
-        return Readout(w=w, lam=0.0, provenance="offline_svd", regularizer=L)
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     keep = slice(None)
     if lam == 0.0:
@@ -132,16 +119,10 @@ def solve_offline(
 
 
 def normal_equation_residual(problem: RegressionProblem, readout: Readout) -> float:
-    """Relative residual of (X^T X + lam I + L^T L) W - X^T Y.
-
-    L is the readout's regularizer matrix, absent (zero) for ridge readouts.
-    """
+    """Relative residual of (X^T X + lam I) W - X^T Y."""
     X, Y = problem.states, problem.targets
     rhs = X.T @ Y
     lhs = X.T @ (X @ readout.w) + readout.lam * readout.w
-    if readout.regularizer is not None:
-        L = readout.regularizer
-        lhs += L.T @ (L @ readout.w)
     denom = np.linalg.norm(rhs)
     return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else float(
         np.linalg.norm(lhs)
@@ -215,12 +196,6 @@ def run_online(
         trace=np.array(trace) if trace else np.zeros((0, 2)),
         mean_w=mean_w,
     )
-
-
-def moment_solution(second_moment: np.ndarray, cross_moment: np.ndarray, lam: float) -> np.ndarray:
-    """W* = (E[g g^T] + lam I)^{-1} E[g u], the online iterations' limit."""
-    P = second_moment.shape[0]
-    return np.linalg.solve(second_moment + lam * np.eye(P), cross_moment)
 
 
 def value_targets(

@@ -7,6 +7,7 @@ import numpy as np
 
 from echolab.dynsys import DIVERGENCE_THRESHOLD, TimeSeries
 from echolab.errors import DegenerateJacobianError, IntegrationDivergedError
+from echolab.pde import eval_feature_laplacian, eval_features
 from echolab.reservoir import make_rng
 from echolab.stochastic import stationary_distribution
 from echolab.topology import PersistenceDiagram, PersistencePair
@@ -337,3 +338,25 @@ def value_mc_reference(
         totals[r] = total
     stderr = float(totals.std(ddof=1) / math.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
     return float(totals.mean()), stderr, rng
+
+
+# Limits of the online ridge iteration.
+
+
+def moment_solution(second_moment, cross_moment, lam):
+    """W* = (E[g g^T] + lam I)^{-1} E[g u], the online iterations' limit."""
+    P = second_moment.shape[0]
+    return np.linalg.solve(second_moment + lam * np.eye(P), cross_moment)
+
+
+def online_moment_solution(model, sample):
+    """Limit of the online 1/k Dirichlet iteration on the cycled sample.
+
+    `moment_solution` of the sample-mean moments of the rows
+    [Lap f(z); f(z')] with targets [0, h(z')], at unit ridge.
+    """
+    lap = eval_feature_laplacian(model, sample.interior)
+    feat = eval_features(model, sample.boundary)
+    second = lap.T @ lap / len(lap) + feat.T @ feat / len(feat)
+    cross = feat.T @ sample.boundary_values / len(feat)
+    return moment_solution(second, cross, 1.0)

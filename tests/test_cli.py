@@ -93,6 +93,10 @@ class TestValidate:
             ("homology", "subsample", 49, 50),
             ("homology", "subsample", 502, 501),
             ("homology", "max_eps", 0, 0.5),
+            ("embedding_check", "n", 0, 1),
+            ("embedding_check", "n", 2.5, 2),
+            ("embedding_check", "trials", -1, 1),
+            ("embedding_check", "period", 0, 1),
         ],
     )
     def test_parameter_rule(self, tmp_path, experiment, key, bad, good):
@@ -147,18 +151,19 @@ class TestRun:
         assert (outdir / "diagram.csv").exists()
 
     def test_homology_hexagon_profiles_come_from_one_diagram(self, tmp_path):
-        # betti.json and diagram.csv read the same bytes as separate
-        # betti_numbers and persistence calls.
-        from echolab.topology import betti_numbers, hexagon_example_filtration, persistence
+        # betti.json and diagram.csv read the same bytes as a fresh
+        # persistence call for each Betti profile and one for the diagram.
+        from echolab.topology import hexagon_example_filtration, persistence
 
         config = ExperimentConfig(experiment="homology", seed=1, output_dir=str(tmp_path))
         assert run(config) == EXIT_OK
         filt = hexagon_example_filtration()
-        expected = {
-            "at_1": betti_numbers(filt, 1.0),
-            "at_sqrt3": betti_numbers(filt, float(np.sqrt(3))),
-            "at_2": betti_numbers(filt, 2.0),
-        }
+
+        def betti(eps):
+            curve = persistence(filt).betti_at(eps)
+            return [curve.get(k, 0) for k in range(filt.max_dimension() + 1)]
+
+        expected = {"at_1": betti(1.0), "at_sqrt3": betti(float(np.sqrt(3))), "at_2": betti(2.0)}
         assert (tmp_path / "betti.json").read_text() == json.dumps(expected)
         assert (tmp_path / "diagram.csv").read_text() == persistence(filt).to_csv()
 

@@ -5,17 +5,17 @@ from echolab.diagnostics import (
     FixedPointResult,
     LyapunovResult,
     esn_jacobian,
+    explained_variances,
     lorenz_linearization_eigs,
-    lorenz_wing_jacobian,
     lyapunov_qr,
     newton_fixed_point,
-    pca_project,
 )
 from echolab.dynsys import (
     WING_FIXED_POINT,
     LorenzParams,
     TimeSeries,
     integrate_lorenz,
+    lorenz_jacobian,
     lorenz_step_jacobian,
     lorenz_tangent_maps,
 )
@@ -24,7 +24,7 @@ from echolab.errors import (
     NearNeutralFixedPointError,
     NewtonConvergenceError,
 )
-from echolab.reservoir import ReservoirGenConfig, autonomous_map, generate, make_rng
+from echolab.reservoir import ReservoirGenConfig, autonomous_map, drive, generate, make_rng
 from oracles import (
     lorenz_step_jacobian_reference,
     lorenz_step_reference,
@@ -128,7 +128,7 @@ class TestLorenzLinearization:
 
     def test_spectral_mapping(self):
         tau = 0.01
-        J = lorenz_wing_jacobian()
+        J = lorenz_jacobian(WING_FIXED_POINT, LorenzParams())
         eigs_exp = np.sort_complex(lorenz_linearization_eigs(tau=tau))
         eigs_map = np.sort_complex(np.exp(tau * np.linalg.eigvals(J)))
         assert np.max(np.abs(eigs_exp - eigs_map)) < 1e-10
@@ -145,12 +145,13 @@ class TestLorenzLinearization:
     def test_wing_jacobian_matches_printed_matrix(self):
         s = 6.0 * np.sqrt(2.0)
         printed = np.array([[-10.0, 10.0, 0.0], [1.0, -1.0, -s], [s, s, -8.0 / 3.0]])
-        assert np.allclose(lorenz_wing_jacobian(), printed, atol=1e-14)
+        J = lorenz_jacobian(WING_FIXED_POINT, LorenzParams())
+        assert np.allclose(J, printed, atol=1e-14)
 
     def test_wing_eigenstructure(self):
         # Dense eigensolver oracle: one real negative root plus a
         # complex pair with positive real part.
-        eigs = np.linalg.eigvals(lorenz_wing_jacobian())
+        eigs = np.linalg.eigvals(lorenz_jacobian(WING_FIXED_POINT, LorenzParams()))
         real = sorted(e for e in eigs if abs(e.imag) < 1e-9)
         pair = [e for e in eigs if e.imag > 1e-9]
         assert len(real) == 1 and real[0].real < 0
@@ -245,45 +246,38 @@ class TestLyapunovQrLorenz:
         assert np.max(np.abs(ten.running_means - one.running_means)) < 1e-10
 
 
-class TestPca:
-    def test_recovers_embedded_plane(self):
-        rng = make_rng(3)
-        latent = rng.standard_normal((200, 2))
-        basis = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-        X = latent @ basis.T + 5.0
-        res = pca_project(TimeSeries(step=1.0, samples=X), k=2)
-        recon = res.projected.samples @ res.components.T + res.mean
-        assert np.max(np.abs(recon - X)) < 1e-10
-
+class TestExplainedVariances:
     def test_isotropic_cloud_spreads_variance(self):
         rng = make_rng(4)
         n = 6
         X = rng.standard_normal((20000, n))
-        res = pca_project(TimeSeries(step=1.0, samples=X), k=n)
-        total = res.explained_variance.sum()
-        shares = res.explained_variance / total
+        var = explained_variances(X, n)
+        shares = var / var.sum()
         assert np.max(np.abs(shares - 1.0 / n)) < 0.02
 
-    def test_full_projection_is_isometry(self):
-        rng = make_rng(5)
-        X = rng.standard_normal((40, 4))
-        res = pca_project(TimeSeries(step=1.0, samples=X), k=4)
-        P = res.projected.samples
-        for i in (0, 7, 21):
-            for j in (3, 15, 39):
-                d_orig = np.linalg.norm(X[i] - X[j])
-                d_proj = np.linalg.norm(P[i] - P[j])
-                assert abs(d_orig - d_proj) < 1e-10
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_full_svd_on_reservoir_states(self, seed):
+        # The singular values alone and those of the thin SVD that also
+        # computes U and V come from different LAPACK paths. Each is
+        # accurate to a few ulps of the largest singular value, so the
+        # variances agree to 8 eps of the largest variance; the smallest
+        # of them can differ by more than that relative to itself.
+        spec = generate(
+            ReservoirGenConfig(
+                n=100, d=1, a_scheme=("uniform_rescaled_2norm", 1.0),
+                c_scheme=("uniform", -0.05, 0.05), b_scheme=("uniform", -0.05, 0.05),
+                seed=seed,
+            )
+        )
+        xi = integrate_lorenz(LorenzParams(), 3000).samples[:, :1]
+        X = drive(spec, TimeSeries(step=0.01, samples=xi), np.zeros(100)).samples[100:]
+        sv = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)[1]
+        full = sv[:3] ** 2 / (X.shape[0] - 1)
+        err = np.abs(explained_variances(X, 3) - full)
+        assert np.max(err) <= 8 * np.finfo(float).eps * full[0]
 
-    def test_components_orthonormal(self):
-        rng = make_rng(6)
-        X = rng.standard_normal((100, 5))
-        res = pca_project(TimeSeries(step=1.0, samples=X), k=3)
-        gram = res.components.T @ res.components
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-10
-
-    def test_rank_deficient_padded_with_warning(self):
-        X = np.outer(np.arange(10.0), np.array([1.0, 2.0, 3.0]))
-        with pytest.warns(RuntimeWarning):
-            res = pca_project(TimeSeries(step=1.0, samples=X), k=3)
-        assert np.allclose(res.components[:, 1:], 0.0)
+    def test_k_beyond_samples_or_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            explained_variances(np.zeros((5, 2)), 3)
+        with pytest.raises(ValueError):
+            explained_variances(np.zeros((2, 5)), 3)

@@ -1,4 +1,6 @@
-"""Every name a library module imports is referenced in that module."""
+"""Every name a library module imports is referenced in that module, and
+every module-level definition is reachable from the CLI entry point
+except the ones listed as waiting to be wired into an experiment."""
 
 import ast
 from pathlib import Path
@@ -63,3 +65,107 @@ def test_checker_finds_unused_and_accepts_used_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree):
+    """Module-level functions, classes and constants by name, dunders aside."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    out[target.id] = node
+    return out
+
+
+def _relative_imports(tree):
+    """Local name -> (module, imported name) for each `from .x import y`."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                out[alias.asname or alias.name] = (node.module or "__init__", alias.name)
+    return out
+
+
+def unreachable(sources, root):
+    """`module.name` of each module-level definition that no chain of
+    references from `root`, a (module, name) pair, reaches.
+
+    `sources` maps module names to source text. A definition references
+    every name read anywhere in its node (body, defaults, decorators,
+    bases, annotations); a name bound by a relative import resolves to
+    the module that defines it.
+    """
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    defs = {m: _definitions(tree) for m, tree in trees.items()}
+    imports = {m: _relative_imports(tree) for m, tree in trees.items()}
+
+    def resolve(module, name):
+        while name not in defs[module]:
+            if name not in imports[module]:
+                return None
+            module, name = imports[module][name]
+        return module, name
+
+    seen = set()
+    stack = [root]
+    while stack:
+        module, name = stack.pop()
+        if (module, name) in seen:
+            continue
+        seen.add((module, name))
+        for node in ast.walk(defs[module][name]):
+            if isinstance(node, ast.Name):
+                target = resolve(module, node.id)
+                if target is not None:
+                    stack.append(target)
+    return {f"{m}.{n}" for m, names in defs.items() for n in names if (m, n) not in seen}
+
+
+# Definitions no experiment reaches yet, each waiting for the experiment
+# named in its reason. Wiring one in means removing it here.
+PENDING_WIRE_IN = {
+    "reservoir.check_local_contraction": "gs_examples: local ESP on disjoint sets gives several GS",
+    "reservoir.LocalContractionResult": "result of check_local_contraction",
+    "reservoir.linear_gs_series": "embedding_check: the linear GS as an explicit series",
+    "reservoir.GsSeriesResult": "result of linear_gs_series",
+    "errors.SeriesDivergentError": "raised by linear_gs_series when rho(A) >= 1",
+    "reservoir.circle_past_obs": "embedding_check: backward observations of the rotation",
+    "reservoir.trajectory_past_obs": "embedding_check: backward observations of a stored orbit",
+    "reservoir.check_system_isomorphism": "embedding_check: similar linear systems give equal outputs",
+    "training.run_online": "value_learn: the online TD(0) readout",
+    "training.online_step": "the update rule of run_online",
+    "training.OnlineResult": "result of run_online",
+    "errors.ContractionBoundError": "raised by run_online for a too-large constant step",
+    "training.normal_equation_residual": "readout health record of each solve",
+    "dynsys.lorenz_step": "one RK4 step, counted by name in the benchmark's layer trace",
+}
+
+
+def test_reachability_finds_dead_and_imported_definitions():
+    sources = {
+        "__init__": "VERSION = 1\n",
+        "cli": "from . import VERSION\nfrom .a import f\ndef main():\n    return f() + VERSION\n",
+        "a": (
+            "from .b import helper as h\n"
+            "LIMIT = 3\n"
+            "def f():\n    return h(LIMIT)\n"
+            "def dead():\n    return f()\n"
+        ),
+        "b": (
+            "class Base(Exception):\n    pass\n"
+            "class Err(Base):\n    pass\n"
+            "def helper(x: 'int') -> int:\n    return x\n"
+            "def unused():\n    raise Err\n"
+        ),
+    }
+    assert unreachable(sources, ("cli", "main")) == {"a.dead", "b.Base", "b.Err", "b.unused"}
+
+
+def test_every_definition_serves_an_experiment():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unreachable(sources, ("cli", "main")) == set(PENDING_WIRE_IN)

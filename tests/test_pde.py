@@ -9,16 +9,15 @@ from echolab.pde import (
     eval_feature_laplacian,
     eval_features,
     evaluation_grid,
-    grid_rms_error,
-    online_moment_solution,
+    grid_solution,
     sample_disc,
-    solution_field_csv,
     solve_dirichlet_offline,
-    solve_dirichlet_online,
     stacked_problem,
 )
 from echolab.reservoir import make_rng
-from echolab.training import solve_offline
+from echolab.training import online_step, solve_offline
+
+from oracles import online_moment_solution
 
 
 def numerical_laplacian(f, z, h=1e-4):
@@ -111,17 +110,17 @@ class TestOfflineSolve:
         sol = solve_dirichlet_offline(model, sample, lam=1e-6)
         assert np.isfinite(sol.interior_rms)
         assert np.isfinite(sol.boundary_rms)
-        assert np.isfinite(grid_rms_error(model, sol.readout))
+        assert np.isfinite(grid_solution(model, sol.readout)[1])
 
     def test_large_configuration_beats_small(self):
         # Reference run: the 500-feature pseudo-inverse solve hits the
         # quartic harmonic almost exactly (grid RMS ~ 1e-7 vs ~ 0.25).
         m50 = build_feature_model(50, seed=0)
         s50 = sample_disc(50, 50, seed=100)
-        g50 = grid_rms_error(m50, solve_dirichlet_offline(m50, s50, lam=1e-6).readout)
+        g50 = grid_solution(m50, solve_dirichlet_offline(m50, s50, lam=1e-6).readout)[1]
         m500 = build_feature_model(500, seed=0)
         s500 = sample_disc(500, 500, seed=100)
-        g500 = grid_rms_error(m500, solve_dirichlet_offline(m500, s500, lam=0.0).readout)
+        g500 = grid_solution(m500, solve_dirichlet_offline(m500, s500, lam=0.0).readout)[1]
         assert g500 < 0.5 * g50
 
     def test_weighting_equivalence_with_equal_counts(self):
@@ -166,30 +165,22 @@ class TestOfflineSolve:
         assert np.max(np.abs(field)) <= 1.0 + sol.boundary_rms + 0.05
 
 
-class TestOnlineSolve:
-    def test_homogeneous_data_decays_to_zero(self):
-        model = build_feature_model(10, seed=0)
-        sample = sample_disc(10, 10, seed=1, boundary_fn=lambda t: np.zeros_like(t))
-        out = solve_dirichlet_online(model, sample, 5000, w0=np.ones(10))
-        assert np.linalg.norm(out.w) < 1e-3
-
+class TestOnlineLimit:
     def test_cycled_sample_reaches_ridge_solution(self):
-        # Oracle: direct normal-equation solve of the cycled moments.
+        # The 1/k iteration of `online_step` at unit ridge on the rows
+        # [Lap f(z); f(z')] with targets [0, h(z')], cycling the sample,
+        # against a direct normal-equation solve of the cycled moments.
         model = build_feature_model(10, seed=1)
         sample = sample_disc(8, 8, seed=2)
         w_star = online_moment_solution(model, sample)
-        out = solve_dirichlet_online(model, sample, 100_000)
-        assert np.linalg.norm(out.w - w_star) / np.linalg.norm(w_star) < 1e-3
-        # The update runs at unit ridge, and the readout says so.
-        assert out.lam == 1.0
-
-    def test_online_grid_rms_close_to_offline(self):
-        model = build_feature_model(100, seed=3)
-        sample = sample_disc(100, 100, seed=4)
-        lam_off = (len(sample.interior) + len(sample.boundary)) / 2.0
-        g_off = grid_rms_error(model, solve_dirichlet_offline(model, sample, lam=lam_off).readout)
-        g_on = grid_rms_error(model, solve_dirichlet_online(model, sample, 50_000))
-        assert g_on < 2.0 * g_off
+        lap = eval_feature_laplacian(model, sample.interior)
+        feat = eval_features(model, sample.boundary)
+        w = np.zeros(10)
+        for k in range(1, 100_001):
+            i = (k - 1) % 8
+            rows = np.stack((lap[i], feat[i]))
+            w = online_step(w, rows, (0.0, sample.boundary_values[i]), 1.0 / k, 1.0)
+        assert np.linalg.norm(w - w_star) / np.linalg.norm(w_star) < 1e-3
 
 
 class TestAnalyticSolution:
@@ -212,13 +203,17 @@ class TestAnalyticSolution:
 
 
 class TestExports:
-    def test_solution_field_csv_shape(self):
+    def test_grid_solution_csv_and_rms(self):
         model = build_feature_model(10, seed=0)
         sample = sample_disc(10, 10, seed=0)
         sol = solve_dirichlet_offline(model, sample, lam=1e-4)
-        lines = solution_field_csv(model, sol.readout, n_r=5, n_theta=8).splitlines()
+        text, rms = grid_solution(model, sol.readout, n_r=5, n_theta=8)
+        lines = text.splitlines()
         assert lines[0] == "r,theta,phi_hat,phi_exact,abs_err"
         assert len(lines) == 1 + 5 * 8
+        # The RMS is that of the exported errors, to the bit.
+        abs_err = np.array([float(line.split(",")[4]) for line in lines[1:]])
+        assert rms == float(np.sqrt(np.mean(abs_err**2)))
 
     def test_report_json(self):
         model = build_feature_model(10, seed=0)

@@ -11,14 +11,10 @@ from echolab.topology import (
     Filtration,
     PointCloud,
     attractor_h1_experiment,
-    betti_numbers,
     boundary_matrix,
-    cech_membership,
     maxmin_subsample,
-    minimum_enclosing_ball,
     persistence,
     rips_filtration,
-    squeeze_check,
 )
 
 from oracles import (
@@ -37,6 +33,12 @@ SQRT3 = math.sqrt(3.0)
 
 def unit_triangle():
     return PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]]))
+
+
+def betti_numbers(filtration, eps):
+    """Betti numbers at eps from the diagram, one per dimension of the filtration."""
+    curve = persistence(filtration).betti_at(eps)
+    return [curve.get(k, 0) for k in range(filtration.max_dimension() + 1)]
 
 
 class TestRipsFiltration:
@@ -83,53 +85,6 @@ class TestRipsFiltration:
         lines = filt.to_csv().splitlines()
         assert lines[0] == "eps,dim,vertices"
         assert lines[1].startswith("0,0,")
-
-
-class TestCechMembership:
-    def test_single_point(self):
-        assert cech_membership(np.array([[2.0, 3.0]]), 1e-9)
-
-    def test_unit_triangle_circumradius_threshold(self):
-        # Circumradius oracle: R = 1 / sqrt(3) for the unit triangle.
-        tri = unit_triangle().points
-        assert not cech_membership(tri, 1.1)
-        assert cech_membership(tri, 2.0 / SQRT3 + 1e-9)
-
-    def test_collinear_span(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]])
-        assert cech_membership(pts, 4.0 + 1e-9)
-        assert not cech_membership(pts, 3.9)
-
-    def test_meb_matches_triangle_formula(self):
-        rng = make_rng(0)
-        for _ in range(50):
-            pts = rng.uniform(-1, 1, (3, 2))
-            _, r = minimum_enclosing_ball(pts)
-            a = np.linalg.norm(pts[0] - pts[1])
-            b = np.linalg.norm(pts[0] - pts[2])
-            c = np.linalg.norm(pts[1] - pts[2])
-            s0, s1, s2 = sorted([a, b, c])
-            if s2**2 >= s0**2 + s1**2:
-                expected = s2 / 2.0
-            else:
-                area = 0.25 * math.sqrt(
-                    (s0 + s1 + s2) * (-s0 + s1 + s2) * (s0 - s1 + s2) * (s0 + s1 - s2)
-                )
-                expected = s0 * s1 * s2 / (4 * area)
-            assert abs(r - expected) < 1e-9
-
-    def test_meb_contains_all_points(self):
-        rng = make_rng(1)
-        for dim in (2, 3):
-            pts = rng.standard_normal((30, dim))
-            center, r = minimum_enclosing_ball(pts)
-            assert np.max(np.linalg.norm(pts - center, axis=1)) <= r + 1e-9
-
-    def test_meb_high_dim_small_set(self):
-        rng = make_rng(2)
-        pts = rng.standard_normal((4, 5))
-        center, r = minimum_enclosing_ball(pts)
-        assert np.max(np.linalg.norm(pts - center, axis=1)) <= r + 1e-9
 
 
 class TestBoundaryMatrix:
@@ -384,21 +339,6 @@ class TestPersistenceMatchesColumnReduction:
         for simplices in (no_edge, no_vertex):
             with pytest.raises(ValueError, match="closed under taking faces"):
                 persistence(Filtration(simplices))
-
-
-class TestSqueezeCheck:
-    def test_single_point(self):
-        assert squeeze_check(PointCloud(np.zeros((1, 2))), 1.0)
-
-    def test_unit_triangle(self):
-        assert squeeze_check(unit_triangle(), 1.0)
-
-    def test_random_planar_clouds(self):
-        rng = make_rng(12)
-        for trial in range(10):
-            pts = rng.uniform(0, 1, (30, 2))
-            for eps in rng.uniform(0.05, 1.0, 4):
-                assert squeeze_check(PointCloud(pts), float(eps))
 
 
 class TestAttractorExperiment:

@@ -8,7 +8,6 @@ from echolab.training import (
     OnlineResult,
     Readout,
     RegressionProblem,
-    moment_solution,
     normal_equation_residual,
     online_step,
     problem_from_series,
@@ -16,6 +15,8 @@ from echolab.training import (
     solve_offline,
     value_targets,
 )
+
+from oracles import moment_solution
 
 
 class TestSolveOffline:
@@ -61,37 +62,12 @@ class TestSolveOffline:
         norms = [np.linalg.norm(solve_offline(prob, lam=l).w) for l in lams]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_general_regularizer_matches_direct_solve(self):
-        rng = make_rng(3)
-        X = rng.standard_normal((40, 5))
-        Y = rng.standard_normal(40)
-        L = np.diag([0.1, 0.2, 0.3, 0.4, 0.5])
-        prob = RegressionProblem(X, Y)
-        out = solve_offline(prob, regularizer=L)
-        oracle = np.linalg.solve(X.T @ X + L.T @ L, X.T @ Y)
-        assert np.allclose(out.w, oracle, atol=1e-10)
-        # The record says the penalty is ||L W||^2 alone, and the
-        # residual checks the equation that was actually solved.
-        assert out.lam == 0.0
-        assert normal_equation_residual(prob, out) < 1e-8
-
     def test_readout_json_roundtrip(self):
         out = Readout(w=np.array([1.5, -2.25]), lam=1e-6, provenance="offline_svd", burn_in=100)
-        assert "regularizer" not in out.to_json()
         back = Readout.from_json(out.to_json())
         assert np.array_equal(back.w, out.w)
         assert back.lam == out.lam
         assert back.burn_in == 100
-        assert back.regularizer is None
-
-    def test_readout_json_keeps_regularizer(self):
-        rng = make_rng(4)
-        X = rng.standard_normal((30, 3))
-        prob = RegressionProblem(X, rng.standard_normal(30))
-        L = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        back = Readout.from_json(solve_offline(prob, regularizer=L).to_json())
-        assert np.array_equal(back.regularizer, L)
-        assert normal_equation_residual(prob, back) < 1e-8
 
 
 class TestOnlineStep:
