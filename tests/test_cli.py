@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,19 @@ from echolab.cli import (
 )
 from echolab.dynsys import LorenzParams, integrate_lorenz
 from echolab.reservoir import autonomous_drive
+
+
+def _benchmark_workloads():
+    """The benchmark's workload table, read from its file in this checkout."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCHMARK_WORKLOADS = _benchmark_workloads()
 
 
 def write_config(tmp_path, text):
@@ -94,9 +110,14 @@ class TestValidate:
             ("homology", "subsample", 502, 501),
             ("homology", "max_eps", 0, 0.5),
             ("embedding_check", "n", 0, 1),
+            ("embedding_check", "n", -1, 1),
             ("embedding_check", "n", 2.5, 2),
+            ("embedding_check", "trials", 0, 1),
             ("embedding_check", "trials", -1, 1),
+            ("embedding_check", "trials", 2.5, 3),
             ("embedding_check", "period", 0, 1),
+            ("embedding_check", "period", -1, 1),
+            ("embedding_check", "period", 2.5, 2),
         ],
     )
     def test_parameter_rule(self, tmp_path, experiment, key, bad, good):
@@ -121,6 +142,19 @@ class TestValidate:
             assert validate(ExperimentConfig(experiment, seed=1, output_dir="out")) == []
         lorenz = {"source": "lorenz"}
         assert validate(ExperimentConfig("homology", 1, "out", parameters=lorenz)) == []
+
+    @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+    def test_benchmark_configs_valid(self, tmp_path, monkeypatch, workload, tiny):
+        # Every config the benchmark writes, at its seeds 1-3, passes
+        # `validate` once it has gone through the config file parser.
+        monkeypatch.delenv("ECHOLAB_SEED", raising=False)
+        for seed in (1, 2, 3):
+            for step in BENCHMARK_WORKLOADS[workload](seed, tiny):
+                path = write_config(tmp_path, step.config_text(str(tmp_path / step.label)))
+                config = load_config(path)
+                assert (config.experiment, config.seed) == (step.experiment, step.seed)
+                assert validate(config) == []
 
     def test_parameter_rules_reported_together(self):
         config = ExperimentConfig(

@@ -246,7 +246,19 @@ class TestLyapunovQrLorenz:
         assert np.max(np.abs(ten.running_means - one.running_means)) < 1e-10
 
 
-class TestExplainedVariances:
+class TestPca:
+    def test_recovers_embedded_plane(self):
+        # A shifted cloud in a 2-plane of R^6: two directions carry all of
+        # its variance, and the third carries none.
+        rng = make_rng(3)
+        latent = rng.standard_normal((200, 2))
+        basis = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        X = latent @ basis.T + 5.0
+        var = explained_variances(X, 3)
+        latent_var = np.sort(np.linalg.eigvalsh(np.cov(latent, rowvar=False)))[::-1]
+        assert np.allclose(var[:2], latent_var, rtol=1e-10)
+        assert var[2] < 1e-20 * var[0]
+
     def test_isotropic_cloud_spreads_variance(self):
         rng = make_rng(4)
         n = 6
@@ -254,6 +266,19 @@ class TestExplainedVariances:
         var = explained_variances(X, n)
         shares = var / var.sum()
         assert np.max(np.abs(shares - 1.0 / n)) < 0.02
+
+    def test_full_projection_is_isometry(self):
+        # Rotating onto all principal directions keeps the total variance.
+        rng = make_rng(5)
+        X = rng.standard_normal((40, 4))
+        var = explained_variances(X, 4)
+        assert abs(var.sum() - X.var(axis=0, ddof=1).sum()) < 1e-12 * var.sum()
+
+    def test_rank_deficient_trailing_variances_zero(self):
+        X = np.outer(np.arange(10.0), np.array([1.0, 2.0, 3.0]))
+        var = explained_variances(X, 3)
+        assert abs(var[0] - X.var(axis=0, ddof=1).sum()) < 1e-12 * var[0]
+        assert np.all(var[1:] < 1e-25 * var[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_full_svd_on_reservoir_states(self, seed):

@@ -169,3 +169,11 @@ def test_reachability_finds_dead_and_imported_definitions():
 def test_every_definition_serves_an_experiment():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert unreachable(sources, ("cli", "main")) == set(PENDING_WIRE_IN)
+
+
+def test_new_dead_definition_fails_the_guard():
+    # An unreferenced function appended to a real module shows up as
+    # unreachable beside the wire-in backlog.
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    sources["topology"] += "\n\ndef orphan():\n    return 0\n"
+    assert unreachable(sources, ("cli", "main")) == set(PENDING_WIRE_IN) | {"topology.orphan"}

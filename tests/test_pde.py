@@ -15,7 +15,7 @@ from echolab.pde import (
     stacked_problem,
 )
 from echolab.reservoir import make_rng
-from echolab.training import online_step, solve_offline
+from echolab.training import Readout, online_step, solve_offline
 
 from oracles import online_moment_solution
 
@@ -165,22 +165,42 @@ class TestOfflineSolve:
         assert np.max(np.abs(field)) <= 1.0 + sol.boundary_rms + 0.05
 
 
-class TestOnlineLimit:
+def online_iteration(model, sample, n_steps, w0=None):
+    """The 1/k iteration of `online_step` at unit ridge on the rows
+    [Lap f(z); f(z')] with targets [0, h(z')], cycling the sample."""
+    lap = eval_feature_laplacian(model, sample.interior)
+    feat = eval_features(model, sample.boundary)
+    w = np.zeros(model.n) if w0 is None else np.asarray(w0, dtype=float).copy()
+    for k in range(1, n_steps + 1):
+        i, j = (k - 1) % len(lap), (k - 1) % len(feat)
+        rows = np.stack((lap[i], feat[j]))
+        w = online_step(w, rows, (0.0, sample.boundary_values[j]), 1.0 / k, 1.0)
+    return w
+
+
+class TestOnlineSolve:
+    def test_homogeneous_data_decays_to_zero(self):
+        model = build_feature_model(10, seed=0)
+        sample = sample_disc(10, 10, seed=1, boundary_fn=lambda t: np.zeros_like(t))
+        w = online_iteration(model, sample, 5000, w0=np.ones(10))
+        assert np.linalg.norm(w) < 1e-3
+
     def test_cycled_sample_reaches_ridge_solution(self):
-        # The 1/k iteration of `online_step` at unit ridge on the rows
-        # [Lap f(z); f(z')] with targets [0, h(z')], cycling the sample,
-        # against a direct normal-equation solve of the cycled moments.
+        # Oracle: direct normal-equation solve of the cycled moments.
         model = build_feature_model(10, seed=1)
         sample = sample_disc(8, 8, seed=2)
         w_star = online_moment_solution(model, sample)
-        lap = eval_feature_laplacian(model, sample.interior)
-        feat = eval_features(model, sample.boundary)
-        w = np.zeros(10)
-        for k in range(1, 100_001):
-            i = (k - 1) % 8
-            rows = np.stack((lap[i], feat[i]))
-            w = online_step(w, rows, (0.0, sample.boundary_values[i]), 1.0 / k, 1.0)
+        w = online_iteration(model, sample, 100_000)
         assert np.linalg.norm(w - w_star) / np.linalg.norm(w_star) < 1e-3
+
+    def test_online_grid_rms_close_to_offline(self):
+        model = build_feature_model(100, seed=3)
+        sample = sample_disc(100, 100, seed=4)
+        lam_off = (len(sample.interior) + len(sample.boundary)) / 2.0
+        g_off = grid_solution(model, solve_dirichlet_offline(model, sample, lam=lam_off).readout)[1]
+        w_on = online_iteration(model, sample, 50_000)
+        g_on = grid_solution(model, Readout(w=w_on, lam=1.0, provenance="online_1k"))[1]
+        assert g_on < 2.0 * g_off
 
 
 class TestAnalyticSolution:
@@ -203,16 +223,21 @@ class TestAnalyticSolution:
 
 
 class TestExports:
+    def test_solution_field_csv_shape(self):
+        model = build_feature_model(10, seed=0)
+        sample = sample_disc(10, 10, seed=0)
+        sol = solve_dirichlet_offline(model, sample, lam=1e-4)
+        lines = grid_solution(model, sol.readout, n_r=5, n_theta=8)[0].splitlines()
+        assert lines[0] == "r,theta,phi_hat,phi_exact,abs_err"
+        assert len(lines) == 1 + 5 * 8
+
     def test_grid_solution_csv_and_rms(self):
         model = build_feature_model(10, seed=0)
         sample = sample_disc(10, 10, seed=0)
         sol = solve_dirichlet_offline(model, sample, lam=1e-4)
         text, rms = grid_solution(model, sol.readout, n_r=5, n_theta=8)
-        lines = text.splitlines()
-        assert lines[0] == "r,theta,phi_hat,phi_exact,abs_err"
-        assert len(lines) == 1 + 5 * 8
         # The RMS is that of the exported errors, to the bit.
-        abs_err = np.array([float(line.split(",")[4]) for line in lines[1:]])
+        abs_err = np.array([float(line.split(",")[4]) for line in text.splitlines()[1:]])
         assert rms == float(np.sqrt(np.mean(abs_err**2)))
 
     def test_report_json(self):

@@ -206,6 +206,10 @@ class TestAutonomousDrive:
 
 
 class TestContraction:
+    def test_global_contraction_reports_norm(self):
+        # ||A||_2 < 1 makes the state map a global contraction.
+        assert abs(matrix_2norm(0.9 * np.eye(3)) - 0.9) < 1e-10
+
     def test_lower_shift_not_contracting(self):
         # ||A||_2 bounds the state-contraction factor; the shift has norm 1.
         assert abs(matrix_2norm(lower_shift_matrix(3)) - 1.0) < 1e-10
