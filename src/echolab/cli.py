@@ -66,7 +66,7 @@ from .topology import (
     hexagon_example_filtration,
     persistence,
 )
-from .training import problem_from_series, solve_offline, value_targets
+from .training import DEFAULT_BURN_IN, problem_from_series, solve_offline, value_targets
 
 EXPERIMENTS = (
     "lorenz_train",
@@ -159,6 +159,9 @@ def validate(config: ExperimentConfig) -> List[str]:
         n = config.param("n", 300)
         if not (isinstance(n, int) and n >= 1):
             diagnostics.append("params.n: must be a positive integer")
+        elif config.experiment == "lorenz_forecast" and n < 3:
+            # The summary reports the explained variance of three principal components.
+            diagnostics.append("params.n: must be >= 3 for lorenz_forecast")
         ell = config.param("ell", 20000)
         if not (isinstance(ell, int) and ell >= 200):
             diagnostics.append("params.ell: must be an integer >= 200")
@@ -254,7 +257,8 @@ def train_lorenz_readout(n: int, ell: int, lam: float, seed: int, target: str = 
 
     target 'zeta' learns the third coordinate from the first; 'next_xi'
     learns the one-step-ahead first coordinate for forecasting. The
-    first 100 states are dropped as transient.
+    first DEFAULT_BURN_IN (100) states are dropped as transient, and the
+    readout records that burn-in.
     """
     trajectory = integrate_lorenz(LorenzParams(), ell)
     xi = observe(trajectory, ObservationFn("coord", index=0))
@@ -266,8 +270,9 @@ def train_lorenz_readout(n: int, ell: int, lam: float, seed: int, target: str = 
     else:
         targets = trajectory.samples[1 : ell + 1, 0]
     aligned = TimeSeries(step=xi.step, samples=states.samples[:ell])
-    problem = problem_from_series(aligned, targets)
+    problem = problem_from_series(aligned, targets, DEFAULT_BURN_IN)
     readout = solve_offline(problem, lam=lam)
+    readout.burn_in = DEFAULT_BURN_IN
     return trajectory, spec, states, readout, problem
 
 
@@ -309,7 +314,7 @@ def run_lorenz_forecast(config: ExperimentConfig, outdir: Path) -> None:
         "forecast.csv",
         csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
     )
-    variances = explained_variances(states.samples[100:], 3)
+    variances = explained_variances(states.samples[readout.burn_in :], 3)
     _write(
         outdir,
         "forecast_summary.json",

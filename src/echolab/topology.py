@@ -13,11 +13,19 @@ once without being copied. By the duality of de Silva, Morozov and
 Vejdemo-Johansson (Inverse Problems 27, 2011) the pairs equal those of
 boundary-column reduction. Betti numbers are read off the diagram.
 
-The filtration stays a materialised list of simplices rather than an
-implicit enumeration by combinatorial index: every simplex of the top
-dimension that does not kill a class is an essential class and is
-listed in the diagram, so the top simplices are enumerated anyway, and
-one generic path serves Rips and hand-built filtrations alike.
+A filtration is held as one pair of arrays per dimension, entry values
+and vertex rows, each sorted by (value, vertices); the order of the
+whole filtration, by (value, dimension, vertices), follows from them.
+The Rips complex is built dimension by dimension with numpy: each
+k-simplex row gains a common upper neighbour of all its vertices, and
+each dimension is sorted by one lexsort. The simplices stay
+materialised rather than enumerated implicitly by combinatorial index:
+every simplex of the top dimension that does not kill a class is an
+essential class and is listed in the diagram, so the top simplices are
+enumerated anyway. Hand-built filtrations enter through a list
+constructor, and one generic path serves them and Rips alike. The
+diagram is likewise a set of columns; `PersistencePair` objects are
+built only when read.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -55,37 +63,108 @@ class PointCloud:
 Simplex = Tuple[int, ...]
 
 
-@dataclass
+def _rows_in_order(values: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether the (value, row) pairs are nondecreasing, rows read lexicographically."""
+    keys = np.column_stack([values, rows])
+    before, after = keys[:-1], keys[1:]
+    first = (before != after).argmax(axis=1)  # first differing column; 0 if equal
+    at = np.arange(len(first))
+    return bool(np.all(before[at, first] <= after[at, first]))
+
+
+@dataclass(frozen=True, eq=False)
 class Filtration:
-    """Simplices with entry values, sorted by (value, dimension, vertices)."""
+    """Simplices with entry values, held as one pair of arrays per dimension.
 
-    simplices: List[Tuple[float, int, Simplex]]
+    values[k] (n_k floats) holds the entry values of the k-simplices and
+    vertices[k] (n_k x k+1 int64) their vertex labels, one increasing row
+    per simplex, both in filtration order: by value, then by vertices.
+    The whole filtration is ordered by (value, dimension, vertices).
+    `ordered` is False when `from_simplices` met its list out of that
+    order; `persistence` then refuses the filtration.
+    """
 
-    def __post_init__(self):
-        for value, dim, verts in self.simplices:
+    values: Tuple[np.ndarray, ...]
+    vertices: Tuple[np.ndarray, ...]
+    ordered: bool = True
+
+    @classmethod
+    def from_simplices(cls, simplices: Sequence[Tuple[float, int, Simplex]]) -> "Filtration":
+        """Filtration of a list of (value, dimension, vertices) entries."""
+        dims = max((dim for _, dim, _ in simplices), default=0) + 1
+        values: List[List[float]] = [[] for _ in range(dims)]
+        vertices: List[List[Simplex]] = [[] for _ in range(dims)]
+        for value, dim, verts in simplices:
             if value < 0:
                 raise ValueError("filtration values must be nonnegative")
             if len(verts) != dim + 1:
                 raise ValueError(f"simplex {verts} has wrong dimension tag {dim}")
+            values[dim].append(value)
+            vertices[dim].append(verts)
+        return cls(
+            tuple(np.array(v, dtype=float) for v in values),
+            tuple(np.array(vs, dtype=np.int64).reshape(-1, k + 1) for k, vs in enumerate(vertices)),
+            all(map(operator.le, simplices, itertools.islice(simplices, 1, None))),
+        )
+
+    @cached_property
+    def simplices(self) -> Tuple[Tuple[float, int, Simplex], ...]:
+        """All (value, dimension, vertices) entries in filtration order, built on first read."""
+        entries = [
+            (value, k, tuple(verts))
+            for k, (vals, rows) in enumerate(zip(self.values, self.vertices))
+            for value, verts in zip(vals.tolist(), rows.tolist())
+        ]
+        # Dimensions are concatenated in increasing order, each in its own
+        # order, so a stable sort by value gives (value, dimension, vertices).
+        order = np.argsort(np.concatenate(self.values), kind="stable")
+        return tuple(entries[i] for i in order.tolist())
 
     def is_sorted(self) -> bool:
-        return all(map(operator.le, self.simplices, itertools.islice(self.simplices, 1, None)))
+        return self.ordered and all(map(_rows_in_order, self.values, self.vertices))
 
     def restrict(self, eps: float) -> List[Tuple[float, int, Simplex]]:
         return [s for s in self.simplices if s[0] <= eps]
 
     def of_dimension(self, k: int, eps: Optional[float] = None) -> List[Simplex]:
-        pool = self.simplices if eps is None else self.restrict(eps)
-        return [verts for value, dim, verts in pool if dim == k]
+        if k >= len(self.vertices):
+            return []
+        rows = self.vertices[k] if eps is None else self.vertices[k][self.values[k] <= eps]
+        return list(map(tuple, rows.tolist()))
 
     def max_dimension(self) -> int:
-        return max((dim for _, dim, _ in self.simplices), default=-1)
+        return max((k for k, vals in enumerate(self.values) if vals.size), default=-1)
 
     def to_csv(self) -> str:
         lines = ["eps,dim,vertices"]
         for value, dim, verts in self.simplices:
             lines.append(f"{value:.17g},{dim}," + ";".join(str(v) for v in verts))
         return "\n".join(lines) + "\n"
+
+
+# Entries of one block of the boolean neighbour mask in clique expansion
+# (4 MiB), which bounds its memory on large sparse clouds.
+MASK_BLOCK = 1 << 22
+
+
+def _common_upper_neighbours(upper: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(row index, vertex) for each vertex w adjacent to all of a row's vertices, w beyond them.
+
+    upper[i] marks the neighbours j > i of vertex i, and each row is
+    increasing. Pairs come in row-major order; rows are taken in blocks
+    of at most MASK_BLOCK mask entries.
+    """
+    step = max(1, MASK_BLOCK // max(len(upper), 1))
+    parents, news = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        common = upper[block[:, 0]]
+        for col in block.T[1:]:
+            common &= upper[col]
+        parent, new = np.nonzero(common)
+        parents.append(parent + start)
+        news.append(new)
+    return np.concatenate(parents), np.concatenate(news)
 
 
 def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtration:
@@ -101,52 +180,28 @@ def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtrati
         raise ValueError("max_eps must be positive")
     pts = cloud.points
     m = len(cloud)
-    entries: List[Tuple[float, int, Simplex]] = [(0.0, 0, (i,)) for i in range(m)]
-    if m == 0:
-        return Filtration([])
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    adj = (dist <= max_eps) & ~np.eye(m, dtype=bool)
+    # upper[i, j]: j > i and the edge ij enters by max_eps.
+    upper = np.triu(dist <= max_eps, k=1)
 
-    # Simplices by increasing dimension: extend each (k-1)-simplex with
-    # common neighbours beyond its largest vertex to avoid duplicates.
-    current: List[Tuple[Simplex, float]] = []
-    if max_dim >= 1:
-        iu, ju = np.nonzero(np.triu(adj, k=1))
-        for i, j, v in zip(iu.tolist(), ju.tolist(), dist[iu, ju].tolist()):
-            current.append(((i, j), v))
-        for verts, value in current:
-            entries.append((value, 1, verts))
-    if max_dim >= 2:
-        # Triangles vectorised per edge over shared neighbours.
-        nxt: List[Tuple[Simplex, float]] = []
-        for (i, j), value in current:
-            common = adj[i] & adj[j]
-            common[: j + 1] = False
-            ws = np.nonzero(common)[0]
-            if ws.size == 0:
-                continue
-            vals = np.maximum(value, np.maximum(dist[i, ws], dist[j, ws]))
-            for w, v in zip(ws.tolist(), vals.tolist()):
-                nxt.append(((i, j, w), v))
-        for verts, value in nxt:
-            entries.append((value, 2, verts))
-        current = nxt
-    for dim in range(3, max_dim + 1):
-        nxt = []
-        for verts, value in current:
-            common = adj[verts[0]].copy()
-            for v in verts[1:]:
-                common &= adj[v]
-            common[: verts[-1] + 1] = False
-            for w in np.nonzero(common)[0].tolist():
-                new_value = max(value, float(dist[list(verts), w].max()))
-                nxt.append((verts + (w,), new_value))
-        for verts, value in nxt:
-            entries.append((value, dim, verts))
-        current = nxt
-    entries.sort()
-    return Filtration(entries)
+    rows = np.arange(m, dtype=np.int64).reshape(-1, 1)
+    vals = np.zeros(m)
+    values, vertices = [vals], [rows]
+    # Each k-simplex extends a (k-1)-simplex by a common neighbour of
+    # all its vertices beyond its largest one, so none is listed twice.
+    for _ in range(max_dim):
+        parent, new = _common_upper_neighbours(upper, rows)
+        vals = vals[parent]
+        for col in rows.T:
+            vals = np.maximum(vals, dist[col[parent], new])
+        rows = np.column_stack([rows[parent], new])
+        # lexsort's last key is its primary one: by value, then vertices.
+        order = np.lexsort((*rows.T[::-1], vals))
+        rows, vals = rows[order], vals[order]
+        values.append(vals)
+        vertices.append(rows)
+    return Filtration(tuple(values), tuple(vertices))
 
 
 def boundary_matrix(
@@ -187,25 +242,40 @@ class PersistencePair:
         return self.death - self.birth
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
-    pairs: List[PersistencePair]
+    """Persistence pairs as columns, sorted by (degree, birth, death).
+
+    Row i is the pair (degree[i], birth[i], death[i], truncated[i]) with
+    the fields of `PersistencePair`.
+    """
+
+    degree: np.ndarray  # int64
+    birth: np.ndarray
+    death: np.ndarray
+    truncated: np.ndarray  # bool
     max_eps: Optional[float] = None
 
+    @cached_property
+    def pairs(self) -> Tuple[PersistencePair, ...]:
+        """The rows as `PersistencePair`s, built on first read."""
+        return self.pairs_at(slice(None))
+
+    def pairs_at(self, rows) -> Tuple[PersistencePair, ...]:
+        """The rows picked by an index array or mask as `PersistencePair`s."""
+        columns = (self.degree, self.birth, self.death, self.truncated)
+        return tuple(map(PersistencePair, *(c[rows].tolist() for c in columns)))
+
     def of_degree(self, k: int) -> List[PersistencePair]:
-        return [p for p in self.pairs if p.degree == k]
+        return list(self.pairs_at(self.degree == k))
 
     def betti_at(self, eps: float) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for p in self.pairs:
-            if p.birth <= eps < p.death:
-                out[p.degree] = out.get(p.degree, 0) + 1
-        return out
+        alive = (self.birth <= eps) & (eps < self.death)
+        counts = np.bincount(self.degree[alive]).tolist()
+        return {k: c for k, c in enumerate(counts) if c}
 
     def to_csv(self) -> str:
-        pairs = self.pairs
-        columns = [p.degree for p in pairs], [p.birth for p in pairs], [p.death for p in pairs]
-        return csv_text(["degree", "birth", "death"], columns)
+        return csv_text(["degree", "birth", "death"], [self.degree, self.birth, self.death])
 
 
 class _UnionFind:
@@ -227,12 +297,6 @@ def _positions(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     if queries.size and (table.size == 0 or np.any(table.take(pos, mode="clip") != queries)):
         raise ValueError("filtration is not closed under taking faces")
     return pos
-
-
-def _vertex_rows(labels: np.ndarray, simplices: List[Simplex], width: int) -> np.ndarray:
-    """Simplices as rows of positions in the sorted vertex labels."""
-    raw = np.fromiter(itertools.chain.from_iterable(simplices), np.int64, len(simplices) * width)
-    return _positions(labels, raw).reshape(-1, width)
 
 
 def _simplex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -333,55 +397,60 @@ def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> Pers
     """
     if not filtration.is_sorted():
         raise FiltrationOrderError("filtration must be sorted")
-    simplices = filtration.simplices
-    if max_eps is None and simplices:
-        max_eps = simplices[-1][0]
-    values: Dict[int, List[float]] = defaultdict(list)
-    verts: Dict[int, List[Simplex]] = defaultdict(list)
-    for value, dim, vs in simplices:
-        values[dim].append(value)
-        verts[dim].append(vs)
-    max_dim = max(values, default=-1)
+    values = filtration.values
+    max_dim = filtration.max_dimension()
+    if max_eps is None and max_dim >= 0:
+        max_eps = max(float(vals[-1]) for vals in values if vals.size)
 
-    vertex_birth = dict(zip((vs[0] for vs in verts[0]), values[0]))
-    labels = np.array(sorted(vertex_birth), dtype=np.int64)
-    rows = [_vertex_rows(labels, verts[k], k + 1) for k in range(max_dim + 1)]
-    root_birth = [vertex_birth[v] for v in labels.tolist()]
+    # Vertex labels need not be contiguous: each simplex becomes a row of
+    # positions in the sorted labels.
+    by_label = np.argsort(filtration.vertices[0][:, 0])
+    labels = filtration.vertices[0][by_label, 0]
+    root_birth = values[0][by_label]
+    rows = [_positions(labels, verts.reshape(-1)).reshape(verts.shape) for verts in filtration.vertices]
 
-    pairs: List[PersistencePair] = []
-    # Births of the classes that never die, by degree.
-    essential: List[List[float]] = [root_birth]
+    # Blocks of pairs (degree, births, deaths, truncated).
+    blocks: List[Tuple[int, np.ndarray, np.ndarray, bool]] = []
+    essential: List[np.ndarray] = [root_birth]  # births of the classes that never die
     cleared: Set[int] = set()
     if max_dim >= 1:
         uf = _UnionFind(len(labels))
-        for edge, ((a, b), value) in enumerate(zip(rows[1].tolist(), values[1])):
+        born = root_birth.tolist()
+        h0_births, h0_deaths = [], []
+        for edge, ((a, b), value) in enumerate(zip(rows[1].tolist(), values[1].tolist())):
             i, j = uf.find(a), uf.find(b)
             if i == j:
                 continue
             # Elder rule: the younger component's class dies here.
-            young, old = (j, i) if (root_birth[j], j) >= (root_birth[i], i) else (i, j)
-            pairs.append(PersistencePair(0, root_birth[young], value))
+            young, old = (j, i) if (born[j], j) >= (born[i], i) else (i, j)
+            h0_births.append(born[young])
+            h0_deaths.append(value)
             uf.parent[young] = old
             cleared.add(edge)
-        essential[0] = [b for i, b in enumerate(root_birth) if uf.parent[i] == i]
+        blocks.append((0, np.array(h0_births), np.array(h0_deaths), False))
+        essential[0] = root_birth[np.array(uf.parent) == np.arange(len(labels))]
     for k in range(1, max_dim + 1):
         if k == max_dim:
-            alive = [s for s in range(len(values[k])) if s not in cleared]
+            alive = np.ones(len(values[k]), dtype=bool)
+            alive[list(cleared)] = False
         else:
             indptr, cofaces = _coboundaries(rows[k], rows[k + 1], len(labels))
             owner, alive = _reduce_coboundaries(indptr, cofaces, cleared)
-            pairs.extend(
-                PersistencePair(k, values[k][face], values[k + 1][low])
-                for low, face in owner.items()
-            )
+            lows = np.fromiter(owner, np.int64, len(owner))
+            faces = np.fromiter(owner.values(), np.int64, len(owner))
+            blocks.append((k, values[k][faces], values[k + 1][lows], False))
             cleared = set(owner)
-        essential.append([values[k][s] for s in alive])
+        essential.append(values[k][alive])
+    cut = max_eps is not None
+    blocks += [(k, b, np.full(len(b), math.inf), cut) for k, b in enumerate(essential)]
 
-    truncated = max_eps is not None
-    for k, births in enumerate(essential):
-        pairs.extend(PersistencePair(k, b, math.inf, truncated) for b in births)
-    pairs.sort(key=operator.attrgetter("degree", "birth", "death"))
-    return PersistenceDiagram(pairs=pairs, max_eps=max_eps)
+    degrees, births, deaths, flags = zip(*blocks)
+    sizes = [len(b) for b in births]
+    degree = np.repeat(degrees, sizes)
+    birth, death = np.concatenate(births), np.concatenate(deaths)
+    truncated = np.repeat(flags, sizes)
+    order = np.lexsort((death, birth, degree))
+    return PersistenceDiagram(degree[order], birth[order], death[order], truncated[order], max_eps)
 
 
 def hexagon_example_filtration() -> Filtration:
@@ -414,7 +483,7 @@ def hexagon_example_filtration() -> Filtration:
             entries.append((2.0, 2, f))
     for t in itertools.combinations(range(6), 4):
         entries.append((2.0, 3, t))
-    return Filtration(sorted(entries))
+    return Filtration.from_simplices(sorted(entries))
 
 
 def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:
@@ -473,17 +542,17 @@ def attractor_h1_experiment(
         raise DegenerateCloudError("all points coincide")
     landmark_idx = maxmin_subsample(pts, subsample)
     landmarks = pts[landmark_idx]
-    diff = landmarks[:, None, :] - landmarks[None, :, :]
-    diameter = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
     if max_eps is None:
-        max_eps = 0.4 * diameter
+        diff = landmarks[:, None, :] - landmarks[None, :, :]
+        max_eps = 0.4 * float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
     filtration = rips_filtration(PointCloud(landmarks), max_dim=2, max_eps=max_eps)
     diagram = persistence(filtration, max_eps=max_eps)
-    h1 = diagram.of_degree(1)
-    persistences = sorted(
-        (min(p.death, max_eps) - p.birth for p in h1), reverse=True
-    )
-    top = sorted(h1, key=lambda p: min(p.death, max_eps) - p.birth, reverse=True)[:2]
+    h1 = np.flatnonzero(diagram.degree == 1)
+    lifetimes = np.minimum(diagram.death[h1], max_eps) - diagram.birth[h1]
+    # Longest first; a stable sort keeps equal lifetimes in diagram order.
+    by_lifetime = np.argsort(-lifetimes, kind="stable")
+    persistences = lifetimes[by_lifetime].tolist()
+    top = list(diagram.pairs_at(h1[by_lifetime[:2]]))
     if len(persistences) >= 3 and persistences[2] > 0:
         gap = persistences[1] / persistences[2]
     else:

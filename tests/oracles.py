@@ -10,7 +10,7 @@ from echolab.errors import DegenerateJacobianError, IntegrationDivergedError
 from echolab.pde import eval_feature_laplacian, eval_features
 from echolab.reservoir import make_rng
 from echolab.stochastic import stationary_distribution
-from echolab.topology import PersistenceDiagram, PersistencePair
+from echolab.topology import Filtration, PersistenceDiagram, PersistencePair
 
 
 def f2_rank_dense(matrix) -> int:
@@ -137,7 +137,60 @@ def persistence_by_column_reduction(filtration, max_eps=None):
         for _, birth in sorted(alive.items()):
             pairs.append(PersistencePair(dim, birth, math.inf, truncated=max_eps is not None))
     pairs.sort(key=lambda p: (p.degree, p.birth, p.death))
-    return PersistenceDiagram(pairs=pairs, max_eps=max_eps)
+    return PersistenceDiagram(
+        degree=np.array([p.degree for p in pairs], dtype=np.int64),
+        birth=np.array([p.birth for p in pairs], dtype=float),
+        death=np.array([p.death for p in pairs], dtype=float),
+        truncated=np.array([p.truncated for p in pairs], dtype=bool),
+        max_eps=max_eps,
+    )
+
+
+def rips_filtration_reference(cloud, max_dim, max_eps):
+    """Rips filtration by per-simplex clique expansion and one tuple sort.
+
+    Lists every simplex as a (value, dimension, vertices) tuple: edges
+    from the upper adjacency, triangles per edge over the common
+    neighbours beyond its larger vertex, higher simplices one vertex at
+    a time, then sorts the whole list.
+    """
+    pts = cloud.points
+    m = len(cloud)
+    entries = [(0.0, 0, (i,)) for i in range(m)]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    adj = (dist <= max_eps) & ~np.eye(m, dtype=bool)
+    current = []
+    if max_dim >= 1:
+        iu, ju = np.nonzero(np.triu(adj, k=1))
+        for i, j, v in zip(iu.tolist(), ju.tolist(), dist[iu, ju].tolist()):
+            current.append(((i, j), v))
+            entries.append((v, 1, (i, j)))
+    if max_dim >= 2:
+        nxt = []
+        for (i, j), value in current:
+            common = adj[i] & adj[j]
+            common[: j + 1] = False
+            ws = np.nonzero(common)[0]
+            vals = np.maximum(value, np.maximum(dist[i, ws], dist[j, ws]))
+            for w, v in zip(ws.tolist(), vals.tolist()):
+                nxt.append(((i, j, w), v))
+                entries.append((v, 2, (i, j, w)))
+        current = nxt
+    for dim in range(3, max_dim + 1):
+        nxt = []
+        for verts, value in current:
+            common = adj[verts[0]].copy()
+            for v in verts[1:]:
+                common &= adj[v]
+            common[: verts[-1] + 1] = False
+            for w in np.nonzero(common)[0].tolist():
+                new_value = max(value, float(dist[list(verts), w].max()))
+                nxt.append((verts + (w,), new_value))
+                entries.append((new_value, dim, verts + (w,)))
+        current = nxt
+    entries.sort()
+    return Filtration.from_simplices(entries)
 
 
 def hexagon_points():

@@ -101,6 +101,7 @@ class TestValidate:
             ("lyapunov", "tau", 0, 0.01),
             ("lorenz_train", "lam", -1e-9, 0),
             ("lorenz_forecast", "horizon", -1, 1),
+            ("lorenz_forecast", "n", 2, 3),
             ("value_learn", "length", 1, 2),
             ("gs_examples", "n_steps", 1, 2),
             ("gs_examples", "burn_in", 0, 1),
@@ -308,6 +309,13 @@ class TestEsnPipelines:
         assert np.array_equal(values[:, 1], problem.targets)
         assert np.array_equal(values[:, 2], problem.states @ readout.w)
         assert json.loads((tmp_path / "fit.json").read_text())["n_samples"] == 200
+
+    def test_readout_records_burn_in(self, tmp_path):
+        self.run_experiment(tmp_path, "lorenz_train")
+        burn_in = json.loads((tmp_path / "readout.json").read_text())["burn_in"]
+        assert burn_in == 100
+        n_samples = json.loads((tmp_path / "fit.json").read_text())["n_samples"]
+        assert n_samples == self.SIZE["ell"] - burn_in
 
     def test_lorenz_forecast(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_forecast", horizon=50)

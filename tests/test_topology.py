@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from echolab import topology
 from echolab.dynsys import LorenzParams, integrate_lorenz
 from echolab.errors import DegenerateCloudError, FiltrationOrderError
 from echolab.reservoir import make_rng
@@ -26,6 +27,7 @@ from oracles import (
     brute_force_betti,
     hexagon_points,
     persistence_by_column_reduction,
+    rips_filtration_reference,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -85,6 +87,80 @@ class TestRipsFiltration:
         lines = filt.to_csv().splitlines()
         assert lines[0] == "eps,dim,vertices"
         assert lines[1].startswith("0,0,")
+
+
+class TestRipsMatchesReference:
+    """The array clique expansion lists each dimension in the order of the
+    tuple-sorted reference, with bit-equal entry values."""
+
+    @staticmethod
+    def by_dimension(filt, max_dim):
+        out = []
+        for k in range(max_dim + 1):
+            if k < len(filt.values):
+                out.append(list(zip(filt.values[k].tolist(), map(tuple, filt.vertices[k].tolist()))))
+            else:
+                out.append([])
+        return out
+
+    def assert_same_order(self, points, max_eps):
+        cloud = PointCloud(points)
+        for max_dim in (2, 3):
+            got = rips_filtration(cloud, max_dim, max_eps)
+            want = rips_filtration_reference(cloud, max_dim, max_eps)
+            assert self.by_dimension(got, max_dim) == self.by_dimension(want, max_dim)
+            assert got.simplices == want.simplices
+
+    def test_integer_lattice_ties(self):
+        grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+        self.assert_same_order(grid, 2.9)
+
+    def test_duplicated_points(self):
+        rng = make_rng(3)
+        base = rng.uniform(0, 1, (6, 2))
+        self.assert_same_order(np.vstack([base, base[:4], base[1:3]]), 0.8)
+
+    def test_random_clouds(self):
+        rng = make_rng(22)
+        for _ in range(20):
+            self.assert_same_order(rng.uniform(0, 1, (15, 2)), float(rng.uniform(0.3, 1.5)))
+
+    def test_blocked_expansion(self, monkeypatch):
+        # Two or three rows per block of the neighbour mask.
+        monkeypatch.setattr(topology, "MASK_BLOCK", 40)
+        rng = make_rng(24)
+        for _ in range(3):
+            self.assert_same_order(rng.uniform(0, 1, (15, 2)), float(rng.uniform(0.3, 1.5)))
+
+    def test_lorenz_landmark_diagram_bytes(self):
+        ts = integrate_lorenz(LorenzParams(), 8000)
+        pts = ts.samples[4000:]
+        cloud = PointCloud(pts[maxmin_subsample(pts, 300)])
+        got = persistence(rips_filtration(cloud, 2, 10.0), max_eps=10.0)
+        want = persistence(rips_filtration_reference(cloud, 2, 10.0), max_eps=10.0)
+        assert got.to_csv() == want.to_csv()
+
+
+class TestFiltrationFromSimplices:
+    def test_checks_values_and_dimension_tags(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Filtration.from_simplices([(-1.0, 0, (0,))])
+        with pytest.raises(ValueError, match="dimension tag"):
+            Filtration.from_simplices([(0.0, 1, (0,))])
+
+    def test_dimensions_out_of_order_rejected(self):
+        # Each dimension is in order, but the edge precedes a vertex of
+        # smaller value.
+        filt = Filtration.from_simplices([(0.0, 0, (0,)), (1.0, 1, (0, 1)), (0.0, 0, (1,))])
+        assert not filt.is_sorted()
+        with pytest.raises(FiltrationOrderError):
+            persistence(filt)
+
+    def test_simplices_view_in_filtration_order(self):
+        filt = hexagon_example_filtration()
+        assert filt.simplices == tuple(sorted(filt.simplices))
+        assert len(filt.simplices) == sum(len(v) for v in filt.values)
+        assert filt.simplices is filt.simplices
 
 
 class TestBoundaryMatrix:
@@ -184,7 +260,7 @@ class TestBettiNumbers:
 
 class TestPersistence:
     def test_single_point(self):
-        filt = Filtration([(0.0, 0, (0,))])
+        filt = Filtration.from_simplices([(0.0, 0, (0,))])
         diag = persistence(filt)
         assert len(diag.pairs) == 1
         assert diag.pairs[0].degree == 0
@@ -247,7 +323,7 @@ class TestPersistence:
         assert all(a >= b for a, b in zip(b0, b0[1:]))
 
     def test_unsorted_filtration_rejected(self):
-        filt = Filtration([(1.0, 0, (0,)), (0.0, 0, (1,))])
+        filt = Filtration.from_simplices([(1.0, 0, (0,)), (0.0, 0, (1,))])
         with pytest.raises(FiltrationOrderError):
             persistence(filt)
 
@@ -273,7 +349,7 @@ class TestPersistence:
                 assert abs(d1 - d2) <= 2 * delta
 
     def test_diagram_csv(self):
-        filt = Filtration([(0.0, 0, (0,))])
+        filt = Filtration.from_simplices([(0.0, 0, (0,))])
         text = persistence(filt).to_csv()
         assert text.splitlines()[0] == "degree,birth,death"
         assert "inf" in text
@@ -324,13 +400,13 @@ class TestPersistenceMatchesColumnReduction:
         self.assert_same_as_experiment(res)
 
     def test_empty_and_vertex_only(self):
-        self.assert_same_diagram(Filtration([]))
-        self.assert_same_diagram(Filtration([(0.0, 0, (0,)), (0.5, 0, (1,)), (0.5, 0, (3,))]))
+        self.assert_same_diagram(Filtration.from_simplices([]))
+        self.assert_same_diagram(Filtration.from_simplices([(0.0, 0, (0,)), (0.5, 0, (1,)), (0.5, 0, (3,))]))
 
     def test_non_contiguous_vertex_labels(self):
         simplices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,)), (1.0, 1, (0, 1)),
                      (1.0, 1, (0, 3)), (1.0, 1, (1, 3)), (2.0, 2, (0, 1, 3))]
-        self.assert_same_diagram(Filtration(simplices))
+        self.assert_same_diagram(Filtration.from_simplices(simplices))
 
     def test_missing_face_rejected(self):
         vertices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,))]
@@ -338,7 +414,7 @@ class TestPersistenceMatchesColumnReduction:
         no_vertex = vertices + [(1.0, 1, (0, 2))]
         for simplices in (no_edge, no_vertex):
             with pytest.raises(ValueError, match="closed under taking faces"):
-                persistence(Filtration(simplices))
+                persistence(Filtration.from_simplices(simplices))
 
 
 class TestAttractorExperiment:
@@ -387,6 +463,18 @@ class TestAttractorExperiment:
             d[i] = np.inf
             dmin = min(dmin, d.min())
         assert dmin > 0.05
+
+    def test_top_pairs_are_the_longest_lived(self):
+        ts = integrate_lorenz(LorenzParams(), 8000)
+        res = attractor_h1_experiment(ts.samples[4000:], subsample=150, max_eps=10.0)
+
+        def lifetime(p):
+            return min(p.death, res.max_eps) - p.birth
+
+        h1 = res.diagram.of_degree(1)
+        assert res.top_pairs == sorted(h1, key=lifetime, reverse=True)[:2]
+        pers = sorted(map(lifetime, h1), reverse=True)
+        assert res.gap_ratio == pers[1] / pers[2]
 
     def test_lorenz_reports_two_loops(self):
         # Post-transient 40-time-unit window; earlier stretches pass
