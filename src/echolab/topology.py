@@ -123,9 +123,6 @@ class Filtration:
     def is_sorted(self) -> bool:
         return self.ordered and all(map(_rows_in_order, self.values, self.vertices))
 
-    def restrict(self, eps: float) -> List[Tuple[float, int, Simplex]]:
-        return [s for s in self.simplices if s[0] <= eps]
-
     def of_dimension(self, k: int, eps: Optional[float] = None) -> List[Simplex]:
         if k >= len(self.vertices):
             return []
@@ -140,31 +137,6 @@ class Filtration:
         for value, dim, verts in self.simplices:
             lines.append(f"{value:.17g},{dim}," + ";".join(str(v) for v in verts))
         return "\n".join(lines) + "\n"
-
-
-# Entries of one block of the boolean neighbour mask in clique expansion
-# (4 MiB), which bounds its memory on large sparse clouds.
-MASK_BLOCK = 1 << 22
-
-
-def _common_upper_neighbours(upper: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(row index, vertex) for each vertex w adjacent to all of a row's vertices, w beyond them.
-
-    upper[i] marks the neighbours j > i of vertex i, and each row is
-    increasing. Pairs come in row-major order; rows are taken in blocks
-    of at most MASK_BLOCK mask entries.
-    """
-    step = max(1, MASK_BLOCK // max(len(upper), 1))
-    parents, news = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        common = upper[block[:, 0]]
-        for col in block.T[1:]:
-            common &= upper[col]
-        parent, new = np.nonzero(common)
-        parents.append(parent + start)
-        news.append(new)
-    return np.concatenate(parents), np.concatenate(news)
 
 
 def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtration:
@@ -191,7 +163,10 @@ def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtrati
     # Each k-simplex extends a (k-1)-simplex by a common neighbour of
     # all its vertices beyond its largest one, so none is listed twice.
     for _ in range(max_dim):
-        parent, new = _common_upper_neighbours(upper, rows)
+        common = upper[rows[:, 0]]
+        for col in rows.T[1:]:
+            common &= upper[col]
+        parent, new = np.nonzero(common)
         vals = vals[parent]
         for col in rows.T:
             vals = np.maximum(vals, dist[col[parent], new])
