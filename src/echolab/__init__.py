@@ -4,18 +4,19 @@ Drive systems, reservoir construction and training, dynamical
 diagnostics (fixed points, Lyapunov spectra, PCA), persistent homology
 over F2, stationary-process value learning, and a random-feature
 Dirichlet solver, wired together by a config-driven experiment runner.
+Stages hand each other numpy arrays: orbits, observations and reservoir
+states as the `samples` of a `TimeSeries`, point clouds as (m, d) arrays.
 """
 
 __version__ = "0.1.0"
 
-from .dynsys import LorenzParams, ObservationFn, TimeSeries, integrate_lorenz
+from .dynsys import LorenzParams, TimeSeries, integrate_lorenz
 from .reservoir import ReservoirGenConfig, ReservoirSpec, drive, generate
 from .training import Readout, RegressionProblem, solve_offline
 
 __all__ = [
     "__version__",
     "LorenzParams",
-    "ObservationFn",
     "TimeSeries",
     "integrate_lorenz",
     "ReservoirGenConfig",

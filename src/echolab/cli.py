@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .dynsys import (
     LorenzParams,
-    ObservationFn,
     TimeSeries,
     WING_FIXED_POINT,
     circle_rotation,
@@ -30,7 +29,6 @@ from .dynsys import (
     example_drive,
     integrate_lorenz,
     lorenz_tangent_maps,
-    observe,
 )
 from .diagnostics import (
     esn_jacobian,
@@ -252,36 +250,37 @@ def standard_esn(n: int, seed: int) -> ReservoirGenConfig:
     )
 
 
-def train_lorenz_readout(n: int, ell: int, lam: float, seed: int, target: str = "zeta"):
-    """Shared pipeline: integrate, drive, and fit a readout.
+def train_lorenz_readout(
+    trajectory: TimeSeries, n: int, ell: int, lam: float, seed: int, target: str = "zeta"
+):
+    """Shared pipeline: drive a reservoir with a Lorenz orbit and fit a readout.
 
-    target 'zeta' learns the third coordinate from the first; 'next_xi'
-    learns the one-step-ahead first coordinate for forecasting. The
-    first DEFAULT_BURN_IN (100) states are dropped as transient, and the
-    readout records that burn-in.
+    `trajectory` holds at least ell + 1 samples; its first coordinate
+    xi_0, ..., xi_{ell-1} drives the reservoir. target 'zeta' learns the
+    third coordinate from the first; 'next_xi' learns the one-step-ahead
+    first coordinate for forecasting. The first DEFAULT_BURN_IN (100)
+    states are dropped as transient, and the readout records that burn-in.
     """
-    trajectory = integrate_lorenz(LorenzParams(), ell)
-    xi = observe(trajectory, ObservationFn("coord", index=0))
     spec = generate(standard_esn(n, seed))
-    inputs = TimeSeries(step=xi.step, samples=xi.samples[:ell])
+    inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
     states = drive(spec, inputs, np.zeros(n))
     if target == "zeta":
         targets = trajectory.samples[:ell, 2]
     else:
         targets = trajectory.samples[1 : ell + 1, 0]
-    aligned = TimeSeries(step=xi.step, samples=states.samples[:ell])
-    problem = problem_from_series(aligned, targets, DEFAULT_BURN_IN)
+    problem = problem_from_series(states, targets, DEFAULT_BURN_IN)
     readout = solve_offline(problem, lam=lam)
     readout.burn_in = DEFAULT_BURN_IN
-    return trajectory, spec, states, readout, problem
+    return spec, states, readout, problem
 
 
 def run_lorenz_train(config: ExperimentConfig, outdir: Path) -> None:
     n = config.param("n", 300)
     ell = config.param("ell", 20000)
     lam = config.param("lam", 1e-9)
-    trajectory, spec, states, readout, problem = train_lorenz_readout(
-        n, ell, lam, config.seed, target="zeta"
+    trajectory = integrate_lorenz(LorenzParams(), ell)
+    spec, states, readout, problem = train_lorenz_readout(
+        trajectory, n, ell, lam, config.seed, target="zeta"
     )
     preds = problem.states @ readout.w
     times = np.arange(ell - len(preds), ell) * trajectory.step
@@ -301,13 +300,13 @@ def run_lorenz_forecast(config: ExperimentConfig, outdir: Path) -> None:
     ell = config.param("ell", 20000)
     lam = config.param("lam", 1e-9)
     horizon = config.param("horizon", 4000)
-    trajectory, spec, states, readout, _ = train_lorenz_readout(
-        n, ell, lam, config.seed, target="next_xi"
+    trajectory = integrate_lorenz(LorenzParams(), ell + horizon)
+    spec, states, readout, _ = train_lorenz_readout(
+        trajectory, n, ell, lam, config.seed, target="next_xi"
     )
-    extended = integrate_lorenz(LorenzParams(), ell + horizon)
     auto = autonomous_drive(spec, readout.w, states.samples[ell], horizon)
     forecast = auto.samples[:-1] @ readout.w
-    truth = extended.samples[ell + 1 : ell + horizon + 1, 0]
+    truth = trajectory.samples[ell + 1 : ell + horizon + 1, 0]
     times = np.arange(ell + 1, ell + horizon + 1) * trajectory.step
     _write(
         outdir,
@@ -339,8 +338,9 @@ def run_fixed_point(config: ExperimentConfig, outdir: Path) -> None:
     ell = config.param("ell", 20000)
     lam = config.param("lam", 1e-9)
     tau = config.param("tau", 0.01)
-    _, spec, states, readout, _ = train_lorenz_readout(
-        n, ell, lam, config.seed, target="next_xi"
+    trajectory = integrate_lorenz(LorenzParams(), ell)
+    spec, _, readout, _ = train_lorenz_readout(
+        trajectory, n, ell, lam, config.seed, target="next_xi"
     )
     psi = autonomous_map(spec, readout.w)
     start = wing_start_state(spec)
@@ -431,7 +431,7 @@ def run_gs_examples(config: ExperimentConfig, outdir: Path) -> None:
     n_steps = config.param("n_steps", 2000)
     burn_in = config.param("burn_in", 500)
     angles = circle_rotation(epsilon, 0.0, n_steps - 1)
-    z = observe(angles, ObservationFn("scaled_sin", amplitude=0.5))
+    z = TimeSeries(step=angles.step, samples=0.5 * np.sin(angles.samples))
     branches = {}
     for label, x0 in (("minus", -0.9), ("plus", 0.9)):
         branches[label] = example_drive("tanh2x", z, np.array([x0])).samples[:, 0]

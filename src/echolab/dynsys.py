@@ -1,16 +1,16 @@
 """Deterministic drive systems.
 
 Lorenz integration with a classical fixed-step RK4 scheme, circle
-rotations, pointwise observation functions, and the small bespoke
-reservoir maps used as worked examples elsewhere in the library
-(a scalar tanh map, a signed-power contraction with trigonometric
-forcing, and two polar-coordinate maps).
+rotations, and the small bespoke reservoir maps used as worked examples
+elsewhere in the library (a scalar tanh map, a signed-power contraction
+with trigonometric forcing, and two polar-coordinate maps). Every
+iteration returns a `TimeSeries`; an observation of one is a slice or a
+ufunc of its `samples`.
 
-The Lorenz kernel has two halves. Orbits (`integrate_lorenz`,
-`lorenz_step`) run the RK4 stages on plain Python floats in the same
-operation order as the vectorised scheme, so their samples are
-bit-identical to stepping with numpy 3-vectors at a fraction of the
-call overhead. Tangent maps are vectorised instead: `lorenz_rhs`,
+The Lorenz kernel has two halves. Orbits (`integrate_lorenz`) run the
+RK4 stages on plain Python floats in the same operation order as the
+vectorised scheme, so their samples are bit-identical to stepping with
+numpy 3-vectors at a fraction of the call overhead. Tangent maps are vectorised instead: `lorenz_rhs`,
 `lorenz_jacobian` and `lorenz_step_jacobian` take one (3,) state or a
 (k, 3) batch, and `lorenz_tangent_maps` streams the step Jacobians along
 an orbit in chunks of TANGENT_CHUNK states, so a Lyapunov run of any
@@ -29,8 +29,6 @@ per cell, so each float reads back to the same bits.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,13 +51,10 @@ class TimeSeries:
     Attributes:
         step: sampling interval in time units, strictly positive.
         samples: (n_samples, dim) float array, finite entries only.
-        origin_index: time index of the first sample, so row k sits at
-            time (origin_index + k) * step.
     """
 
     step: float
     samples: np.ndarray
-    origin_index: int = 0
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -74,24 +69,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
-
-    def to_csv(self) -> str:
-        """Serialize as `t,x0,...,x{d-1}` rows at full precision."""
-        times = (self.origin_index + np.arange(len(self))) * self.step
-        header = ["t"] + [f"x{i}" for i in range(self.dim)]
-        return csv_text(header, [times, *self.samples.T])
-
-    @staticmethod
-    def from_csv(text: str) -> "TimeSeries":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(v) for v in r] for r in rows[1:]])
-        times, samples = data[:, 0], data[:, 1:]
-        if len(times) > 1:
-            step = times[1] - times[0]
-        else:
-            step = 1.0
-        origin = int(round(times[0] / step)) if step != 0 else 0
-        return TimeSeries(step=step, samples=samples, origin_index=origin)
 
 
 @dataclass
@@ -184,17 +161,12 @@ def _lorenz_orbit(params: LorenzParams, start: np.ndarray, n_steps: int) -> np.n
     return out
 
 
-def lorenz_step(state: np.ndarray, params: LorenzParams) -> np.ndarray:
-    """One RK4 step of the Lorenz flow over the sampling interval tau."""
-    return _lorenz_orbit(params, state, 1)[1]
-
-
 def lorenz_step_jacobian(state: np.ndarray, params: LorenzParams) -> np.ndarray:
     """Derivative of the discrete RK4 step map at a state or a batch of states.
 
     Propagates the variational equation through the same four stages as
-    the state update, so the result is the exact Jacobian of
-    `lorenz_step` rather than a finite-difference estimate. A (3,) state
+    the state update, so the result is the exact Jacobian of one RK4
+    step of size tau rather than a finite-difference estimate. A (3,) state
     gives a (3, 3) matrix and a (k, 3) batch gives (k, 3, 3): the stage
     arithmetic is elementwise and the stage products are one batched
     matmul, so each matrix of a batch equals the one computed alone.
@@ -287,7 +259,7 @@ def integrate_lorenz(params: LorenzParams, n_steps: int) -> TimeSeries:
 def lorenz_tangent_maps(params: LorenzParams, n_steps: int) -> Iterator[np.ndarray]:
     """Step Jacobians along the orbit from params.initial, one per step.
 
-    Yields the (3, 3) Jacobian of `lorenz_step` at x_0, ..., x_{n_steps-1},
+    Yields the (3, 3) Jacobian of the RK4 step map at x_0, ..., x_{n_steps-1},
     where x_k is the state after k steps. The orbit is integrated
     TANGENT_CHUNK states at a time, each chunk starting where the last
     one ended, and each chunk's Jacobians come from one batched
@@ -310,38 +282,6 @@ def circle_rotation(epsilon: float, m0: float, n_steps: int) -> TimeSeries:
         raise ValueError("n_steps must be >= 0")
     angles = np.mod(m0 + epsilon * np.arange(n_steps + 1), TWO_PI)
     return TimeSeries(step=1.0, samples=angles[:, None])
-
-
-@dataclass
-class ObservationFn:
-    """Pointwise observation applied to every sample of a series.
-
-    kind: 'coord' selects component `index`; 'scaled_sin' maps a scalar
-    sample m to amplitude * sin(m).
-    """
-
-    kind: str
-    index: int = 0
-    amplitude: float = 1.0
-
-    def __call__(self, sample: np.ndarray) -> np.ndarray:
-        if self.kind == "coord":
-            return np.atleast_1d(sample[self.index])
-        if self.kind == "scaled_sin":
-            return np.atleast_1d(self.amplitude * np.sin(sample[0]))
-        raise ValueError(f"unknown observation kind {self.kind!r}")
-
-
-def observe(series: TimeSeries, fn: ObservationFn) -> TimeSeries:
-    """Apply an observation function to every sample, preserving timing."""
-    if fn.kind == "coord" and fn.index >= series.dim:
-        raise DimensionMismatchError(
-            f"coord index {fn.index} out of range for dim {series.dim}"
-        )
-    rows = [fn(s) for s in series.samples]
-    return TimeSeries(
-        step=series.step, samples=np.array(rows), origin_index=series.origin_index
-    )
 
 
 def _tanh2x_map(x: np.ndarray, z: float) -> np.ndarray:
@@ -415,6 +355,4 @@ def example_drive(kind: str, input_series: TimeSeries, x0: np.ndarray, **params)
         raise DimensionMismatchError("example drives take scalar input")
     fmap = example_drive_map(kind, **params)
     states = iterate_map(fmap, x0, input_series.samples[:, 0].tolist())
-    return TimeSeries(
-        step=input_series.step, samples=states, origin_index=input_series.origin_index
-    )
+    return TimeSeries(step=input_series.step, samples=states)

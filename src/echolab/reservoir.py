@@ -57,7 +57,7 @@ class ReservoirSpec:
         return np.tanh(pre) if self.activation == "tanh" else pre
 
     def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.apply_activation(self.A @ x + self.C @ np.atleast_1d(z) + self.b)
+        return self.apply_activation(self.A @ x + self.C @ z + self.b)
 
     def to_json(self) -> str:
         doc = {
@@ -71,20 +71,6 @@ class ReservoirSpec:
         }
         return json.dumps(doc)
 
-    @staticmethod
-    def from_json(text: str) -> "ReservoirSpec":
-        doc = json.loads(text)
-        n, d = doc["n"], doc["d"]
-        return ReservoirSpec(
-            n=n,
-            d=d,
-            A=np.array(doc["a"]).reshape(n, n),
-            C=np.array(doc["c"]).reshape(n, d),
-            b=np.array(doc["b"]),
-            activation=doc["activation"],
-            seed=doc["seed"],
-        )
-
 
 Scheme = Tuple
 
@@ -94,10 +80,8 @@ class ReservoirGenConfig:
     """Recipe for a random reservoir.
 
     Schemes are tagged tuples:
-      a_scheme: ('uniform_rescaled_2norm', target) | ('gaussian_erdos_renyi',
-                mean_degree, spectral_radius) | ('lower_shift',)
-      c_scheme / b_scheme: ('uniform', lo, hi) | ('gaussian', sd) |
-                ('unit_e1',) | ('zero',)
+      a_scheme: ('uniform_rescaled_2norm', target) | ('lower_shift',)
+      c_scheme / b_scheme: ('uniform', lo, hi) | ('unit_e1',)
     """
 
     n: int
@@ -150,14 +134,10 @@ def _draw_vector_scheme(scheme: Scheme, shape, rng: np.random.Generator) -> np.n
     if tag == "uniform":
         _, lo, hi = scheme
         return rng.uniform(lo, hi, shape)
-    if tag == "gaussian":
-        return scheme[1] * rng.standard_normal(shape)
     if tag == "unit_e1":
         out = np.zeros(shape)
         out.flat[0] = 1.0
         return out
-    if tag == "zero":
-        return np.zeros(shape)
     raise ValueError(f"unknown scheme {tag!r}")
 
 
@@ -165,9 +145,7 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
     """Draw a ReservoirSpec deterministically from the config seed.
 
     'uniform_rescaled_2norm' draws entries U[-1, 1] and rescales so the
-    matrix 2-norm hits the target; 'gaussian_erdos_renyi' keeps each
-    entry with probability mean_degree / n, fills survivors with unit
-    Gaussians, and rescales to the target spectral radius.
+    matrix 2-norm hits the target; 'lower_shift' is the delay-line shift.
     """
     rng = make_rng(config.seed)
     n = config.n
@@ -179,14 +157,6 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
         if norm == 0.0:
             raise DegenerateMatrixError("zero matrix cannot be rescaled")
         A *= target / norm
-    elif tag == "gaussian_erdos_renyi":
-        _, mean_degree, target = config.a_scheme
-        mask = rng.uniform(0.0, 1.0, (n, n)) < mean_degree / n
-        A = np.where(mask, rng.standard_normal((n, n)), 0.0)
-        rho = spectral_radius(A)
-        if rho == 0.0:
-            raise DegenerateMatrixError("zero spectral radius cannot be rescaled")
-        A *= target / rho
     elif tag == "lower_shift":
         A = lower_shift_matrix(n)
     else:
@@ -212,9 +182,7 @@ def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> Time
         )
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
     out = iterate_map(spec.step, x0, input_series.samples)
-    return TimeSeries(
-        step=input_series.step, samples=out, origin_index=input_series.origin_index
-    )
+    return TimeSeries(step=input_series.step, samples=out)
 
 
 def autonomous_map(spec: ReservoirSpec, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

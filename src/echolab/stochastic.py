@@ -145,11 +145,7 @@ def sample_path(
         series = TimeSeries(step=1.0, samples=rows[0])
         return (series, states[0]) if return_states else series
     series = spec.kind[1]
-    out = TimeSeries(
-        step=series.step,
-        samples=series.samples[:length].copy(),
-        origin_index=series.origin_index,
-    )
+    out = TimeSeries(step=series.step, samples=series.samples[:length].copy())
     if return_states:
         return out, np.arange(min(length, len(series)))
     return out

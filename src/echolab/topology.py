@@ -2,7 +2,8 @@
 
 Vietoris-Rips filtrations by clique expansion, the worked hexagon
 complex, boundary matrices, persistence diagrams, and the
-farthest-point attractor experiment.
+farthest-point attractor experiment. Point clouds are plain (m, d)
+float arrays, one point per row.
 
 Persistence pairs come from cohomology with clearing (Bauer, "Ripser",
 arXiv:1908.02518): degree 0 by union-find, then for each degree k the
@@ -35,29 +36,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .dynsys import TimeSeries, csv_text
+from .dynsys import csv_text
 from .errors import DegenerateCloudError, FiltrationOrderError
-
-
-@dataclass
-class PointCloud:
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("points must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 Simplex = Tuple[int, ...]
@@ -132,15 +116,9 @@ class Filtration:
     def max_dimension(self) -> int:
         return max((k for k, vals in enumerate(self.values) if vals.size), default=-1)
 
-    def to_csv(self) -> str:
-        lines = ["eps,dim,vertices"]
-        for value, dim, verts in self.simplices:
-            lines.append(f"{value:.17g},{dim}," + ";".join(str(v) for v in verts))
-        return "\n".join(lines) + "\n"
 
-
-def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtration:
-    """Rips complex by clique expansion up to max_dim.
+def rips_filtration(points: np.ndarray, max_dim: int, max_eps: float) -> Filtration:
+    """Rips complex of an (m, d) point array by clique expansion up to max_dim.
 
     A simplex enters at the largest pairwise distance among its
     vertices; only simplices entering at or below max_eps are kept (the
@@ -150,8 +128,10 @@ def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtrati
         raise ValueError("max_dim must be >= 0")
     if max_eps <= 0:
         raise ValueError("max_eps must be positive")
-    pts = cloud.points
-    m = len(cloud)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    m = len(pts)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     # upper[i, j]: j > i and the edge ij enters by max_eps.
@@ -179,24 +159,16 @@ def rips_filtration(cloud: PointCloud, max_dim: int, max_eps: float) -> Filtrati
     return Filtration(tuple(values), tuple(vertices))
 
 
-def boundary_matrix(
-    filtration: Filtration,
-    k: int,
-    eps: Optional[float] = None,
-    col_order: Optional[Sequence[Simplex]] = None,
-    row_order: Optional[Sequence[Simplex]] = None,
-) -> np.ndarray:
+def boundary_matrix(filtration: Filtration, k: int, eps: Optional[float] = None) -> np.ndarray:
     """F2 matrix of the degree-k boundary map.
 
     Columns are the k-simplices, rows the (k-1)-simplices, both in
-    filtration order unless explicit orders are supplied (vertex tuples
-    in any order with the expected membership). Entry 1 marks the face
-    relation.
+    filtration order. Entry 1 marks the face relation.
     """
     if k < 1:
         raise ValueError("boundary matrices start at k = 1")
-    cols = [tuple(sorted(s)) for s in (col_order or filtration.of_dimension(k, eps))]
-    rows = [tuple(sorted(s)) for s in (row_order or filtration.of_dimension(k - 1, eps))]
+    cols = filtration.of_dimension(k, eps)
+    rows = filtration.of_dimension(k - 1, eps)
     row_index = {verts: i for i, verts in enumerate(rows)}
     out = np.zeros((len(rows), len(cols)), dtype=np.uint8)
     for j, verts in enumerate(cols):
@@ -211,10 +183,6 @@ class PersistencePair:
     birth: float
     death: float  # math.inf when the class never dies inside the filtration
     truncated: bool = False  # alive at the filtration cutoff
-
-    @property
-    def persistence(self) -> float:
-        return self.death - self.birth
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,9 +208,6 @@ class PersistenceDiagram:
         """The rows picked by an index array or mask as `PersistencePair`s."""
         columns = (self.degree, self.birth, self.death, self.truncated)
         return tuple(map(PersistencePair, *(c[rows].tolist() for c in columns)))
-
-    def of_degree(self, k: int) -> List[PersistencePair]:
-        return list(self.pairs_at(self.degree == k))
 
     def betti_at(self, eps: float) -> Dict[int, int]:
         alive = (self.birth <= eps) & (eps < self.death)
@@ -492,11 +457,11 @@ class AttractorH1Result:
 
 
 def attractor_h1_experiment(
-    states: Union[TimeSeries, PointCloud, np.ndarray],
+    points: np.ndarray,
     subsample: int = 400,
     max_eps: Optional[float] = None,
 ) -> AttractorH1Result:
-    """Degree-1 persistence of a trajectory's landmark skeleton.
+    """Degree-1 persistence of the landmark skeleton of an (m, d) orbit array.
 
     Subsamples `subsample` landmarks by farthest-point selection, runs
     a Rips filtration to max_eps (default 40 percent of the landmark
@@ -506,12 +471,7 @@ def attractor_h1_experiment(
     """
     if subsample < 50:
         raise ValueError("subsample must be >= 50")
-    if isinstance(states, TimeSeries):
-        pts = states.samples
-    elif isinstance(states, PointCloud):
-        pts = states.points
-    else:
-        pts = np.atleast_2d(np.asarray(states, dtype=float))
+    pts = np.asarray(points, dtype=float)
     diam_probe = pts.max(axis=0) - pts.min(axis=0)
     if float(np.linalg.norm(diam_probe)) == 0.0:
         raise DegenerateCloudError("all points coincide")
@@ -520,7 +480,7 @@ def attractor_h1_experiment(
     if max_eps is None:
         diff = landmarks[:, None, :] - landmarks[None, :, :]
         max_eps = 0.4 * float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
-    filtration = rips_filtration(PointCloud(landmarks), max_dim=2, max_eps=max_eps)
+    filtration = rips_filtration(landmarks, max_dim=2, max_eps=max_eps)
     diagram = persistence(filtration, max_eps=max_eps)
     h1 = np.flatnonzero(diagram.degree == 1)
     lifetimes = np.minimum(diagram.death[h1], max_eps) - diagram.birth[h1]

@@ -51,16 +51,6 @@ class Readout:
             }
         )
 
-    @staticmethod
-    def from_json(text: str) -> "Readout":
-        doc = json.loads(text)
-        return Readout(
-            w=np.array(doc["w"]),
-            lam=doc["lambda"],
-            provenance=doc["provenance"],
-            burn_in=doc["burn_in"],
-        )
-
 
 @dataclass
 class RegressionProblem:

@@ -146,7 +146,7 @@ def persistence_by_column_reduction(filtration, max_eps=None):
     )
 
 
-def rips_filtration_reference(cloud, max_dim, max_eps):
+def rips_filtration_reference(points, max_dim, max_eps):
     """Rips filtration by per-simplex clique expansion and one tuple sort.
 
     Lists every simplex as a (value, dimension, vertices) tuple: edges
@@ -154,8 +154,8 @@ def rips_filtration_reference(cloud, max_dim, max_eps):
     neighbours beyond its larger vertex, higher simplices one vertex at
     a time, then sorts the whole list.
     """
-    pts = cloud.points
-    m = len(cloud)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = len(pts)
     entries = [(0.0, 0, (i,)) for i in range(m)]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -34,6 +34,8 @@ def _benchmark_workloads():
 
 
 BENCHMARK_WORKLOADS = _benchmark_workloads()
+# Every experiment the benchmark runs, Lorenz `homology` included, at its warm-up sizes.
+TINY_STEPS = [step for name in sorted(BENCHMARK_WORKLOADS) for step in BENCHMARK_WORKLOADS[name](1, True)]
 
 
 def write_config(tmp_path, text):
@@ -202,16 +204,26 @@ class TestRun:
         assert (tmp_path / "betti.json").read_text() == json.dumps(expected)
         assert (tmp_path / "diagram.csv").read_text() == persistence(filt).to_csv()
 
-    def test_value_learn_reproducible_bytes(self, tmp_path):
+    @pytest.mark.parametrize("step", TINY_STEPS, ids=lambda step: step.label)
+    def test_reproducible_bytes(self, tmp_path, step):
+        # Two runs of one config write the same artifacts byte for byte;
+        # only the manifest's wall time and output directory may differ.
         outputs = []
         for run_dir in ("a", "b"):
-            config = ExperimentConfig(
-                experiment="value_learn", seed=5, output_dir=str(tmp_path / run_dir),
-                parameters={"gamma": 0.9, "length": 120},
-            )
+            outdir = tmp_path / run_dir
+            config = ExperimentConfig(step.experiment, step.seed, str(outdir), dict(step.params))
             assert run(config) == EXIT_OK
-            outputs.append((tmp_path / run_dir / "value_learn.json").read_bytes())
+            files = {path.name: path.read_bytes() for path in outdir.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest.pop("output_dir") == str(outdir)
+            assert manifest.pop("wall_time_s") >= 0
+            outputs.append((files, manifest))
         assert outputs[0] == outputs[1]
+        assert outputs[0][0]
+
+    def test_tiny_steps_cover_every_experiment(self):
+        assert {step.experiment for step in TINY_STEPS} == set(EXPERIMENTS)
+        assert {"hexagon", "lorenz"} <= {step.params.get("source") for step in TINY_STEPS}
 
     def test_gs_examples_artifacts(self, tmp_path):
         config = ExperimentConfig(
@@ -301,7 +313,8 @@ class TestEsnPipelines:
 
     def test_lorenz_train(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_train")
-        trajectory, _, _, readout, problem = train_lorenz_readout(20, 300, 1e-9, 1, target="zeta")
+        trajectory = integrate_lorenz(LorenzParams(), 300)
+        spec, _, readout, problem = train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, target="zeta")
         header, values = read_csv(tmp_path / "zeta_prediction.csv")
         assert header == "t,target,prediction"
         assert values.shape == (200, 3)
@@ -309,6 +322,14 @@ class TestEsnPipelines:
         assert np.array_equal(values[:, 1], problem.targets)
         assert np.array_equal(values[:, 2], problem.states @ readout.w)
         assert json.loads((tmp_path / "fit.json").read_text())["n_samples"] == 200
+        # The JSON artifacts carry the exact bits of the readout and the reservoir.
+        doc = json.loads((tmp_path / "readout.json").read_text())
+        assert np.array(doc["w"]).tobytes() == readout.w.tobytes()
+        assert doc["lambda"] == 1e-9
+        doc = json.loads((tmp_path / "reservoir.json").read_text())
+        assert (doc["n"], doc["d"], doc["activation"], doc["seed"]) == (20, 1, "tanh", 1)
+        for key, array in (("a", spec.A), ("c", spec.C), ("b", spec.b)):
+            assert np.array(doc[key]).tobytes() == array.reshape(-1).tobytes()
 
     def test_readout_records_burn_in(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_train")
@@ -319,16 +340,19 @@ class TestEsnPipelines:
 
     def test_lorenz_forecast(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_forecast", horizon=50)
-        trajectory, spec, states, readout, _ = train_lorenz_readout(
-            20, 300, 1e-9, 1, target="next_xi"
+        trajectory = integrate_lorenz(LorenzParams(), 350)
+        spec, states, readout, _ = train_lorenz_readout(
+            trajectory, 20, 300, 1e-9, 1, target="next_xi"
         )
         auto = autonomous_drive(spec, readout.w, states.samples[300], 50)
         header, values = read_csv(tmp_path / "forecast.csv")
         assert header == "t,true_xi,forecast_xi"
         assert values.shape == (50, 3)
         assert np.array_equal(values[:, 0], np.arange(301, 351) * trajectory.step)
-        truth = integrate_lorenz(LorenzParams(), 350).samples[301:, 0]
-        assert np.array_equal(values[:, 1], truth)
+        assert np.array_equal(values[:, 1], trajectory.samples[301:, 0])
+        # The one orbit's training prefix is the orbit lorenz_train integrates.
+        short = integrate_lorenz(LorenzParams(), 300).samples
+        assert trajectory.samples[:301].tobytes() == short.tobytes()
         assert np.array_equal(values[:, 2], auto.samples[:-1] @ readout.w)
         summary = json.loads((tmp_path / "forecast_summary.json").read_text())
         assert summary["horizon"] == 50 and len(summary["explained_variance"]) == 3

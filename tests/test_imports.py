@@ -1,6 +1,7 @@
 """Every name a library module imports is referenced in that module, and
-every module-level definition is reachable from the CLI entry point
-except the ones listed as waiting to be wired into an experiment."""
+every module-level definition and every method is reachable from the CLI
+entry point except the ones listed as waiting to be wired into an
+experiment or as read from outside the library."""
 
 import ast
 from pathlib import Path
@@ -67,12 +68,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """Module-level functions, classes and constants by name, dunders aside."""
+    """Module-level functions, classes and constants by name, dunders aside,
+    and each method or property of a class as `Class.method`."""
     out = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             out[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    out[f"{node.name}.{item.name}"] = item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -91,14 +104,27 @@ def _relative_imports(tree):
     return out
 
 
+def _own_nodes(node):
+    """The nodes of a definition; a class's own nodes leave out its methods."""
+    if not isinstance(node, ast.ClassDef):
+        return ast.walk(node)
+    parts = [*node.bases, *node.keywords, *node.decorator_list]
+    parts += [item for item in node.body if not isinstance(item, FUNCTIONS)]
+    return [node, *(sub for part in parts for sub in ast.walk(part))]
+
+
 def unreachable(sources, root):
-    """`module.name` of each module-level definition that no chain of
-    references from `root`, a (module, name) pair, reaches.
+    """`module.name` of each module-level definition, and `module.Class.method`
+    of each method, that no chain of references from `root`, a (module,
+    name) pair, reaches.
 
     `sources` maps module names to source text. A definition references
     every name read anywhere in its node (body, defaults, decorators,
     bases, annotations); a name bound by a relative import resolves to
-    the module that defines it.
+    the module that defines it. A class's methods are not part of its
+    node: a method or property of a reached class is reached once its
+    name is read as an attribute (`x.name`) anywhere in reached code, and
+    its dunders are reached with the class.
     """
     trees = {m: ast.parse(text) for m, text in sources.items()}
     defs = {m: _definitions(tree) for m, tree in trees.items()}
@@ -111,18 +137,28 @@ def unreachable(sources, root):
             module, name = imports[module][name]
         return module, name
 
-    seen = set()
+    seen, attributes = set(), set()
     stack = [root]
     while stack:
-        module, name = stack.pop()
-        if (module, name) in seen:
-            continue
-        seen.add((module, name))
-        for node in ast.walk(defs[module][name]):
-            if isinstance(node, ast.Name):
-                target = resolve(module, node.id)
-                if target is not None:
-                    stack.append(target)
+        while stack:
+            module, name = stack.pop()
+            if (module, name) in seen:
+                continue
+            seen.add((module, name))
+            for node in _own_nodes(defs[module][name]):
+                if isinstance(node, ast.Name):
+                    target = resolve(module, node.id)
+                    if target is not None:
+                        stack.append(target)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
+        for module, names in defs.items():
+            for name in names:
+                cls, _, method = name.partition(".")
+                if method and (module, cls) in seen and (module, name) not in seen and (
+                    _is_dunder(method) or method in attributes
+                ):
+                    stack.append((module, name))
     return {f"{m}.{n}" for m, names in defs.items() for n in names if (m, n) not in seen}
 
 
@@ -142,7 +178,12 @@ PENDING_WIRE_IN = {
     "training.OnlineResult": "result of run_online",
     "errors.ContractionBoundError": "raised by run_online for a too-large constant step",
     "training.normal_equation_residual": "readout health record of each solve",
-    "dynsys.lorenz_step": "one RK4 step, counted by name in the benchmark's layer trace",
+}
+
+# Methods no experiment reads, read from outside the library.
+READ_OUTSIDE = {
+    "topology.Filtration.simplices": "read by `benchmarks/layers.py` size hooks",
+    "topology.PersistenceDiagram.pairs": "read by `benchmarks/layers.py` size hooks",
 }
 
 
@@ -166,14 +207,48 @@ def test_reachability_finds_dead_and_imported_definitions():
     assert unreachable(sources, ("cli", "main")) == {"a.dead", "b.Base", "b.Err", "b.unused"}
 
 
+def test_reachability_follows_methods_through_attribute_reads():
+    sources = {
+        "cli": (
+            "from .a import Box, make\n"
+            "def main():\n    return make().total + Box.build().size()\n"
+        ),
+        "a": (
+            "from .b import helper\n"
+            "class Box:\n"
+            "    def __init__(self):\n        self.items = []\n"
+            "    @classmethod\n    def build(cls):\n        return cls()\n"
+            "    def size(self):\n        return len(self.items)\n"
+            "    @property\n    def total(self):\n        return 0\n"
+            "    def dead(self):\n        return helper()\n"
+            "class Ghost:\n"
+            "    def __repr__(self):\n        return ''\n"
+            "    def size(self):\n        return 1\n"
+            "def make():\n    return Box()\n"
+        ),
+        "b": "def helper():\n    return 1\n",
+    }
+    # `Box.dead` is never read, so neither is `helper`, which only it calls;
+    # `Ghost` is never reached, so none of its methods is, whatever they are named.
+    assert unreachable(sources, ("cli", "main")) == {
+        "a.Box.dead", "b.helper", "a.Ghost", "a.Ghost.__repr__", "a.Ghost.size",
+    }
+
+
 def test_every_definition_serves_an_experiment():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
-    assert unreachable(sources, ("cli", "main")) == set(PENDING_WIRE_IN)
+    assert unreachable(sources, ("cli", "main")) == set(PENDING_WIRE_IN) | set(READ_OUTSIDE)
 
 
 def test_new_dead_definition_fails_the_guard():
-    # An unreferenced function appended to a real module shows up as
-    # unreachable beside the wire-in backlog.
+    # An unreferenced function appended to a real module, and a method no
+    # code reads, show up as unreachable beside the wire-in backlog.
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     sources["topology"] += "\n\ndef orphan():\n    return 0\n"
-    assert unreachable(sources, ("cli", "main")) == set(PENDING_WIRE_IN) | {"topology.orphan"}
+    sources["dynsys"] = sources["dynsys"].replace(
+        "    def __len__(self) -> int:",
+        "    def unread_view(self):\n        return self.samples\n\n    def __len__(self) -> int:",
+    )
+    expected = set(PENDING_WIRE_IN) | set(READ_OUTSIDE)
+    expected |= {"topology.orphan", "dynsys.TimeSeries.unread_view"}
+    assert unreachable(sources, ("cli", "main")) == expected

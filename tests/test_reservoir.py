@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -47,10 +48,12 @@ def linear_spec(A, C, seed=0):
 
 class TestGenerate:
     def test_lower_shift_matrix(self):
-        cfg = ReservoirGenConfig(3, 1, ("lower_shift",), ("unit_e1",), ("zero",))
+        cfg = ReservoirGenConfig(3, 1, ("lower_shift",), ("unit_e1",), ("uniform", 0.0, 0.0))
         spec = generate(cfg)
         expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         assert np.array_equal(spec.A, expected)
+        assert np.array_equal(spec.C[:, 0], [1.0, 0.0, 0.0])
+        assert np.array_equal(spec.b, np.zeros(3))
 
     def test_rescaled_2norm_hits_target(self):
         for seed in (0, 1, 2):
@@ -60,24 +63,6 @@ class TestGenerate:
             )
             spec = generate(cfg)
             assert abs(np.linalg.norm(spec.A, 2) - 1.0) < 1e-10
-
-    def test_erdos_renyi_density_and_radius(self):
-        cfg = ReservoirGenConfig(
-            300, 1, ("gaussian_erdos_renyi", 6, 1.0), ("gaussian", 0.1),
-            ("gaussian", 0.1), seed=3,
-        )
-        spec = generate(cfg)
-        mean_nonzeros = np.count_nonzero(spec.A) / 300
-        assert 4.5 <= mean_nonzeros <= 7.5
-        rho = np.max(np.abs(np.linalg.eigvals(spec.A)))
-        assert abs(rho - 1.0) < 1e-8
-
-    def test_zero_explicit_matrix_rejected_for_rescale(self):
-        cfg = ReservoirGenConfig(
-            3, 1, ("gaussian_erdos_renyi", 0.000001, 1.0), ("unit_e1",), ("zero",), seed=0,
-        )
-        with pytest.raises(DegenerateMatrixError):
-            generate(cfg)
 
     def test_seeded_determinism(self):
         cfg = ReservoirGenConfig(
@@ -95,7 +80,13 @@ class TestGenerate:
             ("uniform", -0.1, 0.1), seed=5,
         )
         spec = generate(cfg)
-        clone = ReservoirSpec.from_json(spec.to_json())
+        doc = json.loads(spec.to_json())
+        assert (doc["n"], doc["d"], doc["activation"], doc["seed"]) == (10, 1, "tanh", 5)
+        clone = ReservoirSpec(
+            n=10, d=1, A=np.reshape(doc["a"], (10, 10)), C=doc["c"], b=doc["b"], seed=5
+        )
+        for got, want in ((clone.A, spec.A), (clone.C, spec.C), (clone.b, spec.b)):
+            assert got.tobytes() == want.tobytes()
         z = scalar_series(np.sin(np.arange(30)))
         x0 = np.zeros(10)
         assert np.array_equal(drive(spec, z, x0).samples, drive(clone, z, x0).samples)
@@ -133,7 +124,7 @@ class TestDrive:
         assert np.all(np.abs(out.samples[1:]) < 1.0)
 
     def test_dim_mismatch(self):
-        spec = generate(ReservoirGenConfig(4, 2, ("lower_shift",), ("unit_e1",), ("zero",)))
+        spec = generate(ReservoirGenConfig(4, 2, ("lower_shift",), ("unit_e1",), ("unit_e1",)))
         with pytest.raises(DimensionMismatchError):
             drive(spec, scalar_series([1.0]), np.zeros(4))
 
@@ -145,7 +136,7 @@ class TestDrive:
         ))
         z = scalar_series(np.random.default_rng(4).uniform(-3, 3, 400))
         x0 = np.full(30, 0.1)
-        expected = iterate_with_step_check(spec.step, z, x0)
+        expected = iterate_with_step_check(lambda x, z: spec.step(x, np.atleast_1d(z)), z, x0)
         assert drive(spec, z, x0).samples.tobytes() == expected.tobytes()
 
     def test_unstable_identity_reservoir_reports_step(self):
