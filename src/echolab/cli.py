@@ -1,21 +1,24 @@
 """Experiment orchestration.
 
-Loads flat key-value config files (dotted namespaces), validates them,
-and runs the named experiment pipelines, writing a manifest before any
-heavy computation plus per-experiment CSV/JSON artifacts. Identical
-config and seed give byte-identical numeric outputs.
+Loads flat key-value config files (dotted namespaces), validates their
+parameters against `PARAMETERS`, the one table of each experiment's
+keys, defaults and rules, and runs the named experiment pipelines,
+writing a manifest before any heavy computation plus per-experiment
+CSV/JSON artifacts. Identical config and seed give byte-identical
+numeric outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,21 +69,103 @@ from .topology import (
 )
 from .training import DEFAULT_BURN_IN, problem_from_series, solve_offline, value_targets
 
-EXPERIMENTS = (
-    "lorenz_train",
-    "lorenz_forecast",
-    "fixed_point",
-    "lyapunov",
-    "homology",
-    "gs_examples",
-    "embedding_check",
-    "value_learn",
-    "pde_dirichlet",
-)
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+
+class Param(NamedTuple):
+    """One experiment parameter: its default and the rule a value must pass.
+
+    `ok(value, valid)` may read another key of the same experiment from
+    `valid`, which holds the keys earlier in the table whose values
+    passed; while that key is invalid, the bound it sets is lifted, so
+    one bad value is reported once.
+    """
+
+    default: object
+    ok: Callable[[object, Dict[str, object]], bool]
+    message: str
+
+
+def integer(default: int, low: int = 1) -> Param:
+    message = "must be a positive integer" if low == 1 else f"must be an integer >= {low}"
+    return Param(default, lambda v, valid: isinstance(v, int) and v >= low, message)
+
+
+def finite(default: float, ok: Callable[[float], bool], message: str) -> Param:
+    """A finite int or float passing `ok`; the parser reads `inf` and `nan` as floats."""
+    return Param(
+        default,
+        lambda v, valid: isinstance(v, (int, float)) and math.isfinite(v) and ok(v),
+        message,
+    )
+
+
+def nonnegative(default: float) -> Param:
+    return finite(default, lambda v: v >= 0, "must be a finite number >= 0")
+
+
+def positive(default: float) -> Param:
+    return finite(default, lambda v: v > 0, "must be a finite number > 0")
+
+
+def esn_parameters(n_min: int = 1) -> Dict[str, Param]:
+    """Reservoir size, training length and ridge of the Lorenz readout."""
+    return {"n": integer(300, n_min), "ell": integer(20000, 200), "lam": nonnegative(1e-9)}
+
+
+TAU = positive(0.01)
+
+
+def subsample_ok(value, valid) -> bool:
+    # The landmarks come from the orbit's last ell - ell//2 + 1 samples.
+    ell = valid.get("ell")
+    top = ell - ell // 2 + 1 if ell is not None else math.inf
+    return isinstance(value, int) and 50 <= value <= top
+
+
+def burn_in_ok(value, valid) -> bool:
+    return isinstance(value, int) and 1 <= value < valid.get("n_steps", math.inf)
+
+
+# Every knob of every experiment, in the order `validate` reports them.
+# Each runner takes exactly its experiment's keys as keyword arguments.
+PARAMETERS: Dict[str, Dict[str, Param]] = {
+    "lorenz_train": esn_parameters(),
+    # The summary reports the explained variance of three principal components.
+    "lorenz_forecast": {**esn_parameters(n_min=3), "horizon": integer(4000)},
+    "fixed_point": {**esn_parameters(), "tau": TAU},
+    "lyapunov": {"n_iter": integer(200_000, 100), "tau": TAU},
+    # ell, subsample and max_eps are read only when source is lorenz but
+    # checked whatever the source.
+    "homology": {
+        "source": Param(
+            "hexagon", lambda v, valid: v in ("hexagon", "lorenz"), "must be hexagon or lorenz"
+        ),
+        "ell": integer(8000),
+        "subsample": Param(400, subsample_ok, "must be an integer in [50, ell - ell//2 + 1]"),
+        "max_eps": positive(10.0),
+    },
+    "gs_examples": {
+        "n_steps": integer(2000, 2),
+        "burn_in": Param(500, burn_in_ok, "must be an integer in [1, n_steps)"),
+    },
+    "embedding_check": {"n": integer(10), "trials": integer(200), "period": integer(3)},
+    # The unregularised two-weight readout needs two transitions, so three samples.
+    "value_learn": {
+        "gamma": finite(0.9, lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+        "length": integer(400, 3),
+    },
+    "pde_dirichlet": {
+        "n": integer(500),
+        "ell": integer(500),
+        "ell_prime": integer(500),
+        "lam": nonnegative(0.0),
+    },
+}
+
+EXPERIMENTS = tuple(PARAMETERS)
 
 
 @dataclass
@@ -89,9 +174,6 @@ class ExperimentConfig:
     seed: int
     output_dir: str
     parameters: Dict[str, object] = field(default_factory=dict)
-
-    def param(self, key: str, default=None):
-        return self.parameters.get(key, default)
 
 
 def _coerce(value: str):
@@ -136,9 +218,11 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def validate(config: ExperimentConfig) -> List[str]:
-    """All violations at once; an empty list means runnable."""
+    """All violations at once, parameters in table order then unknown
+    keys; an empty list means runnable."""
     diagnostics = []
-    if config.experiment not in EXPERIMENTS:
+    table = PARAMETERS.get(config.experiment)
+    if table is None:
         diagnostics.append(
             f"experiment: unknown {config.experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
         )
@@ -146,77 +230,18 @@ def validate(config: ExperimentConfig) -> List[str]:
         diagnostics.append("seed: required nonnegative integer")
     if not config.output_dir:
         diagnostics.append("output_dir: required")
-    if config.experiment == "value_learn":
-        gamma = config.param("gamma", 0.9)
-        if not (isinstance(gamma, (int, float)) and 0 <= gamma < 1):
-            diagnostics.append("params.gamma: must lie in [0, 1)")
-        length = config.param("length", 400)
-        if not (isinstance(length, int) and length >= 2):
-            diagnostics.append("params.length: must be an integer >= 2")
-    if config.experiment in ("lorenz_train", "lorenz_forecast", "fixed_point"):
-        n = config.param("n", 300)
-        if not (isinstance(n, int) and n >= 1):
-            diagnostics.append("params.n: must be a positive integer")
-        elif config.experiment == "lorenz_forecast" and n < 3:
-            # The summary reports the explained variance of three principal components.
-            diagnostics.append("params.n: must be >= 3 for lorenz_forecast")
-        ell = config.param("ell", 20000)
-        if not (isinstance(ell, int) and ell >= 200):
-            diagnostics.append("params.ell: must be an integer >= 200")
-        lam = config.param("lam", 1e-9)
-        if not (isinstance(lam, (int, float)) and lam >= 0):
-            diagnostics.append("params.lam: must be >= 0")
-    if config.experiment == "lorenz_forecast":
-        horizon = config.param("horizon", 4000)
-        if not (isinstance(horizon, int) and horizon >= 1):
-            diagnostics.append("params.horizon: must be a positive integer")
-    if config.experiment in ("fixed_point", "lyapunov"):
-        tau = config.param("tau", 0.01)
-        if not (isinstance(tau, (int, float)) and tau > 0):
-            diagnostics.append("params.tau: must be > 0")
-    if config.experiment == "lyapunov":
-        n_iter = config.param("n_iter", 200_000)
-        if not (isinstance(n_iter, int) and n_iter >= 100):
-            diagnostics.append("params.n_iter: must be an integer >= 100")
-    if config.experiment == "homology":
-        source = config.param("source", "hexagon")
-        if source not in ("hexagon", "lorenz"):
-            diagnostics.append(f"params.source: unknown {source!r}; expected hexagon or lorenz")
-        if source == "lorenz":
-            ell = config.param("ell", 8000)
-            if not isinstance(ell, int):
-                diagnostics.append("params.ell: must be an integer")
-            subsample = config.param("subsample", 400)
-            # The landmarks come from the orbit's last ell - ell//2 + 1 samples.
-            top = ell - ell // 2 + 1 if isinstance(ell, int) else float("inf")
-            if not (isinstance(subsample, int) and 50 <= subsample <= top):
-                diagnostics.append(
-                    "params.subsample: must be an integer in [50, ell - ell//2 + 1]"
-                )
-            max_eps = config.param("max_eps", 10.0)
-            if not (isinstance(max_eps, (int, float)) and max_eps > 0):
-                diagnostics.append("params.max_eps: must be > 0")
-    if config.experiment == "gs_examples":
-        n_steps = config.param("n_steps", 2000)
-        if not (isinstance(n_steps, int) and n_steps >= 2):
-            diagnostics.append("params.n_steps: must be an integer >= 2")
-        burn_in = config.param("burn_in", 500)
-        top = n_steps if isinstance(n_steps, int) and n_steps >= 2 else float("inf")
-        if not (isinstance(burn_in, int) and 1 <= burn_in < top):
-            diagnostics.append("params.burn_in: must be an integer in [1, n_steps)")
-    if config.experiment == "embedding_check":
-        for key, default in (("n", 10), ("trials", 200), ("period", 3)):
-            v = config.param(key, default)
-            if not (isinstance(v, int) and v >= 1):
-                diagnostics.append(f"params.{key}: must be a positive integer")
-    if config.experiment == "pde_dirichlet":
-        for key, default in (("n", 500), ("ell", 500), ("ell_prime", 500)):
-            v = config.param(key, default)
-            if not (isinstance(v, int) and v >= 1):
-                diagnostics.append(f"params.{key}: must be a positive integer")
-        lam = config.param("lam", 0.0)
-        if not (isinstance(lam, (int, float)) and lam >= 0):
-            diagnostics.append("params.lam: must be >= 0")
+    if table is None:
+        return diagnostics
+    valid: Dict[str, object] = {}
+    for key, param in table.items():
+        value = config.parameters.get(key, param.default)
+        if param.ok(value, valid):
+            valid[key] = value
+        else:
+            diagnostics.append(f"params.{key}: {param.message}")
+    for key in config.parameters:
+        if key not in table:
+            diagnostics.append(f"params.{key}: unknown; expected one of {', '.join(table)}")
     return diagnostics
 
 
@@ -240,18 +265,11 @@ def _write_manifest(outdir: Path, config: ExperimentConfig, status: str, wall_ti
 
 def standard_esn(n: int, seed: int) -> ReservoirGenConfig:
     """The hand-tuned forecasting reservoir: unit 2-norm, small uniforms."""
-    return ReservoirGenConfig(
-        n=n,
-        d=1,
-        a_scheme=("uniform_rescaled_2norm", 1.0),
-        c_scheme=("uniform", -0.05, 0.05),
-        b_scheme=("uniform", -0.05, 0.05),
-        seed=seed,
-    )
+    return ReservoirGenConfig(n=n, d=1, a_norm=1.0, c_scale=0.05, b_scale=0.05, seed=seed)
 
 
 def train_lorenz_readout(
-    trajectory: TimeSeries, n: int, ell: int, lam: float, seed: int, target: str = "zeta"
+    trajectory: TimeSeries, n: int, ell: int, lam: float, seed: int, target: str
 ):
     """Shared pipeline: drive a reservoir with a Lorenz orbit and fit a readout.
 
@@ -268,19 +286,16 @@ def train_lorenz_readout(
         targets = trajectory.samples[:ell, 2]
     else:
         targets = trajectory.samples[1 : ell + 1, 0]
-    problem = problem_from_series(states, targets, DEFAULT_BURN_IN)
+    problem = problem_from_series(states.samples, targets, DEFAULT_BURN_IN)
     readout = solve_offline(problem, lam=lam)
     readout.burn_in = DEFAULT_BURN_IN
     return spec, states, readout, problem
 
 
-def run_lorenz_train(config: ExperimentConfig, outdir: Path) -> None:
-    n = config.param("n", 300)
-    ell = config.param("ell", 20000)
-    lam = config.param("lam", 1e-9)
+def run_lorenz_train(outdir: Path, seed: int, *, n: int, ell: int, lam: float) -> None:
     trajectory = integrate_lorenz(LorenzParams(), ell)
     spec, states, readout, problem = train_lorenz_readout(
-        trajectory, n, ell, lam, config.seed, target="zeta"
+        trajectory, n, ell, lam, seed, target="zeta"
     )
     preds = problem.states @ readout.w
     times = np.arange(ell - len(preds), ell) * trajectory.step
@@ -295,14 +310,12 @@ def run_lorenz_train(config: ExperimentConfig, outdir: Path) -> None:
     _write(outdir, "fit.json", json.dumps({"rms": rms, "n_samples": len(preds)}))
 
 
-def run_lorenz_forecast(config: ExperimentConfig, outdir: Path) -> None:
-    n = config.param("n", 300)
-    ell = config.param("ell", 20000)
-    lam = config.param("lam", 1e-9)
-    horizon = config.param("horizon", 4000)
+def run_lorenz_forecast(
+    outdir: Path, seed: int, *, n: int, ell: int, lam: float, horizon: int
+) -> None:
     trajectory = integrate_lorenz(LorenzParams(), ell + horizon)
     spec, states, readout, _ = train_lorenz_readout(
-        trajectory, n, ell, lam, config.seed, target="next_xi"
+        trajectory, n, ell, lam, seed, target="next_xi"
     )
     auto = autonomous_drive(spec, readout.w, states.samples[ell], horizon)
     forecast = auto.samples[:-1] @ readout.w
@@ -333,14 +346,12 @@ def wing_start_state(spec) -> np.ndarray:
     return drive(spec, const, np.zeros(spec.n)).samples[-1]
 
 
-def run_fixed_point(config: ExperimentConfig, outdir: Path) -> None:
-    n = config.param("n", 300)
-    ell = config.param("ell", 20000)
-    lam = config.param("lam", 1e-9)
-    tau = config.param("tau", 0.01)
+def run_fixed_point(
+    outdir: Path, seed: int, *, n: int, ell: int, lam: float, tau: float
+) -> None:
     trajectory = integrate_lorenz(LorenzParams(), ell)
     spec, _, readout, _ = train_lorenz_readout(
-        trajectory, n, ell, lam, config.seed, target="next_xi"
+        trajectory, n, ell, lam, seed, target="next_xi"
     )
     psi = autonomous_map(spec, readout.w)
     start = wing_start_state(spec)
@@ -369,9 +380,7 @@ def run_fixed_point(config: ExperimentConfig, outdir: Path) -> None:
     _write(outdir, "esn_eigenvalues.csv", csv_text(["re", "im"], [esn_eigs.real, esn_eigs.imag]))
 
 
-def run_lyapunov(config: ExperimentConfig, outdir: Path) -> None:
-    n_iter = config.param("n_iter", 200_000)
-    tau = config.param("tau", 0.01)
+def run_lyapunov(outdir: Path, seed: int, *, n_iter: int, tau: float) -> None:
     settle = integrate_lorenz(LorenzParams(tau=tau), 1000)
     # At the default tau = 0.01 the frame's columns separate by about
     # exp((lambda_1 - lambda_3) * 10 * tau) = exp(15.5 * 0.1) ~ 4.7 over
@@ -386,8 +395,9 @@ def run_lyapunov(config: ExperimentConfig, outdir: Path) -> None:
     _write(outdir, "lyapunov_trace.csv", result.trace_csv())
 
 
-def run_homology(config: ExperimentConfig, outdir: Path) -> None:
-    source = config.param("source", "hexagon")
+def run_homology(
+    outdir: Path, seed: int, *, source: str, ell: int, subsample: int, max_eps: float
+) -> None:
     if source == "hexagon":
         filt = hexagon_example_filtration()
         d1 = boundary_matrix(filt, 1, eps=1.9)
@@ -403,13 +413,9 @@ def run_homology(config: ExperimentConfig, outdir: Path) -> None:
         _write(outdir, "betti.json", json.dumps(profile))
         _write(outdir, "diagram.csv", diagram.to_csv())
     else:
-        ell = config.param("ell", 8000)
-        subsample = config.param("subsample", 400)
         trajectory = integrate_lorenz(LorenzParams(), ell)
         res = attractor_h1_experiment(
-            trajectory.samples[ell // 2 :],
-            subsample=subsample,
-            max_eps=config.param("max_eps", 10.0),
+            trajectory.samples[ell // 2 :], subsample=subsample, max_eps=max_eps
         )
         _write(outdir, "diagram.csv", res.diagram.to_csv())
         _write(
@@ -426,15 +432,13 @@ def run_homology(config: ExperimentConfig, outdir: Path) -> None:
         )
 
 
-def run_gs_examples(config: ExperimentConfig, outdir: Path) -> None:
+def run_gs_examples(outdir: Path, seed: int, *, n_steps: int, burn_in: int) -> None:
     epsilon = 2 * np.pi / 100
-    n_steps = config.param("n_steps", 2000)
-    burn_in = config.param("burn_in", 500)
     angles = circle_rotation(epsilon, 0.0, n_steps - 1)
     z = TimeSeries(step=angles.step, samples=0.5 * np.sin(angles.samples))
     branches = {}
     for label, x0 in (("minus", -0.9), ("plus", 0.9)):
-        branches[label] = example_drive("tanh2x", z, np.array([x0])).samples[:, 0]
+        branches[label] = example_drive(z, np.array([x0])).samples[:, 0]
     gap = np.abs(branches["plus"][burn_in:] - branches["minus"][burn_in:])
     # Row k pairs x_k with the angle of the input z_{k-1} that produced it.
     rows = np.arange(burn_in, n_steps)
@@ -447,13 +451,10 @@ def run_gs_examples(config: ExperimentConfig, outdir: Path) -> None:
     )
 
 
-def run_embedding_check(config: ExperimentConfig, outdir: Path) -> None:
-    n = config.param("n", 10)
-    trials = config.param("trials", 200)
-    period = config.param("period", 3)
+def run_embedding_check(outdir: Path, seed: int, *, n: int, trials: int, period: int) -> None:
     ok_d = ok_c = 0
     for t in range(trials):
-        rng = make_rng(config.seed + t)
+        rng = make_rng(seed + t)
         A = rng.standard_normal((n, n))
         A *= 0.8 / spectral_radius(A)
         C = rng.standard_normal(n)
@@ -469,26 +470,24 @@ def run_embedding_check(config: ExperimentConfig, outdir: Path) -> None:
     )
 
 
-def run_value_learn(config: ExperimentConfig, outdir: Path) -> None:
-    gamma = config.param("gamma", 0.9)
-    length = config.param("length", 400)
+def run_value_learn(outdir: Path, seed: int, *, gamma: float, length: int) -> None:
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     emissions = np.array([[0.0], [1.0]])
     r_table = np.array([1.0, 0.0])
     oracle = markov_value_oracle(P, r_table, gamma)
-    spec = ProcessSpec(("markov_chain", P, emissions), seed=config.seed)
-    path, states = sample_path(spec, length, return_states=True)
+    spec = ProcessSpec(P, emissions, seed=seed)
+    _, states = sample_path(spec, length)
     features = np.eye(2)[states]
     rewards = r_table[states[:-1]]
-    problem = value_targets(TimeSeries(step=1.0, samples=features), rewards, gamma)
+    problem = value_targets(features, rewards, gamma)
     readout = solve_offline(problem, lam=0.0)
     residual = bellman_residual(features, readout.w, rewards, gamma)
     reward_fn = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
     mc = value_mc(
         spec, reward_fn, gamma, history=emissions[states[-1]][None, :],
-        n_rollouts=200, current_state=int(states[-1]), seed=config.seed,
+        n_rollouts=200, current_state=int(states[-1]), seed=seed,
     )
-    ratio = bellman_contraction_check(P, np.eye(2), gamma, states, n_pairs=100, seed=config.seed)
+    ratio = bellman_contraction_check(P, np.eye(2), gamma, states, n_pairs=100, seed=seed)
     _write(
         outdir,
         "value_learn.json",
@@ -505,13 +504,11 @@ def run_value_learn(config: ExperimentConfig, outdir: Path) -> None:
     )
 
 
-def run_pde_dirichlet(config: ExperimentConfig, outdir: Path) -> None:
-    n = config.param("n", 500)
-    ell = config.param("ell", 500)
-    ell_prime = config.param("ell_prime", 500)
-    lam = config.param("lam", 0.0)
-    model = build_feature_model(n, seed=config.seed)
-    sample = sample_disc(ell, ell_prime, seed=config.seed + 1)
+def run_pde_dirichlet(
+    outdir: Path, seed: int, *, n: int, ell: int, ell_prime: int, lam: float
+) -> None:
+    model = build_feature_model(n, seed=seed)
+    sample = sample_disc(ell, ell_prime, seed=seed + 1)
     sol = solve_dirichlet_offline(model, sample, lam=lam)
     field_csv, grid_rms = grid_solution(model, sol.readout)
     _write(outdir, "solution_field.csv", field_csv)
@@ -544,12 +541,14 @@ def run(config: ExperimentConfig) -> int:
         for p in problems:
             print(p, file=sys.stderr)
         return EXIT_VALIDATION
+    table = PARAMETERS[config.experiment]
+    params = {key: config.parameters.get(key, param.default) for key, param in table.items()}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, config, status="running")
     start = time.time()
     try:
-        RUNNERS[config.experiment](config, outdir)
+        RUNNERS[config.experiment](outdir, config.seed, **params)
     except Exception as exc:  # runtime failure -> exit 3 with diagnostic
         print(f"{config.experiment}: {exc}", file=sys.stderr)
         _write_manifest(outdir, config, status="failed", wall_time=time.time() - start)

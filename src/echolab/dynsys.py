@@ -1,11 +1,10 @@
 """Deterministic drive systems.
 
 Lorenz integration with a classical fixed-step RK4 scheme, circle
-rotations, and the small bespoke reservoir maps used as worked examples
-elsewhere in the library (a scalar tanh map, a signed-power contraction
-with trigonometric forcing, and two polar-coordinate maps). Every
-iteration returns a `TimeSeries`; an observation of one is a slice or a
-ufunc of its `samples`.
+rotations, and the scalar example reservoir x -> tanh(2x + z), whose two
+stable branches show that generalised synchronisation need not be
+unique. Every iteration returns a `TimeSeries`; an observation of one is
+a slice or a ufunc of its `samples`.
 
 The Lorenz kernel has two halves. Orbits (`integrate_lorenz`) run the
 RK4 stages on plain Python floats in the same operation order as the
@@ -284,75 +283,18 @@ def circle_rotation(epsilon: float, m0: float, n_steps: int) -> TimeSeries:
     return TimeSeries(step=1.0, samples=angles[:, None])
 
 
-def _tanh2x_map(x: np.ndarray, z: float) -> np.ndarray:
-    return np.tanh(2.0 * x + z)
-
-
-def _signed_power_map(x: np.ndarray, z: float, alpha: float, lam: float, k: float) -> np.ndarray:
-    base = np.sign(x) * np.abs(x) ** alpha
-    forcing = lam * np.array([np.sin(k * z), np.cos(k * z), np.sin(k * z) ** 2])
-    return base + forcing
-
-
-def _polar_sqrt_map(x: np.ndarray, z: float, delta: float) -> np.ndarray:
-    rho, theta = x
-    return np.array([np.sqrt(rho) + z, theta + delta])
-
-
-def _polar_square_map(x: np.ndarray, z: float, delta: float) -> np.ndarray:
-    rho, theta = x
-    return np.array([rho * rho + z, theta + delta])
-
-
-EXAMPLE_DRIVE_DIMS = {
-    "tanh2x": 1,
-    "signed_power": 3,
-    "polar_sqrt": 2,
-    "polar_square": 2,
-}
-
-
-def example_drive_map(kind: str, **params) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Return the one-step reservoir map for a named example drive.
-
-    Kinds: 'tanh2x' (scalar x -> tanh(2x + z)); 'signed_power'
-    (componentwise sgn(x)|x|^alpha plus lam*(sin kz, cos kz, sin^2 kz));
-    'polar_sqrt' ((rho, theta) -> (sqrt(rho) + z, theta + delta));
-    'polar_square' ((rho, theta) -> (rho^2 + z, theta + delta)).
-    """
-    if kind == "tanh2x":
-        return _tanh2x_map
-    if kind == "signed_power":
-        alpha = params.get("alpha", 0.9)
-        lam = params.get("lam", 0.009)
-        k = params.get("k", 0.1)
-        return lambda x, z: _signed_power_map(x, z, alpha, lam, k)
-    if kind == "polar_sqrt":
-        delta = params.get("delta", 0.1)
-        return lambda x, z: _polar_sqrt_map(x, z, delta)
-    if kind == "polar_square":
-        delta = params.get("delta", 0.1)
-        return lambda x, z: _polar_square_map(x, z, delta)
-    raise ValueError(f"unknown example drive kind {kind!r}")
-
-
-def example_drive(kind: str, input_series: TimeSeries, x0: np.ndarray, **params) -> TimeSeries:
-    """Iterate a named example reservoir map over a scalar input series.
+def example_drive(input_series: TimeSeries, x0: np.ndarray) -> TimeSeries:
+    """Iterate the scalar example reservoir x_{k+1} = tanh(2 x_k + z_k).
 
     Returns the state sequence x_0, ..., x_n with n = len(input_series),
-    where x_{k+1} = F(x_k, z_k). The polar maps treat the state as
-    (radius, angle). Raises IntegrationDivergedError, naming the first
-    step out of range, if the state leaves the finite range (expected
-    for 'polar_square' started at radius > 2).
+    from a one-entry state x0 and a scalar input series.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    expected = EXAMPLE_DRIVE_DIMS[kind] if kind in EXAMPLE_DRIVE_DIMS else None
-    if expected is not None and x0.shape[0] != expected:
-        raise DimensionMismatchError(
-            f"{kind} expects a state of dim {expected}, got {x0.shape[0]}"
-        )
+    if x0.shape[0] != 1:
+        raise DimensionMismatchError(f"the example drive has a scalar state, got {x0.shape[0]}")
     if input_series.dim != 1:
         raise DimensionMismatchError("example drives take scalar input")
-    fmap = example_drive_map(kind, **params)
-    states = iterate_map(fmap, x0, input_series.samples[:, 0].tolist())
+    states = iterate_map(
+        lambda x, z: np.tanh(2.0 * x + z), x0, input_series.samples[:, 0].tolist()
+    )
     return TimeSeries(step=input_series.step, samples=states)

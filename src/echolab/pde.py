@@ -1,10 +1,11 @@
 """Random-feature solver for the Dirichlet problem on the unit disc.
 
-Frozen random tanh features on the plane, their Laplacian,
-area-uniform interior and uniform boundary sampling, the offline
-stacked ridge solve, and the closed-form reference solution for the
-cos(4 theta) boundary condition, against which the learned solution is
-scored on a polar grid.
+The problem is Laplace's equation on the unit disc with boundary data
+cos(4 theta). The module holds frozen random tanh features on the plane
+with weights U[-0.05, 0.05], their Laplacian, area-uniform interior and
+uniform boundary sampling, the offline stacked ridge solve, and the
+closed-form solution r^4 cos(4 theta), against which the learned
+solution is scored on a 50 x 200 polar grid.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,15 +36,11 @@ class RandomFeatureModel:
         self.b = np.asarray(self.b, dtype=float).reshape(self.n)
 
 
-def build_feature_model(
-    n: int,
-    weight_range: Tuple[float, float] = (-0.05, 0.05),
-    seed: int = 0,
-) -> RandomFeatureModel:
-    """Draw C (n x 2) and b i.i.d. uniform on the given range."""
+def build_feature_model(n: int, seed: int = 0) -> RandomFeatureModel:
+    """Draw C (n x 2) and b i.i.d. uniform on [-0.05, 0.05]."""
     rng = make_rng(seed)
-    C = rng.uniform(weight_range[0], weight_range[1], (n, 2))
-    b = rng.uniform(weight_range[0], weight_range[1], n)
+    C = rng.uniform(-0.05, 0.05, (n, 2))
+    b = rng.uniform(-0.05, 0.05, n)
     return RandomFeatureModel(n=n, d=2, C=C, b=b)
 
 
@@ -82,21 +79,12 @@ class DirichletSample:
             raise ValueError("boundary points must satisfy |z| = 1")
 
 
-def default_boundary_data(theta: np.ndarray) -> np.ndarray:
-    return np.cos(4.0 * theta)
-
-
-def sample_disc(
-    ell: int,
-    ell_prime: int,
-    seed: int = 0,
-    boundary_fn: Callable[[np.ndarray], np.ndarray] = default_boundary_data,
-) -> DirichletSample:
+def sample_disc(ell: int, ell_prime: int, seed: int = 0) -> DirichletSample:
     """Area-uniform interior points and uniform boundary points.
 
     Interior radii are sqrt of uniform draws so density is uniform in
-    area; boundary angles are uniform on the circle and evaluated
-    through the boundary data function.
+    area; boundary angles are uniform on the circle and carry the
+    boundary data cos(4 theta).
     """
     if ell < 1 or ell_prime < 1:
         raise ValueError("need at least one point per region")
@@ -108,7 +96,7 @@ def sample_disc(
     theta = rng.uniform(0.0, 2.0 * np.pi, ell_prime)
     boundary = np.column_stack([np.cos(theta), np.sin(theta)])
     return DirichletSample(
-        interior=interior, boundary=boundary, boundary_values=boundary_fn(theta)
+        interior=interior, boundary=boundary, boundary_values=np.cos(4.0 * theta)
     )
 
 
@@ -123,13 +111,13 @@ class DirichletSolution:
     interior_rms: float
     boundary_rms: float
 
-    def report_json(self, grid_rms: Optional[float] = None, config: Optional[dict] = None) -> str:
+    def report_json(self, grid_rms: float, config: dict) -> str:
         return json.dumps(
             {
                 "interior_rms": self.interior_rms,
                 "boundary_rms": self.boundary_rms,
                 "grid_rms": grid_rms,
-                "config": config or {},
+                "config": config,
             }
         )
 
@@ -173,23 +161,21 @@ def solve_dirichlet_offline(
     )
 
 
-def evaluation_grid(n_r: int = 50, n_theta: int = 200) -> Tuple[np.ndarray, np.ndarray]:
-    """Polar evaluation grid over the open disc."""
-    radii = np.linspace(0.0, 1.0, n_r, endpoint=False)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+def evaluation_grid() -> Tuple[np.ndarray, np.ndarray]:
+    """Polar evaluation grid over the open disc: 50 radii by 200 angles."""
+    radii = np.linspace(0.0, 1.0, 50, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
     R, T = np.meshgrid(radii, thetas, indexing="ij")
     return R.ravel(), T.ravel()
 
 
-def grid_solution(
-    model: RandomFeatureModel, readout: Readout, n_r: int = 50, n_theta: int = 200
-) -> Tuple[str, float]:
+def grid_solution(model: RandomFeatureModel, readout: Readout) -> Tuple[str, float]:
     """The learned solution on the polar grid, against the closed form.
 
     Returns the `r,theta,phi_hat,phi_exact,abs_err` CSV rows of the grid
     and the RMS of the error over it, both from one prediction.
     """
-    r, theta = evaluation_grid(n_r, n_theta)
+    r, theta = evaluation_grid()
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     approx = eval_features(model, pts) @ readout.w
     exact = analytic_disc_solution(r, theta)

@@ -1,21 +1,21 @@
 """Reservoir construction and iteration.
 
-Covers random ESN generation, driven and readout-fed autonomous
-iteration, the local state-contraction check, the explicit series form
-of the linear generalised synchronisation, the two linear-independence
-predicates behind the embedding result, and a system-isomorphism
-verifier.
+Covers random ESN generation (one recipe: uniform A rescaled to a target
+2-norm, uniform C and b), driven and readout-fed autonomous iteration,
+the local state-contraction check, the explicit series form of the
+linear generalised synchronisation, and the two linear-independence
+predicates behind the embedding result.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynsys import TWO_PI, TimeSeries, iterate_map
+from .dynsys import TimeSeries, iterate_map
 from .errors import (
     DegenerateMatrixError,
     DimensionMismatchError,
@@ -72,23 +72,20 @@ class ReservoirSpec:
         return json.dumps(doc)
 
 
-Scheme = Tuple
-
-
 @dataclass
 class ReservoirGenConfig:
     """Recipe for a random reservoir.
 
-    Schemes are tagged tuples:
-      a_scheme: ('uniform_rescaled_2norm', target) | ('lower_shift',)
-      c_scheme / b_scheme: ('uniform', lo, hi) | ('unit_e1',)
+    A has entries U[-1, 1] rescaled to matrix 2-norm `a_norm`; C (n x d)
+    and b have entries U[-c_scale, c_scale] and U[-b_scale, b_scale].
+    `activation` is 'tanh' or 'identity' (the linear reservoir).
     """
 
     n: int
     d: int
-    a_scheme: Scheme
-    c_scheme: Scheme
-    b_scheme: Scheme
+    a_norm: float
+    c_scale: float
+    b_scale: float
     seed: int = 0
     activation: str = "tanh"
 
@@ -123,47 +120,20 @@ def matrix_2norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def lower_shift_matrix(n: int) -> np.ndarray:
-    A = np.zeros((n, n))
-    A[np.arange(1, n), np.arange(n - 1)] = 1.0
-    return A
-
-
-def _draw_vector_scheme(scheme: Scheme, shape, rng: np.random.Generator) -> np.ndarray:
-    tag = scheme[0]
-    if tag == "uniform":
-        _, lo, hi = scheme
-        return rng.uniform(lo, hi, shape)
-    if tag == "unit_e1":
-        out = np.zeros(shape)
-        out.flat[0] = 1.0
-        return out
-    raise ValueError(f"unknown scheme {tag!r}")
-
-
 def generate(config: ReservoirGenConfig) -> ReservoirSpec:
     """Draw a ReservoirSpec deterministically from the config seed.
 
-    'uniform_rescaled_2norm' draws entries U[-1, 1] and rescales so the
-    matrix 2-norm hits the target; 'lower_shift' is the delay-line shift.
+    A, then C, then b come from one generator, in that order.
     """
     rng = make_rng(config.seed)
     n = config.n
-    tag = config.a_scheme[0]
-    if tag == "uniform_rescaled_2norm":
-        target = config.a_scheme[1]
-        A = rng.uniform(-1.0, 1.0, (n, n))
-        norm = matrix_2norm(A)
-        if norm == 0.0:
-            raise DegenerateMatrixError("zero matrix cannot be rescaled")
-        A *= target / norm
-    elif tag == "lower_shift":
-        A = lower_shift_matrix(n)
-    else:
-        raise ValueError(f"unknown a_scheme {tag!r}")
-
-    C = _draw_vector_scheme(config.c_scheme, (n, config.d), rng)
-    b = _draw_vector_scheme(config.b_scheme, (n,), rng)
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    norm = matrix_2norm(A)
+    if norm == 0.0:
+        raise DegenerateMatrixError("zero matrix cannot be rescaled")
+    A *= config.a_norm / norm
+    C = rng.uniform(-config.c_scale, config.c_scale, (n, config.d))
+    b = rng.uniform(-config.b_scale, config.b_scale, n)
     return ReservoirSpec(
         n=n, d=config.d, A=A, C=C, b=b, activation=config.activation, seed=config.seed
     )
@@ -300,14 +270,6 @@ def linear_gs_series(
     return GsSeriesResult(value=value, tail_bound=tail)
 
 
-def circle_past_obs(
-    epsilon: float, m: float, omega: Callable[[float], float], truncation: int
-) -> np.ndarray:
-    """Backward observations w_k = omega(m - k*epsilon) for a rotation."""
-    ks = np.arange(truncation + 1)
-    return np.array([omega(np.mod(m - k * epsilon, TWO_PI)) for k in ks])
-
-
 def trajectory_past_obs(series: TimeSeries, index: int, truncation: int) -> np.ndarray:
     """Backward window of a stored trajectory, treated as two-sided.
 
@@ -380,33 +342,3 @@ def check_condition_C(
     stacked = np.column_stack(vecs)
     return _matrix_rank(stacked) == len(eigenvalues)
 
-
-def check_system_isomorphism(
-    spec_a: ReservoirSpec,
-    spec_b: ReservoirSpec,
-    P: np.ndarray,
-    input_series: TimeSeries,
-    w: np.ndarray,
-    x0_bar: Optional[np.ndarray] = None,
-) -> float:
-    """Max output deviation between similarity-related linear systems.
-
-    System A uses readout h(x) = w^T x; system B uses h(P x_bar), the
-    pullback of h through the similarity. Initial states are P-related
-    (x0 = P x0_bar), so when A = P A_bar P^{-1} and C = P C_bar the two
-    outputs agree up to roundoff.
-    """
-    for s in (spec_a, spec_b):
-        if s.activation != "identity" or np.any(s.b != 0.0):
-            raise ValueError("isomorphism check requires identity activation, zero bias")
-    P = np.asarray(P, dtype=float)
-    if abs(np.linalg.det(P)) < 1e-300:
-        raise DegenerateMatrixError("P is singular")
-    x0_bar = np.zeros(spec_b.n) if x0_bar is None else np.asarray(x0_bar, dtype=float)
-    x0 = P @ x0_bar
-    states_a = drive(spec_a, input_series, x0).samples
-    states_b = drive(spec_b, input_series, x0_bar).samples
-    w = np.asarray(w, dtype=float).reshape(spec_a.n)
-    out_a = states_a @ w
-    out_b = states_b @ (P.T @ w)
-    return float(np.max(np.abs(out_a - out_b)))

@@ -1,22 +1,22 @@
 """Stationary ergodic input processes and value functionals.
 
-Finite-state processes (i.i.d. draws, Markov chains started from their
-stationary law, and wrapped deterministic series), Monte-Carlo value
-estimation, the empirical Bellman residual, and an empirical
+The input process is a finite Markov chain started from its stationary
+law and emitting one row per state. The module also holds Monte-Carlo
+value estimation, the empirical Bellman residual, and an empirical
 contraction check for the one-step expectation operator.
 
-Every random step of a finite kind consumes exactly one double of its
-generator and maps it through the cumulative law, as
-`Generator.choice(k, p=p)` does, so a path is fixed by its seed however
-many paths are drawn together. Monte-Carlo rollouts run as one batch:
-one draw block per call, and one reward call per distinct window.
+Every random step consumes exactly one double of its generator and maps
+it through the cumulative law, as `Generator.choice(k, p=p)` does, so a
+path is fixed by its seed however many paths are drawn together.
+Monte-Carlo rollouts run as one batch: one draw block per call, and one
+reward call per distinct window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,49 +24,28 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dynsys import TimeSeries
 from .errors import AdmissibilityError, NonErgodicError
 from .reservoir import make_rng
-from .training import Readout
 
 
 @dataclass
 class ProcessSpec:
-    """A finite-memory stationary process.
+    """A finite Markov chain started from its stationary distribution.
 
-    kind selects the sampler:
-      ('iid_finite', support, probabilities): rows of `support` drawn
-          i.i.d. with the given probabilities.
-      ('markov_chain', transition, emissions): a finite chain started
-          from its stationary distribution, emitting `emissions[state]`.
-      ('deterministic_wrap', series): replays a stored TimeSeries.
+    State k moves to state j with probability `transition[k, j]` and
+    emits the row `emissions[k]`; `seed` fixes the sampled path.
     """
 
-    kind: Tuple
+    transition: np.ndarray
+    emissions: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
-        tag = self.kind[0]
-        if tag == "iid_finite":
-            _, support, probs = self.kind
-            probs = np.asarray(probs, dtype=float)
-            if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
-                raise ValueError("probabilities must be nonnegative and sum to 1")
-            if not np.all(np.isfinite(np.asarray(support, dtype=float))):
-                raise AdmissibilityError("support must be bounded")
-        elif tag == "markov_chain":
-            _, transition, emissions = self.kind
-            P = np.asarray(transition, dtype=float)
-            if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError("transition rows must be stochastic")
-            if not np.all(np.isfinite(np.asarray(emissions, dtype=float))):
-                raise AdmissibilityError("emissions must be bounded")
-        elif tag == "deterministic_wrap":
-            if not isinstance(self.kind[1], TimeSeries):
-                raise ValueError("deterministic_wrap expects a TimeSeries")
-        else:
-            raise ValueError(f"unknown process kind {tag!r}")
-
-    @property
-    def tag(self) -> str:
-        return self.kind[0]
+        self.transition = np.asarray(self.transition, dtype=float)
+        self.emissions = np.atleast_2d(np.asarray(self.emissions, dtype=float))
+        P = self.transition
+        if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+            raise ValueError("transition rows must be stochastic")
+        if not np.all(np.isfinite(self.emissions)):
+            raise AdmissibilityError("emissions must be bounded")
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -107,48 +86,32 @@ def _draw_finite(
     normalised by its last entry. This is what `Generator.choice(k, p=p)`
     does with one double per draw, so a path drawn here equals the
     per-step `rng.choice` walk bit for bit and leaves `rng` in the same
-    state. i.i.d. kinds map the whole block at once. Markov paths all
-    advance together, one time step per loop pass, from state `start`;
-    with no start the first state is drawn from the stationary law and
-    is the first of the `length` states.
+    state. All paths advance together, one time step per loop pass, from
+    state `start`; with no start the first state is drawn from the
+    stationary law and is the first of the `length` states.
     """
     u = rng.random(shape)
-    if spec.tag == "iid_finite":
-        _, table, probs = spec.kind
-        states = _cdf(np.asarray(probs, dtype=float)).searchsorted(u, side="right")
-    else:
-        _, transition, table = spec.kind
-        P = np.asarray(transition, dtype=float)
-        cdf = _cdf(P)
-        states = np.empty(shape, dtype=int)
-        prev = None if start is None else np.full(shape[:-1], start)
-        for k in range(shape[-1]):
-            law = _cdf(stationary_distribution(P)) if prev is None else cdf[prev]
-            prev = states[..., k] = (law <= u[..., k, None]).sum(axis=-1)
-    return np.atleast_2d(np.asarray(table, dtype=float))[states], states
+    P = spec.transition
+    cdf = _cdf(P)
+    states = np.empty(shape, dtype=int)
+    prev = None if start is None else np.full(shape[:-1], start)
+    for k in range(shape[-1]):
+        law = _cdf(stationary_distribution(P)) if prev is None else cdf[prev]
+        prev = states[..., k] = (law <= u[..., k, None]).sum(axis=-1)
+    return spec.emissions[states], states
 
 
-def sample_path(
-    spec: ProcessSpec, length: int, return_states: bool = False
-) -> Union[TimeSeries, Tuple[TimeSeries, np.ndarray]]:
-    """Seeded, replayable sample of the process.
+def sample_path(spec: ProcessSpec, length: int) -> Tuple[TimeSeries, np.ndarray]:
+    """Seeded, replayable sample of the chain and its hidden states.
 
-    Finite kinds are one path of `_draw_finite` from a generator seeded
-    with `spec.seed`. Markov paths draw their initial state from the
-    stationary distribution so the path is stationary from index 0; the
-    optional second return value carries the hidden state indices.
+    One path of `_draw_finite` from a generator seeded with `spec.seed`.
+    The initial state is drawn from the stationary distribution, so the
+    path is stationary from index 0.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if spec.tag != "deterministic_wrap":
-        rows, states = _draw_finite(spec, make_rng(spec.seed), (1, length))
-        series = TimeSeries(step=1.0, samples=rows[0])
-        return (series, states[0]) if return_states else series
-    series = spec.kind[1]
-    out = TimeSeries(step=series.step, samples=series.samples[:length].copy())
-    if return_states:
-        return out, np.arange(min(length, len(series)))
-    return out
+    rows, states = _draw_finite(spec, make_rng(spec.seed), (1, length))
+    return TimeSeries(step=1.0, samples=rows[0]), states[0]
 
 
 @dataclass
@@ -156,22 +119,19 @@ class RewardFunctional:
     """Causal reward depending on the last `window` inputs.
 
     fn receives a (window, d) array, newest input last, and must return
-    a finite float, within `sup_bound` in magnitude when one is set;
-    each call checks both and raises AdmissibilityError otherwise. fn
-    must be a pure function of the window's values: `value_mc` calls it
-    once per distinct window of a batch, not once per rollout step.
+    a finite float; each call checks this and raises AdmissibilityError
+    otherwise. fn must be a pure function of the window's values:
+    `value_mc` calls it once per distinct window of a batch, not once
+    per rollout step.
     """
 
     window: int
     fn: Callable[[np.ndarray], float]
-    sup_bound: Optional[float] = None
 
     def __call__(self, recent: np.ndarray) -> float:
         value = float(self.fn(np.atleast_2d(recent)))
         if not math.isfinite(value):
             raise AdmissibilityError("reward functional produced a non-finite value")
-        if self.sup_bound is not None and abs(value) > self.sup_bound + 1e-12:
-            raise AdmissibilityError("reward exceeded its declared bound")
         return value
 
 
@@ -196,10 +156,9 @@ def value_mc(
     """Monte-Carlo estimate of the discounted value given a history.
 
     `history` holds at least `reward.window` recent inputs (newest
-    last); Markov and wrapped kinds condition on `current_state`, the
-    hidden index behind the newest input (a Markov rollout without one
-    starts from the stationary law), while i.i.d. kinds ignore it.
-    The horizon defaults to the smallest one with gamma**horizon <=
+    last); rollouts condition on `current_state`, the hidden index
+    behind the newest input, and start from the stationary law without
+    one. The horizon defaults to the smallest one with gamma**horizon <=
     1e-9 (1 when gamma is 0).
 
     All rollouts run as one batch: the `horizon - 1` future steps of
@@ -219,15 +178,7 @@ def value_mc(
             horizon = 1
         else:
             horizon = max(1, int(math.ceil(math.log(1e-9) / math.log(gamma))))
-    if spec.tag == "deterministic_wrap":
-        series = spec.kind[1]
-        start = 0 if current_state is None else current_state + 1
-        if start + horizon - 1 > len(series):
-            raise ValueError("wrapped series too short for the requested horizon")
-        wrapped = series.samples[start : start + horizon - 1]
-        future = np.broadcast_to(wrapped, (n_rollouts,) + wrapped.shape)
-    else:
-        future = _draw_finite(spec, make_rng(seed), (n_rollouts, horizon - 1), current_state)[0]
+    future = _draw_finite(spec, make_rng(seed), (n_rollouts, horizon - 1), current_state)[0]
     recent = history[len(history) - reward.window :]
     paths = np.concatenate([np.broadcast_to(recent, (n_rollouts,) + recent.shape), future], axis=1)
     # Window k of a rollout is paths[:, k : k + window]. Windows are keyed
@@ -257,10 +208,7 @@ def markov_value_oracle(transition: np.ndarray, rewards: np.ndarray, gamma: floa
 
 
 def bellman_residual(
-    features: np.ndarray,
-    w: Union[Readout, np.ndarray],
-    rewards: np.ndarray,
-    gamma: float,
+    features: np.ndarray, w: np.ndarray, rewards: np.ndarray, gamma: float
 ) -> float:
     """Path average of (W^T (H_k - gamma H_{k+1}) - R_k)^2.
 
@@ -273,10 +221,9 @@ def bellman_residual(
     H = np.atleast_2d(np.asarray(features, dtype=float))
     if len(H) < 2:
         raise ValueError("path must have at least 2 samples")
-    weights = w.w if isinstance(w, Readout) else np.asarray(w, dtype=float)
     rewards = np.asarray(rewards, dtype=float)
     diffs = H[:-1] - gamma * H[1:]
-    preds = diffs @ weights
+    preds = diffs @ np.asarray(w, dtype=float)
     r = rewards[: len(preds)]
     return float(np.mean((preds - r) ** 2))
 

@@ -457,17 +457,14 @@ class AttractorH1Result:
 
 
 def attractor_h1_experiment(
-    points: np.ndarray,
-    subsample: int = 400,
-    max_eps: Optional[float] = None,
+    points: np.ndarray, subsample: int, max_eps: float
 ) -> AttractorH1Result:
     """Degree-1 persistence of the landmark skeleton of an (m, d) orbit array.
 
     Subsamples `subsample` landmarks by farthest-point selection, runs
-    a Rips filtration to max_eps (default 40 percent of the landmark
-    diameter), and reports the two most persistent H1 pairs together
-    with the persistence ratio of the 2nd to the 3rd class. Truncated
-    classes count with death at max_eps.
+    a Rips filtration to max_eps, and reports the two most persistent H1
+    pairs together with the persistence ratio of the 2nd to the 3rd
+    class. Truncated classes count with death at max_eps.
     """
     if subsample < 50:
         raise ValueError("subsample must be >= 50")
@@ -477,9 +474,6 @@ def attractor_h1_experiment(
         raise DegenerateCloudError("all points coincide")
     landmark_idx = maxmin_subsample(pts, subsample)
     landmarks = pts[landmark_idx]
-    if max_eps is None:
-        diff = landmarks[:, None, :] - landmarks[None, :, :]
-        max_eps = 0.4 * float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
     filtration = rips_filtration(landmarks, max_dim=2, max_eps=max_eps)
     diagram = persistence(filtration, max_eps=max_eps)
     h1 = np.flatnonzero(diagram.degree == 1)

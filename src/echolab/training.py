@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .dynsys import TimeSeries
 from .errors import ContractionBoundError, SingularProblemError
 
 SVD_TRUNCATION = 1e-12
@@ -69,12 +68,12 @@ class RegressionProblem:
 
 
 def problem_from_series(
-    states: TimeSeries, targets: np.ndarray, burn_in: int = DEFAULT_BURN_IN
+    states: np.ndarray, targets: np.ndarray, burn_in: int = DEFAULT_BURN_IN
 ) -> RegressionProblem:
-    """Pair reservoir states with targets, dropping an initial transient."""
+    """Pair reservoir state rows with targets, dropping an initial transient."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     n = min(len(states), targets.shape[0])
-    return RegressionProblem(states.samples[burn_in:n], targets[burn_in:n])
+    return RegressionProblem(states[burn_in:n], targets[burn_in:n])
 
 
 def solve_offline(
@@ -189,9 +188,10 @@ def run_online(
 
 
 def value_targets(
-    features: TimeSeries, rewards: np.ndarray, gamma: float
+    features: np.ndarray, rewards: np.ndarray, gamma: float
 ) -> RegressionProblem:
-    """Rows g_k = f_k - gamma f_{k+1} paired with the reward at step k.
+    """Rows g_k = f_k - gamma f_{k+1} of the feature rows f_k, paired
+    with the reward at step k.
 
     Training on the result approximates the discounted value: a weight
     vector with W^T g close to the rewards makes W^T f satisfy the
@@ -202,8 +202,7 @@ def value_targets(
         raise ValueError("gamma must lie in [0, 1)")
     if len(features) < 2:
         raise ValueError("need at least 2 samples")
-    f = features.samples
-    rows = f[:-1] - gamma * f[1:]
+    rows = features[:-1] - gamma * features[1:]
     rewards = np.asarray(rewards, dtype=float).reshape(-1)[: rows.shape[0]]
     if rewards.shape[0] != rows.shape[0]:
         raise ValueError("need a reward for every transition")

@@ -344,27 +344,22 @@ def lyapunov_qr_reference(step, jacobian, x0, n_iter, tau=1.0, record_every=100)
 
 
 # Per-step Monte-Carlo references: one `rng.choice` call per Markov step
-# (one per path for i.i.d. kinds) and one reward call per rollout step.
+# and one reward call per rollout step.
 
 
 def draw_finite_reference(spec, rng, length, start=None):
-    """Emitted rows and hidden states of one finite-kind path, per step."""
-    if spec.tag == "iid_finite":
-        _, table, probs = spec.kind
-        states = rng.choice(len(table), size=length, p=np.asarray(probs, dtype=float))
-    else:
-        _, transition, table = spec.kind
-        P = np.asarray(transition, dtype=float)
-        states = np.empty(length, dtype=int)
-        prev = start
-        for k in range(length):
-            p = stationary_distribution(P) if prev is None else P[prev]
-            prev = states[k] = rng.choice(len(P), p=p)
-    return np.atleast_2d(np.asarray(table, dtype=float))[states], states
+    """Emitted rows and hidden states of one chain path, per step."""
+    P = spec.transition
+    states = np.empty(length, dtype=int)
+    prev = start
+    for k in range(length):
+        p = stationary_distribution(P) if prev is None else P[prev]
+        prev = states[k] = rng.choice(len(P), p=p)
+    return spec.emissions[states], states
 
 
 def sample_path_reference(spec, length):
-    """(rows, states) of `sample_path` for a finite kind, drawn per step."""
+    """(rows, states) of `sample_path`, drawn per step."""
     return draw_finite_reference(spec, make_rng(spec.seed), length)
 
 
@@ -375,13 +370,9 @@ def value_mc_reference(
     call at a time; the generator is returned for its next draw."""
     history = np.atleast_2d(np.asarray(history, dtype=float))
     rng = make_rng(seed)
-    if spec.tag == "deterministic_wrap":
-        start = 0 if current_state is None else current_state + 1
-        future = spec.kind[1].samples[start : start + horizon - 1]
     totals = np.empty(n_rollouts)
     for r in range(n_rollouts):
-        if spec.tag != "deterministic_wrap":
-            future = draw_finite_reference(spec, rng, horizon - 1, current_state)[0]
+        future = draw_finite_reference(spec, rng, horizon - 1, current_state)[0]
         path = np.vstack([history, future])
         base = len(history) - 1
         total = 0.0

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from echolab.cli import (
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     EXPERIMENTS,
+    PARAMETERS,
+    RUNNERS,
     ExperimentConfig,
     load_config,
     main,
@@ -104,7 +107,7 @@ class TestValidate:
             ("lorenz_train", "lam", -1e-9, 0),
             ("lorenz_forecast", "horizon", -1, 1),
             ("lorenz_forecast", "n", 2, 3),
-            ("value_learn", "length", 1, 2),
+            ("value_learn", "length", 2, 3),
             ("gs_examples", "n_steps", 1, 2),
             ("gs_examples", "burn_in", 0, 1),
             ("gs_examples", "burn_in", 200, 199),
@@ -112,6 +115,10 @@ class TestValidate:
             ("homology", "subsample", 49, 50),
             ("homology", "subsample", 502, 501),
             ("homology", "max_eps", 0, 0.5),
+            ("homology", "max_eps", float("inf"), 0.5),
+            ("homology", "max_eps", float("nan"), 0.5),
+            ("lorenz_train", "lam", float("inf"), 1e-9),
+            ("fixed_point", "tau", float("inf"), 0.01),
             ("embedding_check", "n", 0, 1),
             ("embedding_check", "n", -1, 1),
             ("embedding_check", "n", 2.5, 2),
@@ -141,10 +148,34 @@ class TestValidate:
         assert validate(config) == []
 
     def test_default_parameters_valid(self):
+        # With no parameters, every table default meets its own rule.
         for experiment in EXPERIMENTS:
             assert validate(ExperimentConfig(experiment, seed=1, output_dir="out")) == []
         lorenz = {"source": "lorenz"}
         assert validate(ExperimentConfig("homology", 1, "out", parameters=lorenz)) == []
+
+    def test_runners_take_exactly_their_table_keys(self):
+        # The table is the one list of each experiment's knobs: a runner
+        # may not read a key it does not declare, nor declare one it lacks.
+        assert list(RUNNERS) == list(PARAMETERS) == list(EXPERIMENTS)
+        for experiment, runner in RUNNERS.items():
+            parameters = inspect.signature(runner).parameters.values()
+            keyword_only = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
+            assert keyword_only == list(PARAMETERS[experiment]), experiment
+            assert all(p.default is p.empty for p in parameters), experiment
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        # A misspelt key is reported, not silently replaced by the default.
+        out = tmp_path / "out"
+        config = ExperimentConfig("lyapunov", 1, str(out), parameters={"n_iters": 300})
+        assert validate(config) == ["params.n_iters: unknown; expected one of n_iter, tau"]
+        assert run(config) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_shortest_value_learn_runs(self, tmp_path):
+        # length 3 gives two transitions, enough for the two-weight readout.
+        config = ExperimentConfig("value_learn", 1, str(tmp_path), parameters={"length": 3})
+        assert run(config) == EXIT_OK
 
     @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
     @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
@@ -279,7 +310,7 @@ class TestRun:
         # manifest landed first.
         import echolab.cli as cli_mod
 
-        def boom(config, outdir):
+        def boom(outdir, seed, **params):
             raise RuntimeError("deliberate failure")
 
         monkeypatch.setitem(cli_mod.RUNNERS, "homology", boom)

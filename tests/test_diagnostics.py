@@ -86,11 +86,7 @@ class TestNewton:
 
 class TestEsnJacobian:
     def random_spec(self, seed, activation="tanh"):
-        cfg = ReservoirGenConfig(
-            7, 1, ("uniform_rescaled_2norm", 0.8), ("uniform", -0.3, 0.3),
-            ("uniform", -0.1, 0.1), seed=seed, activation=activation,
-        )
-        return generate(cfg)
+        return generate(ReservoirGenConfig(7, 1, 0.8, 0.3, 0.1, seed=seed, activation=activation))
 
     def test_matches_finite_differences(self):
         rng = make_rng(0)
@@ -288,11 +284,7 @@ class TestPca:
         # variances agree to 8 eps of the largest variance; the smallest
         # of them can differ by more than that relative to itself.
         spec = generate(
-            ReservoirGenConfig(
-                n=100, d=1, a_scheme=("uniform_rescaled_2norm", 1.0),
-                c_scheme=("uniform", -0.05, 0.05), b_scheme=("uniform", -0.05, 0.05),
-                seed=seed,
-            )
+            ReservoirGenConfig(n=100, d=1, a_norm=1.0, c_scale=0.05, b_scale=0.05, seed=seed)
         )
         xi = integrate_lorenz(LorenzParams(), 3000).samples[:, :1]
         X = drive(spec, TimeSeries(step=0.01, samples=xi), np.zeros(100)).samples[100:]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from echolab.dynsys import (
-    EXAMPLE_DRIVE_DIMS,
     LorenzParams,
     TimeSeries,
     WING_FIXED_POINT,
@@ -15,7 +14,6 @@ from echolab.dynsys import (
     circle_rotation,
     csv_text,
     example_drive,
-    example_drive_map,
     integrate_lorenz,
     lorenz_jacobian,
     lorenz_rhs,
@@ -205,76 +203,30 @@ class TestExampleDrives:
 
     def test_tanh2x_converges_to_positive_fixed_point(self):
         # Bisection oracle on tanh(2x) - x gives x* = 0.9575040240772688.
-        out = example_drive("tanh2x", self.zero_input(80), np.array([0.9]))
+        out = example_drive(self.zero_input(80), np.array([0.9]))
         tail = out.samples[50:, 0]
         assert np.max(np.abs(tail - 0.9575040240772688)) < 1e-6
 
     def test_tanh2x_zero_is_fixed(self):
-        out = example_drive("tanh2x", self.zero_input(30), np.array([0.0]))
+        out = example_drive(self.zero_input(30), np.array([0.0]))
         assert np.all(out.samples == 0.0)
 
     def test_tanh2x_stays_in_unit_interval(self):
         rng = np.random.default_rng(7)
         z = TimeSeries(step=1.0, samples=rng.uniform(-1, 1, (200, 1)))
-        out = example_drive("tanh2x", z, np.array([0.73]))
+        out = example_drive(z, np.array([0.73]))
         assert np.all(np.abs(out.samples) <= 1.0)
 
-    def test_polar_sqrt_radius_tends_to_one(self):
-        # Iterating rho -> sqrt(rho) from 4 gives rho_k = 4^(2^-k).
-        out = example_drive("polar_sqrt", self.zero_input(50), np.array([4.0, 0.0]), delta=0.1)
-        radii = out.samples[:, 0]
-        assert np.all(np.diff(radii) <= 1e-15)
-        assert abs(radii[50] - 1.0) < 1e-3
-
-    @pytest.mark.parametrize(
-        "kind,x0",
-        [("tanh2x", [0.3]), ("signed_power", [1.0, -0.95, 1.05]), ("polar_sqrt", [4.0, 0.5])],
-    )
-    def test_matches_per_step_reference(self, kind, x0):
+    def test_matches_per_step_reference(self):
         z = TimeSeries(step=1.0, samples=np.random.default_rng(3).uniform(0, 1, (300, 1)))
-        expected = iterate_with_step_check(example_drive_map(kind), z, np.array(x0))
-        out = example_drive(kind, z, np.array(x0))
+        fmap = lambda x, z: np.tanh(2.0 * x + z)
+        expected = iterate_with_step_check(fmap, z, np.array([0.3]))
+        out = example_drive(z, np.array([0.3]))
         assert out.samples.tobytes() == expected.tobytes()
-
-    def test_polar_square_diverges_beyond_two(self):
-        # rho -> rho^2 from 2.5 passes 1e12 at step 5; the per-step loop
-        # stops at the same step, and no overflow warning escapes.
-        z = self.zero_input(100)
-        x0 = np.array([2.5, 0.0])
-        with pytest.raises(IntegrationDivergedError) as ref:
-            iterate_with_step_check(example_drive_map("polar_square", delta=0.1), z, x0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IntegrationDivergedError) as err:
-                example_drive("polar_square", z, x0, delta=0.1)
-        assert err.value.step == ref.value.step == 5
-
-    def test_signed_power_box_invariance(self):
-        # Each signed-power box [0.9,1.1]^3 (any sign pattern) is mapped
-        # into itself under the Lorenz-xi input range.
-        fmap = example_drive_map("signed_power", alpha=0.9, lam=0.009, k=0.1)
-        rng = np.random.default_rng(11)
-        xi = integrate_lorenz(LorenzParams(), 2000).samples[:, 0]
-        lo, hi = xi.min(), xi.max()
-        for signs in [(1, 1, 1), (-1, 1, 1), (1, -1, -1), (-1, -1, -1)]:
-            s = np.array(signs, dtype=float)
-            for _ in range(200):
-                x = s * rng.uniform(0.9, 1.1, 3)
-                z = rng.uniform(lo, hi)
-                y = fmap(x, z)
-                assert np.all(s * y >= 0.9 - 1e-12)
-                assert np.all(s * y <= 1.1 + 1e-12)
 
     def test_wrong_state_dim_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            example_drive("tanh2x", self.zero_input(3), np.array([0.1, 0.2]))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            example_drive("cubic", self.zero_input(3), np.array([0.0]))
-
-    def test_dims_table(self):
-        assert EXAMPLE_DRIVE_DIMS["signed_power"] == 3
+            example_drive(self.zero_input(3), np.array([0.1, 0.2]))
 
 
 class TestCsvText:

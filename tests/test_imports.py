@@ -170,9 +170,7 @@ PENDING_WIRE_IN = {
     "reservoir.linear_gs_series": "embedding_check: the linear GS as an explicit series",
     "reservoir.GsSeriesResult": "result of linear_gs_series",
     "errors.SeriesDivergentError": "raised by linear_gs_series when rho(A) >= 1",
-    "reservoir.circle_past_obs": "embedding_check: backward observations of the rotation",
     "reservoir.trajectory_past_obs": "embedding_check: backward observations of a stored orbit",
-    "reservoir.check_system_isomorphism": "embedding_check: similar linear systems give equal outputs",
     "training.run_online": "value_learn: the online TD(0) readout",
     "training.online_step": "the update rule of run_online",
     "training.OnlineResult": "result of run_online",

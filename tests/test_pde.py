@@ -3,9 +3,9 @@ import pytest
 
 from echolab.pde import (
     DirichletSample,
+    RandomFeatureModel,
     analytic_disc_solution,
     build_feature_model,
-    default_boundary_data,
     eval_feature_laplacian,
     eval_features,
     evaluation_grid,
@@ -18,6 +18,19 @@ from echolab.reservoir import make_rng
 from echolab.training import Readout, online_step, solve_offline
 
 from oracles import online_moment_solution
+
+
+def wide_feature_model(n, seed, scale):
+    """Features with weights U[-scale, scale], wider than the solver's."""
+    rng = make_rng(seed)
+    C = rng.uniform(-scale, scale, (n, 2))
+    return RandomFeatureModel(n=n, d=2, C=C, b=rng.uniform(-scale, scale, n))
+
+
+def homogeneous_sample(ell, seed):
+    """The disc sample's points with zero boundary data."""
+    sample = sample_disc(ell, ell, seed=seed)
+    return DirichletSample(sample.interior, sample.boundary, np.zeros(ell))
 
 
 def numerical_laplacian(f, z, h=1e-4):
@@ -61,7 +74,7 @@ class TestFeatureLaplacian:
         assert lap[2] == 0.0
 
     def test_matches_finite_difference_oracle(self):
-        model = build_feature_model(20, seed=3, weight_range=(-0.5, 0.5))
+        model = wide_feature_model(20, seed=3, scale=0.5)
         rng = make_rng(4)
         for _ in range(20):
             z = rng.uniform(-0.5, 0.5, 2)
@@ -90,7 +103,7 @@ class TestSampleDisc:
         assert np.array_equal(a.boundary, b.boundary)
         assert np.array_equal(a.boundary_values, b.boundary_values)
 
-    def test_boundary_values_from_data_fn(self):
+    def test_boundary_values_are_cos_4_theta(self):
         sample = sample_disc(5, 200, seed=2)
         theta = np.arctan2(sample.boundary[:, 1], sample.boundary[:, 0])
         assert np.allclose(sample.boundary_values, np.cos(4 * theta), atol=1e-12)
@@ -99,7 +112,7 @@ class TestSampleDisc:
 class TestOfflineSolve:
     def test_homogeneous_data_gives_zero_weights(self):
         model = build_feature_model(20, seed=0)
-        sample = sample_disc(30, 30, seed=1, boundary_fn=lambda t: np.zeros_like(t))
+        sample = homogeneous_sample(30, seed=1)
         sol = solve_dirichlet_offline(model, sample, lam=1e-4)
         assert np.allclose(sol.readout.w, 0.0, atol=1e-12)
         assert sol.boundary_rms < 1e-12
@@ -142,7 +155,7 @@ class TestOfflineSolve:
     def test_solution_linearity_of_laplacian(self):
         # Laplacian of W^T f equals W^T (Laplacian f): check the
         # assembled field against finite differences.
-        model = build_feature_model(40, seed=4, weight_range=(-0.4, 0.4))
+        model = wide_feature_model(40, seed=4, scale=0.4)
         sample = sample_disc(60, 60, seed=5)
         sol = solve_dirichlet_offline(model, sample, lam=1e-6)
         w = sol.readout.w
@@ -181,7 +194,7 @@ def online_iteration(model, sample, n_steps, w0=None):
 class TestOnlineSolve:
     def test_homogeneous_data_decays_to_zero(self):
         model = build_feature_model(10, seed=0)
-        sample = sample_disc(10, 10, seed=1, boundary_fn=lambda t: np.zeros_like(t))
+        sample = homogeneous_sample(10, seed=1)
         w = online_iteration(model, sample, 5000, w0=np.ones(10))
         assert np.linalg.norm(w) < 1e-3
 
@@ -227,15 +240,15 @@ class TestExports:
         model = build_feature_model(10, seed=0)
         sample = sample_disc(10, 10, seed=0)
         sol = solve_dirichlet_offline(model, sample, lam=1e-4)
-        lines = grid_solution(model, sol.readout, n_r=5, n_theta=8)[0].splitlines()
+        lines = grid_solution(model, sol.readout)[0].splitlines()
         assert lines[0] == "r,theta,phi_hat,phi_exact,abs_err"
-        assert len(lines) == 1 + 5 * 8
+        assert len(lines) == 1 + 50 * 200
 
     def test_grid_solution_csv_and_rms(self):
         model = build_feature_model(10, seed=0)
         sample = sample_disc(10, 10, seed=0)
         sol = solve_dirichlet_offline(model, sample, lam=1e-4)
-        text, rms = grid_solution(model, sol.readout, n_r=5, n_theta=8)
+        text, rms = grid_solution(model, sol.readout)
         # The RMS is that of the exported errors, to the bit.
         abs_err = np.array([float(line.split(",")[4]) for line in text.splitlines()[1:]])
         assert rms == float(np.sqrt(np.mean(abs_err**2)))

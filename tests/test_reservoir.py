@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from echolab.dynsys import TimeSeries, integrate_lorenz, LorenzParams, example_drive_map
+from echolab.dynsys import TimeSeries, integrate_lorenz, LorenzParams
 from echolab.errors import (
-    DegenerateMatrixError,
     DimensionMismatchError,
     IntegrationDivergedError,
     SeriesDivergentError,
@@ -20,12 +19,9 @@ from echolab.reservoir import (
     check_condition_C,
     check_condition_D,
     check_local_contraction,
-    check_system_isomorphism,
-    circle_past_obs,
     drive,
     generate,
     linear_gs_series,
-    lower_shift_matrix,
     make_rng,
     matrix_2norm,
     spectral_radius,
@@ -38,6 +34,23 @@ def scalar_series(values):
     return TimeSeries(step=1.0, samples=np.asarray(values, dtype=float)[:, None])
 
 
+def lower_shift_matrix(n):
+    A = np.zeros((n, n))
+    A[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return A
+
+
+def circle_past_obs(epsilon, m, omega, truncation):
+    """Backward observations w_k = omega(m - k epsilon) of a rotation."""
+    return omega(np.mod(m - np.arange(truncation + 1) * epsilon, 2 * np.pi))
+
+
+def signed_power_map(x, z, alpha=0.9, lam=0.009, k=0.1):
+    """sgn(x)|x|^alpha plus lam (sin kz, cos kz, sin^2 kz), componentwise."""
+    forcing = lam * np.array([np.sin(k * z), np.cos(k * z), np.sin(k * z) ** 2])
+    return np.sign(x) * np.abs(x) ** alpha + forcing
+
+
 def linear_spec(A, C, seed=0):
     n = A.shape[0]
     return ReservoirSpec(
@@ -47,38 +60,21 @@ def linear_spec(A, C, seed=0):
 
 
 class TestGenerate:
-    def test_lower_shift_matrix(self):
-        cfg = ReservoirGenConfig(3, 1, ("lower_shift",), ("unit_e1",), ("uniform", 0.0, 0.0))
-        spec = generate(cfg)
-        expected = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-        assert np.array_equal(spec.A, expected)
-        assert np.array_equal(spec.C[:, 0], [1.0, 0.0, 0.0])
-        assert np.array_equal(spec.b, np.zeros(3))
-
     def test_rescaled_2norm_hits_target(self):
         for seed in (0, 1, 2):
-            cfg = ReservoirGenConfig(
-                40, 1, ("uniform_rescaled_2norm", 1.0), ("uniform", -0.05, 0.05),
-                ("uniform", -0.05, 0.05), seed=seed,
-            )
+            cfg = ReservoirGenConfig(40, 1, 1.0, 0.05, 0.05, seed=seed)
             spec = generate(cfg)
             assert abs(np.linalg.norm(spec.A, 2) - 1.0) < 1e-10
 
     def test_seeded_determinism(self):
-        cfg = ReservoirGenConfig(
-            20, 1, ("uniform_rescaled_2norm", 0.9), ("uniform", -0.05, 0.05),
-            ("uniform", -0.05, 0.05), seed=42,
-        )
+        cfg = ReservoirGenConfig(20, 1, 0.9, 0.05, 0.05, seed=42)
         a, b = generate(cfg), generate(cfg)
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.C, b.C)
         assert np.array_equal(a.b, b.b)
 
     def test_json_roundtrip_preserves_drive(self):
-        cfg = ReservoirGenConfig(
-            10, 1, ("uniform_rescaled_2norm", 0.8), ("uniform", -0.1, 0.1),
-            ("uniform", -0.1, 0.1), seed=5,
-        )
+        cfg = ReservoirGenConfig(10, 1, 0.8, 0.1, 0.1, seed=5)
         spec = generate(cfg)
         doc = json.loads(spec.to_json())
         assert (doc["n"], doc["d"], doc["activation"], doc["seed"]) == (10, 1, "tanh", 5)
@@ -116,24 +112,19 @@ class TestDrive:
         assert np.array_equal(out.samples[k], z[k - n : k][::-1])
 
     def test_tanh_states_inside_unit_cube(self):
-        cfg = ReservoirGenConfig(
-            8, 1, ("uniform_rescaled_2norm", 1.2), ("uniform", -1, 1), ("uniform", -1, 1), seed=0,
-        )
+        cfg = ReservoirGenConfig(8, 1, 1.2, 1.0, 1.0, seed=0)
         spec = generate(cfg)
         out = drive(spec, scalar_series(np.linspace(-5, 5, 50)), np.zeros(8))
         assert np.all(np.abs(out.samples[1:]) < 1.0)
 
     def test_dim_mismatch(self):
-        spec = generate(ReservoirGenConfig(4, 2, ("lower_shift",), ("unit_e1",), ("unit_e1",)))
+        spec = ReservoirSpec(n=4, d=2, A=lower_shift_matrix(4), C=np.eye(4, 2), b=np.zeros(4))
         with pytest.raises(DimensionMismatchError):
             drive(spec, scalar_series([1.0]), np.zeros(4))
 
 
     def test_matches_per_step_reference(self):
-        spec = generate(ReservoirGenConfig(
-            30, 1, ("uniform_rescaled_2norm", 0.9), ("uniform", -1, 1), ("uniform", -0.5, 0.5),
-            seed=4,
-        ))
+        spec = generate(ReservoirGenConfig(30, 1, 0.9, 1.0, 0.5, seed=4))
         z = scalar_series(np.random.default_rng(4).uniform(-3, 3, 400))
         x0 = np.full(30, 0.1)
         expected = iterate_with_step_check(lambda x, z: spec.step(x, np.atleast_1d(z)), z, x0)
@@ -167,10 +158,7 @@ class TestAutonomousDrive:
         assert err.value.step == 40
 
     def test_matches_per_step_reference(self):
-        spec = generate(ReservoirGenConfig(
-            30, 1, ("uniform_rescaled_2norm", 0.9), ("uniform", -1, 1), ("uniform", -0.5, 0.5),
-            seed=5,
-        ))
+        spec = generate(ReservoirGenConfig(30, 1, 0.9, 1.0, 0.5, seed=5))
         w = np.random.default_rng(5).uniform(-0.1, 0.1, 30)
         psi = autonomous_map(spec, w)
         x0 = np.full(30, 0.2)
@@ -206,10 +194,7 @@ class TestContraction:
         assert abs(matrix_2norm(lower_shift_matrix(3)) - 1.0) < 1e-10
 
     def test_esp_decay_bound(self):
-        cfg = ReservoirGenConfig(
-            10, 1, ("uniform_rescaled_2norm", 0.5), ("uniform", -0.2, 0.2),
-            ("uniform", -0.1, 0.1), seed=8,
-        )
+        cfg = ReservoirGenConfig(10, 1, 0.5, 0.2, 0.1, seed=8)
         spec = generate(cfg)
         rng = np.random.default_rng(3)
         z = scalar_series(rng.uniform(-1, 1, 60))
@@ -243,10 +228,9 @@ class TestContraction:
         assert not res2.invariant
 
     def test_signed_power_box_contraction(self):
-        fmap = example_drive_map("signed_power", alpha=0.9, lam=0.009, k=0.1)
         xi = integrate_lorenz(LorenzParams(), 3000).samples[:, 0]
         res = check_local_contraction(
-            fmap, (np.full(3, 0.9), np.full(3, 1.1)), (xi.min(), xi.max()),
+            signed_power_map, (np.full(3, 0.9), np.full(3, 1.1)), (xi.min(), xi.max()),
             n_probes=2000, seed=1,
         )
         assert res.invariant
@@ -376,54 +360,6 @@ class TestEmbeddingConditions:
         C = np.ones(2)
         with pytest.raises(SpectrumCollisionError):
             check_condition_C(A, C, [4.1], period=1)
-
-
-class TestSystemIsomorphism:
-    def build_pair(self, seed, P):
-        rng = make_rng(seed)
-        n = 8
-        A_bar = rng.standard_normal((n, n))
-        A_bar *= 0.7 / spectral_radius(A_bar)
-        C_bar = rng.standard_normal((n, 1))
-        spec_b = linear_spec(A_bar, C_bar, seed=seed)
-        Pinv = np.linalg.inv(P)
-        spec_a = linear_spec(P @ A_bar @ Pinv, P @ C_bar, seed=seed)
-        return spec_a, spec_b
-
-    def test_identity_similarity_exact(self):
-        spec_a, spec_b = self.build_pair(0, np.eye(8))
-        z = scalar_series(np.sin(0.1 * np.arange(100)))
-        dev = check_system_isomorphism(spec_a, spec_b, np.eye(8), z, np.ones(8))
-        assert dev == 0.0
-
-    def test_scaling_similarity(self):
-        P = 2.0 * np.eye(8)
-        spec_a, spec_b = self.build_pair(1, P)
-        z = scalar_series(np.sin(0.1 * np.arange(200)))
-        rng = np.random.default_rng(0)
-        dev = check_system_isomorphism(
-            spec_a, spec_b, P, z, rng.standard_normal(8), x0_bar=rng.standard_normal(8)
-        )
-        assert dev < 1e-10
-
-    def test_random_well_conditioned_similarity(self):
-        rng = np.random.default_rng(10)
-        z = scalar_series(np.sin(0.05 * np.arange(300)) + 0.2 * np.cos(np.arange(300)))
-        for seed in range(5):
-            P = np.eye(8) + 0.2 * rng.standard_normal((8, 8))
-            assert np.linalg.cond(P) < 10
-            spec_a, spec_b = self.build_pair(seed, P)
-            dev = check_system_isomorphism(
-                spec_a, spec_b, P, z, rng.standard_normal(8),
-                x0_bar=rng.standard_normal(8),
-            )
-            assert dev < 1e-8
-
-    def test_singular_p_rejected(self):
-        spec_a, spec_b = self.build_pair(2, np.eye(8))
-        z = scalar_series([0.0])
-        with pytest.raises(DegenerateMatrixError):
-            check_system_isomorphism(spec_a, spec_b, np.zeros((8, 8)), z, np.ones(8))
 
 
 class TestNormHelpers:

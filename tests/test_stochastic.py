@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from echolab.dynsys import TimeSeries, circle_rotation
 from echolab.errors import AdmissibilityError, NonErgodicError
 from echolab.stochastic import (
     _draw_finite,
@@ -16,7 +15,7 @@ from echolab.stochastic import (
     stationary_distribution,
     value_mc,
 )
-from echolab.training import Readout, solve_offline, value_targets
+from echolab.training import solve_offline, value_targets
 
 from oracles import draw_finite_reference, sample_path_reference, value_mc_reference
 
@@ -27,10 +26,14 @@ def two_state_chain(p_stay=0.9):
     return P, emissions
 
 
+def iid_chain(support, probabilities, seed=0):
+    """An i.i.d. draw from `support`: a chain whose rows all equal the law."""
+    return ProcessSpec(np.tile(probabilities, (len(probabilities), 1)), support, seed=seed)
+
+
 class TestSamplePath:
     def test_iid_sign_mean(self):
-        spec = ProcessSpec(("iid_finite", [[-1.0], [1.0]], [0.5, 0.5]), seed=3)
-        path = sample_path(spec, 100_000)
+        path, _ = sample_path(iid_chain([[-1.0], [1.0]], [0.5, 0.5], seed=3), 100_000)
         # CLT oracle: 3 sigma / sqrt(n) < 0.01 for unit-variance signs.
         assert abs(path.samples.mean()) < 0.02
 
@@ -38,36 +41,37 @@ class TestSamplePath:
         P, emissions = two_state_chain()
         pi = stationary_distribution(P)
         assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
-        spec = ProcessSpec(("markov_chain", P, emissions), seed=5)
-        path, states = sample_path(spec, 100_000, return_states=True)
+        spec = ProcessSpec(P, emissions, seed=5)
+        path, states = sample_path(spec, 100_000)
         occupancy = np.bincount(states, minlength=2) / len(states)
         assert np.max(np.abs(occupancy - pi)) < 0.02
 
-    def test_deterministic_wrap_replays_series(self):
-        series = circle_rotation(0.1, 0.3, 50)
-        spec = ProcessSpec(("deterministic_wrap", series))
-        path = sample_path(spec, 20)
-        assert np.array_equal(path.samples, series.samples[:20])
-
     def test_seeded_replay(self):
-        spec = ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.3, 0.7]), seed=11)
-        a = sample_path(spec, 500)
-        b = sample_path(spec, 500)
+        spec = ProcessSpec(*two_state_chain(0.7), seed=11)
+        (a, a_states), (b, b_states) = sample_path(spec, 500), sample_path(spec, 500)
         assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a_states, b_states)
 
     def test_reducible_chain_rejected(self):
         P = np.eye(2)
         with pytest.raises(NonErgodicError):
-            sample_path(ProcessSpec(("markov_chain", P, [[0.0], [1.0]])), 10)
+            sample_path(ProcessSpec(P, [[0.0], [1.0]]), 10)
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
-            ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.5, 0.6]))
+            ProcessSpec([[0.5, 0.6], [0.5, 0.5]], [[0.0], [1.0]])
+        with pytest.raises(ValueError):
+            ProcessSpec([[1.5, -0.5], [0.5, 0.5]], [[0.0], [1.0]])
+
+    def test_unbounded_emissions_rejected(self):
+        P, _ = two_state_chain()
+        with pytest.raises(AdmissibilityError):
+            ProcessSpec(P, [[0.0], [np.inf]])
 
     def test_stationarity_of_marginals(self):
         P, emissions = two_state_chain(0.8)
-        spec = ProcessSpec(("markov_chain", P, emissions), seed=7)
-        _, states = sample_path(spec, 60_000, return_states=True)
+        spec = ProcessSpec(P, emissions, seed=7)
+        _, states = sample_path(spec, 60_000)
         early = np.bincount(states[:20_000], minlength=2) / 20_000
         late = np.bincount(states[40_000:], minlength=2) / 20_000
         assert np.max(np.abs(early - late)) < 3.0 / math.sqrt(20_000) * 3
@@ -75,7 +79,7 @@ class TestSamplePath:
 
 class TestValueMc:
     def test_constant_reward_geometric_sum(self):
-        spec = ProcessSpec(("iid_finite", [[0.0]], [1.0]), seed=0)
+        spec = iid_chain([[0.0]], [1.0])
         reward = RewardFunctional(window=1, fn=lambda recent: 2.0)
         gamma = 0.9
         est = value_mc(spec, reward, gamma, history=np.zeros((1, 1)), n_rollouts=20)
@@ -83,7 +87,7 @@ class TestValueMc:
         assert abs(est.value - 2.0 / (1 - gamma)) < 1e-6
 
     def test_gamma_zero_returns_reward_of_history(self):
-        spec = ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.5, 0.5]), seed=1)
+        spec = iid_chain([[0.0], [1.0]], [0.5, 0.5], seed=1)
         reward = RewardFunctional(window=2, fn=lambda recent: recent[-1, 0] - recent[0, 0])
         hist = np.array([[1.0], [3.0]])
         est = value_mc(spec, reward, 0.0, history=hist, n_rollouts=10)
@@ -95,7 +99,7 @@ class TestValueMc:
         gamma = 0.9
         r_table = np.array([1.0, -0.5])
         oracle = markov_value_oracle(P, r_table, gamma)
-        spec = ProcessSpec(("markov_chain", P, emissions), seed=2)
+        spec = ProcessSpec(P, emissions, seed=2)
         reward = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
         for state in (0, 1):
             est = value_mc(
@@ -107,7 +111,8 @@ class TestValueMc:
 
     def test_fixed_seed_values_pinned(self):
         # Rollouts draw through the same walk as `sample_path`; these
-        # values pin the order of its draws for each kind.
+        # values pin the order of its draws, from a given state and from
+        # the stationary law.
         P, em = np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([[0.0], [1.0]])
         r_table = np.array([1.0, -0.5])
         last = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
@@ -115,26 +120,20 @@ class TestValueMc:
             window=2, fn=lambda recent: recent[-1, 0] * recent[0, 0] - 0.25 * recent[-1, 0]
         )
         markov = value_mc(
-            ProcessSpec(("markov_chain", P, em)), last, 0.9, history=em[1][None, :],
+            ProcessSpec(P, em), last, 0.9, history=em[1][None, :],
             n_rollouts=40, current_state=1, seed=11,
         )
         iid = value_mc(
-            ProcessSpec(("iid_finite", [[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3])), pair, 0.8,
+            iid_chain([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]), pair, 0.8,
             history=np.array([[0.5], [2.0]]), n_rollouts=40, seed=12,
-        )
-        series = TimeSeries(step=1.0, samples=np.sin(0.3 * np.arange(200.0))[:, None])
-        wrapped = value_mc(
-            ProcessSpec(("deterministic_wrap", series)), pair, 0.7, history=series.samples[4:6],
-            n_rollouts=3, horizon=60, current_state=5, seed=13,
         )
         assert (markov.value, markov.stderr, markov.horizon) == (
             3.3685312725247534, 0.4632201411795544, 197
         )
         assert (iid.value, iid.stderr, iid.horizon) == (1.9191826437244526, 0.4012952688387449, 93)
-        assert (wrapped.value, wrapped.horizon) == (1.8497147433638237, 60)
 
     def test_unbounded_reward_flagged(self):
-        spec = ProcessSpec(("iid_finite", [[1.0]], [1.0]), seed=0)
+        spec = iid_chain([[1.0]], [1.0])
         reward = RewardFunctional(window=1, fn=lambda recent: float("nan"))
         with pytest.raises(AdmissibilityError):
             value_mc(spec, reward, 0.5, history=np.ones((1, 1)), n_rollouts=2)
@@ -150,15 +149,11 @@ class TestBatchedRolloutsMatchPerStepReference:
     def process(self, kind, d=1):
         table = self.TABLE[:, :d]
         if kind == "iid":
-            return ProcessSpec(("iid_finite", table, [0.2, 0.5, 0.3]), seed=3)
+            return iid_chain(table, [0.2, 0.5, 0.3], seed=3)
         if kind == "markov":
             P = np.array([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]])
-            return ProcessSpec(("markov_chain", P, table), seed=4)
-        if kind == "zero_row":
-            return ProcessSpec(("markov_chain", self.ZERO_ROW, table), seed=5)
-        t = np.arange(300.0)[:, None]
-        series = TimeSeries(step=1.0, samples=np.hstack([np.sin(0.3 * t), np.cos(0.7 * t)])[:, :d])
-        return ProcessSpec(("deterministic_wrap", series))
+            return ProcessSpec(P, table, seed=4)
+        return ProcessSpec(self.ZERO_ROW, table, seed=5)
 
     @staticmethod
     def reward(window, d):
@@ -176,7 +171,6 @@ class TestBatchedRolloutsMatchPerStepReference:
             ("markov", None, 30),
             ("markov", 2, 30),
             ("zero_row", 1, 30),
-            ("wrap", 7, 4),
             ("markov", 0, 1),
         ],
     )
@@ -202,7 +196,7 @@ class TestBatchedRolloutsMatchPerStepReference:
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_path_rows_and_states(self, kind, d):
         spec = self.process(kind, d)
-        series, states = sample_path(spec, 3000, return_states=True)
+        series, states = sample_path(spec, 3000)
         rows, ref_states = sample_path_reference(spec, 3000)
         assert series.samples.tobytes() == rows.tobytes()
         assert states.dtype == ref_states.dtype
@@ -228,7 +222,7 @@ class TestBatchedRolloutsMatchPerStepReference:
 
     def test_signed_zeros_are_distinct_windows(self):
         # 0.0 and -0.0 compare equal but are different inputs to fn.
-        spec = ProcessSpec(("iid_finite", [[0.0], [-0.0]], [0.5, 0.5]), seed=0)
+        spec = iid_chain([[0.0], [-0.0]], [0.5, 0.5])
         reward = RewardFunctional(window=1, fn=lambda recent: math.copysign(1.0, recent[-1, 0]))
         est = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=20, horizon=10, seed=3)
         ref = value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 20, 10, seed=3)
@@ -237,7 +231,7 @@ class TestBatchedRolloutsMatchPerStepReference:
     def test_nan_in_a_late_rollout_raises(self):
         # State 1 is rare: the first rollout (the stream's first draws,
         # rollout-major) never emits it, a later one does.
-        spec = ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.99, 0.01]), seed=0)
+        spec = iid_chain([[0.0], [1.0]], [0.99, 0.01])
         reward = RewardFunctional(
             window=1, fn=lambda recent: float("nan") if recent[-1, 0] == 1.0 else 1.0
         )
@@ -247,13 +241,6 @@ class TestBatchedRolloutsMatchPerStepReference:
             value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=200, horizon=20, seed=6)
         with pytest.raises(AdmissibilityError, match="non-finite"):
             value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 200, 20, seed=6)
-
-    def test_sup_bound_violation_raises(self):
-        spec = ProcessSpec(("iid_finite", [[0.0], [1.0]], [0.99, 0.01]), seed=0)
-        reward = RewardFunctional(window=1, fn=lambda recent: 2.0 * recent[-1, 0], sup_bound=1.0)
-        value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=1, horizon=20, seed=6)
-        with pytest.raises(AdmissibilityError, match="bound"):
-            value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=200, horizon=20, seed=6)
 
 
 class TestBellmanResidual:
@@ -287,7 +274,7 @@ class TestBellmanResidual:
         # Residual minimality: the offline solution's Bellman residual
         # is no larger than 50 nearby perturbed readouts'.
         features, rewards, V, gamma = self.deterministic_cycle()
-        prob = value_targets(TimeSeries(step=1.0, samples=features), rewards, gamma)
+        prob = value_targets(features, rewards, gamma)
         w_star = solve_offline(prob, lam=0.0).w
         base = bellman_residual(features, w_star, rewards, gamma)
         rng = np.random.default_rng(5)
@@ -306,8 +293,8 @@ class TestBellmanContraction:
 
     def test_half_gamma_two_state_chain(self):
         P, emissions = two_state_chain()
-        spec = ProcessSpec(("markov_chain", P, emissions), seed=9)
-        _, states = sample_path(spec, 2000, return_states=True)
+        spec = ProcessSpec(P, emissions, seed=9)
+        _, states = sample_path(spec, 2000)
         ratio = bellman_contraction_check(P, np.eye(2), 0.5, states, n_pairs=100)
         assert ratio <= 0.55
 

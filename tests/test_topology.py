@@ -394,9 +394,9 @@ class TestPersistenceMatchesColumnReduction:
     def test_circle_and_figure_eight(self):
         angles = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         circle = np.column_stack([np.cos(angles), np.sin(angles)])
-        self.assert_same_as_experiment(attractor_h1_experiment(circle, subsample=50))
+        self.assert_same_as_experiment(attractor_h1_experiment(circle, subsample=50, max_eps=0.8))
         eight = np.vstack([circle - [1.0, 0.0], circle + [1.0, 0.0]])
-        self.assert_same_as_experiment(attractor_h1_experiment(eight, subsample=100))
+        self.assert_same_as_experiment(attractor_h1_experiment(eight, subsample=100, max_eps=1.6))
 
     def test_lorenz_landmarks(self):
         ts = integrate_lorenz(LorenzParams(), 8000)
@@ -425,7 +425,7 @@ class TestAttractorExperiment:
     def test_circle_has_one_dominant_loop(self):
         angles = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
-        res = attractor_h1_experiment(pts, subsample=50)
+        res = attractor_h1_experiment(pts, subsample=50, max_eps=0.8)
         pers = sorted(
             (min(p.death, res.max_eps) - p.birth for p in of_degree(res.diagram, 1)),
             reverse=True,
@@ -438,7 +438,7 @@ class TestAttractorExperiment:
         left = np.column_stack([np.cos(angles) - 1.0, np.sin(angles)])
         right = np.column_stack([np.cos(angles) + 1.0, np.sin(angles)])
         pts = np.vstack([left, right])
-        res = attractor_h1_experiment(pts, subsample=100)
+        res = attractor_h1_experiment(pts, subsample=100, max_eps=1.6)
         assert len(res.top_pairs) == 2
         pers = sorted(
             (min(p.death, res.max_eps) - p.birth for p in of_degree(res.diagram, 1)),
@@ -449,11 +449,11 @@ class TestAttractorExperiment:
 
     def test_degenerate_cloud_rejected(self):
         with pytest.raises(DegenerateCloudError):
-            attractor_h1_experiment(np.ones((300, 3)), subsample=50)
+            attractor_h1_experiment(np.ones((300, 3)), subsample=50, max_eps=1.0)
 
     def test_subsample_minimum(self):
         with pytest.raises(ValueError):
-            attractor_h1_experiment(np.random.default_rng(0).normal(size=(100, 2)), subsample=10)
+            attractor_h1_experiment(np.random.default_rng(0).normal(size=(100, 2)), subsample=10, max_eps=1.0)
 
     def test_maxmin_spreads_points(self):
         rng = make_rng(13)

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from echolab.dynsys import TimeSeries
 from echolab.errors import ContractionBoundError, SingularProblemError
 from echolab.reservoir import make_rng
 from echolab.training import (
@@ -179,16 +178,16 @@ class TestRunOnline:
 
 class TestValueTargets:
     def test_gamma_zero_is_identity_transform(self):
-        f = TimeSeries(step=1.0, samples=np.arange(8.0).reshape(4, 2))
+        f = np.arange(8.0).reshape(4, 2)
         rewards = np.array([1.0, 2.0, 3.0])
         prob = value_targets(f, rewards, gamma=0.0)
-        assert np.array_equal(prob.states, f.samples[:-1])
+        assert np.array_equal(prob.states, f[:-1])
         assert np.array_equal(prob.targets, rewards)
 
     def test_constant_reward_geometric_value(self):
         # Constant feature f and reward u: W^T f must equal u / (1 - gamma).
         gamma, u = 0.5, 2.0
-        f = TimeSeries(step=1.0, samples=np.ones((50, 1)))
+        f = np.ones((50, 1))
         prob = value_targets(f, np.full(49, u), gamma)
         out = solve_offline(prob, lam=0.0)
         assert abs(out.w[0] * 1.0 - u / (1 - gamma)) < 1e-10
@@ -203,7 +202,7 @@ class TestValueTargets:
 
         n = 41
         states = np.array([k % 2 for k in range(n)])
-        features = TimeSeries(step=1.0, samples=np.eye(2)[states])
+        features = np.eye(2)[states]
         rewards = r[states[:-1]]
         prob = value_targets(features, rewards, gamma)
         out = solve_offline(prob, lam=0.0)
@@ -217,7 +216,7 @@ class TestValueTargets:
         n = 61
         states = np.array([k % 3 for k in range(n)])
         rewards_table = np.array([1.0, -0.5, 0.25])
-        features = TimeSeries(step=1.0, samples=np.eye(3)[states])
+        features = np.eye(3)[states]
         rewards = rewards_table[states[:-1]]
         prob = value_targets(features, rewards, gamma)
         out = solve_offline(prob, lam=0.0)
@@ -228,16 +227,15 @@ class TestValueTargets:
             assert abs(lhs - rhs) < 1e-8
 
     def test_rejects_bad_gamma_and_short_series(self):
-        f = TimeSeries(step=1.0, samples=np.ones((3, 1)))
         with pytest.raises(ValueError):
-            value_targets(f, np.ones(2), gamma=1.0)
+            value_targets(np.ones((3, 1)), np.ones(2), gamma=1.0)
         with pytest.raises(ValueError):
-            value_targets(TimeSeries(step=1.0, samples=np.ones((1, 1))), np.ones(1), 0.5)
+            value_targets(np.ones((1, 1)), np.ones(1), 0.5)
 
 
 class TestProblemFromSeries:
     def test_burn_in_dropped(self):
-        states = TimeSeries(step=1.0, samples=np.arange(20.0)[:, None])
+        states = np.arange(20.0)[:, None]
         targets = np.arange(20.0) * 2
         prob = problem_from_series(states, targets, burn_in=5)
         assert prob.states.shape == (15, 1)
