@@ -105,6 +105,11 @@ class TestValidate:
             ("fixed_point", "tau", -0.01, 0.01),
             ("lyapunov", "tau", 0, 0.01),
             ("lorenz_train", "lam", -1e-9, 0),
+            ("lorenz_train", "n", 0, 1),
+            ("lorenz_train", "ell", 199, 200),
+            ("lyapunov", "n_iter", 99, 100),
+            ("value_learn", "gamma", -0.1, 0),
+            ("value_learn", "gamma", float("nan"), 0.5),
             ("lorenz_forecast", "horizon", -1, 1),
             ("lorenz_forecast", "n", 2, 3),
             ("value_learn", "length", 2, 3),
@@ -128,6 +133,10 @@ class TestValidate:
             ("embedding_check", "period", 0, 1),
             ("embedding_check", "period", -1, 1),
             ("embedding_check", "period", 2.5, 2),
+            ("pde_dirichlet", "n", 0, 1),
+            ("pde_dirichlet", "ell", 0, 1),
+            ("pde_dirichlet", "ell_prime", 0, 1),
+            ("pde_dirichlet", "lam", -1.0, 0.0),
         ],
     )
     def test_parameter_rule(self, tmp_path, experiment, key, bad, good):
@@ -171,6 +180,12 @@ class TestValidate:
         assert validate(config) == ["params.n_iters: unknown; expected one of n_iter, tau"]
         assert run(config) == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_lorenz_keys_checked_for_hexagon(self):
+        # The table checks every key of an experiment, including those
+        # its chosen source does not read.
+        config = ExperimentConfig("homology", 1, "out", parameters={"ell": 0, "max_eps": -1})
+        assert [p.split(":")[0] for p in validate(config)] == ["params.ell", "params.max_eps"]
 
     def test_shortest_value_learn_runs(self, tmp_path):
         # length 3 gives two transitions, enough for the two-weight readout.

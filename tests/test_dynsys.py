@@ -217,16 +217,24 @@ class TestExampleDrives:
         out = example_drive(z, np.array([0.73]))
         assert np.all(np.abs(out.samples) <= 1.0)
 
-    def test_matches_per_step_reference(self):
+    # From inside the basin of the positive fixed point, from the
+    # negative side, and from the unstable fixed point 0.
+    @pytest.mark.parametrize("x0", [[0.3], [-0.8], [0.0]])
+    def test_matches_per_step_reference(self, x0):
         z = TimeSeries(step=1.0, samples=np.random.default_rng(3).uniform(0, 1, (300, 1)))
         fmap = lambda x, z: np.tanh(2.0 * x + z)
-        expected = iterate_with_step_check(fmap, z, np.array([0.3]))
-        out = example_drive(z, np.array([0.3]))
+        expected = iterate_with_step_check(fmap, z, np.array(x0))
+        out = example_drive(z, np.array(x0))
         assert out.samples.tobytes() == expected.tobytes()
 
     def test_wrong_state_dim_rejected(self):
         with pytest.raises(DimensionMismatchError):
             example_drive(self.zero_input(3), np.array([0.1, 0.2]))
+
+    def test_vector_input_rejected(self):
+        z = TimeSeries(step=1.0, samples=np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatchError):
+            example_drive(z, np.array([0.1]))
 
 
 class TestCsvText:

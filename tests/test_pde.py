@@ -103,7 +103,8 @@ class TestSampleDisc:
         assert np.array_equal(a.boundary, b.boundary)
         assert np.array_equal(a.boundary_values, b.boundary_values)
 
-    def test_boundary_values_are_cos_4_theta(self):
+    def test_boundary_values_from_data_fn(self):
+        # The data function is h(theta) = cos(4 theta).
         sample = sample_disc(5, 200, seed=2)
         theta = np.arctan2(sample.boundary[:, 1], sample.boundary[:, 0])
         assert np.allclose(sample.boundary_values, np.cos(4 * theta), atol=1e-12)

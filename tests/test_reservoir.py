@@ -66,6 +66,21 @@ class TestGenerate:
             spec = generate(cfg)
             assert abs(np.linalg.norm(spec.A, 2) - 1.0) < 1e-10
 
+    def test_input_and_bias_within_their_ranges(self):
+        spec = generate(ReservoirGenConfig(50, 3, 0.9, 0.2, 0.05, seed=6))
+        assert spec.C.shape == (50, 3) and spec.b.shape == (50,)
+        assert np.all(np.abs(spec.C) <= 0.2) and np.all(np.abs(spec.b) <= 0.05)
+        assert np.abs(spec.C).max() > 0.1 and np.abs(spec.b).max() > 0.025
+
+    def test_draws_a_then_c_then_b_from_one_generator(self):
+        # The draw order fixes every reservoir a seed names.
+        spec = generate(ReservoirGenConfig(6, 2, 0.7, 0.3, 0.1, seed=9))
+        rng = make_rng(9)
+        A = rng.uniform(-1.0, 1.0, (6, 6))
+        assert np.allclose(spec.A, A * (0.7 / np.linalg.norm(A, 2)), rtol=1e-9, atol=0)
+        assert np.array_equal(spec.C, rng.uniform(-0.3, 0.3, (6, 2)))
+        assert np.array_equal(spec.b, rng.uniform(-0.1, 0.1, 6))
+
     def test_seeded_determinism(self):
         cfg = ReservoirGenConfig(20, 1, 0.9, 0.05, 0.05, seed=42)
         a, b = generate(cfg), generate(cfg)

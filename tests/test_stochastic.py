@@ -171,6 +171,7 @@ class TestBatchedRolloutsMatchPerStepReference:
             ("markov", None, 30),
             ("markov", 2, 30),
             ("zero_row", 1, 30),
+            ("iid", 2, 4),
             ("markov", 0, 1),
         ],
     )
