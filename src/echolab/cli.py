@@ -2,9 +2,12 @@
 
 Loads flat key-value config files (dotted namespaces), validates their
 parameters against `PARAMETERS`, the one table of each experiment's
-keys, defaults and rules, and runs the named experiment pipelines,
-writing a manifest before any heavy computation plus per-experiment
-CSV/JSON artifacts. Identical config and seed give byte-identical
+keys, defaults and rules, and runs the named experiment pipelines.
+Each runner returns its artifacts, CSV text or JSON documents by file
+name, and this module is the only one that chooses their schema and
+writes files. `run` writes a manifest before any heavy computation and
+the artifacts only after the runner returns, so a failed run leaves
+only its manifest. Identical config and seed give byte-identical
 numeric outputs.
 """
 
@@ -18,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -245,10 +248,6 @@ def validate(config: ExperimentConfig) -> List[str]:
     return diagnostics
 
 
-def _write(outdir: Path, name: str, text: str) -> None:
-    (outdir / name).write_text(text)
-
-
 def _write_manifest(outdir: Path, config: ExperimentConfig, status: str, wall_time: Optional[float] = None) -> None:
     doc = {
         "experiment": config.experiment,
@@ -260,7 +259,11 @@ def _write_manifest(outdir: Path, config: ExperimentConfig, status: str, wall_ti
     }
     if wall_time is not None:
         doc["wall_time_s"] = wall_time
-    _write(outdir, "manifest.json", json.dumps(doc, indent=2, sort_keys=True))
+    (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+# A file name maps to CSV text, or to a dict written as JSON.
+Artifacts = Dict[str, Union[str, dict]]
 
 
 def standard_esn(n: int, seed: int) -> ReservoirGenConfig:
@@ -292,27 +295,38 @@ def train_lorenz_readout(
     return spec, states, readout, problem
 
 
-def run_lorenz_train(outdir: Path, seed: int, *, n: int, ell: int, lam: float) -> None:
+def run_lorenz_train(seed: int, *, n: int, ell: int, lam: float) -> Artifacts:
     trajectory = integrate_lorenz(LorenzParams(), ell)
     spec, states, readout, problem = train_lorenz_readout(
         trajectory, n, ell, lam, seed, target="zeta"
     )
     preds = problem.states @ readout.w
     times = np.arange(ell - len(preds), ell) * trajectory.step
-    _write(
-        outdir,
-        "zeta_prediction.csv",
-        csv_text(["t", "target", "prediction"], [times, problem.targets, preds]),
-    )
-    _write(outdir, "readout.json", readout.to_json())
-    _write(outdir, "reservoir.json", spec.to_json())
     rms = float(np.sqrt(np.mean((preds - problem.targets) ** 2)))
-    _write(outdir, "fit.json", json.dumps({"rms": rms, "n_samples": len(preds)}))
+    return {
+        "zeta_prediction.csv": csv_text(
+            ["t", "target", "prediction"], [times, problem.targets, preds]
+        ),
+        "readout.json": {
+            "w": readout.w.tolist(),
+            "lambda": readout.lam,
+            "provenance": readout.provenance,
+            "burn_in": readout.burn_in,
+        },
+        "reservoir.json": {
+            "n": spec.n,
+            "d": spec.d,
+            "activation": spec.activation,
+            "seed": spec.seed,
+            "a": spec.A.flatten().tolist(),
+            "c": spec.C.flatten().tolist(),
+            "b": spec.b.tolist(),
+        },
+        "fit.json": {"rms": rms, "n_samples": len(preds)},
+    }
 
 
-def run_lorenz_forecast(
-    outdir: Path, seed: int, *, n: int, ell: int, lam: float, horizon: int
-) -> None:
+def run_lorenz_forecast(seed: int, *, n: int, ell: int, lam: float, horizon: int) -> Artifacts:
     trajectory = integrate_lorenz(LorenzParams(), ell + horizon)
     spec, states, readout, _ = train_lorenz_readout(
         trajectory, n, ell, lam, seed, target="next_xi"
@@ -321,23 +335,15 @@ def run_lorenz_forecast(
     forecast = auto.samples[:-1] @ readout.w
     truth = trajectory.samples[ell + 1 : ell + horizon + 1, 0]
     times = np.arange(ell + 1, ell + horizon + 1) * trajectory.step
-    _write(
-        outdir,
-        "forecast.csv",
-        csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
-    )
     variances = explained_variances(states.samples[readout.burn_in :], 3)
-    _write(
-        outdir,
-        "forecast_summary.json",
-        json.dumps(
-            {
-                "horizon": horizon,
-                "bounded": bool(np.max(np.abs(auto.samples)) < 1e6),
-                "explained_variance": variances.tolist(),
-            }
-        ),
-    )
+    return {
+        "forecast.csv": csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
+        "forecast_summary.json": {
+            "horizon": horizon,
+            "bounded": bool(np.max(np.abs(auto.samples)) < 1e6),
+            "explained_variance": variances.tolist(),
+        },
+    }
 
 
 def wing_start_state(spec) -> np.ndarray:
@@ -346,9 +352,7 @@ def wing_start_state(spec) -> np.ndarray:
     return drive(spec, const, np.zeros(spec.n)).samples[-1]
 
 
-def run_fixed_point(
-    outdir: Path, seed: int, *, n: int, ell: int, lam: float, tau: float
-) -> None:
+def run_fixed_point(seed: int, *, n: int, ell: int, lam: float, tau: float) -> Artifacts:
     trajectory = integrate_lorenz(LorenzParams(), ell)
     spec, _, readout, _ = train_lorenz_readout(
         trajectory, n, ell, lam, seed, target="next_xi"
@@ -363,24 +367,26 @@ def run_fixed_point(
     dists = [np.min(np.abs(esn_eigs - ref)) for ref in reference]
     matched = [int(np.argmin(np.abs(esn_eigs - ref))) for ref in reference]
     rest = np.delete(np.abs(esn_eigs), matched)
-    _write(outdir, "fixed_point.json", result.to_json())
-    _write(
-        outdir,
-        "eigenvalue_match.json",
-        json.dumps(
-            {
-                "reference_real": reference.real.tolist(),
-                "reference_imag": reference.imag.tolist(),
-                "match_distances": [float(d) for d in dists],
-                "max_other_modulus": float(np.max(rest)) if rest.size else 0.0,
-                "residual": result.residual,
-            }
-        ),
-    )
-    _write(outdir, "esn_eigenvalues.csv", csv_text(["re", "im"], [esn_eigs.real, esn_eigs.imag]))
+    return {
+        "fixed_point.json": {
+            "x_star": result.x_star.tolist(),
+            "residual": result.residual,
+            "iterations": result.iterations,
+            "jacobian_eigs_real": esn_eigs.real.tolist(),
+            "jacobian_eigs_imag": esn_eigs.imag.tolist(),
+        },
+        "eigenvalue_match.json": {
+            "reference_real": reference.real.tolist(),
+            "reference_imag": reference.imag.tolist(),
+            "match_distances": [float(d) for d in dists],
+            "max_other_modulus": float(np.max(rest)) if rest.size else 0.0,
+            "residual": result.residual,
+        },
+        "esn_eigenvalues.csv": csv_text(["re", "im"], [esn_eigs.real, esn_eigs.imag]),
+    }
 
 
-def run_lyapunov(outdir: Path, seed: int, *, n_iter: int, tau: float) -> None:
+def run_lyapunov(seed: int, *, n_iter: int, tau: float) -> Artifacts:
     settle = integrate_lorenz(LorenzParams(tau=tau), 1000)
     # At the default tau = 0.01 the frame's columns separate by about
     # exp((lambda_1 - lambda_3) * 10 * tau) = exp(15.5 * 0.1) ~ 4.7 over
@@ -391,48 +397,45 @@ def run_lyapunov(outdir: Path, seed: int, *, n_iter: int, tau: float) -> None:
         tau=tau,
         reorth_every=10,
     )
-    _write(outdir, "lyapunov.json", result.to_json())
-    _write(outdir, "lyapunov_trace.csv", result.trace_csv())
+    header = ["iter"] + [f"lambda_{i+1}" for i in range(result.exponents.shape[0])]
+    return {
+        "lyapunov.json": {
+            "exponents": result.exponents.tolist(),
+            "n_iterations": result.n_iterations,
+        },
+        "lyapunov_trace.csv": csv_text(header, result.running_means.T),
+    }
 
 
-def run_homology(
-    outdir: Path, seed: int, *, source: str, ell: int, subsample: int, max_eps: float
-) -> None:
+def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: float) -> Artifacts:
     if source == "hexagon":
         filt = hexagon_example_filtration()
-        d1 = boundary_matrix(filt, 1, eps=1.9)
-        d2 = boundary_matrix(filt, 2, eps=1.9)
-        for name, M in (("boundary_1.csv", d1), ("boundary_2.csv", d2)):
-            _write(outdir, name, csv_text([], M.T))
         diagram = persistence(filt)
         dims = range(filt.max_dimension() + 1)
         profile = {}
         for key, eps in (("at_1", 1.0), ("at_sqrt3", float(np.sqrt(3))), ("at_2", 2.0)):
             curve = diagram.betti_at(eps)
             profile[key] = [curve.get(k, 0) for k in dims]
-        _write(outdir, "betti.json", json.dumps(profile))
-        _write(outdir, "diagram.csv", diagram.to_csv())
-    else:
-        trajectory = integrate_lorenz(LorenzParams(), ell)
-        res = attractor_h1_experiment(
-            trajectory.samples[ell // 2 :], subsample=subsample, max_eps=max_eps
-        )
-        _write(outdir, "diagram.csv", res.diagram.to_csv())
-        _write(
-            outdir,
-            "h1_summary.json",
-            json.dumps(
-                {
-                    "gap_ratio": res.gap_ratio,
-                    "top_persistences": [
-                        min(p.death, res.max_eps) - p.birth for p in res.top_pairs
-                    ],
-                }
-            ),
-        )
+        return {
+            "boundary_1.csv": csv_text([], boundary_matrix(filt, 1, eps=1.9).T),
+            "boundary_2.csv": csv_text([], boundary_matrix(filt, 2, eps=1.9).T),
+            "betti.json": profile,
+            "diagram.csv": diagram.to_csv(),
+        }
+    trajectory = integrate_lorenz(LorenzParams(), ell)
+    res = attractor_h1_experiment(
+        trajectory.samples[ell // 2 :], subsample=subsample, max_eps=max_eps
+    )
+    return {
+        "diagram.csv": res.diagram.to_csv(),
+        "h1_summary.json": {
+            "gap_ratio": res.gap_ratio,
+            "top_persistences": [min(p.death, res.max_eps) - p.birth for p in res.top_pairs],
+        },
+    }
 
 
-def run_gs_examples(outdir: Path, seed: int, *, n_steps: int, burn_in: int) -> None:
+def run_gs_examples(seed: int, *, n_steps: int, burn_in: int) -> Artifacts:
     epsilon = 2 * np.pi / 100
     angles = circle_rotation(epsilon, 0.0, n_steps - 1)
     z = TimeSeries(step=angles.step, samples=0.5 * np.sin(angles.samples))
@@ -443,15 +446,13 @@ def run_gs_examples(outdir: Path, seed: int, *, n_steps: int, burn_in: int) -> N
     # Row k pairs x_k with the angle of the input z_{k-1} that produced it.
     rows = np.arange(burn_in, n_steps)
     columns = [angles.samples[rows - 1, 0], branches["minus"][rows], branches["plus"][rows]]
-    _write(outdir, "gs_branches.csv", csv_text(["angle", "x_minus", "x_plus"], columns))
-    _write(
-        outdir,
-        "gs_summary.json",
-        json.dumps({"min_gap": float(gap.min()), "max_gap": float(gap.max())}),
-    )
+    return {
+        "gs_branches.csv": csv_text(["angle", "x_minus", "x_plus"], columns),
+        "gs_summary.json": {"min_gap": float(gap.min()), "max_gap": float(gap.max())},
+    }
 
 
-def run_embedding_check(outdir: Path, seed: int, *, n: int, trials: int, period: int) -> None:
+def run_embedding_check(seed: int, *, n: int, trials: int, period: int) -> Artifacts:
     ok_d = ok_c = 0
     for t in range(trials):
         rng = make_rng(seed + t)
@@ -463,14 +464,14 @@ def run_embedding_check(outdir: Path, seed: int, *, n: int, trials: int, period:
             lams = rng.uniform(0.1, 0.9, 3)
         ok_d += int(check_condition_D(A, C))
         ok_c += int(check_condition_C(A, C, list(lams), period=period))
-    _write(
-        outdir,
-        "embedding_check.json",
-        json.dumps({"trials": trials, "condition_D_pass": ok_d, "condition_C_pass": ok_c}),
-    )
+    return {
+        "embedding_check.json": {
+            "trials": trials, "condition_D_pass": ok_d, "condition_C_pass": ok_c
+        }
+    }
 
 
-def run_value_learn(outdir: Path, seed: int, *, gamma: float, length: int) -> None:
+def run_value_learn(seed: int, *, gamma: float, length: int) -> Artifacts:
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     emissions = np.array([[0.0], [1.0]])
     r_table = np.array([1.0, 0.0])
@@ -488,38 +489,32 @@ def run_value_learn(outdir: Path, seed: int, *, gamma: float, length: int) -> No
         n_rollouts=200, current_state=int(states[-1]), seed=seed,
     )
     ratio = bellman_contraction_check(P, np.eye(2), gamma, states, n_pairs=100, seed=seed)
-    _write(
-        outdir,
-        "value_learn.json",
-        json.dumps(
-            {
-                "oracle_value": oracle.tolist(),
-                "learned_value": readout.w.tolist(),
-                "bellman_residual": residual,
-                "mc_value_at_last_state": mc.value,
-                "mc_stderr": mc.stderr,
-                "contraction_ratio": ratio,
-            }
-        ),
-    )
+    return {
+        "value_learn.json": {
+            "oracle_value": oracle.tolist(),
+            "learned_value": readout.w.tolist(),
+            "bellman_residual": residual,
+            "mc_value_at_last_state": mc.value,
+            "mc_stderr": mc.stderr,
+            "contraction_ratio": ratio,
+        }
+    }
 
 
-def run_pde_dirichlet(
-    outdir: Path, seed: int, *, n: int, ell: int, ell_prime: int, lam: float
-) -> None:
+def run_pde_dirichlet(seed: int, *, n: int, ell: int, ell_prime: int, lam: float) -> Artifacts:
     model = build_feature_model(n, seed=seed)
     sample = sample_disc(ell, ell_prime, seed=seed + 1)
     sol = solve_dirichlet_offline(model, sample, lam=lam)
     field_csv, grid_rms = grid_solution(model, sol.readout)
-    _write(outdir, "solution_field.csv", field_csv)
-    _write(
-        outdir,
-        "report.json",
-        sol.report_json(
-            grid_rms=grid_rms,
-            config={"n": n, "ell": ell, "ell_prime": ell_prime, "lam": lam},
-        ),
-    )
+    return {
+        "solution_field.csv": field_csv,
+        "report.json": {
+            "interior_rms": sol.interior_rms,
+            "boundary_rms": sol.boundary_rms,
+            "grid_rms": grid_rms,
+            "config": {"n": n, "ell": ell, "ell_prime": ell_prime, "lam": lam},
+        },
+    }
 
 
 RUNNERS = {
@@ -548,7 +543,11 @@ def run(config: ExperimentConfig) -> int:
     _write_manifest(outdir, config, status="running")
     start = time.time()
     try:
-        RUNNERS[config.experiment](outdir, config.seed, **params)
+        artifacts = RUNNERS[config.experiment](config.seed, **params)
+        for name, content in artifacts.items():
+            (outdir / name).write_text(
+                content if isinstance(content, str) else json.dumps(content)
+            )
     except Exception as exc:  # runtime failure -> exit 3 with diagnostic
         print(f"{config.experiment}: {exc}", file=sys.stderr)
         _write_manifest(outdir, config, status="failed", wall_time=time.time() - start)

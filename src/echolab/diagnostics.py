@@ -8,13 +8,12 @@ state clouds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynsys import WING_FIXED_POINT, LorenzParams, csv_text, lorenz_jacobian
+from .dynsys import WING_FIXED_POINT, LorenzParams, lorenz_jacobian
 from .errors import (
     DegenerateJacobianError,
     NearNeutralFixedPointError,
@@ -30,17 +29,6 @@ class FixedPointResult:
     iterations: int
     jacobian_eigs: np.ndarray
     residual_history: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "x_star": self.x_star.tolist(),
-                "residual": self.residual,
-                "iterations": self.iterations,
-                "jacobian_eigs_real": self.jacobian_eigs.real.tolist(),
-                "jacobian_eigs_imag": self.jacobian_eigs.imag.tolist(),
-            }
-        )
 
 
 def _newton_once(psi, jac, x0, tol, max_iter):
@@ -114,8 +102,7 @@ def esn_jacobian(spec: ReservoirSpec, w: np.ndarray, x: np.ndarray) -> np.ndarra
     linear = spec.A + spec.C @ w.T
     if spec.activation == "identity":
         return linear
-    pre = spec.A @ x + spec.C @ (w.T @ x) + spec.b
-    return (1.0 - np.tanh(pre) ** 2)[:, None] * linear
+    return (1.0 - spec.step(x, w.T @ x) ** 2)[:, None] * linear
 
 
 def lorenz_linearization_eigs(tau: float = 0.01) -> np.ndarray:
@@ -129,16 +116,6 @@ class LyapunovResult:
     exponents: np.ndarray
     n_iterations: int
     running_means: np.ndarray  # rows (iteration, lambda_1, ..., lambda_k)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"exponents": self.exponents.tolist(), "n_iterations": self.n_iterations}
-        )
-
-    def trace_csv(self) -> str:
-        k = self.exponents.shape[0]
-        header = ["iter"] + [f"lambda_{i+1}" for i in range(k)]
-        return csv_text(header, self.running_means.T)
 
 
 def lyapunov_qr(

@@ -10,7 +10,6 @@ solution is scored on a 50 x 200 polar grid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -45,10 +44,8 @@ def build_feature_model(n: int, seed: int = 0) -> RandomFeatureModel:
 
 
 def eval_features(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        return np.tanh(model.C @ z + model.b)
-    return np.tanh(z @ model.C.T + model.b)
+    """Features of a (2,) point or of each row of an (m, 2) batch."""
+    return np.tanh(np.asarray(z, dtype=float) @ model.C.T + model.b)
 
 
 def eval_feature_laplacian(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:
@@ -57,9 +54,7 @@ def eval_feature_laplacian(model: RandomFeatureModel, z: np.ndarray) -> np.ndarr
     Each feature tanh(a_i) with a_i = C_i . z + b_i has Laplacian
     ||C_i||^2 * (-2 tanh(a_i) sech^2(a_i)).
     """
-    z = np.asarray(z, dtype=float)
-    a = (model.C @ z + model.b) if z.ndim == 1 else (z @ model.C.T + model.b)
-    t = np.tanh(a)
+    t = eval_features(model, z)
     return -2.0 * t * (1.0 - t**2) * np.sum(model.C**2, axis=1)
 
 
@@ -110,16 +105,6 @@ class DirichletSolution:
     readout: Readout
     interior_rms: float
     boundary_rms: float
-
-    def report_json(self, grid_rms: float, config: dict) -> str:
-        return json.dumps(
-            {
-                "interior_rms": self.interior_rms,
-                "boundary_rms": self.boundary_rms,
-                "grid_rms": grid_rms,
-                "config": config,
-            }
-        )
 
 
 def stacked_problem(

@@ -2,16 +2,14 @@
 
 Covers random ESN generation (one recipe: uniform A rescaled to a target
 2-norm, uniform C and b), driven and readout-fed autonomous iteration,
-the local state-contraction check, the explicit series form of the
-linear generalised synchronisation, and the two linear-independence
-predicates behind the embedding result.
+the explicit series form of the linear generalised synchronisation, and
+the two linear-independence predicates behind the embedding result.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,18 +56,6 @@ class ReservoirSpec:
 
     def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.apply_activation(self.A @ x + self.C @ z + self.b)
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "d": self.d,
-            "activation": self.activation,
-            "seed": self.seed,
-            "a": self.A.flatten().tolist(),
-            "c": self.C.flatten().tolist(),
-            "b": self.b.tolist(),
-        }
-        return json.dumps(doc)
 
 
 @dataclass
@@ -158,11 +144,7 @@ def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> Time
 def autonomous_map(spec: ReservoirSpec, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The readout-fed map psi(x) = activation(A x + C (W^T x) + b)."""
     W = np.asarray(w, dtype=float).reshape(spec.n, spec.d)
-
-    def psi(x: np.ndarray) -> np.ndarray:
-        return spec.apply_activation(spec.A @ x + spec.C @ (W.T @ x) + spec.b)
-
-    return psi
+    return lambda x: spec.step(x, W.T @ x)
 
 
 def autonomous_drive(
@@ -180,56 +162,6 @@ def autonomous_drive(
 
 
 @dataclass
-class LocalContractionResult:
-    invariant: bool
-    c_est: float
-    n_escapes: int
-
-
-def check_local_contraction(
-    fmap: Union[ReservoirSpec, Callable[[np.ndarray, float], np.ndarray]],
-    box: Tuple[np.ndarray, np.ndarray],
-    input_range: Tuple[float, float],
-    n_probes: int = 10_000,
-    seed: int = 0,
-) -> LocalContractionResult:
-    """Monte-Carlo check of box invariance and pairwise contraction.
-
-    Samples x, y in the box and z in the input range; records whether
-    every image stays in the box and the largest observed ratio
-    ||F(x,z) - F(y,z)|| / ||x - y||. A failed check is a false result,
-    not an error.
-    """
-    if isinstance(fmap, ReservoirSpec):
-        spec = fmap
-        f = lambda x, z: spec.step(x, np.atleast_1d(z))
-    else:
-        f = fmap
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("box is empty")
-    rng = make_rng(seed)
-    dim = lo.shape[0]
-    c_est = 0.0
-    escapes = 0
-    for _ in range(n_probes):
-        x = rng.uniform(lo, hi, dim)
-        y = rng.uniform(lo, hi, dim)
-        z = rng.uniform(input_range[0], input_range[1])
-        fx, fy = f(x, z), f(y, z)
-        for img in (fx, fy):
-            if np.any(img < lo - 1e-12) or np.any(img > hi + 1e-12):
-                escapes += 1
-        dxy = np.linalg.norm(x - y)
-        if dxy > 0:
-            c_est = max(c_est, float(np.linalg.norm(fx - fy) / dxy))
-    return LocalContractionResult(
-        invariant=(escapes == 0) and c_est < 1.0, c_est=c_est, n_escapes=escapes
-    )
-
-
-@dataclass
 class GsSeriesResult:
     value: np.ndarray
     tail_bound: float
@@ -237,25 +169,22 @@ class GsSeriesResult:
 
 def linear_gs_series(
     spec: ReservoirSpec,
-    past_obs: Union[np.ndarray, Callable[[int], float]],
+    past_obs: np.ndarray,
     truncation: int,
 ) -> GsSeriesResult:
     """Truncated series sum_{k=0}^{K} A^k C w_k for a linear reservoir.
 
-    `past_obs` supplies w_k = omega(phi^{-k}(m)) for k = 0..K, either
-    as an array or a callable on k. Requires identity activation, zero
-    bias, and spectral radius strictly below one; reports the geometric
-    tail bound ||A||_2^(K+1) sup|omega| ||C|| / (1 - ||A||_2), with
-    sup|omega| taken over the supplied observations.
+    `past_obs` holds w_k = omega(phi^{-k}(m)) for k = 0..K, one row
+    each. Requires identity activation, zero bias, and spectral radius
+    strictly below one; reports the geometric tail bound
+    ||A||_2^(K+1) sup|omega| ||C|| / (1 - ||A||_2), with sup|omega| taken
+    over the supplied observations.
     """
     if spec.activation != "identity" or np.any(spec.b != 0.0):
         raise ValueError("series form requires identity activation and zero bias")
     if spectral_radius(spec.A) >= 1.0:
         raise SeriesDivergentError("spectral radius of A must be < 1")
-    if callable(past_obs):
-        obs = np.array([np.atleast_1d(past_obs(k)) for k in range(truncation + 1)], dtype=float)
-    else:
-        obs = np.atleast_2d(np.asarray(past_obs, dtype=float).reshape(truncation + 1, -1))
+    obs = np.atleast_2d(np.asarray(past_obs, dtype=float).reshape(truncation + 1, -1))
     value = np.zeros(spec.n)
     power_times_c = spec.C.copy()
     for k in range(truncation + 1):

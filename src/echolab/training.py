@@ -12,7 +12,6 @@ fixed point in the mean is the ridge solution of the feature moments,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -39,16 +38,6 @@ class Readout:
             raise ValueError("lambda must be >= 0")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("readout weights must be finite")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w": self.w.tolist(),
-                "lambda": self.lam,
-                "provenance": self.provenance,
-                "burn_in": self.burn_in,
-            }
-        )
 
 
 @dataclass

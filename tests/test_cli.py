@@ -22,8 +22,8 @@ from echolab.cli import (
     train_lorenz_readout,
     validate,
 )
-from echolab.dynsys import LorenzParams, integrate_lorenz
-from echolab.reservoir import autonomous_drive
+from echolab.dynsys import LorenzParams, TimeSeries, integrate_lorenz
+from echolab.reservoir import ReservoirSpec, autonomous_drive, drive
 
 
 def _benchmark_workloads():
@@ -166,11 +166,15 @@ class TestValidate:
     def test_runners_take_exactly_their_table_keys(self):
         # The table is the one list of each experiment's knobs: a runner
         # may not read a key it does not declare, nor declare one it lacks.
+        # The seed is its one positional parameter.
         assert list(RUNNERS) == list(PARAMETERS) == list(EXPERIMENTS)
         for experiment, runner in RUNNERS.items():
             parameters = inspect.signature(runner).parameters.values()
+            positional = [p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD]
             keyword_only = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
+            assert positional == ["seed"], experiment
             assert keyword_only == list(PARAMETERS[experiment]), experiment
+            assert len(positional) + len(keyword_only) == len(parameters), experiment
             assert all(p.default is p.empty for p in parameters), experiment
 
     def test_unknown_parameter_rejected(self, tmp_path):
@@ -267,6 +271,22 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert outputs[0][0]
 
+    @pytest.mark.parametrize("step", TINY_STEPS, ids=lambda step: step.label)
+    def test_writes_what_the_runner_returns(self, tmp_path, step):
+        # One file per artifact beside the manifest: CSV text as it is,
+        # a dict as its json.dumps.
+        config = ExperimentConfig(step.experiment, step.seed, str(tmp_path), dict(step.params))
+        assert run(config) == EXIT_OK
+        table = PARAMETERS[step.experiment]
+        params = {key: step.params.get(key, param.default) for key, param in table.items()}
+        artifacts = RUNNERS[step.experiment](step.seed, **params)
+        files = {path.name: path.read_text() for path in tmp_path.iterdir()}
+        assert files.pop("manifest.json")
+        assert files == {
+            name: content if isinstance(content, str) else json.dumps(content)
+            for name, content in artifacts.items()
+        }
+
     def test_tiny_steps_cover_every_experiment(self):
         assert {step.experiment for step in TINY_STEPS} == set(EXPERIMENTS)
         assert {"hexagon", "lorenz"} <= {step.params.get("source") for step in TINY_STEPS}
@@ -297,6 +317,8 @@ class TestRun:
         )
         assert run(config) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {"interior_rms", "boundary_rms", "grid_rms", "config"}
+        assert report["config"] == {"n": 40, "ell": 40, "ell_prime": 40, "lam": 1e-6}
         assert report["grid_rms"] < 1.0
         field = (tmp_path / "solution_field.csv").read_text().splitlines()
         assert field[0] == "r,theta,phi_hat,phi_exact,abs_err"
@@ -325,7 +347,7 @@ class TestRun:
         # manifest landed first.
         import echolab.cli as cli_mod
 
-        def boom(outdir, seed, **params):
+        def boom(seed, **params):
             raise RuntimeError("deliberate failure")
 
         monkeypatch.setitem(cli_mod.RUNNERS, "homology", boom)
@@ -333,6 +355,37 @@ class TestRun:
         assert run(config) == EXIT_RUNTIME
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_write_error_fails_the_run(self, tmp_path, monkeypatch):
+        # An artifact that cannot be written fails the run like a runner error.
+        import echolab.cli as cli_mod
+
+        def unwritable(seed, **params):
+            return {"no/such.csv": ""}
+
+        monkeypatch.setitem(cli_mod.RUNNERS, "homology", unwritable)
+        config = ExperimentConfig(experiment="homology", seed=1, output_dir=str(tmp_path))
+        assert run(config) == EXIT_RUNTIME
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
+    def test_failed_run_leaves_only_manifest(self, tmp_path, monkeypatch, capsys):
+        # Artifacts are written only once the runner returns: a forecast
+        # that fails after its orbit and forecast are computed writes none.
+        import echolab.cli as cli_mod
+
+        def fail(samples, k):
+            raise RuntimeError("deliberate failure")
+
+        monkeypatch.setattr(cli_mod, "explained_variances", fail)
+        config = ExperimentConfig(
+            "lorenz_forecast", seed=1, output_dir=str(tmp_path),
+            parameters={"n": 20, "ell": 300, "horizon": 50},
+        )
+        assert run(config) == EXIT_RUNTIME
+        assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+        assert "deliberate failure" in capsys.readouterr().err
 
 
 def read_csv(path):
@@ -371,11 +424,18 @@ class TestEsnPipelines:
         # The JSON artifacts carry the exact bits of the readout and the reservoir.
         doc = json.loads((tmp_path / "readout.json").read_text())
         assert np.array(doc["w"]).tobytes() == readout.w.tobytes()
-        assert doc["lambda"] == 1e-9
+        assert (doc["lambda"], doc["provenance"]) == (1e-9, "offline_svd")
         doc = json.loads((tmp_path / "reservoir.json").read_text())
         assert (doc["n"], doc["d"], doc["activation"], doc["seed"]) == (20, 1, "tanh", 1)
         for key, array in (("a", spec.A), ("c", spec.C), ("b", spec.b)):
             assert np.array(doc[key]).tobytes() == array.reshape(-1).tobytes()
+        # A reservoir rebuilt from reservoir.json drives like the original.
+        clone = ReservoirSpec(
+            n=20, d=1, A=np.reshape(doc["a"], (20, 20)), C=doc["c"], b=doc["b"], seed=1
+        )
+        z = TimeSeries(step=1.0, samples=np.sin(np.arange(30.0))[:, None])
+        x0 = np.zeros(20)
+        assert np.array_equal(drive(spec, z, x0).samples, drive(clone, z, x0).samples)
 
     def test_readout_records_burn_in(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_train")

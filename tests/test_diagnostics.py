@@ -3,7 +3,6 @@ import pytest
 
 from echolab.diagnostics import (
     FixedPointResult,
-    LyapunovResult,
     esn_jacobian,
     explained_variances,
     lorenz_linearization_eigs,
@@ -76,12 +75,13 @@ class TestNewton:
             )
         assert err.value.residual > 0
 
-    def test_result_serialises(self):
+    def test_returns_fixed_point_result(self):
         res = newton_fixed_point(
             lambda x: 0.5 * x, lambda x: 0.5 * np.eye(1), np.array([1.0])
         )
         assert isinstance(res, FixedPointResult)
-        assert "jacobian_eigs_real" in res.to_json()
+        assert (res.x_star.tolist(), res.iterations, res.residual) == ([0.0], 1, 0.0)
+        assert res.jacobian_eigs.tolist() == [0.5]
 
 
 class TestEsnJacobian:
@@ -177,7 +177,6 @@ class TestLyapunovQr:
         res = lyapunov_qr([J] * 500, record_every=100)
         assert res.running_means.shape == (5, 3)
         assert res.running_means[0, 0] == 100
-        assert "lambda_1" in res.trace_csv().splitlines()[0]
 
     def test_exponents_sorted_descending(self):
         J = np.diag([1.5, 0.2, 0.9])
@@ -225,10 +224,10 @@ class TestLyapunovQrLorenz:
         res = lyapunov_qr(
             lorenz_tangent_maps(LorenzParams(initial=x0), 3000), tau=params.tau
         )
-        expected = LyapunovResult(exponents=exponents, n_iterations=3000, running_means=running)
         assert np.array_equal(res.exponents, exponents)
-        assert res.trace_csv() == expected.trace_csv()
-        assert res.to_json() == expected.to_json()
+        assert res.running_means.shape == running.shape
+        assert res.running_means.tobytes() == running.tobytes()
+        assert res.n_iterations == 3000
 
     def test_reorth_ten_matches_reorth_one(self):
         x0 = self.orbit_start()

@@ -254,12 +254,6 @@ class TestExports:
         abs_err = np.array([float(line.split(",")[4]) for line in text.splitlines()[1:]])
         assert rms == float(np.sqrt(np.mean(abs_err**2)))
 
-    def test_report_json(self):
-        model = build_feature_model(10, seed=0)
-        sample = sample_disc(10, 10, seed=0)
-        sol = solve_dirichlet_offline(model, sample, lam=1e-4)
-        assert "interior_rms" in sol.report_json(grid_rms=0.5, config={"n": 10})
-
     def test_interior_point_validation(self):
         with pytest.raises(ValueError):
             DirichletSample(

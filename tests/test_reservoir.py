@@ -1,10 +1,9 @@
-import json
 import warnings
 
 import numpy as np
 import pytest
 
-from echolab.dynsys import TimeSeries, integrate_lorenz, LorenzParams
+from echolab.dynsys import TimeSeries
 from echolab.errors import (
     DimensionMismatchError,
     IntegrationDivergedError,
@@ -18,7 +17,6 @@ from echolab.reservoir import (
     autonomous_map,
     check_condition_C,
     check_condition_D,
-    check_local_contraction,
     drive,
     generate,
     linear_gs_series,
@@ -43,12 +41,6 @@ def lower_shift_matrix(n):
 def circle_past_obs(epsilon, m, omega, truncation):
     """Backward observations w_k = omega(m - k epsilon) of a rotation."""
     return omega(np.mod(m - np.arange(truncation + 1) * epsilon, 2 * np.pi))
-
-
-def signed_power_map(x, z, alpha=0.9, lam=0.009, k=0.1):
-    """sgn(x)|x|^alpha plus lam (sin kz, cos kz, sin^2 kz), componentwise."""
-    forcing = lam * np.array([np.sin(k * z), np.cos(k * z), np.sin(k * z) ** 2])
-    return np.sign(x) * np.abs(x) ** alpha + forcing
 
 
 def linear_spec(A, C, seed=0):
@@ -87,20 +79,6 @@ class TestGenerate:
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.C, b.C)
         assert np.array_equal(a.b, b.b)
-
-    def test_json_roundtrip_preserves_drive(self):
-        cfg = ReservoirGenConfig(10, 1, 0.8, 0.1, 0.1, seed=5)
-        spec = generate(cfg)
-        doc = json.loads(spec.to_json())
-        assert (doc["n"], doc["d"], doc["activation"], doc["seed"]) == (10, 1, "tanh", 5)
-        clone = ReservoirSpec(
-            n=10, d=1, A=np.reshape(doc["a"], (10, 10)), C=doc["c"], b=doc["b"], seed=5
-        )
-        for got, want in ((clone.A, spec.A), (clone.C, spec.C), (clone.b, spec.b)):
-            assert got.tobytes() == want.tobytes()
-        z = scalar_series(np.sin(np.arange(30)))
-        x0 = np.zeros(10)
-        assert np.array_equal(drive(spec, z, x0).samples, drive(clone, z, x0).samples)
 
 
 class TestDrive:
@@ -220,36 +198,6 @@ class TestContraction:
         base = np.linalg.norm(x0 - y0)
         for k in (1, 5, 10, 50):
             assert np.linalg.norm(xs[k] - ys[k]) <= 0.5**k * base + 1e-15
-
-    def test_local_contraction_doubling_map_fails(self):
-        res = check_local_contraction(
-            lambda x, z: 2.0 * x, (np.array([-1.0]), np.array([1.0])), (0.0, 0.0),
-            n_probes=500, seed=0,
-        )
-        assert not res.invariant
-        assert res.c_est > 1.9
-
-    def test_local_contraction_zero_map(self):
-        res = check_local_contraction(
-            lambda x, z: 0.0 * x, (np.array([-1.0]), np.array([1.0])), (0.0, 1.0),
-            n_probes=500, seed=0,
-        )
-        assert res.invariant
-        assert res.c_est == 0.0
-        res2 = check_local_contraction(
-            lambda x, z: 0.0 * x, (np.array([2.0]), np.array([3.0])), (0.0, 1.0),
-            n_probes=200, seed=0,
-        )
-        assert not res2.invariant
-
-    def test_signed_power_box_contraction(self):
-        xi = integrate_lorenz(LorenzParams(), 3000).samples[:, 0]
-        res = check_local_contraction(
-            signed_power_map, (np.full(3, 0.9), np.full(3, 1.1)), (xi.min(), xi.max()),
-            n_probes=2000, seed=1,
-        )
-        assert res.invariant
-        assert res.c_est < 1.0
 
 
 class TestLinearGsSeries:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from echolab.errors import ContractionBoundError, SingularProblemError
 from echolab.reservoir import make_rng
 from echolab.training import (
     OnlineResult,
-    Readout,
     RegressionProblem,
     normal_equation_residual,
     online_step,
@@ -62,12 +59,6 @@ class TestSolveOffline:
         lams = [1e-6, 1e-4, 1e-2, 1.0, 100.0]
         norms = [np.linalg.norm(solve_offline(prob, lam=l).w) for l in lams]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-    def test_readout_json_roundtrip(self):
-        out = Readout(w=np.array([1.5, -2.25]), lam=1e-6, provenance="offline_svd", burn_in=100)
-        doc = json.loads(out.to_json())
-        assert np.array(doc["w"]).tobytes() == out.w.tobytes()
-        assert (doc["lambda"], doc["provenance"], doc["burn_in"]) == (1e-6, "offline_svd", 100)
 
 
 class TestOnlineStep:
