@@ -59,7 +59,6 @@ from .stochastic import (
     ProcessSpec,
     RewardFunctional,
     bellman_contraction_check,
-    bellman_residual,
     markov_value_oracle,
     sample_path,
     value_mc,
@@ -280,7 +279,7 @@ def train_lorenz_readout(
     xi_0, ..., xi_{ell-1} drives the reservoir. target 'zeta' learns the
     third coordinate from the first; 'next_xi' learns the one-step-ahead
     first coordinate for forecasting. The first DEFAULT_BURN_IN (100)
-    states are dropped as transient, and the readout records that burn-in.
+    states are dropped as transient.
     """
     spec = generate(standard_esn(n, seed))
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
@@ -289,9 +288,8 @@ def train_lorenz_readout(
         targets = trajectory.samples[:ell, 2]
     else:
         targets = trajectory.samples[1 : ell + 1, 0]
-    problem = problem_from_series(states.samples, targets, DEFAULT_BURN_IN)
+    problem = problem_from_series(states.samples, targets)
     readout = solve_offline(problem, lam=lam)
-    readout.burn_in = DEFAULT_BURN_IN
     return spec, states, readout, problem
 
 
@@ -311,7 +309,7 @@ def run_lorenz_train(seed: int, *, n: int, ell: int, lam: float) -> Artifacts:
             "w": readout.w.tolist(),
             "lambda": readout.lam,
             "provenance": readout.provenance,
-            "burn_in": readout.burn_in,
+            "burn_in": DEFAULT_BURN_IN,
         },
         "reservoir.json": {
             "n": spec.n,
@@ -335,7 +333,7 @@ def run_lorenz_forecast(seed: int, *, n: int, ell: int, lam: float, horizon: int
     forecast = auto.samples[:-1] @ readout.w
     truth = trajectory.samples[ell + 1 : ell + horizon + 1, 0]
     times = np.arange(ell + 1, ell + horizon + 1) * trajectory.step
-    variances = explained_variances(states.samples[readout.burn_in :], 3)
+    variances = explained_variances(states.samples[DEFAULT_BURN_IN:], 3)
     return {
         "forecast.csv": csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
         "forecast_summary.json": {
@@ -359,9 +357,7 @@ def run_fixed_point(seed: int, *, n: int, ell: int, lam: float, tau: float) -> A
     )
     psi = autonomous_map(spec, readout.w)
     start = wing_start_state(spec)
-    result = newton_fixed_point(
-        psi, lambda x: esn_jacobian(spec, readout.w, x), start, tol=1e-10
-    )
+    result = newton_fixed_point(psi, lambda x: esn_jacobian(spec, readout.w, x), start)
     reference = lorenz_linearization_eigs(tau=tau)
     esn_eigs = result.jacobian_eigs
     dists = [np.min(np.abs(esn_eigs - ref)) for ref in reference]
@@ -430,7 +426,7 @@ def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: f
         "diagram.csv": res.diagram.to_csv(),
         "h1_summary.json": {
             "gap_ratio": res.gap_ratio,
-            "top_persistences": [min(p.death, res.max_eps) - p.birth for p in res.top_pairs],
+            "top_persistences": res.top_persistences,
         },
     }
 
@@ -482,7 +478,7 @@ def run_value_learn(seed: int, *, gamma: float, length: int) -> Artifacts:
     rewards = r_table[states[:-1]]
     problem = value_targets(features, rewards, gamma)
     readout = solve_offline(problem, lam=0.0)
-    residual = bellman_residual(features, readout.w, rewards, gamma)
+    residual = float(np.mean((problem.states @ readout.w - problem.targets) ** 2))
     reward_fn = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
     mc = value_mc(
         spec, reward_fn, gamma, history=emissions[states[-1]][None, :],

@@ -4,6 +4,11 @@ Newton search for fixed points of the readout-fed map, analytic ESN
 Jacobians, eigenvalues of the discretised drive linearisation, the
 discrete-QR Lyapunov spectrum, and the principal-component variances of
 state clouds.
+
+Newton stops at a residual |psi(x) - x| below NEWTON_TOL, gives up
+after NEWTON_MAX_ITER steps, and retries NEWTON_RETRIES times from
+perturbed starts. The Lyapunov running means are recorded every
+RECORD_EVERY steps.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .errors import (
 )
 from .reservoir import ReservoirSpec, make_rng
 
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 100
+NEWTON_RETRIES = 3
+RECORD_EVERY = 100
+
 
 @dataclass
 class FixedPointResult:
@@ -28,19 +38,16 @@ class FixedPointResult:
     residual: float
     iterations: int
     jacobian_eigs: np.ndarray
-    residual_history: np.ndarray
 
 
-def _newton_once(psi, jac, x0, tol, max_iter):
+def _newton_once(psi, jac, x0):
     x = np.asarray(x0, dtype=float).copy()
-    history = []
     eye = np.eye(x.shape[0])
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         fx = psi(x)
         residual = float(np.linalg.norm(fx - x))
-        history.append(residual)
-        if residual < tol:
-            return x, residual, it - 1, history
+        if residual < NEWTON_TOL:
+            return x, residual, it - 1
         J = jac(x)
         lhs = J - eye
         if abs(np.linalg.det(lhs)) < 1e-300:
@@ -49,42 +56,33 @@ def _newton_once(psi, jac, x0, tol, max_iter):
         x = x + delta
     fx = psi(x)
     residual = float(np.linalg.norm(fx - x))
-    history.append(residual)
-    if residual < tol:
-        return x, residual, max_iter, history
-    raise NewtonConvergenceError(residual, max_iter)
+    if residual < NEWTON_TOL:
+        return x, residual, NEWTON_MAX_ITER
+    raise NewtonConvergenceError(residual, NEWTON_MAX_ITER)
 
 
 def newton_fixed_point(
     psi: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    n_retries: int = 3,
 ) -> FixedPointResult:
     """Newton iteration x <- x - (J - I)^{-1} (psi(x) - x).
 
     Solves the linear system rather than forming the inverse. On
-    failure, retries from starts perturbed by 0.01 times a standard
-    normal draw (seed 0) before raising; the returned result carries
-    the eigenvalues of the Jacobian at the fixed point and the residual
-    history.
+    failure, retries NEWTON_RETRIES times from starts perturbed by 0.01
+    times a standard normal draw (seed 0) before raising; the returned
+    result carries the eigenvalues of the Jacobian at the fixed point.
     """
     rng = make_rng(0)
     x0 = np.asarray(x0, dtype=float)
     last_error: Optional[Exception] = None
-    for attempt in range(n_retries + 1):
+    for attempt in range(NEWTON_RETRIES + 1):
         start = x0 if attempt == 0 else x0 + 0.01 * rng.standard_normal(x0.shape)
         try:
-            x, residual, iters, history = _newton_once(psi, jac, start, tol, max_iter)
+            x, residual, iters = _newton_once(psi, jac, start)
             eigs = np.linalg.eigvals(jac(x))
             return FixedPointResult(
-                x_star=x,
-                residual=residual,
-                iterations=iters,
-                jacobian_eigs=eigs,
-                residual_history=np.array(history),
+                x_star=x, residual=residual, iterations=iters, jacobian_eigs=eigs
             )
         except (NewtonConvergenceError, NearNeutralFixedPointError) as exc:
             last_error = exc
@@ -121,7 +119,6 @@ class LyapunovResult:
 def lyapunov_qr(
     jacobians: Iterable[np.ndarray],
     tau: float = 1.0,
-    record_every: int = 100,
     reorth_every: int = 1,
 ) -> LyapunovResult:
     """Discrete-QR Lyapunov spectrum from the Jacobians along an orbit.
@@ -134,8 +131,8 @@ def lyapunov_qr(
     1990), and once more after the last step if a partial block
     remains; R diagonals are sign-normalised positive before the log.
     The accumulated means are divided by tau to give per-unit-time
-    exponents, with running means recorded every `record_every` steps,
-    which must be a multiple of `reorth_every`.
+    exponents, with running means recorded every RECORD_EVERY steps;
+    `reorth_every` must divide RECORD_EVERY.
 
     Between two factorisations the columns of Z separate by about
     exp((lambda_1 - lambda_n) * reorth_every * tau), and the QR of Z
@@ -144,8 +141,8 @@ def lyapunov_qr(
     larger interval is for maps whose spread is known to keep that
     factor small.
     """
-    if reorth_every < 1 or record_every % reorth_every != 0:
-        raise ValueError("record_every must be a positive multiple of reorth_every")
+    if reorth_every < 1 or RECORD_EVERY % reorth_every != 0:
+        raise ValueError(f"reorth_every must divide {RECORD_EVERY}")
     Z = sums = None
     traces = []
     j = 0
@@ -156,7 +153,7 @@ def lyapunov_qr(
         Z = J @ Z
         if j % reorth_every == 0:
             Z = _absorb_qr(Z, sums, j)
-            if j % record_every == 0:
+            if j % RECORD_EVERY == 0:
                 traces.append(np.concatenate([[j], np.sort(sums / j / tau)[::-1]]))
     if j < 100:
         raise ValueError("need at least 100 Jacobians")

@@ -2,8 +2,8 @@
 
 The input process is a finite Markov chain started from its stationary
 law and emitting one row per state. The module also holds Monte-Carlo
-value estimation, the empirical Bellman residual, and an empirical
-contraction check for the one-step expectation operator.
+value estimation and an empirical contraction check for the one-step
+expectation operator.
 
 Every random step consumes exactly one double of its generator and maps
 it through the cumulative law, as `Generator.choice(k, p=p)` does, so a
@@ -149,7 +149,6 @@ def value_mc(
     gamma: float,
     history: np.ndarray,
     n_rollouts: int = 200,
-    horizon: Optional[int] = None,
     current_state: Optional[int] = None,
     seed: int = 0,
 ) -> ValueEstimate:
@@ -158,8 +157,8 @@ def value_mc(
     `history` holds at least `reward.window` recent inputs (newest
     last); rollouts condition on `current_state`, the hidden index
     behind the newest input, and start from the stationary law without
-    one. The horizon defaults to the smallest one with gamma**horizon <=
-    1e-9 (1 when gamma is 0).
+    one. The horizon is the smallest one with gamma**horizon <= 1e-9
+    (1 when gamma is 0).
 
     All rollouts run as one batch: the `horizon - 1` future steps of
     every rollout come from one `_draw_finite` block seeded with `seed`
@@ -173,11 +172,10 @@ def value_mc(
     history = np.atleast_2d(np.asarray(history, dtype=float))
     if len(history) < reward.window:
         raise ValueError("history shorter than the reward window")
-    if horizon is None:
-        if gamma == 0.0:
-            horizon = 1
-        else:
-            horizon = max(1, int(math.ceil(math.log(1e-9) / math.log(gamma))))
+    if gamma == 0.0:
+        horizon = 1
+    else:
+        horizon = max(1, int(math.ceil(math.log(1e-9) / math.log(gamma))))
     future = _draw_finite(spec, make_rng(seed), (n_rollouts, horizon - 1), current_state)[0]
     recent = history[len(history) - reward.window :]
     paths = np.concatenate([np.broadcast_to(recent, (n_rollouts,) + recent.shape), future], axis=1)
@@ -205,27 +203,6 @@ def markov_value_oracle(transition: np.ndarray, rewards: np.ndarray, gamma: floa
     P = np.asarray(transition, dtype=float)
     r = np.asarray(rewards, dtype=float)
     return np.linalg.solve(np.eye(P.shape[0]) - gamma * P, r)
-
-
-def bellman_residual(
-    features: np.ndarray, w: np.ndarray, rewards: np.ndarray, gamma: float
-) -> float:
-    """Path average of (W^T (H_k - gamma H_{k+1}) - R_k)^2.
-
-    This is the empirical objective that the value-target transform
-    plus offline training minimises; features are rows H_k along the
-    path and rewards align with the transition leaving step k.
-    """
-    if not 0 <= gamma < 1:
-        raise ValueError("gamma must lie in [0, 1)")
-    H = np.atleast_2d(np.asarray(features, dtype=float))
-    if len(H) < 2:
-        raise ValueError("path must have at least 2 samples")
-    rewards = np.asarray(rewards, dtype=float)
-    diffs = H[:-1] - gamma * H[1:]
-    preds = diffs @ np.asarray(w, dtype=float)
-    r = rewards[: len(preds)]
-    return float(np.mean((preds - r) ** 2))
 
 
 def bellman_contraction_check(

@@ -24,9 +24,11 @@ materialised rather than enumerated implicitly by combinatorial index:
 every simplex of the top dimension that does not kill a class is an
 essential class and is listed in the diagram, so the top simplices are
 enumerated anyway. Hand-built filtrations enter through a list
-constructor, and one generic path serves them and Rips alike. The
-diagram is likewise a set of columns; `PersistencePair` objects are
-built only when read.
+constructor, and one generic path serves them and Rips alike. Boundary
+matrices and coboundaries share one face lookup, `_facet_index`. The
+diagram is likewise a set of columns, degree, birth and death, with
+death infinity for a class still alive at the end of the filtration;
+`PersistencePair` objects are built only when read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -107,12 +109,6 @@ class Filtration:
     def is_sorted(self) -> bool:
         return self.ordered and all(map(_rows_in_order, self.values, self.vertices))
 
-    def of_dimension(self, k: int, eps: Optional[float] = None) -> List[Simplex]:
-        if k >= len(self.vertices):
-            return []
-        rows = self.vertices[k] if eps is None else self.vertices[k][self.values[k] <= eps]
-        return list(map(tuple, rows.tolist()))
-
     def max_dimension(self) -> int:
         return max((k for k, vals in enumerate(self.values) if vals.size), default=-1)
 
@@ -159,21 +155,18 @@ def rips_filtration(points: np.ndarray, max_dim: int, max_eps: float) -> Filtrat
     return Filtration(tuple(values), tuple(vertices))
 
 
-def boundary_matrix(filtration: Filtration, k: int, eps: Optional[float] = None) -> np.ndarray:
-    """F2 matrix of the degree-k boundary map.
+def boundary_matrix(filtration: Filtration, k: int, eps: float) -> np.ndarray:
+    """F2 matrix of the degree-k boundary map of the simplices entering by eps.
 
     Columns are the k-simplices, rows the (k-1)-simplices, both in
     filtration order. Entry 1 marks the face relation.
     """
     if k < 1:
         raise ValueError("boundary matrices start at k = 1")
-    cols = filtration.of_dimension(k, eps)
-    rows = filtration.of_dimension(k - 1, eps)
-    row_index = {verts: i for i, verts in enumerate(rows)}
+    rows, cols = (filtration.vertices[j][filtration.values[j] <= eps] for j in (k - 1, k))
+    radix = int(filtration.vertices[0].max(initial=0)) + 1
     out = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for j, verts in enumerate(cols):
-        for facet in itertools.combinations(verts, k):
-            out[row_index[facet], j] = 1
+    out[_facet_index(rows, cols, radix), np.arange(len(cols))[:, None]] = 1
     return out
 
 
@@ -182,32 +175,26 @@ class PersistencePair:
     degree: int
     birth: float
     death: float  # math.inf when the class never dies inside the filtration
-    truncated: bool = False  # alive at the filtration cutoff
 
 
 @dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
     """Persistence pairs as columns, sorted by (degree, birth, death).
 
-    Row i is the pair (degree[i], birth[i], death[i], truncated[i]) with
-    the fields of `PersistencePair`.
+    Row i is the pair (degree[i], birth[i], death[i]) with the fields of
+    `PersistencePair`; a class alive at the end of the filtration has
+    death infinity.
     """
 
     degree: np.ndarray  # int64
     birth: np.ndarray
     death: np.ndarray
-    truncated: np.ndarray  # bool
-    max_eps: Optional[float] = None
 
     @cached_property
     def pairs(self) -> Tuple[PersistencePair, ...]:
         """The rows as `PersistencePair`s, built on first read."""
-        return self.pairs_at(slice(None))
-
-    def pairs_at(self, rows) -> Tuple[PersistencePair, ...]:
-        """The rows picked by an index array or mask as `PersistencePair`s."""
-        columns = (self.degree, self.birth, self.death, self.truncated)
-        return tuple(map(PersistencePair, *(c[rows].tolist() for c in columns)))
+        columns = (self.degree, self.birth, self.death)
+        return tuple(map(PersistencePair, *(c.tolist() for c in columns)))
 
     def betti_at(self, eps: float) -> Dict[int, int]:
         alive = (self.birth <= eps) & (eps < self.death)
@@ -324,7 +311,7 @@ def _reduce_coboundaries(
     return owner, essential
 
 
-def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> PersistenceDiagram:
+def persistence(filtration: Filtration) -> PersistenceDiagram:
     """Birth/death pairing by persistent cohomology with clearing.
 
     Degree 0 uses union-find with the elder rule. Each degree k >= 1
@@ -333,14 +320,12 @@ def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> Pers
     that killed a class in degree k - 1: the union-find tree edges, then
     each degree's death simplices. The pairs equal those of boundary
     column reduction in filtration order. Classes alive at the end get
-    death = infinity with the truncated flag when a cutoff is known.
+    death = infinity.
     """
     if not filtration.is_sorted():
         raise FiltrationOrderError("filtration must be sorted")
     values = filtration.values
     max_dim = filtration.max_dimension()
-    if max_eps is None and max_dim >= 0:
-        max_eps = max(float(vals[-1]) for vals in values if vals.size)
 
     # Vertex labels need not be contiguous: each simplex becomes a row of
     # positions in the sorted labels.
@@ -349,8 +334,8 @@ def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> Pers
     root_birth = values[0][by_label]
     rows = [_positions(labels, verts.reshape(-1)).reshape(verts.shape) for verts in filtration.vertices]
 
-    # Blocks of pairs (degree, births, deaths, truncated).
-    blocks: List[Tuple[int, np.ndarray, np.ndarray, bool]] = []
+    # Blocks of pairs (degree, births, deaths).
+    blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
     essential: List[np.ndarray] = [root_birth]  # births of the classes that never die
     cleared: Set[int] = set()
     if max_dim >= 1:
@@ -367,7 +352,7 @@ def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> Pers
             h0_deaths.append(value)
             uf.parent[young] = old
             cleared.add(edge)
-        blocks.append((0, np.array(h0_births), np.array(h0_deaths), False))
+        blocks.append((0, np.array(h0_births), np.array(h0_deaths)))
         essential[0] = root_birth[np.array(uf.parent) == np.arange(len(labels))]
     for k in range(1, max_dim + 1):
         if k == max_dim:
@@ -378,19 +363,16 @@ def persistence(filtration: Filtration, max_eps: Optional[float] = None) -> Pers
             owner, alive = _reduce_coboundaries(indptr, cofaces, cleared)
             lows = np.fromiter(owner, np.int64, len(owner))
             faces = np.fromiter(owner.values(), np.int64, len(owner))
-            blocks.append((k, values[k][faces], values[k + 1][lows], False))
+            blocks.append((k, values[k][faces], values[k + 1][lows]))
             cleared = set(owner)
         essential.append(values[k][alive])
-    cut = max_eps is not None
-    blocks += [(k, b, np.full(len(b), math.inf), cut) for k, b in enumerate(essential)]
+    blocks += [(k, b, np.full(len(b), math.inf)) for k, b in enumerate(essential)]
 
-    degrees, births, deaths, flags = zip(*blocks)
-    sizes = [len(b) for b in births]
-    degree = np.repeat(degrees, sizes)
+    degrees, births, deaths = zip(*blocks)
+    degree = np.repeat(degrees, [len(b) for b in births])
     birth, death = np.concatenate(births), np.concatenate(deaths)
-    truncated = np.repeat(flags, sizes)
     order = np.lexsort((death, birth, degree))
-    return PersistenceDiagram(degree[order], birth[order], death[order], truncated[order], max_eps)
+    return PersistenceDiagram(degree[order], birth[order], death[order])
 
 
 def hexagon_example_filtration() -> Filtration:
@@ -450,10 +432,8 @@ def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:
 @dataclass
 class AttractorH1Result:
     diagram: PersistenceDiagram
-    top_pairs: List[PersistencePair]  # two most persistent H1 classes
+    top_persistences: List[float]  # lifetimes of the two most persistent H1 classes
     gap_ratio: float  # 2nd most persistent / 3rd most persistent
-    landmarks: np.ndarray
-    max_eps: float
 
 
 def attractor_h1_experiment(
@@ -462,9 +442,9 @@ def attractor_h1_experiment(
     """Degree-1 persistence of the landmark skeleton of an (m, d) orbit array.
 
     Subsamples `subsample` landmarks by farthest-point selection, runs
-    a Rips filtration to max_eps, and reports the two most persistent H1
-    pairs together with the persistence ratio of the 2nd to the 3rd
-    class. Truncated classes count with death at max_eps.
+    a Rips filtration to max_eps, and reports the lifetimes of the two
+    most persistent H1 classes together with the ratio of the 2nd to
+    the 3rd. Classes still alive at max_eps count with death at max_eps.
     """
     if subsample < 50:
         raise ValueError("subsample must be >= 50")
@@ -472,21 +452,13 @@ def attractor_h1_experiment(
     diam_probe = pts.max(axis=0) - pts.min(axis=0)
     if float(np.linalg.norm(diam_probe)) == 0.0:
         raise DegenerateCloudError("all points coincide")
-    landmark_idx = maxmin_subsample(pts, subsample)
-    landmarks = pts[landmark_idx]
-    filtration = rips_filtration(landmarks, max_dim=2, max_eps=max_eps)
-    diagram = persistence(filtration, max_eps=max_eps)
-    h1 = np.flatnonzero(diagram.degree == 1)
+    landmarks = pts[maxmin_subsample(pts, subsample)]
+    diagram = persistence(rips_filtration(landmarks, max_dim=2, max_eps=max_eps))
+    h1 = diagram.degree == 1
     lifetimes = np.minimum(diagram.death[h1], max_eps) - diagram.birth[h1]
-    # Longest first; a stable sort keeps equal lifetimes in diagram order.
-    by_lifetime = np.argsort(-lifetimes, kind="stable")
-    persistences = lifetimes[by_lifetime].tolist()
-    top = list(diagram.pairs_at(h1[by_lifetime[:2]]))
+    persistences = np.sort(lifetimes)[::-1].tolist()
     if len(persistences) >= 3 and persistences[2] > 0:
         gap = persistences[1] / persistences[2]
     else:
         gap = math.inf
-    return AttractorH1Result(
-        diagram=diagram, top_pairs=top, gap_ratio=gap,
-        landmarks=landmarks, max_eps=max_eps,
-    )
+    return AttractorH1Result(diagram=diagram, top_persistences=persistences[:2], gap_ratio=gap)

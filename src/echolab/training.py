@@ -30,7 +30,6 @@ class Readout:
     w: np.ndarray
     lam: float = 0.0
     provenance: str = "offline_svd"
-    burn_in: int = 0
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float).reshape(-1)
@@ -56,13 +55,12 @@ class RegressionProblem:
             raise ValueError("need at least one sample")
 
 
-def problem_from_series(
-    states: np.ndarray, targets: np.ndarray, burn_in: int = DEFAULT_BURN_IN
-) -> RegressionProblem:
-    """Pair reservoir state rows with targets, dropping an initial transient."""
+def problem_from_series(states: np.ndarray, targets: np.ndarray) -> RegressionProblem:
+    """Pair reservoir state rows with targets, dropping the first
+    DEFAULT_BURN_IN rows as transient."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     n = min(len(states), targets.shape[0])
-    return RegressionProblem(states[burn_in:n], targets[burn_in:n])
+    return RegressionProblem(states[DEFAULT_BURN_IN:n], targets[DEFAULT_BURN_IN:n])
 
 
 def solve_offline(

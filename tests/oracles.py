@@ -68,19 +68,16 @@ def brute_force_betti(points, eps, max_dim):
     return betti
 
 
-def persistence_by_column_reduction(filtration, max_eps=None):
+def persistence_by_column_reduction(filtration):
     """Persistence pairs by reducing boundary columns in filtration order.
 
     Degree 0 runs union-find with the elder rule. Each higher simplex's
     boundary, held as a frozenset of facet indices, is reduced by XOR
     against earlier pivot columns until its largest index is a new
     pivot (the facet's class dies here) or the column vanishes (the
-    simplex gives birth). Classes still alive get death = infinity,
-    flagged truncated when a cutoff is known.
+    simplex gives birth). Classes still alive get death = infinity.
     """
     simplices = filtration.simplices
-    if max_eps is None and simplices:
-        max_eps = max(s[0] for s in simplices)
 
     vertex_birth = {}
     for value, dim, verts in simplices:
@@ -135,14 +132,12 @@ def persistence_by_column_reduction(filtration, max_eps=None):
 
     for dim, alive in positive.items():
         for _, birth in sorted(alive.items()):
-            pairs.append(PersistencePair(dim, birth, math.inf, truncated=max_eps is not None))
+            pairs.append(PersistencePair(dim, birth, math.inf))
     pairs.sort(key=lambda p: (p.degree, p.birth, p.death))
     return PersistenceDiagram(
         degree=np.array([p.degree for p in pairs], dtype=np.int64),
         birth=np.array([p.birth for p in pairs], dtype=float),
         death=np.array([p.death for p in pairs], dtype=float),
-        truncated=np.array([p.truncated for p in pairs], dtype=bool),
-        max_eps=max_eps,
     )
 
 
@@ -319,10 +314,11 @@ def lorenz_step_jacobian_reference(state, params):
     return eye + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
-def lyapunov_qr_reference(step, jacobian, x0, n_iter, tau=1.0, record_every=100):
+def lyapunov_qr_reference(step, jacobian, x0, n_iter, tau=1.0):
     """QR Lyapunov spectrum stepping the orbit itself, one QR per step.
 
-    Returns (exponents, running_means) in the layout of LyapunovResult.
+    Returns (exponents, running_means) in the layout of LyapunovResult,
+    running means every 100 steps.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.shape[0]
@@ -337,7 +333,7 @@ def lyapunov_qr_reference(step, jacobian, x0, n_iter, tau=1.0, record_every=100)
             raise DegenerateJacobianError(f"zero R diagonal at iteration {j}")
         Q = Q * np.sign(diag)[None, :]
         sums += np.log(np.abs(diag))
-        if j % record_every == 0:
+        if j % 100 == 0:
             traces.append(np.concatenate([[j], np.sort(sums / j / tau)[::-1]]))
         x = step(x)
     return np.sort(sums / n_iter / tau)[::-1], np.array(traces)

@@ -12,7 +12,6 @@ from echolab.pde import (
     grid_solution,
     sample_disc,
     solve_dirichlet_offline,
-    stacked_problem,
 )
 from echolab.reservoir import make_rng
 from echolab.training import Readout, online_step, solve_offline

@@ -9,13 +9,11 @@ from echolab.stochastic import (
     ProcessSpec,
     RewardFunctional,
     bellman_contraction_check,
-    bellman_residual,
     markov_value_oracle,
     sample_path,
     stationary_distribution,
     value_mc,
 )
-from echolab.training import solve_offline, value_targets
 
 from oracles import draw_finite_reference, sample_path_reference, value_mc_reference
 
@@ -179,11 +177,11 @@ class TestBatchedRolloutsMatchPerStepReference:
         spec, reward = self.process(kind, d), self.reward(window, d)
         history = np.linspace(-0.5, 0.5, 4 * d).reshape(4, d)
         est = value_mc(
-            spec, reward, 0.8, history, n_rollouts=n_rollouts, horizon=40,
+            spec, reward, 0.8, history, n_rollouts=n_rollouts,
             current_state=current_state, seed=17,
         )
         value, stderr, _ = value_mc_reference(
-            spec, reward, 0.8, history, n_rollouts, 40, current_state, seed=17
+            spec, reward, 0.8, history, n_rollouts, est.horizon, current_state, seed=17
         )
         assert (est.value, est.stderr) == (value, stderr)
 
@@ -225,8 +223,8 @@ class TestBatchedRolloutsMatchPerStepReference:
         # 0.0 and -0.0 compare equal but are different inputs to fn.
         spec = iid_chain([[0.0], [-0.0]], [0.5, 0.5])
         reward = RewardFunctional(window=1, fn=lambda recent: math.copysign(1.0, recent[-1, 0]))
-        est = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=20, horizon=10, seed=3)
-        ref = value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 20, 10, seed=3)
+        est = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=20, seed=3)
+        ref = value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 20, est.horizon, seed=3)
         assert est.stderr > 0 and (est.value, est.stderr) == ref[:2]
 
     def test_nan_in_a_late_rollout_raises(self):
@@ -236,53 +234,12 @@ class TestBatchedRolloutsMatchPerStepReference:
         reward = RewardFunctional(
             window=1, fn=lambda recent: float("nan") if recent[-1, 0] == 1.0 else 1.0
         )
-        first = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=1, horizon=20, seed=6)
-        assert first.value == 2.0 - 0.5**19
+        first = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=1, seed=6)
+        assert first.value == 2.0 - 0.5 ** (first.horizon - 1)
         with pytest.raises(AdmissibilityError, match="non-finite"):
-            value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=200, horizon=20, seed=6)
+            value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=200, seed=6)
         with pytest.raises(AdmissibilityError, match="non-finite"):
-            value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 200, 20, seed=6)
-
-
-class TestBellmanResidual:
-    def deterministic_cycle(self, n=200, gamma=0.9):
-        states = np.arange(n) % 2
-        features = np.eye(2)[states]
-        r_table = np.array([1.0, 0.0])
-        rewards = r_table[states[:-1]]
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        V = markov_value_oracle(P, r_table, gamma)
-        return features, rewards, V, gamma
-
-    def test_exact_tabular_solution_has_zero_residual(self):
-        features, rewards, V, gamma = self.deterministic_cycle()
-        assert bellman_residual(features, V, rewards, gamma) < 1e-12
-
-    def test_gamma_zero_is_regression_mse(self):
-        rng = np.random.default_rng(0)
-        H = rng.standard_normal((50, 3))
-        w = rng.standard_normal(3)
-        r = rng.standard_normal(49)
-        res = bellman_residual(H, w, r, 0.0)
-        mse = np.mean((H[:-1] @ w - r) ** 2)
-        assert abs(res - mse) < 1e-12
-
-    def test_zero_weights_unit_rewards(self):
-        H = np.ones((30, 2))
-        assert abs(bellman_residual(H, np.zeros(2), np.ones(29), 0.7) - 1.0) < 1e-12
-
-    def test_trained_readout_beats_perturbations(self):
-        # Residual minimality: the offline solution's Bellman residual
-        # is no larger than 50 nearby perturbed readouts'.
-        features, rewards, V, gamma = self.deterministic_cycle()
-        prob = value_targets(features, rewards, gamma)
-        w_star = solve_offline(prob, lam=0.0).w
-        base = bellman_residual(features, w_star, rewards, gamma)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            delta = rng.standard_normal(2)
-            delta *= 0.1 * np.linalg.norm(w_star) / np.linalg.norm(delta)
-            assert base <= bellman_residual(features, w_star + delta, rewards, gamma) + 1e-12
+            value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 200, first.horizon, seed=6)
 
 
 class TestBellmanContraction:

@@ -50,13 +50,18 @@ def lifetime(pair):
     return pair.death - pair.birth
 
 
+def entering(filt, k, eps):
+    """Vertex tuples of the k-simplices entering by eps, in filtration order."""
+    return list(map(tuple, filt.vertices[k][filt.values[k] <= eps].tolist()))
+
+
 def in_printed_order(filt, k, eps, cols, rows):
     """The filtration-order boundary matrix with its columns picked and its
     rows permuted into a printed table's order (vertex tuples in any order).
     The table must name every row."""
     M = boundary_matrix(filt, k, eps=eps)
-    col_at = {s: j for j, s in enumerate(filt.of_dimension(k, eps))}
-    row_at = {s: i for i, s in enumerate(filt.of_dimension(k - 1, eps))}
+    col_at = {s: j for j, s in enumerate(entering(filt, k, eps))}
+    row_at = {s: i for i, s in enumerate(entering(filt, k - 1, eps))}
     assert len(rows) == len(row_at)
     perm_cols = [col_at[tuple(sorted(s))] for s in cols]
     perm_rows = [row_at[tuple(sorted(s))] for s in rows]
@@ -89,8 +94,8 @@ class TestRipsFiltration:
     def test_max_eps_excludes_long_edges(self):
         cloud = np.array([[0.0], [3.0]])
         filt = rips_filtration(cloud, max_dim=1, max_eps=2.0)
-        assert len(filt.of_dimension(0)) == 2
-        assert len(filt.of_dimension(1)) == 0
+        assert len(filt.vertices[0]) == 2
+        assert len(filt.vertices[1]) == 0
 
     def test_non_finite_points_rejected(self):
         for bad in (np.nan, np.inf):
@@ -100,7 +105,7 @@ class TestRipsFiltration:
     def test_duplicate_points_distance_zero(self):
         cloud = np.array([[1.0, 1.0], [1.0, 1.0]])
         filt = rips_filtration(cloud, max_dim=1, max_eps=1.0)
-        assert filt.of_dimension(1) == [(0, 1)]
+        assert filt.vertices[1].tolist() == [[0, 1]]
         assert filt.simplices[-1][0] == 0.0
 
     def test_sorted_by_value_then_dim(self):
@@ -147,8 +152,8 @@ class TestRipsMatchesReference:
         ts = integrate_lorenz(LorenzParams(), 8000)
         pts = ts.samples[4000:]
         cloud = pts[maxmin_subsample(pts, 300)]
-        got = persistence(rips_filtration(cloud, 2, 10.0), max_eps=10.0)
-        want = persistence(rips_filtration_reference(cloud, 2, 10.0), max_eps=10.0)
+        got = persistence(rips_filtration(cloud, 2, 10.0))
+        want = persistence(rips_filtration_reference(cloud, 2, 10.0))
         assert got.to_csv() == want.to_csv()
 
 
@@ -298,7 +303,7 @@ class TestPersistence:
     def test_two_far_triangles(self):
         pts = np.vstack([unit_triangle(), unit_triangle() + [100.0, 0.0]])
         filt = rips_filtration(pts, max_dim=2, max_eps=5.0)
-        diag = persistence(filt, max_eps=5.0)
+        diag = persistence(filt)
         infinite_h0 = [p for p in of_degree(diag, 0) if math.isinf(p.death)]
         assert len(infinite_h0) == 2
         h1_alive_above_1 = [
@@ -363,18 +368,20 @@ class TestPersistenceMatchesColumnReduction:
     """Cohomology with clearing pairs exactly as boundary-column reduction."""
 
     @staticmethod
-    def assert_same_diagram(filt, max_eps=None):
-        got = persistence(filt, max_eps=max_eps)
-        want = persistence_by_column_reduction(filt, max_eps=max_eps)
-        assert [(p.degree, p.birth, p.death, p.truncated) for p in got.pairs] == [
-            (p.degree, p.birth, p.death, p.truncated) for p in want.pairs
+    def assert_same_diagram(filt):
+        got = persistence(filt)
+        want = persistence_by_column_reduction(filt)
+        assert [(p.degree, p.birth, p.death) for p in got.pairs] == [
+            (p.degree, p.birth, p.death) for p in want.pairs
         ]
         assert got.to_csv() == want.to_csv()
-        assert got.max_eps == want.max_eps
+        return got
 
-    def assert_same_as_experiment(self, res):
-        filt = rips_filtration(res.landmarks, max_dim=2, max_eps=res.max_eps)
-        self.assert_same_diagram(filt, max_eps=res.max_eps)
+    def assert_same_as_experiment(self, points, subsample, max_eps):
+        res = attractor_h1_experiment(points, subsample=subsample, max_eps=max_eps)
+        landmarks = points[maxmin_subsample(points, subsample)]
+        got = self.assert_same_diagram(rips_filtration(landmarks, max_dim=2, max_eps=max_eps))
+        assert got.to_csv() == res.diagram.to_csv()
 
     def test_hexagon_example(self):
         self.assert_same_diagram(hexagon_example_filtration())
@@ -385,23 +392,21 @@ class TestPersistenceMatchesColumnReduction:
 
     def test_random_clouds(self):
         rng = make_rng(21)
-        for trial in range(20):
+        for _ in range(20):
             pts = rng.uniform(0, 1, (15, 2))
             max_eps = float(rng.uniform(0.3, 1.5))
-            filt = rips_filtration(pts, max_dim=3, max_eps=max_eps)
-            self.assert_same_diagram(filt, max_eps=max_eps if trial % 2 else None)
+            self.assert_same_diagram(rips_filtration(pts, max_dim=3, max_eps=max_eps))
 
     def test_circle_and_figure_eight(self):
         angles = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         circle = np.column_stack([np.cos(angles), np.sin(angles)])
-        self.assert_same_as_experiment(attractor_h1_experiment(circle, subsample=50, max_eps=0.8))
+        self.assert_same_as_experiment(circle, subsample=50, max_eps=0.8)
         eight = np.vstack([circle - [1.0, 0.0], circle + [1.0, 0.0]])
-        self.assert_same_as_experiment(attractor_h1_experiment(eight, subsample=100, max_eps=1.6))
+        self.assert_same_as_experiment(eight, subsample=100, max_eps=1.6)
 
     def test_lorenz_landmarks(self):
         ts = integrate_lorenz(LorenzParams(), 8000)
-        res = attractor_h1_experiment(ts.samples[4000:], subsample=150, max_eps=10.0)
-        self.assert_same_as_experiment(res)
+        self.assert_same_as_experiment(ts.samples[4000:], subsample=150, max_eps=10.0)
 
     def test_empty_and_vertex_only(self):
         self.assert_same_diagram(Filtration.from_simplices([]))
@@ -427,8 +432,7 @@ class TestAttractorExperiment:
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         res = attractor_h1_experiment(pts, subsample=50, max_eps=0.8)
         pers = sorted(
-            (min(p.death, res.max_eps) - p.birth for p in of_degree(res.diagram, 1)),
-            reverse=True,
+            (min(p.death, 0.8) - p.birth for p in of_degree(res.diagram, 1)), reverse=True
         )
         assert pers[0] > 0.5
         assert all(p < 0.1 for p in pers[1:])
@@ -439,10 +443,9 @@ class TestAttractorExperiment:
         right = np.column_stack([np.cos(angles) + 1.0, np.sin(angles)])
         pts = np.vstack([left, right])
         res = attractor_h1_experiment(pts, subsample=100, max_eps=1.6)
-        assert len(res.top_pairs) == 2
+        assert len(res.top_persistences) == 2
         pers = sorted(
-            (min(p.death, res.max_eps) - p.birth for p in of_degree(res.diagram, 1)),
-            reverse=True,
+            (min(p.death, 1.6) - p.birth for p in of_degree(res.diagram, 1)), reverse=True
         )
         assert pers[1] > 0.4
         assert res.gap_ratio > 2.0
@@ -468,16 +471,11 @@ class TestAttractorExperiment:
             dmin = min(dmin, d.min())
         assert dmin > 0.05
 
-    def test_top_pairs_are_the_longest_lived(self):
+    def test_top_persistences_are_the_longest_lifetimes(self):
         ts = integrate_lorenz(LorenzParams(), 8000)
         res = attractor_h1_experiment(ts.samples[4000:], subsample=150, max_eps=10.0)
-
-        def lifetime(p):
-            return min(p.death, res.max_eps) - p.birth
-
-        h1 = of_degree(res.diagram, 1)
-        assert res.top_pairs == sorted(h1, key=lifetime, reverse=True)[:2]
-        pers = sorted(map(lifetime, h1), reverse=True)
+        pers = sorted((min(p.death, 10.0) - p.birth for p in of_degree(res.diagram, 1)), reverse=True)
+        assert res.top_persistences == pers[:2]
         assert res.gap_ratio == pers[1] / pers[2]
 
     def test_lorenz_reports_two_loops(self):
@@ -485,10 +483,9 @@ class TestAttractorExperiment:
         # close to one wing focus and shrink that wing's hole.
         ts = integrate_lorenz(LorenzParams(), 8000)
         res = attractor_h1_experiment(ts.samples[4000:], subsample=150, max_eps=10.0)
-        assert len(res.top_pairs) == 2
+        assert len(res.top_persistences) == 2
         pers = sorted(
-            (min(p.death, res.max_eps) - p.birth for p in of_degree(res.diagram, 1)),
-            reverse=True,
+            (min(p.death, 10.0) - p.birth for p in of_degree(res.diagram, 1)), reverse=True
         )
         assert pers[1] > 2.0
         assert res.gap_ratio > 2.0

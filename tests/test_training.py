@@ -3,8 +3,8 @@ import pytest
 
 from echolab.errors import ContractionBoundError, SingularProblemError
 from echolab.reservoir import make_rng
+from echolab.stochastic import markov_value_oracle
 from echolab.training import (
-    OnlineResult,
     RegressionProblem,
     normal_equation_residual,
     online_step,
@@ -226,8 +226,57 @@ class TestValueTargets:
 
 class TestProblemFromSeries:
     def test_burn_in_dropped(self):
-        states = np.arange(20.0)[:, None]
-        targets = np.arange(20.0) * 2
-        prob = problem_from_series(states, targets, burn_in=5)
-        assert prob.states.shape == (15, 1)
-        assert prob.targets[0] == 10.0
+        states = np.arange(120.0)[:, None]
+        targets = np.arange(120.0) * 2
+        prob = problem_from_series(states, targets)
+        assert prob.states.shape == (20, 1)
+        assert prob.states[0, 0] == 100.0
+        assert prob.targets[0] == 200.0
+
+
+def bellman_residual(features, w, rewards, gamma):
+    """Path average of (W^T (H_k - gamma H_{k+1}) - R_k)^2, the residual
+    of the value-target problem that `value_learn` reports."""
+    problem = value_targets(features, rewards, gamma)
+    return float(np.mean((problem.states @ w - problem.targets) ** 2))
+
+
+class TestBellmanResidual:
+    def deterministic_cycle(self, n=200, gamma=0.9):
+        states = np.arange(n) % 2
+        features = np.eye(2)[states]
+        r_table = np.array([1.0, 0.0])
+        rewards = r_table[states[:-1]]
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        V = markov_value_oracle(P, r_table, gamma)
+        return features, rewards, V, gamma
+
+    def test_exact_tabular_solution_has_zero_residual(self):
+        features, rewards, V, gamma = self.deterministic_cycle()
+        assert bellman_residual(features, V, rewards, gamma) < 1e-12
+
+    def test_gamma_zero_is_regression_mse(self):
+        rng = np.random.default_rng(0)
+        H = rng.standard_normal((50, 3))
+        w = rng.standard_normal(3)
+        r = rng.standard_normal(49)
+        res = bellman_residual(H, w, r, 0.0)
+        mse = np.mean((H[:-1] @ w - r) ** 2)
+        assert abs(res - mse) < 1e-12
+
+    def test_zero_weights_unit_rewards(self):
+        H = np.ones((30, 2))
+        assert abs(bellman_residual(H, np.zeros(2), np.ones(29), 0.7) - 1.0) < 1e-12
+
+    def test_trained_readout_beats_perturbations(self):
+        # Residual minimality: the offline solution's Bellman residual
+        # is no larger than 50 nearby perturbed readouts'.
+        features, rewards, V, gamma = self.deterministic_cycle()
+        prob = value_targets(features, rewards, gamma)
+        w_star = solve_offline(prob, lam=0.0).w
+        base = bellman_residual(features, w_star, rewards, gamma)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            delta = rng.standard_normal(2)
+            delta *= 0.1 * np.linalg.norm(w_star) / np.linalg.norm(delta)
+            assert base <= bellman_residual(features, w_star + delta, rewards, gamma) + 1e-12
