@@ -48,11 +48,12 @@ def _newton_once(psi, jac, x0):
         residual = float(np.linalg.norm(fx - x))
         if residual < NEWTON_TOL:
             return x, residual, it - 1
-        J = jac(x)
-        lhs = J - eye
-        if abs(np.linalg.det(lhs)) < 1e-300:
-            raise NearNeutralFixedPointError("J - I is singular at the iterate")
-        delta = np.linalg.solve(lhs, -(fx - x))
+        try:
+            delta = np.linalg.solve(jac(x) - eye, -(fx - x))
+        except np.linalg.LinAlgError as exc:
+            raise NearNeutralFixedPointError("J - I is singular at the iterate") from exc
+        if not np.all(np.isfinite(delta)):
+            raise NearNeutralFixedPointError("Newton step is not finite")
         x = x + delta
     fx = psi(x)
     residual = float(np.linalg.norm(fx - x))
@@ -68,10 +69,12 @@ def newton_fixed_point(
 ) -> FixedPointResult:
     """Newton iteration x <- x - (J - I)^{-1} (psi(x) - x).
 
-    Solves the linear system rather than forming the inverse. On
-    failure, retries NEWTON_RETRIES times from starts perturbed by 0.01
-    times a standard normal draw (seed 0) before raising; the returned
-    result carries the eigenvalues of the Jacobian at the fixed point.
+    Solves the linear system rather than forming the inverse; a
+    singular J - I (the solve's LinAlgError) or a non-finite step raises
+    NearNeutralFixedPointError. On failure, retries NEWTON_RETRIES times
+    from starts perturbed by 0.01 times a standard normal draw (seed 0)
+    before raising; the returned result carries the eigenvalues of the
+    Jacobian at the fixed point.
     """
     rng = make_rng(0)
     x0 = np.asarray(x0, dtype=float)

@@ -16,11 +16,13 @@ an orbit in chunks of TANGENT_CHUNK states, so a Lyapunov run of any
 length holds one chunk in memory.
 
 Every map iteration (`example_drive` here, `drive` and
-`autonomous_drive` in `reservoir`) runs through `iterate_map`, and every
-iteration, the Lorenz orbit included, shares one divergence policy:
-loops run to the end with overflow warnings silenced, and
-`check_divergence` raises IntegrationDivergedError at the first step
-whose state is non-finite or beyond DIVERGENCE_THRESHOLD.
+`autonomous_drive` in `reservoir`) runs through `iterate_map`, the one
+iteration kernel: it allocates the state array once and the map writes
+each new state into its row. Every iteration, the Lorenz orbit
+included, shares one divergence policy: loops run to the end with
+overflow warnings silenced, and `check_divergence` raises
+IntegrationDivergedError at the first step whose state is non-finite or
+beyond DIVERGENCE_THRESHOLD.
 
 Every numeric CSV artifact is written by `csv_text`, one `.17g` value
 per cell, so each float reads back to the same bits.
@@ -220,21 +222,24 @@ def check_divergence(states: np.ndarray) -> None:
 
 
 def iterate_map(
-    fmap: Callable[[np.ndarray, object], np.ndarray], x0: np.ndarray, inputs: Iterable
+    fmap: Callable[[np.ndarray, object, np.ndarray], object],
+    x0: np.ndarray,
+    inputs: Iterable,
 ) -> np.ndarray:
-    """States x_0 = x0, x_{k+1} = fmap(x_k, z_k) over `inputs`, one per row.
+    """States x_0 = x0, x_{k+1} = f(x_k, z_k) over `inputs`, one per row.
 
-    `inputs` must have a length; the result has len(inputs) + 1 rows of
-    x0's size. The loop runs to the end with overflow warnings silenced,
-    then `check_divergence` raises IntegrationDivergedError at the first
-    step out of range.
+    `fmap(x, z, out)` writes x_{k+1} into `out`, which is row k + 1 of
+    the result; `x` is row k and must not be written. `inputs` must have
+    a length; the result has len(inputs) + 1 rows of x0's size. The loop
+    runs to the end with overflow warnings silenced, then
+    `check_divergence` raises IntegrationDivergedError at the first step
+    out of range.
     """
     out = np.empty((len(inputs) + 1, x0.shape[0]))
-    out[0] = x = x0
+    out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, z in enumerate(inputs, start=1):
-            x = fmap(x, z)
-            out[k] = x
+        for x, z, nxt in zip(out, inputs, out[1:]):
+            fmap(x, z, nxt)
     check_divergence(out)
     return out
 
@@ -295,6 +300,6 @@ def example_drive(input_series: TimeSeries, x0: np.ndarray) -> TimeSeries:
     if input_series.dim != 1:
         raise DimensionMismatchError("example drives take scalar input")
     states = iterate_map(
-        lambda x, z: np.tanh(2.0 * x + z), x0, input_series.samples[:, 0].tolist()
+        lambda x, z, out: np.tanh(2.0 * x + z, out=out), x0, input_series.samples[:, 0].tolist()
     )
     return TimeSeries(step=input_series.step, samples=states)

@@ -51,11 +51,22 @@ class ReservoirSpec:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("reservoir entries must be finite")
 
-    def apply_activation(self, pre: np.ndarray) -> np.ndarray:
-        return np.tanh(pre) if self.activation == "tanh" else pre
+    def advance(self, x: np.ndarray, input_term: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write activation((A x + input_term) + b) into `out` and return it.
+
+        `input_term` is C z. The sums run in that order, so `out` holds
+        the bits of `activation(A @ x + C @ z + b)`; `out` must not
+        share memory with x.
+        """
+        np.matmul(self.A, x, out=out)
+        out += input_term
+        out += self.b
+        if self.activation == "tanh":
+            np.tanh(out, out=out)
+        return out
 
     def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.apply_activation(self.A @ x + self.C @ z + self.b)
+        return self.advance(x, self.C @ z, np.empty(self.n))
 
 
 @dataclass
@@ -128,16 +139,19 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
 def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> TimeSeries:
     """Iterate x_{k+1} = activation(A x_k + C z_k + b) over the inputs.
 
-    Output has len(input) + 1 samples and starts at x0. Raises
-    IntegrationDivergedError (naming the step) if the state leaves the
-    finite range, as an unstable identity reservoir does.
+    Output has len(input) + 1 samples and starts at x0. The input terms
+    C z_k come from one product over the whole series; for scalar input
+    each is a single multiplication, so the states carry the bits of
+    `ReservoirSpec.step`. Raises IntegrationDivergedError (naming the
+    step) if the state leaves the finite range, as an unstable identity
+    reservoir does.
     """
     if input_series.dim != spec.d:
         raise DimensionMismatchError(
             f"input dim {input_series.dim} != reservoir input dim {spec.d}"
         )
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    out = iterate_map(spec.step, x0, input_series.samples)
+    out = iterate_map(spec.advance, x0, input_series.samples @ spec.C.T)
     return TimeSeries(step=input_series.step, samples=out)
 
 
@@ -155,9 +169,11 @@ def autonomous_drive(
     Raises IntegrationDivergedError, naming the first step out of range,
     if the state leaves the finite range.
     """
-    psi = autonomous_map(spec, w)
+    W = np.asarray(w, dtype=float).reshape(spec.n, spec.d)
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    out = iterate_map(lambda x, _: psi(x), x0, range(n_steps))
+    out = iterate_map(
+        lambda x, _, nxt: spec.advance(x, spec.C @ (W.T @ x), nxt), x0, range(n_steps)
+    )
     return TimeSeries(step=1.0, samples=out)
 
 

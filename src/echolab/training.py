@@ -1,6 +1,8 @@
 """Readout learning.
 
-Offline Tikhonov least squares through the SVD, the two online
+Offline Tikhonov least squares through the SVD of the R factor of the
+feature matrix (taken from the QR of [X | Y], so neither Q nor the
+left singular vectors of X are formed), the two online
 stochastic iterations (constant step and 1/k step), and the feature
 transform that turns value estimation into ordinary regression.
 
@@ -68,8 +70,12 @@ def solve_offline(
     lam: float = 0.0,
     truncate: bool = False,
 ) -> Readout:
-    """Ridge solution W* = sum_k sigma_k (U_k^T Y) / (sigma_k^2 + lam) V_k.
+    """Ridge solution W* = sum_k sigma_k (U_k^T Q^T Y) / (sigma_k^2 + lam) V_k.
 
+    X = Q R with R the first k = min(ell, P) rows of the R factor of
+    [X | Y]; the same rows of that factor's last column hold Q^T Y. The
+    SVD R = U S V^T of the k x P factor has the singular values and
+    right vectors of X, so the solve never forms Q or an ell-row U.
     With lam = 0 the problem must have full column rank (singular values
     below 1e-12 of the largest count as zero) or SingularProblemError is
     raised; truncate=True takes the pseudo-inverse over the surviving
@@ -78,7 +84,10 @@ def solve_offline(
     X, Y = problem.states, problem.targets
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    k = min(X.shape)
+    R_aug = np.linalg.qr(np.column_stack([X, Y]), mode="r")[:k]
+    U, sv, Vt = np.linalg.svd(R_aug[:, :-1], full_matrices=False)
+    qty = R_aug[:, -1]
     keep = slice(None)
     if lam == 0.0:
         rank = int(np.sum(sv > SVD_TRUNCATION * sv[0])) if sv.size and sv[0] > 0 else 0
@@ -89,7 +98,7 @@ def solve_offline(
                 )
             keep = slice(0, rank)
     sv, U, Vt = sv[keep], U[:, keep], Vt[keep]
-    coeffs = sv * (U.T @ Y) / (sv**2 + lam)
+    coeffs = sv * (U.T @ qty) / (sv**2 + lam)
     w = Vt.T @ coeffs
     return Readout(w=w, lam=lam, provenance="offline_svd")
 

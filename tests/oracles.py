@@ -6,10 +6,15 @@ import math
 import numpy as np
 
 from echolab.dynsys import DIVERGENCE_THRESHOLD, TimeSeries
-from echolab.errors import DegenerateJacobianError, IntegrationDivergedError
+from echolab.errors import (
+    DegenerateJacobianError,
+    IntegrationDivergedError,
+    SingularProblemError,
+)
 from echolab.pde import eval_feature_laplacian, eval_features
 from echolab.reservoir import make_rng
 from echolab.stochastic import stationary_distribution
+from echolab.training import SVD_TRUNCATION
 from echolab.topology import Filtration, PersistenceDiagram, PersistencePair
 
 
@@ -380,7 +385,29 @@ def value_mc_reference(
     return float(totals.mean()), stderr, rng
 
 
-# Limits of the online ridge iteration.
+# Ridge readouts: the offline solve through the thin SVD of X itself, and
+# the limits of the online ridge iteration.
+
+
+def solve_offline_reference(problem, lam=0.0, truncate=False):
+    """(w, rank) of W* = sum_k sigma_k (U_k^T Y) / (sigma_k^2 + lam) V_k
+    from the thin SVD X = U S V^T, with the ell-row U formed.
+
+    The rank counts singular values above SVD_TRUNCATION of the largest.
+    With lam = 0 a rank below the column count raises
+    SingularProblemError, or with truncate=True keeps the surviving
+    directions only.
+    """
+    X, Y = problem.states, problem.targets
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.sum(sv > SVD_TRUNCATION * sv[0])) if sv.size and sv[0] > 0 else 0
+    keep = slice(None)
+    if lam == 0.0 and rank < X.shape[1]:
+        if not truncate:
+            raise SingularProblemError(f"rank {rank} < {X.shape[1]} columns with lambda = 0")
+        keep = slice(0, rank)
+    sv, U, Vt = sv[keep], U[:, keep], Vt[keep]
+    return Vt.T @ (sv * (U.T @ Y) / (sv**2 + lam)), rank
 
 
 def moment_solution(second_moment, cross_moment, lam):

@@ -71,6 +71,15 @@ class TestNewton:
         with pytest.raises(NearNeutralFixedPointError):
             newton_fixed_point(lambda x: x + 1.0, lambda x: np.eye(1), np.array([0.0]))
 
+    def test_large_well_conditioned_system_is_not_singular(self):
+        # J - I = -0.1 I is well conditioned, but its determinant
+        # 0.1^400 underflows to zero.
+        res = newton_fixed_point(
+            lambda x: 0.9 * x + 1.0, lambda x: 0.9 * np.eye(400), np.zeros(400)
+        )
+        assert np.allclose(res.x_star, 10.0, rtol=1e-12)
+        assert res.iterations == 1
+
     def test_nonconvergence_raises_with_residual(self):
         # psi(x) = x + x^2 + 1 has no real fixed point, so every retry fails.
         with pytest.raises(NewtonConvergenceError) as err:

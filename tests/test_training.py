@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from echolab.cli import train_lorenz_readout
+from echolab.dynsys import LorenzParams, integrate_lorenz
 from echolab.errors import ContractionBoundError, SingularProblemError
+from echolab.pde import build_feature_model, sample_disc, stacked_problem
 from echolab.reservoir import make_rng
 from echolab.stochastic import markov_value_oracle
 from echolab.training import (
@@ -14,7 +17,32 @@ from echolab.training import (
     value_targets,
 )
 
-from oracles import moment_solution
+from oracles import moment_solution, solve_offline_reference
+
+
+def rank_at_zero_ridge(problem):
+    """The rank `solve_offline` finds at lam = 0: the column count when
+    it solves, else the rank its SingularProblemError names."""
+    try:
+        solve_offline(problem, lam=0.0)
+    except SingularProblemError as err:
+        return int(str(err).split()[1])
+    return problem.states.shape[1]
+
+
+def tiny_esn_problem():
+    trajectory = integrate_lorenz(LorenzParams(), 300)
+    return train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, target="zeta")[3]
+
+
+def wide_problem():
+    rng = make_rng(3)
+    return RegressionProblem(rng.standard_normal((30, 80)), rng.standard_normal(30))
+
+
+def tiny_pde_problem():
+    model = build_feature_model(40, seed=1)
+    return stacked_problem(model, sample_disc(40, 40, seed=2))[0]
 
 
 class TestSolveOffline:
@@ -59,6 +87,39 @@ class TestSolveOffline:
         lams = [1e-6, 1e-4, 1e-2, 1.0, 100.0]
         norms = [np.linalg.norm(solve_offline(prob, lam=l).w) for l in lams]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+class TestSolveMatchesThinSvdReference:
+    """The R-factor solve against the thin SVD of X, on predictions X w.
+
+    Tolerances are relative, ||X (w - w_ref)|| / ||X w_ref||, set from
+    measured gaps with margin: 3.0e-14 on the n=20 ESN states (cond
+    8e10), 2.2e-15 on the wide problem and 2.3e-8 on the PDE stack (cond
+    3e15, rank 32 of 40), whose truncated pseudo-inverse keeps singular
+    values down to 1e-12 of the largest and so magnifies the rounding of
+    either factorisation.
+    """
+
+    @pytest.mark.parametrize(
+        "make, lam, truncate, tol",
+        [
+            (tiny_esn_problem, 1e-9, False, 1e-12),
+            (wide_problem, 0.0, True, 1e-13),
+            (wide_problem, 1e-6, True, 1e-13),
+            (tiny_pde_problem, 0.0, True, 1e-6),
+        ],
+    )
+    def test_predictions_within_tolerance(self, make, lam, truncate, tol):
+        problem = make()
+        X = problem.states
+        w_ref, _ = solve_offline_reference(problem, lam=lam, truncate=truncate)
+        w = solve_offline(problem, lam=lam, truncate=truncate).w
+        assert np.linalg.norm(X @ (w - w_ref)) <= tol * np.linalg.norm(X @ w_ref)
+
+    @pytest.mark.parametrize("make", [tiny_esn_problem, wide_problem, tiny_pde_problem])
+    def test_same_rank_without_ridge(self, make):
+        problem = make()
+        assert rank_at_zero_ridge(problem) == solve_offline_reference(problem, truncate=True)[1]
 
 
 class TestOnlineStep:
