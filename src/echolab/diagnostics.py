@@ -14,6 +14,8 @@ RECORD_EVERY steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot, inf, log
+from operator import mul
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -118,66 +120,132 @@ class LyapunovResult:
     n_iterations: int
     running_means: np.ndarray  # rows (iteration, lambda_1, ..., lambda_k)
 
+    @property
+    def running_mean_drift(self) -> Optional[float]:
+        """Largest change of any running mean over the last tenth of the trace.
+
+        The final row against the row a tenth of the rows (at least one)
+        before it; None for a trace of fewer than two rows.
+        """
+        rows = self.running_means.shape[0]
+        if rows < 2:
+            return None
+        before = self.running_means[rows - 1 - max(1, rows // 10), 1:]
+        return float(np.max(np.abs(self.running_means[-1, 1:] - before)))
+
 
 def lyapunov_qr(
-    jacobians: Iterable[np.ndarray],
+    jacobian_stacks: Iterable[np.ndarray],
     tau: float = 1.0,
     reorth_every: int = 1,
 ) -> LyapunovResult:
     """Discrete-QR Lyapunov spectrum from the Jacobians along an orbit.
 
-    `jacobians` yields the map's Jacobian at x_0, x_1, ... in orbit
-    order (for Lorenz, `dynsys.lorenz_tangent_maps`); the dimension is
-    taken from the first one. A frame Z, started at the identity, is
-    propagated as Z <- J Z and re-factored with QR every `reorth_every`
-    steps (Geist, Parlitz & Lauterborn, Prog. Theor. Phys. 83, 875,
-    1990), and once more after the last step if a partial block
-    remains; R diagonals are sign-normalised positive before the log.
-    The accumulated means are divided by tau to give per-unit-time
-    exponents, with running means recorded every RECORD_EVERY steps;
-    `reorth_every` must divide RECORD_EVERY.
+    `jacobian_stacks` yields (k, d, d) arrays holding the map's Jacobians
+    at x_0, x_1, ... in orbit order (for Lorenz,
+    `dynsys.lorenz_tangent_maps`); a 2-D item raises ValueError. A
+    frame Z, started at the identity, is propagated as Z <- J Z and
+    re-factored with QR every `reorth_every` steps (Geist, Parlitz &
+    Lauterborn, Prog. Theor. Phys. 83, 875, 1990), and once more after
+    the last step if a partial block remains; the R diagonals are
+    positive. The accumulated means are divided by tau to give
+    per-unit-time exponents, with running means recorded every
+    RECORD_EVERY steps; `reorth_every` must divide RECORD_EVERY.
+
+    Blocks of `reorth_every` Jacobians are aligned to the global step
+    index, a partial block at the end of a stack being carried into the
+    next one, so how the sequence is split into stacks does not change
+    a bit of the result. Each block's product J_{m-1} ... J_0 comes from
+    m - 1 batched matmuls over the stack; the sequential part is one
+    product with Z and one QR per block, done on Python floats by
+    Gram-Schmidt twice (`_gram_schmidt`).
 
     Between two factorisations the columns of Z separate by about
-    exp((lambda_1 - lambda_n) * reorth_every * tau), and the QR of Z
-    loses the directions of the smaller exponents once that growth nears
-    1/eps. reorth_every=1 is safe for any map and is the default; a
-    larger interval is for maps whose spread is known to keep that
-    factor small.
+    exp((lambda_1 - lambda_n) * reorth_every * tau). The second
+    Gram-Schmidt pass keeps Q orthonormal to working precision however
+    ill-conditioned Z is, but the small R diagonals lose relative
+    accuracy as that growth nears 1/eps. reorth_every=1 is safe for any
+    map and is the default; a larger interval is for maps whose spread
+    is known to keep that factor small.
     """
     if reorth_every < 1 or RECORD_EVERY % reorth_every != 0:
         raise ValueError(f"reorth_every must divide {RECORD_EVERY}")
-    Z = sums = None
+    frame = sums = carry = None
     traces = []
     j = 0
-    for j, J in enumerate(jacobians, start=1):
-        if Z is None:
-            Z = np.eye(J.shape[1])
-            sums = np.zeros(J.shape[1])
-        Z = J @ Z
-        if j % reorth_every == 0:
-            Z = _absorb_qr(Z, sums, j)
+    for stack in jacobian_stacks:
+        stack = np.asarray(stack, dtype=float)
+        if stack.ndim != 3:
+            raise ValueError("jacobian_stacks must yield (k, d, d) arrays")
+        if frame is None:
+            frame = np.eye(stack.shape[1]).tolist()
+            sums = [0.0] * stack.shape[1]
+        elif carry.shape[0]:
+            stack = np.concatenate([carry, stack])
+        cut = stack.shape[0] - stack.shape[0] % reorth_every
+        carry = stack[cut:]
+        for product in _block_products(stack[:cut], reorth_every).tolist():
+            j += reorth_every
+            frame = _absorb_block(product, frame, sums, j)
             if j % RECORD_EVERY == 0:
-                traces.append(np.concatenate([[j], np.sort(sums / j / tau)[::-1]]))
-    if j < 100:
+                traces.append([j] + sorted((s / j / tau for s in sums), reverse=True))
+    if frame is None or j + carry.shape[0] < 100:
         raise ValueError("need at least 100 Jacobians")
-    if j % reorth_every:
-        _absorb_qr(Z, sums, j)
-    n = sums.shape[0]
+    if carry.shape[0]:
+        j += carry.shape[0]
+        _absorb_block(_block_products(carry, carry.shape[0])[0].tolist(), frame, sums, j)
     return LyapunovResult(
-        exponents=np.sort(sums / j / tau)[::-1],
+        exponents=np.sort(np.array(sums) / j / tau)[::-1],
         n_iterations=j,
-        running_means=np.array(traces) if traces else np.zeros((0, n + 1)),
+        running_means=np.array(traces) if traces else np.zeros((0, len(sums) + 1)),
     )
 
 
-def _absorb_qr(Z: np.ndarray, sums: np.ndarray, j: int) -> np.ndarray:
-    """Add log|diag R| of Z = QR to `sums` in place; return the signed Q."""
-    Q, R = np.linalg.qr(Z)
-    diag = np.diag(R).copy()
-    if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-        raise DegenerateJacobianError(f"zero R diagonal at iteration {j}")
-    sums += np.log(np.abs(diag))
-    return Q * np.sign(diag)[None, :]
+def _block_products(stack: np.ndarray, m: int) -> np.ndarray:
+    """Products J_{m-1} ... J_0 of each block of m consecutive Jacobians."""
+    blocks = stack.reshape(-1, m, *stack.shape[1:])
+    product = blocks[:, 0]
+    for i in range(1, m):
+        product = blocks[:, i] @ product
+    return product
+
+
+def _absorb_block(product: list, frame: list, sums: list, j: int) -> list:
+    """Factor product @ frame = QR, add log diag R to `sums`; return Q.
+
+    `product` is a list of rows and `frame` a list of columns, both of
+    Python floats; Q is returned as a list of columns.
+    """
+    factors = _gram_schmidt([[sum(map(mul, row, col)) for row in product] for col in frame])
+    if factors is None:
+        raise DegenerateJacobianError(f"zero or non-finite R diagonal at iteration {j}")
+    q, diag = factors
+    for i, r in enumerate(diag):
+        sums[i] += log(r)
+    return q
+
+
+def _gram_schmidt(columns: list) -> Optional[tuple]:
+    """Q and diag R of the d x k frame given as k columns of Python floats.
+
+    Modified Gram-Schmidt with one re-orthogonalisation pass ("twice is
+    enough"), so Q is orthonormal to working precision whatever the
+    frame's condition. Q is a list of columns and R's diagonal, the norm
+    left after both passes, is positive; None if an entry of that
+    diagonal is zero or non-finite.
+    """
+    q, diag = [], []
+    for v in columns:
+        for _ in range(2):
+            for u in q:
+                c = sum(map(mul, u, v))
+                v = [vi - c * ui for vi, ui in zip(v, u)]
+        r = hypot(*v)
+        if not 0.0 < r < inf:
+            return None
+        q.append([vi / r for vi in v])
+        diag.append(r)
+    return q, diag
 
 
 def explained_variances(samples: np.ndarray, k: int) -> np.ndarray:

@@ -12,8 +12,10 @@ vectorised scheme, so their samples are bit-identical to stepping with
 numpy 3-vectors at a fraction of the call overhead. Tangent maps are vectorised instead: `lorenz_rhs`,
 `lorenz_jacobian` and `lorenz_step_jacobian` take one (3,) state or a
 (k, 3) batch, and `lorenz_tangent_maps` streams the step Jacobians along
-an orbit in chunks of TANGENT_CHUNK states, so a Lyapunov run of any
-length holds one chunk in memory.
+an orbit as (k, 3, 3) stacks of TANGENT_CHUNK states, so a Lyapunov run
+of any length holds one stack in memory. TANGENT_CHUNK is a multiple of
+the Lyapunov RECORD_EVERY, so the QR blocks of `diagnostics.lyapunov_qr`
+never straddle two stacks.
 
 Every map iteration (`example_drive` here, `drive` and
 `autonomous_drive` in `reservoir`) runs through `iterate_map`, the one
@@ -39,8 +41,10 @@ from .errors import DimensionMismatchError, IntegrationDivergedError
 
 DIVERGENCE_THRESHOLD = 1e12
 
-# States per batched Jacobian call in `lorenz_tangent_maps`.
-TANGENT_CHUNK = 1024
+# States per batched Jacobian call and per stack in `lorenz_tangent_maps`;
+# a multiple of diagnostics.RECORD_EVERY and so of every legal Lyapunov
+# `reorth_every`, so no QR block straddles two stacks.
+TANGENT_CHUNK = 1000
 
 TWO_PI = 2.0 * np.pi
 
@@ -261,21 +265,22 @@ def integrate_lorenz(params: LorenzParams, n_steps: int) -> TimeSeries:
 
 
 def lorenz_tangent_maps(params: LorenzParams, n_steps: int) -> Iterator[np.ndarray]:
-    """Step Jacobians along the orbit from params.initial, one per step.
+    """Step Jacobians along the orbit from params.initial, in stacks.
 
-    Yields the (3, 3) Jacobian of the RK4 step map at x_0, ..., x_{n_steps-1},
-    where x_k is the state after k steps. The orbit is integrated
-    TANGENT_CHUNK states at a time, each chunk starting where the last
-    one ended, and each chunk's Jacobians come from one batched
-    `lorenz_step_jacobian` call, so memory stays O(TANGENT_CHUNK) for
-    any n_steps.
+    Yields (k, 3, 3) arrays that together hold the Jacobian of the RK4
+    step map at x_0, ..., x_{n_steps-1} in order, where x_k is the state
+    after k steps. The orbit is integrated TANGENT_CHUNK states at a
+    time, each chunk starting where the last one ended, and each chunk's
+    Jacobians are one batched `lorenz_step_jacobian` call yielded as one
+    stack, so memory stays O(TANGENT_CHUNK) for any n_steps. Every stack
+    but the last holds TANGENT_CHUNK Jacobians.
     """
     start = params.initial
     remaining = n_steps
     while remaining > 0:
         k = min(TANGENT_CHUNK, remaining)
         orbit = integrate_lorenz(replace(params, initial=start), k).samples
-        yield from lorenz_step_jacobian(orbit[:k], params)
+        yield lorenz_step_jacobian(orbit[:k], params)
         start = orbit[k]
         remaining -= k
 

@@ -58,7 +58,7 @@ class NearNeutralFixedPointError(EcholabError):
 
 
 class DegenerateJacobianError(EcholabError):
-    """A Jacobian along the orbit produced a zero QR diagonal."""
+    """A Jacobian along the orbit produced a zero or non-finite QR diagonal."""
 
 
 class FiltrationOrderError(EcholabError):

@@ -338,6 +338,9 @@ class TestRun:
         assert np.max(np.abs(exponents - [0.9056, 0.0, -14.5723])) < 0.05
         assert abs(exponents[1]) <= 0.02
         assert abs(exponents.sum() + (10.0 + 1.0 + 8.0 / 3.0)) < 1e-3
+        # The running means settle: over the last 2000 of the 20000 steps
+        # none moves by more than 0.05 (0.013 here; 2.0e-4 at 200k steps).
+        assert 0.0 < doc["running_mean_drift"] < 0.05
         trace = (tmp_path / "lyapunov_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,lambda_1,lambda_2,lambda_3"
         assert len(trace) == 1 + 20000 // 100

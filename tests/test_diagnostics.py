@@ -3,6 +3,7 @@ import pytest
 
 from echolab.diagnostics import (
     FixedPointResult,
+    _gram_schmidt,
     esn_jacobian,
     explained_variances,
     lorenz_linearization_eigs,
@@ -167,56 +168,129 @@ class TestLorenzLinearization:
         assert len(pair) == 1 and pair[0].real > 0
 
 
+def stack_of(J, n):
+    """One (n, d, d) stack repeating the Jacobian J."""
+    return [np.stack([J] * n)]
+
+
 class TestLyapunovQr:
     def test_constant_diagonal_jacobian_exact(self):
         J = np.diag([0.5, 2.0])
-        res = lyapunov_qr([J] * 200)
+        res = lyapunov_qr(stack_of(J, 200))
         assert np.allclose(res.exponents, [np.log(2.0), np.log(0.5)], atol=1e-12)
 
     def test_rotation_gives_zero_exponents(self):
         th = 0.7
         J = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        res = lyapunov_qr([J] * 300)
+        res = lyapunov_qr(stack_of(J, 300))
         assert np.max(np.abs(res.exponents)) < 1e-10
 
     def test_sum_equals_log_det_over_tau(self):
         J = np.array([[0.8, -0.3], [0.3, 0.8]])
         tau = 0.05
-        res = lyapunov_qr([J] * 500, tau=tau)
+        res = lyapunov_qr(stack_of(J, 500), tau=tau)
         assert abs(res.exponents.sum() - np.log(abs(np.linalg.det(J))) / tau) < 1e-8
 
     def test_running_means_recorded(self):
         J = np.diag([0.9, 1.1])
-        res = lyapunov_qr([J] * 500)
+        res = lyapunov_qr(stack_of(J, 500))
         assert res.running_means.shape == (5, 3)
         assert res.running_means[0, 0] == 100
 
+    def test_running_mean_drift(self):
+        # Constant exponents drift by rounding only; the drift of a
+        # one-row trace is not defined.
+        res = lyapunov_qr(stack_of(np.diag([0.9, 1.1]), 2000))
+        assert res.running_mean_drift < 1e-15
+        assert lyapunov_qr(stack_of(np.eye(2), 150)).running_mean_drift is None
+
     def test_exponents_sorted_descending(self):
         J = np.diag([1.5, 0.2, 0.9])
-        res = lyapunov_qr([J] * 150)
+        res = lyapunov_qr(stack_of(J, 150))
         assert np.all(np.diff(res.exponents) <= 0)
 
     def test_too_few_iterations_rejected(self):
-        with pytest.raises(ValueError):
-            lyapunov_qr([np.eye(1)] * 10)
+        with pytest.raises(ValueError, match="at least 100"):
+            lyapunov_qr(stack_of(np.eye(1), 10))
+        with pytest.raises(ValueError, match="at least 100"):
+            lyapunov_qr([])
+
+    def test_matrices_are_not_taken_as_stacks(self):
+        with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+            lyapunov_qr([np.eye(2)] * 200)
+        with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+            lyapunov_qr(np.stack([np.eye(2)] * 200))
 
     def test_reorth_interval_must_divide_record_interval(self):
         J = np.diag([0.9, 1.1])
         for reorth_every in (3, 0, 7):
             with pytest.raises(ValueError, match="reorth_every must divide 100"):
-                lyapunov_qr([J] * 200, reorth_every=reorth_every)
+                lyapunov_qr(stack_of(J, 200), reorth_every=reorth_every)
 
     def test_partial_block_is_factored(self):
         # 205 steps at reorth_every=10 leave a 5-step block after the
         # last QR; its growth must still reach the exponents.
         J = np.diag([0.5, 2.0])
-        res = lyapunov_qr([J] * 205, reorth_every=10)
+        res = lyapunov_qr(stack_of(J, 205), reorth_every=10)
         assert res.n_iterations == 205
         assert np.allclose(res.exponents, [np.log(2.0), np.log(0.5)], atol=1e-12)
 
     def test_zero_diagonal_raises(self):
         with pytest.raises(DegenerateJacobianError):
-            lyapunov_qr([np.diag([1.0, 0.0])] * 200)
+            lyapunov_qr(stack_of(np.diag([1.0, 0.0]), 200))
+
+    @pytest.mark.parametrize(
+        "bad, reorth_every, iteration",
+        [
+            (np.diag([1.0, 0.0]), 1, 53),
+            (np.diag([1.0, 0.0]), 10, 60),
+            (np.full((2, 2), np.nan), 1, 53),
+            (np.full((2, 2), np.nan), 10, 60),
+        ],
+    )
+    def test_degenerate_jacobian_names_the_iteration(self, bad, reorth_every, iteration):
+        # A zero column or a nan at step 53 fails the QR of the block
+        # that holds it.
+        stack = np.stack([np.diag([0.9, 1.1])] * 200)
+        stack[52] = bad
+        with pytest.raises(
+            DegenerateJacobianError,
+            match=f"zero or non-finite R diagonal at iteration {iteration}$",
+        ):
+            lyapunov_qr([stack], reorth_every=reorth_every)
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("kappa", [4.7, 1e4, 1e8])
+    def test_orthonormal_at_any_condition(self, kappa):
+        # Z = U diag(1, kappa^-1/2, 1/kappa) V^T has condition kappa. Q
+        # stays orthonormal to working precision (one Gram-Schmidt pass
+        # alone reads 3.1e-13 at 1e4 and 1.4e-8 at 1e8 on these frames),
+        # and log r_kk agrees with LAPACK's log |R_kk| within the
+        # kappa * eps perturbation bound.
+        rng = make_rng(int(np.log10(kappa)))
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        Z = U @ np.diag([1.0, kappa**-0.5, 1.0 / kappa]) @ V.T
+        q, diag = _gram_schmidt(Z.T.tolist())
+        Q = np.array(q).T
+        assert np.linalg.norm(Q.T @ Q - np.eye(3), 2) <= 1e-14
+        assert np.all(np.array(diag) > 0)
+        R = np.linalg.qr(Z)[1]
+        err = np.abs(np.log(diag) - np.log(np.abs(np.diag(R))))
+        assert np.max(err) <= kappa * np.finfo(float).eps
+
+    def test_rectangular_frame(self):
+        # Three columns in R^5: the same code serves any d x k frame, and
+        # its factors are LAPACK's with R's diagonal made positive.
+        Z = make_rng(5).standard_normal((5, 3))
+        q, diag = _gram_schmidt(Z.T.tolist())
+        Q, R = np.linalg.qr(Z)
+        assert np.allclose(np.array(q).T, Q * np.sign(np.diag(R)), rtol=0, atol=1e-14)
+        assert np.allclose(diag, np.abs(np.diag(R)), rtol=1e-14, atol=0)
+
+    def test_zero_column_is_reported(self):
+        assert _gram_schmidt([[1.0, 0.0], [2.0, 0.0]]) is None
 
 
 class TestLyapunovQrLorenz:
@@ -227,6 +301,9 @@ class TestLyapunovQrLorenz:
         return integrate_lorenz(LorenzParams(), 1000).samples[-1]
 
     def test_equals_reference_at_reorth_one(self):
+        # The Gram-Schmidt QR rounds differently from LAPACK's
+        # Householder QR; measured differences are 3.6e-15 on the
+        # exponents and 8.9e-15 on the running means.
         params = LorenzParams()
         x0 = self.orbit_start()
         exponents, running = lyapunov_qr_reference(
@@ -237,9 +314,10 @@ class TestLyapunovQrLorenz:
         res = lyapunov_qr(
             lorenz_tangent_maps(LorenzParams(initial=x0), 3000), tau=params.tau
         )
-        assert np.array_equal(res.exponents, exponents)
+        assert np.max(np.abs(res.exponents - exponents)) < 1e-13
         assert res.running_means.shape == running.shape
-        assert res.running_means.tobytes() == running.tobytes()
+        assert np.array_equal(res.running_means[:, 0], running[:, 0])
+        assert np.max(np.abs(res.running_means - running)) < 1e-13
         assert res.n_iterations == 3000
 
     def test_reorth_ten_matches_reorth_one(self):
@@ -252,6 +330,21 @@ class TestLyapunovQrLorenz:
         assert np.max(np.abs(ten.exponents - one.exponents)) < 1e-10
         assert ten.running_means.shape == one.running_means.shape
         assert np.max(np.abs(ten.running_means - one.running_means)) < 1e-10
+
+    @pytest.mark.parametrize("reorth_every", [1, 10])
+    def test_stack_split_does_not_change_a_bit(self, reorth_every):
+        # Blocks follow the global step index, so cutting one sequence
+        # into stacks of 7, 13 and 180 (blocks straddling the cuts) gives
+        # the bits of the single stack.
+        params = LorenzParams(initial=self.orbit_start())
+        whole = np.concatenate(list(lorenz_tangent_maps(params, 2005)))
+        cuts = np.cumsum([7, 13, 180] * 10)
+        pieces = np.split(whole, cuts[cuts < len(whole)])
+        one = lyapunov_qr([whole], tau=params.tau, reorth_every=reorth_every)
+        split = lyapunov_qr(pieces, tau=params.tau, reorth_every=reorth_every)
+        assert split.n_iterations == one.n_iterations == 2005
+        assert split.exponents.tobytes() == one.exponents.tobytes()
+        assert split.running_means.tobytes() == one.running_means.tobytes()
 
 
 class TestPca:

@@ -147,8 +147,10 @@ class TestLorenzKernel:
         params = LorenzParams()
         n = 2 * TANGENT_CHUNK + 5
         orbit = integrate_lorenz(params, n).samples
-        maps = list(lorenz_tangent_maps(params, n))
-        assert len(maps) == n
+        stacks = list(lorenz_tangent_maps(params, n))
+        assert [len(s) for s in stacks] == [TANGENT_CHUNK, TANGENT_CHUNK, 5]
+        maps = np.concatenate(stacks)
+        assert maps.shape == (n, 3, 3)
         for k in (0, TANGENT_CHUNK - 1, TANGENT_CHUNK, TANGENT_CHUNK + 1, n - 1):
             assert np.array_equal(maps[k], lorenz_step_jacobian_reference(orbit[k], params))
 
