@@ -27,13 +27,18 @@ IntegrationDivergedError at the first step whose state is non-finite or
 beyond DIVERGENCE_THRESHOLD.
 
 Every numeric CSV artifact is written by `csv_text`, one `.17g` value
-per cell, so each float reads back to the same bits.
+per cell, so each float reads back to the same bits. A column that
+repeats its values (at most half as many distinct values as rows, as the
+`degree` and `death` columns of a persistence diagram or the grid
+coordinates of `pde.grid_solution`) is formatted once per distinct bit
+pattern and its rows reuse those strings; since equal bits format to
+equal text, the bytes are the same as formatting every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -198,11 +203,43 @@ def csv_text(header: Sequence[str], columns: Sequence[Iterable]) -> str:
     `.17g` reads every float64 back to the same bits, writes integral
     values as integers and infinities as `inf`. An empty header writes no
     header line. Rows end in a newline, the last one included.
+
+    A column whose distinct values number at most half its rows is
+    formatted once per distinct value, and its rows take those strings
+    through the `np.unique` inverse index. Values are told apart by
+    their bit pattern, so `-0.0` and `0.0` stay distinct and each string
+    is the `.17g` text of exactly the values it stands for: the bytes are
+    those of formatting every cell. Every other column is formatted cell
+    by cell in the row template.
     """
+    formats, values = [], []
+    for column in columns:
+        column = np.asarray(column)
+        texts = _distinct_texts(column)
+        if texts is None:
+            formats.append("%.17g")
+            values.append(column.tolist())
+        else:
+            formats.append("%s")
+            values.append(texts)
     lines = [",".join(header)] if header else []
-    row = ",".join(["%.17g"] * len(columns))
-    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    row = ",".join(formats)
+    lines += [row % cells for cells in zip(*values)]
     return "\n".join(lines) + "\n"
+
+
+def _distinct_texts(column: np.ndarray) -> Optional[list]:
+    """The `.17g` text of each entry of a 1-D column, formatted once per
+    distinct bit pattern; None unless the column has at most half as
+    many distinct values as rows (or holds no fixed-width numbers)."""
+    if column.ndim != 1 or column.dtype.kind not in "biuf" or column.itemsize not in (1, 2, 4, 8):
+        return None
+    bits = column.view(f"u{column.itemsize}")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    if 2 * len(distinct) > len(column):
+        return None
+    texts = np.array(["%.17g" % v for v in distinct.view(column.dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def check_divergence(states: np.ndarray) -> None:

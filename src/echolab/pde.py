@@ -44,8 +44,13 @@ def build_feature_model(n: int, seed: int = 0) -> RandomFeatureModel:
 
 
 def eval_features(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:
-    """Features of a (2,) point or of each row of an (m, 2) batch."""
-    return np.tanh(np.asarray(z, dtype=float) @ model.C.T + model.b)
+    """Features of a (2,) point or of each row of an (m, 2) batch.
+
+    tanh(z C^T + b), evaluated in place in one array of the output's size.
+    """
+    out = np.asarray(z, dtype=float) @ model.C.T
+    out += model.b
+    return np.tanh(out, out=out)
 
 
 def eval_feature_laplacian(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:

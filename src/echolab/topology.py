@@ -412,7 +412,15 @@ def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:
     """Farthest-point (maxmin) landmark selection, deterministic.
 
     Starts from the point farthest from the centroid, then greedily
-    adds the point maximising its distance to the chosen set.
+    adds the point maximising its distance to the chosen set; `argmax`
+    breaks ties towards the lowest index.
+
+    Distances to each new landmark are built column by column: the
+    squared coordinate differences are added in coordinate order, then
+    square-rooted. For points of fewer than 8 coordinates that is the
+    order in which `np.linalg.norm(points - p, axis=1)` sums a row, so
+    the distances and the chosen indices keep their bits. Every caller
+    passes 3-D points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(points)
@@ -420,12 +428,20 @@ def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:
         return np.arange(m)
     centroid = points.mean(axis=0)
     first = int(np.argmax(np.linalg.norm(points - centroid, axis=1)))
+    coords = [np.ascontiguousarray(c) for c in points.T]
+    dist, square = np.empty(m), np.empty(m)
+    dist_to_set = np.full(m, np.inf)
     chosen = [first]
-    dist_to_set = np.linalg.norm(points - points[first], axis=1)
     for _ in range(n_landmarks - 1):
-        nxt = int(np.argmax(dist_to_set))
-        chosen.append(nxt)
-        dist_to_set = np.minimum(dist_to_set, np.linalg.norm(points - points[nxt], axis=1))
+        i = chosen[-1]
+        np.subtract(coords[0], coords[0][i], out=dist)
+        dist *= dist
+        for c in coords[1:]:
+            np.subtract(c, c[i], out=square)
+            square *= square
+            dist += square
+        np.minimum(dist_to_set, np.sqrt(dist, out=dist), out=dist_to_set)
+        chosen.append(int(np.argmax(dist_to_set)))
     return np.array(chosen)
 
 

@@ -427,3 +427,28 @@ def online_moment_solution(model, sample):
     second = lap.T @ lap / len(lap) + feat.T @ feat / len(feat)
     cross = feat.T @ sample.boundary_values / len(feat)
     return moment_solution(second, cross, 1.0)
+
+
+def csv_text_reference(header, columns):
+    """CSV text with every cell formatted by the one `%.17g` row template."""
+    lines = [",".join(header)] if header else []
+    row = ",".join(["%.17g"] * len(columns))
+    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
+def maxmin_subsample_reference(points, n_landmarks):
+    """Farthest-point landmarks with one `np.linalg.norm` over the rows per pick."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    m = len(points)
+    if n_landmarks >= m:
+        return np.arange(m)
+    centroid = points.mean(axis=0)
+    first = int(np.argmax(np.linalg.norm(points - centroid, axis=1)))
+    chosen = [first]
+    dist_to_set = np.linalg.norm(points - points[first], axis=1)
+    for _ in range(n_landmarks - 1):
+        nxt = int(np.argmax(dist_to_set))
+        chosen.append(nxt)
+        dist_to_set = np.minimum(dist_to_set, np.linalg.norm(points - points[nxt], axis=1))
+    return np.array(chosen)

@@ -254,6 +254,23 @@ class TestRun:
         assert (tmp_path / "betti.json").read_text() == json.dumps(expected)
         assert (tmp_path / "diagram.csv").read_text() == persistence(filt).to_csv()
 
+    def test_lorenz_diagram_matches_the_cell_by_cell_writer(self, tmp_path):
+        from echolab.topology import attractor_h1_experiment
+        from oracles import csv_text_reference
+
+        (step,) = BENCHMARK_WORKLOADS["attractor_h1"](1, True)
+        config = ExperimentConfig("homology", step.seed, str(tmp_path), parameters=step.params)
+        assert run(config) == EXIT_OK
+        ell = step.params["ell"]
+        points = integrate_lorenz(LorenzParams(), ell).samples[ell // 2 :]
+        diagram = attractor_h1_experiment(
+            points, subsample=step.params["subsample"], max_eps=step.params["max_eps"]
+        ).diagram
+        want = csv_text_reference(
+            ["degree", "birth", "death"], [diagram.degree, diagram.birth, diagram.death]
+        )
+        assert (tmp_path / "diagram.csv").read_text() == want
+
     @pytest.mark.parametrize("step", TINY_STEPS, ids=lambda step: step.label)
     def test_reproducible_bytes(self, tmp_path, step):
         # Two runs of one config write the same artifacts byte for byte;

@@ -10,6 +10,7 @@ from echolab.dynsys import (
     TimeSeries,
     WING_FIXED_POINT,
     TANGENT_CHUNK,
+    _distinct_texts,
     check_divergence,
     circle_rotation,
     csv_text,
@@ -22,6 +23,7 @@ from echolab.dynsys import (
 )
 from echolab.errors import DimensionMismatchError, IntegrationDivergedError
 from oracles import (
+    csv_text_reference,
     integrate_lorenz_reference,
     iterate_with_step_check,
     lorenz_step_jacobian_reference,
@@ -259,3 +261,39 @@ class TestCsvText:
         x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
         rows = csv_text(["x"], [x]).splitlines()[1:]
         assert np.array_equal(np.array([float(r) for r in rows]), x)
+
+    def test_repeated_values_match_the_cell_by_cell_writer(self):
+        # Each column repeats its values, so each is formatted once per
+        # distinct bit pattern; the bytes are the row template's.
+        n = 40
+        columns = {
+            "signed_zero": np.tile([0.0, -0.0, 0.0, 1.5], n // 4),
+            "extremes": np.tile([math.inf, -math.inf, 5e-324, -5e-324], n // 4),
+            "int64": np.tile(np.array([-(2**62), 0, 7, 2**62 + 1], dtype=np.int64), n // 4),
+            "uint8": np.tile(np.array([0, 1, 255, 128], dtype=np.uint8), n // 4),
+            "bool": np.tile([True, False, False, True], n // 4),
+            "constant": np.full(n, 1.0 / 3.0),
+        }
+        for name, col in columns.items():
+            assert _distinct_texts(col) is not None, name
+            assert csv_text([name], [col]) == csv_text_reference([name], [col]), name
+        header, cols = list(columns), list(columns.values())
+        assert csv_text(header, cols) == csv_text_reference(header, cols)
+        assert csv_text([], cols) == csv_text_reference([], cols)
+
+    def test_zero_rows(self):
+        empty = [np.zeros(0), np.zeros(0, dtype=np.int64)]
+        assert csv_text(["a", "b"], empty) == csv_text_reference(["a", "b"], empty) == "a,b\n"
+        assert csv_text([], empty) == csv_text_reference([], empty) == "\n"
+
+    def test_both_sides_of_the_half_rule(self):
+        # 10 distinct values in 20 rows are formatted once each; 11 are
+        # formatted cell by cell. Both write the reference bytes.
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(11) * 10.0 ** rng.integers(-300, 300, 11)
+        at_half = np.concatenate([values[:10], values[:10]])
+        over_half = np.concatenate([values, values[:9]])
+        assert _distinct_texts(at_half) is not None
+        assert _distinct_texts(over_half) is None
+        cols = [at_half, over_half, np.arange(20)]
+        assert csv_text(["a", "b", "c"], cols) == csv_text_reference(["a", "b", "c"], cols)

@@ -24,6 +24,7 @@ from oracles import (
     HEXAGON_VERTICES,
     brute_force_betti,
     hexagon_points,
+    maxmin_subsample_reference,
     persistence_by_column_reduction,
     rips_filtration_reference,
 )
@@ -470,6 +471,27 @@ class TestAttractorExperiment:
             d[i] = np.inf
             dmin = min(dmin, d.min())
         assert dmin > 0.05
+
+    def test_maxmin_matches_the_norm_loop(self):
+        rng = make_rng(14)
+        for dim in (2, 3):
+            for _ in range(5):
+                pts = rng.standard_normal((400, dim)) * rng.uniform(0.1, 10.0)
+                got = maxmin_subsample(pts, 60)
+                assert np.array_equal(got, maxmin_subsample_reference(pts, 60))
+
+    def test_maxmin_lattice_ties_take_the_first_index(self):
+        # On an integer lattice many points tie for the farthest; both
+        # loops must pick the lowest index among them.
+        for dim in (2, 3):
+            axes = [np.arange(6.0)] * dim
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+            got = maxmin_subsample(pts, 30)
+            assert np.array_equal(got, maxmin_subsample_reference(pts, 30))
+
+    def test_maxmin_matches_on_the_lorenz_half_orbit(self):
+        pts = integrate_lorenz(LorenzParams(), 8000).samples[4000:]
+        assert np.array_equal(maxmin_subsample(pts, 300), maxmin_subsample_reference(pts, 300))
 
     def test_top_persistences_are_the_longest_lifetimes(self):
         ts = integrate_lorenz(LorenzParams(), 8000)
