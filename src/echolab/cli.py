@@ -451,17 +451,21 @@ def run_gs_examples(seed: int, *, n_steps: int, burn_in: int) -> Artifacts:
 
 
 def run_embedding_check(seed: int, *, n: int, trials: int, period: int) -> Artifacts:
-    ok_d = ok_c = 0
+    # Trial t draws A, C and three distinct lambdas from its own generator,
+    # seeded seed + t; the trials are then checked as one stack.
+    A = np.empty((trials, n, n))
+    C = np.empty((trials, n))
+    lams = np.empty((trials, 3))
     for t in range(trials):
         rng = make_rng(seed + t)
-        A = rng.standard_normal((n, n))
-        A *= 0.8 / spectral_radius(A)
-        C = rng.standard_normal(n)
-        lams = rng.uniform(0.1, 0.9, 3)
-        while len(np.unique(np.round(lams, 8))) < 3:
-            lams = rng.uniform(0.1, 0.9, 3)
-        ok_d += int(check_condition_D(A, C))
-        ok_c += int(check_condition_C(A, C, list(lams), period=period))
+        A[t] = rng.standard_normal((n, n))
+        C[t] = rng.standard_normal(n)
+        lams[t] = rng.uniform(0.1, 0.9, 3)
+        while len(np.unique(np.round(lams[t], 8))) < 3:
+            lams[t] = rng.uniform(0.1, 0.9, 3)
+    A *= (0.8 / spectral_radius(A))[:, None, None]
+    ok_d = int(np.count_nonzero(check_condition_D(A, C)))
+    ok_c = int(np.count_nonzero(check_condition_C(A, C, lams, period=period)))
     return {
         "embedding_check.json": {
             "trials": trials, "condition_D_pass": ok_d, "condition_C_pass": ok_c

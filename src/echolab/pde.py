@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -112,9 +112,15 @@ class DirichletSolution:
     boundary_rms: float
 
 
-def stacked_problem(
-    model: RandomFeatureModel, sample: DirichletSample
-) -> Tuple[RegressionProblem, float, float]:
+class StackedProblem(NamedTuple):
+    """The weighted design and its two blocks before weighting."""
+
+    problem: RegressionProblem
+    laplacian: np.ndarray  # (ell, n) feature Laplacian at the interior points
+    features: np.ndarray  # (ell', n) features at the boundary points
+
+
+def stacked_problem(model: RandomFeatureModel, sample: DirichletSample) -> StackedProblem:
     """Stacked design with the balanced 1/sqrt(ell) block weighting.
 
     Interior rows hold the feature Laplacian with zero targets and
@@ -123,27 +129,28 @@ def stacked_problem(
     per-region means, so a ridge penalty of 2*lambda/(ell+ell')
     reproduces the weighted objective exactly. With ell = ell' this
     minimiser coincides with the unweighted stacking at penalty lambda.
+    The unweighted blocks are returned too, for the residuals.
     """
     ell, ell_prime = len(sample.interior), len(sample.boundary)
-    lap_rows = eval_feature_laplacian(model, sample.interior) / math.sqrt(ell)
-    feat_rows = eval_features(model, sample.boundary) / math.sqrt(ell_prime)
-    X = np.vstack([lap_rows, feat_rows])
+    laplacian = eval_feature_laplacian(model, sample.interior)
+    features = eval_features(model, sample.boundary)
+    X = np.vstack([laplacian / math.sqrt(ell), features / math.sqrt(ell_prime)])
     Y = np.concatenate(
         [np.zeros(ell), sample.boundary_values / math.sqrt(ell_prime)]
     )
-    return RegressionProblem(X, Y), ell, ell_prime
+    return StackedProblem(RegressionProblem(X, Y), laplacian, features)
 
 
 def solve_dirichlet_offline(
     model: RandomFeatureModel, sample: DirichletSample, lam: float
 ) -> DirichletSolution:
     """Offline SVD solve of the stacked interior/boundary problem."""
-    problem, ell, ell_prime = stacked_problem(model, sample)
-    lam_eff = 2.0 * lam / (ell + ell_prime)
-    readout = solve_offline(problem, lam=lam_eff, truncate=True)
+    stacked = stacked_problem(model, sample)
+    lam_eff = 2.0 * lam / (len(stacked.laplacian) + len(stacked.features))
+    readout = solve_offline(stacked.problem, lam=lam_eff, truncate=True)
     w = readout.w
-    interior_residual = eval_feature_laplacian(model, sample.interior) @ w
-    boundary_residual = eval_features(model, sample.boundary) @ w - sample.boundary_values
+    interior_residual = stacked.laplacian @ w
+    boundary_residual = stacked.features @ w - sample.boundary_values
     return DirichletSolution(
         readout=readout,
         interior_rms=float(np.sqrt(np.mean(interior_residual**2))),

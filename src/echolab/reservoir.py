@@ -4,12 +4,20 @@ Covers random ESN generation (one recipe: uniform A rescaled to a target
 2-norm, uniform C and b), driven and readout-fed autonomous iteration,
 the explicit series form of the linear generalised synchronisation, and
 the two linear-independence predicates behind the embedding result.
+
+`spectral_radius` and the predicates `check_condition_D` and
+`check_condition_C` also take stacks: A (..., N, N), C (..., N) and
+eigenvalues (..., k) give one result per member, each member checked by
+the same LAPACK routine a single matrix gets, so a batch of trials is
+one call. A single matrix still gives a plain float or bool.
+`check_condition_C` takes rho(A^n) as rho(A)^n, from the eigenvalues of
+A it already has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -92,8 +100,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+def spectral_radius(A: np.ndarray) -> Union[float, np.ndarray]:
+    """Largest eigenvalue modulus of A (N, N), or of each member of a
+    (..., N, N) stack."""
+    rho = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def matrix_2norm(A: np.ndarray) -> float:
@@ -228,28 +239,48 @@ def trajectory_past_obs(series: TimeSeries, index: int, truncation: int) -> np.n
     return rows[::-1].copy()
 
 
-def _matrix_rank(M: np.ndarray) -> int:
+def _per_member(result: np.ndarray) -> Union[bool, np.ndarray]:
+    """A plain bool for a single matrix, the bool array of a stack."""
+    return bool(result) if result.ndim == 0 else result
+
+
+def _matrix_rank(M: np.ndarray) -> np.ndarray:
+    """Rank of M, or of each member of a (..., rows, cols) stack.
+
+    Singular values at or below RANK_TOLERANCE times the largest count
+    as zero.
+    """
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_TOLERANCE * sv[0]))
+    return np.sum(sv > RANK_TOLERANCE * sv[..., :1], axis=-1)
 
 
 def krylov_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    cols = [C.reshape(n)]
-    for _ in range(n - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+    """Columns C, AC, ..., A^(N-1) C for A (..., N, N) and C (..., N)."""
+    A = np.asarray(A, dtype=float)
+    cols = [np.asarray(C, dtype=float).reshape(A.shape[:-1])]
+    for _ in range(A.shape[-1] - 1):
+        cols.append((A @ cols[-1][..., None])[..., 0])
+    return np.stack(cols, axis=-1)
 
 
-def check_condition_D(A: np.ndarray, C: np.ndarray) -> bool:
+def check_condition_D(A: np.ndarray, C: np.ndarray) -> Union[bool, np.ndarray]:
     """True iff {C, AC, ..., A^(N-1) C} spans R^N.
 
-    Rank uses the shared tolerance: singular values below 1e-10 times
-    the largest count as zero.
+    A is (N, N) and C holds N entries, or A is a (..., N, N) stack and C
+    a (..., N) stack, which gives one bool per member. Rank uses the
+    shared tolerance: singular values below 1e-10 times the largest
+    count as zero.
     """
-    return _matrix_rank(krylov_matrix(A, C)) == A.shape[0]
+    A = np.asarray(A, dtype=float)
+    return _per_member(_matrix_rank(krylov_matrix(A, C)) == A.shape[-1])
+
+
+def _in_member(index: np.ndarray, message: str) -> str:
+    """`message` prefixed with the stack index it concerns, if any."""
+    if len(index) == 0:
+        return message
+    member = int(index[0]) if len(index) == 1 else tuple(int(i) for i in index)
+    return f"member {member}: {message}"
 
 
 def check_condition_C(
@@ -257,33 +288,46 @@ def check_condition_C(
     C: np.ndarray,
     eigenvalues: Sequence[complex],
     period: int,
-) -> bool:
+) -> Union[bool, np.ndarray]:
     """Linear independence of the resolvent-transformed input directions.
 
     Builds (I - lambda_j A^n)^{-1} (I - A)^{-1} (I - A^n) C for each
     eigenvalue and checks that the collection has full column rank.
     Implements the (I - A^n) factor from the supporting lemma rather
     than the (I - A)^n appearing in the theorem display.
+
+    A is (N, N), C holds N entries and `eigenvalues` k values; or A is
+    a (..., N, N) stack with C (..., N) and eigenvalues (..., k), which
+    gives one bool per member. rho(A^n) is taken as rho(A)^n from the
+    eigenvalues of A. Raises SpectrumCollisionError, naming the first
+    offending member of a stack, if 1 is an eigenvalue of A or some
+    |lambda_j| rho(A^n) >= 1.
     """
-    n_dim = A.shape[0]
+    A = np.asarray(A, dtype=float)
+    n_dim = A.shape[-1]
+    lams = np.asarray(eigenvalues)
     eigs_a = np.linalg.eigvals(A)
+    on_one = np.min(np.abs(eigs_a - 1.0), axis=-1) < 1e-12
+    if np.any(on_one):
+        raise SpectrumCollisionError(
+            _in_member(np.argwhere(on_one)[0], "1 is in the spectrum of A")
+        )
+    rho_a_pow = np.max(np.abs(eigs_a), axis=-1)[..., None] ** period
+    growth = np.abs(lams) * rho_a_pow
+    if np.any(growth >= 1.0):
+        first = np.argwhere(growth >= 1.0)[0]
+        raise SpectrumCollisionError(
+            _in_member(first[:-1], f"rho(lambda A^n) = {growth[tuple(first)]:.3f} >= 1")
+        )
     eye = np.eye(n_dim)
     a_pow = np.linalg.matrix_power(A, period)
-    rho_a_pow = float(np.max(np.abs(np.linalg.eigvals(a_pow))))
-    if np.min(np.abs(eigs_a - 1.0)) < 1e-12:
-        raise SpectrumCollisionError("1 is in the spectrum of A")
-    base = np.linalg.solve(eye - A, (eye - a_pow) @ C.reshape(n_dim))
-    vecs = []
-    for lam in eigenvalues:
-        if abs(lam) * rho_a_pow >= 1.0:
-            raise SpectrumCollisionError(
-                f"rho(lambda A^n) = {abs(lam) * rho_a_pow:.3f} >= 1"
-            )
-        M = np.eye(n_dim, dtype=complex) - lam * a_pow
-        try:
-            vecs.append(np.linalg.solve(M, base.astype(complex)))
-        except np.linalg.LinAlgError as exc:
-            raise SpectrumCollisionError(str(exc)) from exc
-    stacked = np.column_stack(vecs)
-    return _matrix_rank(stacked) == len(eigenvalues)
-
+    c = np.asarray(C, dtype=float).reshape(A.shape[:-1] + (1,))
+    base = np.linalg.solve(eye - A, (eye - a_pow) @ c)
+    # One system I - lambda_j A^n per eigenvalue: (..., k, N, N).
+    M = np.eye(n_dim, dtype=complex) - lams[..., None, None] * a_pow[..., None, :, :]
+    try:
+        vecs = np.linalg.solve(M, base[..., None, :, :].astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumCollisionError(str(exc)) from exc
+    stacked = vecs[..., 0].swapaxes(-1, -2)
+    return _per_member(_matrix_rank(stacked) == lams.shape[-1])

@@ -9,7 +9,7 @@ Every random step consumes exactly one double of its generator and maps
 it through the cumulative law, as `Generator.choice(k, p=p)` does, so a
 path is fixed by its seed however many paths are drawn together.
 Monte-Carlo rollouts run as one batch: one draw block per call, and one
-reward call per distinct window.
+reward call per distinct window, found by one lexsort of the windows' bits.
 """
 
 from __future__ import annotations
@@ -163,7 +163,9 @@ def value_mc(
     All rollouts run as one batch: the `horizon - 1` future steps of
     every rollout come from one `_draw_finite` block seeded with `seed`
     (one double per step, rollout-major), and the reward is called once
-    per distinct window, distinct meaning bitwise different. Each
+    per distinct window, distinct meaning bitwise different: one
+    `np.lexsort` over the windows' uint64 bit columns orders them, and
+    a compare of adjacent sorted rows finds the distinct ones. Each
     rollout's return is accumulated step by step in time order, so the
     value and stderr are those of the per-rollout, per-step loop.
     """
@@ -184,8 +186,18 @@ def value_mc(
     # still get their own reward call.
     windows = sliding_window_view(paths, reward.window, axis=1).swapaxes(-1, -2)
     bits = np.ascontiguousarray(windows).view(np.uint64).reshape(n_rollouts * horizon, -1)
-    distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-    values = np.array([reward(row.view(np.float64).reshape(recent.shape)) for row in distinct])
+    # One lexsort over the key columns, first column most significant;
+    # a sorted row starts a new distinct window where it differs from
+    # the row before it.
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    values = np.array(
+        [reward(row.view(np.float64).reshape(recent.shape)) for row in ranked[starts]]
+    )
     rewards = values[inverse.reshape(n_rollouts, horizon)]
     # Summed in time order, as the per-step loop did; a pairwise sum or a
     # matrix product would round differently.

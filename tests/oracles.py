@@ -12,7 +12,7 @@ from echolab.errors import (
     SingularProblemError,
 )
 from echolab.pde import eval_feature_laplacian, eval_features
-from echolab.reservoir import make_rng
+from echolab.reservoir import check_condition_C, check_condition_D, make_rng, spectral_radius
 from echolab.stochastic import stationary_distribution
 from echolab.training import SVD_TRUNCATION
 from echolab.topology import Filtration, PersistenceDiagram, PersistencePair
@@ -236,6 +236,23 @@ HEXAGON_DEL1_TABLE = np.array(
     ],
     dtype=np.uint8,
 )
+
+
+def embedding_check_reference(seed, n, trials, period):
+    """The `embedding_check.json` document by one predicate call per
+    trial, each trial's A, C and lambdas drawn from make_rng(seed + t)."""
+    ok_d = ok_c = 0
+    for t in range(trials):
+        rng = make_rng(seed + t)
+        A = rng.standard_normal((n, n))
+        A *= 0.8 / spectral_radius(A)
+        C = rng.standard_normal(n)
+        lams = rng.uniform(0.1, 0.9, 3)
+        while len(np.unique(np.round(lams, 8))) < 3:
+            lams = rng.uniform(0.1, 0.9, 3)
+        ok_d += int(check_condition_D(A, C))
+        ok_c += int(check_condition_C(A, C, list(lams), period=period))
+    return {"trials": trials, "condition_D_pass": ok_d, "condition_C_pass": ok_c}
 
 
 # Per-step Lorenz and Lyapunov references: numpy on 3-vectors, one call

@@ -327,6 +327,15 @@ class TestRun:
         assert doc["condition_D_pass"] == 10
         assert doc["condition_C_pass"] == 10
 
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_embedding_check_matches_the_per_trial_loop(self, seed):
+        from oracles import embedding_check_reference
+
+        params = {key: param.default for key, param in PARAMETERS["embedding_check"].items()}
+        assert params["trials"] == 200
+        artifacts = RUNNERS["embedding_check"](seed, **params)
+        assert artifacts == {"embedding_check.json": embedding_check_reference(seed, **params)}
+
     def test_pde_dirichlet_small(self, tmp_path):
         config = ExperimentConfig(
             experiment="pde_dirichlet", seed=2, output_dir=str(tmp_path),

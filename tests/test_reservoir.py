@@ -334,6 +334,67 @@ class TestEmbeddingConditions:
             check_condition_C(A, C, [4.1], period=1)
 
 
+class TestStackedConditions:
+    """The stacked predicates against one call per member."""
+
+    @staticmethod
+    def batch():
+        # Members 0-3 pass both conditions; 4 (A = I) and 5 (A = I / 2)
+        # are Krylov-deficient; 6 repeats lambda = 0.6 (as in
+        # test_duplicate_eigenvalues_fail) and fails C.
+        A, C, lams = [], [], []
+        for seed in range(4):
+            rng = make_rng(500 + seed)
+            a = rng.standard_normal((4, 4))
+            A.append(a * (0.5 / spectral_radius(a)))
+            C.append(rng.standard_normal(4))
+            lams.append([0.7, 0.3])
+        A += [np.eye(4), 0.5 * np.eye(4)]
+        C += [np.array([1.0, 2.0, 3.0, 4.0])] * 2
+        lams += [[0.7, 0.3]] * 2
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 4))
+        A.append(a * (0.5 / spectral_radius(a)))
+        C.append(rng.standard_normal(4))
+        lams.append([0.6, 0.6])
+        return np.array(A), np.array(C), np.array(lams)
+
+    def test_spectral_radius_per_member(self):
+        A, _, _ = self.batch()
+        rho = spectral_radius(A)
+        assert rho.shape == (7,)
+        assert rho.tolist() == [spectral_radius(a) for a in A]
+
+    def test_condition_D_per_member(self):
+        A, C, _ = self.batch()
+        stacked = check_condition_D(A, C)
+        assert stacked.dtype == bool
+        assert stacked.tolist() == [check_condition_D(a, c) for a, c in zip(A, C)]
+        assert stacked.tolist() == [True] * 4 + [False, False, True]
+
+    def test_condition_C_per_member(self):
+        A, C, lams = (x[[0, 1, 2, 3, 5, 6]] for x in self.batch())
+        stacked = check_condition_C(A, C, lams, period=2)
+        per_member = [check_condition_C(a, c, list(lam), period=2) for a, c, lam in zip(A, C, lams)]
+        assert stacked.dtype == bool
+        assert stacked.tolist() == per_member
+        assert stacked.tolist() == [True] * 4 + [False, False]
+
+    def test_single_matrix_gives_plain_bools(self):
+        A, C, lams = self.batch()
+        assert type(check_condition_D(A[0], C[0])) is bool
+        assert type(check_condition_C(A[0], C[0], lams[0], period=2)) is bool
+        assert type(spectral_radius(A[0])) is float
+
+    def test_collision_names_the_member(self):
+        A, C, lams = (x[:4] for x in self.batch())
+        lams[2, 1] = 4.1  # |lambda| rho(A^1) = 2.05
+        with pytest.raises(SpectrumCollisionError, match=r"^member 2: rho\(lambda A\^n\) = 2\.050"):
+            check_condition_C(A, C, lams, period=1)
+        with pytest.raises(SpectrumCollisionError, match=r"^member 4: 1 is in the spectrum"):
+            check_condition_C(*self.batch(), period=2)
+
+
 class TestNormHelpers:
     def test_power_iteration_matches_svd(self):
         rng = np.random.default_rng(4)

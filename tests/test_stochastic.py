@@ -227,6 +227,30 @@ class TestBatchedRolloutsMatchPerStepReference:
         ref = value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 20, est.horizon, seed=3)
         assert est.stderr > 0 and (est.value, est.stderr) == ref[:2]
 
+    def test_two_column_windows_with_signed_zeros(self):
+        # Rows that differ only in the sign of a zero, in either column,
+        # are different windows: one reward call each, and the estimate
+        # of the per-rollout loop.
+        table = [[0.0, -0.0], [-0.0, 0.0], [0.0, 1.0]]
+        spec = ProcessSpec(np.array([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]]), table)
+        weights = np.array([[0.5, -1.0], [2.0, 0.25]])
+
+        def counted(calls):
+            def fn(recent):
+                calls.append(recent.tobytes())
+                return float((weights * np.copysign(1.0, recent)).sum() + recent.sum())
+            return RewardFunctional(window=2, fn=fn)
+
+        history = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        calls, ref_calls = [], []
+        est = value_mc(spec, counted(calls), 0.8, history, n_rollouts=30, current_state=1, seed=9)
+        value, stderr, _ = value_mc_reference(
+            spec, counted(ref_calls), 0.8, history, 30, est.horizon, 1, seed=9
+        )
+        assert (est.value, est.stderr) == (value, stderr)
+        assert sorted(calls) == sorted(set(ref_calls))
+        assert len(calls) == 9  # every ordered pair of the three rows
+
     def test_nan_in_a_late_rollout_raises(self):
         # State 1 is rare: the first rollout (the stream's first draws,
         # rollout-major) never emits it, a later one does.
