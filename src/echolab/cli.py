@@ -4,11 +4,20 @@ Loads flat key-value config files (dotted namespaces), validates their
 parameters against `PARAMETERS`, the one table of each experiment's
 keys, defaults and rules, and runs the named experiment pipelines.
 Each runner returns its artifacts, CSV text or JSON documents by file
-name, and this module is the only one that chooses their schema and
-writes files. `run` writes a manifest before any heavy computation and
-the artifacts only after the runner returns, so a failed run leaves
-only its manifest. Identical config and seed give byte-identical
-numeric outputs.
+name, and this module is the only one that chooses their schema,
+formats them and writes files. `run` writes a manifest before any heavy
+computation and the artifacts only after the runner returns, so a
+failed run leaves only its manifest, which records the exception's type
+and message. Identical config and seed give byte-identical numeric
+outputs.
+
+Every numeric CSV artifact is written by `csv_text`, one `.17g` value
+per cell, so each float reads back to the same bits. A column that
+repeats its values (at most half as many distinct values as rows, as the
+`degree` and `death` columns of a persistence diagram or the grid
+coordinates of the Dirichlet solution field) is formatted once per
+distinct bit pattern and its rows reuse those strings; since equal bits
+format to equal text, the bytes are the same as formatting every cell.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,8 +40,6 @@ from .dynsys import (
     TimeSeries,
     WING_FIXED_POINT,
     circle_rotation,
-    csv_text,
-    example_drive,
     integrate_lorenz,
     lorenz_tangent_maps,
 )
@@ -46,6 +53,7 @@ from .diagnostics import (
 from .pde import build_feature_model, grid_solution, sample_disc, solve_dirichlet_offline
 from .reservoir import (
     ReservoirGenConfig,
+    ReservoirSpec,
     autonomous_drive,
     autonomous_map,
     check_condition_C,
@@ -64,16 +72,20 @@ from .stochastic import (
     value_mc,
 )
 from .topology import (
+    PersistenceDiagram,
     attractor_h1_experiment,
     boundary_matrix,
     hexagon_example_filtration,
     persistence,
 )
-from .training import DEFAULT_BURN_IN, problem_from_series, solve_offline, value_targets
+from .training import RegressionProblem, solve_offline, value_targets
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+# Reservoir states dropped as transient before a Lorenz readout is fitted.
+DEFAULT_BURN_IN = 100
 
 
 class Param(NamedTuple):
@@ -247,7 +259,13 @@ def validate(config: ExperimentConfig) -> List[str]:
     return diagnostics
 
 
-def _write_manifest(outdir: Path, config: ExperimentConfig, status: str, wall_time: Optional[float] = None) -> None:
+def _write_manifest(
+    outdir: Path,
+    config: ExperimentConfig,
+    status: str,
+    wall_time: Optional[float] = None,
+    error: Optional[BaseException] = None,
+) -> None:
     doc = {
         "experiment": config.experiment,
         "seed": config.seed,
@@ -258,11 +276,63 @@ def _write_manifest(outdir: Path, config: ExperimentConfig, status: str, wall_ti
     }
     if wall_time is not None:
         doc["wall_time_s"] = wall_time
+    if error is not None:
+        doc["error"] = {"type": type(error).__name__, "message": str(error)}
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
 # A file name maps to CSV text, or to a dict written as JSON.
 Artifacts = Dict[str, Union[str, dict]]
+
+
+def csv_text(header: Sequence[str], columns: Sequence[Iterable]) -> str:
+    """CSV text of equal-length columns, every value written as `.17g`.
+
+    `.17g` reads every float64 back to the same bits, writes integral
+    values as integers and infinities as `inf`. An empty header writes no
+    header line. Rows end in a newline, the last one included.
+
+    A column whose distinct values number at most half its rows is
+    formatted once per distinct value, and its rows take those strings
+    through the `np.unique` inverse index. Values are told apart by
+    their bit pattern, so `-0.0` and `0.0` stay distinct and each string
+    is the `.17g` text of exactly the values it stands for: the bytes are
+    those of formatting every cell. Every other column is formatted cell
+    by cell in the row template.
+    """
+    formats, values = [], []
+    for column in columns:
+        column = np.asarray(column)
+        texts = _distinct_texts(column)
+        if texts is None:
+            formats.append("%.17g")
+            values.append(column.tolist())
+        else:
+            formats.append("%s")
+            values.append(texts)
+    lines = [",".join(header)] if header else []
+    row = ",".join(formats)
+    lines += [row % cells for cells in zip(*values)]
+    return "\n".join(lines) + "\n"
+
+
+def _distinct_texts(column: np.ndarray) -> Optional[list]:
+    """The `.17g` text of each entry of a 1-D column, formatted once per
+    distinct bit pattern; None unless the column has at most half as
+    many distinct values as rows (or holds no fixed-width numbers)."""
+    if column.ndim != 1 or column.dtype.kind not in "biuf" or column.itemsize not in (1, 2, 4, 8):
+        return None
+    bits = column.view(f"u{column.itemsize}")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    if 2 * len(distinct) > len(column):
+        return None
+    texts = np.array(["%.17g" % v for v in distinct.view(column.dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def diagram_csv(diagram: PersistenceDiagram) -> str:
+    """One `degree,birth,death` row per persistence pair."""
+    return csv_text(["degree", "birth", "death"], [diagram.degree, diagram.birth, diagram.death])
 
 
 def standard_esn(n: int, seed: int) -> ReservoirGenConfig:
@@ -278,8 +348,9 @@ def train_lorenz_readout(
     `trajectory` holds at least ell + 1 samples; its first coordinate
     xi_0, ..., xi_{ell-1} drives the reservoir. target 'zeta' learns the
     third coordinate from the first; 'next_xi' learns the one-step-ahead
-    first coordinate for forecasting. The first DEFAULT_BURN_IN (100)
-    states are dropped as transient.
+    first coordinate for forecasting. States x_0, ..., x_{ell-1} pair with
+    the targets, and the first DEFAULT_BURN_IN (100) pairs are dropped as
+    transient.
     """
     spec = generate(standard_esn(n, seed))
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
@@ -288,7 +359,7 @@ def train_lorenz_readout(
         targets = trajectory.samples[:ell, 2]
     else:
         targets = trajectory.samples[1 : ell + 1, 0]
-    problem = problem_from_series(states.samples, targets)
+    problem = RegressionProblem(states.samples[DEFAULT_BURN_IN:ell], targets[DEFAULT_BURN_IN:])
     readout = solve_offline(problem, lam=lam)
     return spec, states, readout, problem
 
@@ -418,14 +489,14 @@ def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: f
             "boundary_1.csv": csv_text([], boundary_matrix(filt, 1, eps=1.9).T),
             "boundary_2.csv": csv_text([], boundary_matrix(filt, 2, eps=1.9).T),
             "betti.json": profile,
-            "diagram.csv": diagram.to_csv(),
+            "diagram.csv": diagram_csv(diagram),
         }
     trajectory = integrate_lorenz(LorenzParams(), ell)
     res = attractor_h1_experiment(
         trajectory.samples[ell // 2 :], subsample=subsample, max_eps=max_eps
     )
     return {
-        "diagram.csv": res.diagram.to_csv(),
+        "diagram.csv": diagram_csv(res.diagram),
         "h1_summary.json": {
             "gap_ratio": res.gap_ratio,
             "top_persistences": res.top_persistences,
@@ -437,13 +508,14 @@ def run_gs_examples(seed: int, *, n_steps: int, burn_in: int) -> Artifacts:
     epsilon = 2 * np.pi / 100
     angles = circle_rotation(epsilon, 0.0, n_steps - 1)
     z = TimeSeries(step=angles.step, samples=0.5 * np.sin(angles.samples))
-    branches = {}
-    for label, x0 in (("minus", -0.9), ("plus", 0.9)):
-        branches[label] = example_drive(z, np.array([x0])).samples[:, 0]
-    gap = np.abs(branches["plus"][burn_in:] - branches["minus"][burn_in:])
+    # The scalar example x -> tanh(2x + z) is the ESN with A = 2, C = 1,
+    # b = 0; two uncoupled copies run the branches from -0.9 and 0.9.
+    spec = ReservoirSpec(n=2, d=1, A=2.0 * np.eye(2), C=np.ones(2), b=np.zeros(2))
+    minus, plus = drive(spec, z, np.array([-0.9, 0.9])).samples.T
+    gap = np.abs(plus[burn_in:] - minus[burn_in:])
     # Row k pairs x_k with the angle of the input z_{k-1} that produced it.
     rows = np.arange(burn_in, n_steps)
-    columns = [angles.samples[rows - 1, 0], branches["minus"][rows], branches["plus"][rows]]
+    columns = [angles.samples[rows - 1, 0], minus[rows], plus[rows]]
     return {
         "gs_branches.csv": csv_text(["angle", "x_minus", "x_plus"], columns),
         "gs_summary.json": {"min_gap": float(gap.min()), "max_gap": float(gap.max())},
@@ -507,13 +579,15 @@ def run_pde_dirichlet(seed: int, *, n: int, ell: int, ell_prime: int, lam: float
     model = build_feature_model(n, seed=seed)
     sample = sample_disc(ell, ell_prime, seed=seed + 1)
     sol = solve_dirichlet_offline(model, sample, lam=lam)
-    field_csv, grid_rms = grid_solution(model, sol.readout)
+    r, theta, approx, exact = grid_solution(model, sol.readout)
+    err = approx - exact
+    columns = [r, theta, approx, exact, np.abs(err)]
     return {
-        "solution_field.csv": field_csv,
+        "solution_field.csv": csv_text(["r", "theta", "phi_hat", "phi_exact", "abs_err"], columns),
         "report.json": {
             "interior_rms": sol.interior_rms,
             "boundary_rms": sol.boundary_rms,
-            "grid_rms": grid_rms,
+            "grid_rms": float(np.sqrt(np.mean(err**2))),
             "config": {"n": n, "ell": ell, "ell_prime": ell_prime, "lam": lam},
         },
     }
@@ -541,7 +615,11 @@ def run(config: ExperimentConfig) -> int:
     table = PARAMETERS[config.experiment]
     params = {key: config.parameters.get(key, param.default) for key, param in table.items()}
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output_dir: cannot create {outdir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     _write_manifest(outdir, config, status="running")
     start = time.time()
     try:
@@ -552,7 +630,7 @@ def run(config: ExperimentConfig) -> int:
             )
     except Exception as exc:  # runtime failure -> exit 3 with diagnostic
         print(f"{config.experiment}: {exc}", file=sys.stderr)
-        _write_manifest(outdir, config, status="failed", wall_time=time.time() - start)
+        _write_manifest(outdir, config, status="failed", wall_time=time.time() - start, error=exc)
         return EXIT_RUNTIME
     _write_manifest(outdir, config, status="complete", wall_time=time.time() - start)
     return EXIT_OK

@@ -1,10 +1,8 @@
 """Deterministic drive systems.
 
-Lorenz integration with a classical fixed-step RK4 scheme, circle
-rotations, and the scalar example reservoir x -> tanh(2x + z), whose two
-stable branches show that generalised synchronisation need not be
-unique. Every iteration returns a `TimeSeries`; an observation of one is
-a slice or a ufunc of its `samples`.
+Lorenz integration with a classical fixed-step RK4 scheme and circle
+rotations. Every iteration returns a `TimeSeries`; an observation of one
+is a slice or a ufunc of its `samples`.
 
 The Lorenz kernel has two halves. Orbits (`integrate_lorenz`) run the
 RK4 stages on plain Python floats in the same operation order as the
@@ -13,42 +11,30 @@ numpy 3-vectors at a fraction of the call overhead. Tangent maps are vectorised 
 `lorenz_jacobian` and `lorenz_step_jacobian` take one (3,) state or a
 (k, 3) batch, and `lorenz_tangent_maps` streams the step Jacobians along
 an orbit as (k, 3, 3) stacks of TANGENT_CHUNK states, so a Lyapunov run
-of any length holds one stack in memory. TANGENT_CHUNK is a multiple of
-the Lyapunov RECORD_EVERY, so the QR blocks of `diagnostics.lyapunov_qr`
-never straddle two stacks.
+of any length holds one stack in memory.
 
-Every map iteration (`example_drive` here, `drive` and
-`autonomous_drive` in `reservoir`) runs through `iterate_map`, the one
-iteration kernel: it allocates the state array once and the map writes
-each new state into its row. Every iteration, the Lorenz orbit
-included, shares one divergence policy: loops run to the end with
-overflow warnings silenced, and `check_divergence` raises
-IntegrationDivergedError at the first step whose state is non-finite or
-beyond DIVERGENCE_THRESHOLD.
-
-Every numeric CSV artifact is written by `csv_text`, one `.17g` value
-per cell, so each float reads back to the same bits. A column that
-repeats its values (at most half as many distinct values as rows, as the
-`degree` and `death` columns of a persistence diagram or the grid
-coordinates of `pde.grid_solution`) is formatted once per distinct bit
-pattern and its rows reuse those strings; since equal bits format to
-equal text, the bytes are the same as formatting every cell.
+Every map iteration (`drive` and `autonomous_drive` in `reservoir`) runs
+through `iterate_map`, the one iteration kernel: it allocates the state
+array once and the map writes each new state into its row. Every
+iteration, the Lorenz orbit included, shares one divergence policy:
+loops run to the end with overflow warnings silenced, and
+`check_divergence` raises IntegrationDivergedError at the first step
+whose state is non-finite or beyond DIVERGENCE_THRESHOLD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IntegrationDivergedError
+from .errors import IntegrationDivergedError
 
 DIVERGENCE_THRESHOLD = 1e12
 
-# States per batched Jacobian call and per stack in `lorenz_tangent_maps`;
-# a multiple of diagnostics.RECORD_EVERY and so of every legal Lyapunov
-# `reorth_every`, so no QR block straddles two stacks.
+# States per batched Jacobian call and per stack in `lorenz_tangent_maps`:
+# the memory a tangent stream holds at once, whatever its length.
 TANGENT_CHUNK = 1000
 
 TWO_PI = 2.0 * np.pi
@@ -197,51 +183,6 @@ def lorenz_step_jacobian(state: np.ndarray, params: LorenzParams) -> np.ndarray:
     return eye + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
-def csv_text(header: Sequence[str], columns: Sequence[Iterable]) -> str:
-    """CSV text of equal-length columns, every value written as `.17g`.
-
-    `.17g` reads every float64 back to the same bits, writes integral
-    values as integers and infinities as `inf`. An empty header writes no
-    header line. Rows end in a newline, the last one included.
-
-    A column whose distinct values number at most half its rows is
-    formatted once per distinct value, and its rows take those strings
-    through the `np.unique` inverse index. Values are told apart by
-    their bit pattern, so `-0.0` and `0.0` stay distinct and each string
-    is the `.17g` text of exactly the values it stands for: the bytes are
-    those of formatting every cell. Every other column is formatted cell
-    by cell in the row template.
-    """
-    formats, values = [], []
-    for column in columns:
-        column = np.asarray(column)
-        texts = _distinct_texts(column)
-        if texts is None:
-            formats.append("%.17g")
-            values.append(column.tolist())
-        else:
-            formats.append("%s")
-            values.append(texts)
-    lines = [",".join(header)] if header else []
-    row = ",".join(formats)
-    lines += [row % cells for cells in zip(*values)]
-    return "\n".join(lines) + "\n"
-
-
-def _distinct_texts(column: np.ndarray) -> Optional[list]:
-    """The `.17g` text of each entry of a 1-D column, formatted once per
-    distinct bit pattern; None unless the column has at most half as
-    many distinct values as rows (or holds no fixed-width numbers)."""
-    if column.ndim != 1 or column.dtype.kind not in "biuf" or column.itemsize not in (1, 2, 4, 8):
-        return None
-    bits = column.view(f"u{column.itemsize}")
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    if 2 * len(distinct) > len(column):
-        return None
-    texts = np.array(["%.17g" % v for v in distinct.view(column.dtype).tolist()], dtype=object)
-    return texts[inverse].tolist()
-
-
 def check_divergence(states: np.ndarray) -> None:
     """Raise IntegrationDivergedError at the first step that left the range.
 
@@ -328,20 +269,3 @@ def circle_rotation(epsilon: float, m0: float, n_steps: int) -> TimeSeries:
         raise ValueError("n_steps must be >= 0")
     angles = np.mod(m0 + epsilon * np.arange(n_steps + 1), TWO_PI)
     return TimeSeries(step=1.0, samples=angles[:, None])
-
-
-def example_drive(input_series: TimeSeries, x0: np.ndarray) -> TimeSeries:
-    """Iterate the scalar example reservoir x_{k+1} = tanh(2 x_k + z_k).
-
-    Returns the state sequence x_0, ..., x_n with n = len(input_series),
-    from a one-entry state x0 and a scalar input series.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape[0] != 1:
-        raise DimensionMismatchError(f"the example drive has a scalar state, got {x0.shape[0]}")
-    if input_series.dim != 1:
-        raise DimensionMismatchError("example drives take scalar input")
-    states = iterate_map(
-        lambda x, z, out: np.tanh(2.0 * x + z, out=out), x0, input_series.samples[:, 0].tolist()
-    )
-    return TimeSeries(step=input_series.step, samples=states)

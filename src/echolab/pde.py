@@ -16,7 +16,6 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .dynsys import csv_text
 from .reservoir import make_rng
 from .training import Readout, RegressionProblem, solve_offline
 
@@ -166,18 +165,14 @@ def evaluation_grid() -> Tuple[np.ndarray, np.ndarray]:
     return R.ravel(), T.ravel()
 
 
-def grid_solution(model: RandomFeatureModel, readout: Readout) -> Tuple[str, float]:
+def grid_solution(
+    model: RandomFeatureModel, readout: Readout
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The learned solution on the polar grid, against the closed form.
 
-    Returns the `r,theta,phi_hat,phi_exact,abs_err` CSV rows of the grid
-    and the RMS of the error over it, both from one prediction.
+    Returns the grid's radii and angles (`evaluation_grid`), the learned
+    solution and the closed form r^4 cos(4 theta) at each grid point.
     """
     r, theta = evaluation_grid()
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    approx = eval_features(model, pts) @ readout.w
-    exact = analytic_disc_solution(r, theta)
-    err = approx - exact
-    text = csv_text(
-        ["r", "theta", "phi_hat", "phi_exact", "abs_err"], [r, theta, approx, exact, np.abs(err)]
-    )
-    return text, float(np.sqrt(np.mean(err**2)))
+    return r, theta, eval_features(model, pts) @ readout.w, analytic_disc_solution(r, theta)

@@ -4,6 +4,9 @@ Covers random ESN generation (one recipe: uniform A rescaled to a target
 2-norm, uniform C and b), driven and readout-fed autonomous iteration,
 the explicit series form of the linear generalised synchronisation, and
 the two linear-independence predicates behind the embedding result.
+The scalar example x -> tanh(2x + z), whose two stable branches show
+that generalised synchronisation need not be unique, is the ESN with
+A = 2, C = 1 and b = 0, driven like any other.
 
 `spectral_radius` and the predicates `check_condition_D` and
 `check_condition_C` also take stacks: A (..., N, N), C (..., N) and

@@ -42,7 +42,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .dynsys import csv_text
 from .errors import DegenerateCloudError, FiltrationOrderError
 
 
@@ -200,9 +199,6 @@ class PersistenceDiagram:
         alive = (self.birth <= eps) & (eps < self.death)
         counts = np.bincount(self.degree[alive]).tolist()
         return {k: c for k, c in enumerate(counts) if c}
-
-    def to_csv(self) -> str:
-        return csv_text(["degree", "birth", "death"], [self.degree, self.birth, self.death])
 
 
 class _UnionFind:

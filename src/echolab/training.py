@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ContractionBoundError, SingularProblemError
 
 SVD_TRUNCATION = 1e-12
-DEFAULT_BURN_IN = 100
 
 
 @dataclass
@@ -55,14 +54,6 @@ class RegressionProblem:
             raise ValueError("row count of states must match targets")
         if self.states.shape[0] < 1:
             raise ValueError("need at least one sample")
-
-
-def problem_from_series(states: np.ndarray, targets: np.ndarray) -> RegressionProblem:
-    """Pair reservoir state rows with targets, dropping the first
-    DEFAULT_BURN_IN rows as transient."""
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    n = min(len(states), targets.shape[0])
-    return RegressionProblem(states[DEFAULT_BURN_IN:n], targets[DEFAULT_BURN_IN:n])
 
 
 def solve_offline(

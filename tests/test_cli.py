@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from echolab.cli import (
     PARAMETERS,
     RUNNERS,
     ExperimentConfig,
+    _distinct_texts,
+    csv_text,
     load_config,
     main,
     parse_config_text,
@@ -22,8 +25,9 @@ from echolab.cli import (
     train_lorenz_readout,
     validate,
 )
-from echolab.dynsys import LorenzParams, TimeSeries, integrate_lorenz
+from echolab.dynsys import LorenzParams, TimeSeries, circle_rotation, integrate_lorenz
 from echolab.reservoir import ReservoirSpec, autonomous_drive, drive
+from oracles import csv_text_reference, iterate_with_step_check
 
 
 def _benchmark_workloads():
@@ -230,6 +234,7 @@ class TestRun:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "complete"
         assert manifest["version"]
+        assert "error" not in manifest
         betti = json.loads((outdir / "betti.json").read_text())
         assert betti["at_1"][:2] == [1, 1]
         assert betti["at_sqrt3"][:3] == [1, 1, 0]
@@ -252,11 +257,16 @@ class TestRun:
 
         expected = {"at_1": betti(1.0), "at_sqrt3": betti(float(np.sqrt(3))), "at_2": betti(2.0)}
         assert (tmp_path / "betti.json").read_text() == json.dumps(expected)
-        assert (tmp_path / "diagram.csv").read_text() == persistence(filt).to_csv()
+        lines = (tmp_path / "diagram.csv").read_text().splitlines()
+        assert lines[0] == "degree,birth,death"
+        degree, birth, death = zip(*(line.split(",") for line in lines[1:]))
+        diagram = persistence(filt)
+        assert np.array([int(v) for v in degree]).tobytes() == diagram.degree.tobytes()
+        assert np.array([float(v) for v in birth]).tobytes() == diagram.birth.tobytes()
+        assert np.array([float(v) for v in death]).tobytes() == diagram.death.tobytes()
 
     def test_lorenz_diagram_matches_the_cell_by_cell_writer(self, tmp_path):
         from echolab.topology import attractor_h1_experiment
-        from oracles import csv_text_reference
 
         (step,) = BENCHMARK_WORKLOADS["attractor_h1"](1, True)
         config = ExperimentConfig("homology", step.seed, str(tmp_path), parameters=step.params)
@@ -317,6 +327,21 @@ class TestRun:
         summary = json.loads((tmp_path / "gs_summary.json").read_text())
         assert summary["min_gap"] > 0.5
 
+    def test_gs_branches_match_the_per_branch_iteration(self):
+        # Each branch of the one two-unit drive carries the bits of the
+        # scalar map x -> tanh(2x + z) iterated alone from its start.
+        n_steps, burn_in = 300, 50
+        angles = circle_rotation(2 * np.pi / 100, 0.0, n_steps - 1)
+        z = TimeSeries(step=1.0, samples=0.5 * np.sin(angles.samples))
+        fmap = lambda x, z: np.tanh(2.0 * x + z)
+        minus, plus = (iterate_with_step_check(fmap, z, np.array([x0]))[:, 0] for x0 in (-0.9, 0.9))
+        rows = np.arange(burn_in, n_steps)
+        want = csv_text_reference(
+            ["angle", "x_minus", "x_plus"], [angles.samples[rows - 1, 0], minus[rows], plus[rows]]
+        )
+        artifacts = RUNNERS["gs_examples"](0, n_steps=n_steps, burn_in=burn_in)
+        assert artifacts["gs_branches.csv"] == want
+
     def test_embedding_check_all_pass(self, tmp_path):
         config = ExperimentConfig(
             experiment="embedding_check", seed=3, output_dir=str(tmp_path),
@@ -348,6 +373,10 @@ class TestRun:
         assert report["grid_rms"] < 1.0
         field = (tmp_path / "solution_field.csv").read_text().splitlines()
         assert field[0] == "r,theta,phi_hat,phi_exact,abs_err"
+        assert len(field) == 1 + 50 * 200
+        # The grid RMS is that of the exported errors, to the bit.
+        abs_err = np.array([float(line.split(",")[4]) for line in field[1:]])
+        assert report["grid_rms"] == float(np.sqrt(np.mean(abs_err**2)))
 
     def test_lyapunov_small_run(self, tmp_path):
         # The Lorenz spectrum (0.9056, 0, -14.5723) to 0.05 each, a zero
@@ -384,6 +413,17 @@ class TestRun:
         assert run(config) == EXIT_RUNTIME
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+        assert manifest["error"] == {"type": "RuntimeError", "message": "deliberate failure"}
+
+    def test_uncreatable_output_dir_is_a_validation_error(self, tmp_path, capsys):
+        # An output_dir below a regular file cannot be made: the run stops
+        # with a diagnostic, before any manifest, and no traceback.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = ExperimentConfig("homology", seed=1, output_dir=str(blocker / "out"))
+        assert run(config) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"output_dir: cannot create {blocker / 'out'}: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
     def test_write_error_fails_the_run(self, tmp_path, monkeypatch):
         # An artifact that cannot be written fails the run like a runner error.
@@ -415,6 +455,64 @@ class TestRun:
         assert [path.name for path in tmp_path.iterdir()] == ["manifest.json"]
         assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
         assert "deliberate failure" in capsys.readouterr().err
+
+
+class TestCsvText:
+    def test_values_keep_the_artifact_formats(self):
+        # Integers as integers, -0.0 as -0, inf as inf, floats at .17g:
+        # the formats of str(int(v)), "inf" and f"{v:.17g}" they replace.
+        col = [3, -0.0, math.inf, 1.0 / 3.0, 100.0]
+        lines = csv_text(["v", "w"], [col, np.array(col)]).splitlines()
+        old = [f"{v:.17g}" for v in col]
+        assert old == ["3", "-0", "inf", "0.33333333333333331", "100"]
+        assert lines == ["v,w"] + [f"{v},{v}" for v in old]
+
+    def test_uint8_matrix_without_header(self):
+        M = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=np.uint8)
+        old = "\n".join(",".join(str(int(v)) for v in row) for row in M) + "\n"
+        assert csv_text([], M.T) == old
+
+    def test_floats_parse_back_exactly(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        rows = csv_text(["x"], [x]).splitlines()[1:]
+        assert np.array_equal(np.array([float(r) for r in rows]), x)
+
+    def test_repeated_values_match_the_cell_by_cell_writer(self):
+        # Each column repeats its values, so each is formatted once per
+        # distinct bit pattern; the bytes are the row template's.
+        n = 40
+        columns = {
+            "signed_zero": np.tile([0.0, -0.0, 0.0, 1.5], n // 4),
+            "extremes": np.tile([math.inf, -math.inf, 5e-324, -5e-324], n // 4),
+            "int64": np.tile(np.array([-(2**62), 0, 7, 2**62 + 1], dtype=np.int64), n // 4),
+            "uint8": np.tile(np.array([0, 1, 255, 128], dtype=np.uint8), n // 4),
+            "bool": np.tile([True, False, False, True], n // 4),
+            "constant": np.full(n, 1.0 / 3.0),
+        }
+        for name, col in columns.items():
+            assert _distinct_texts(col) is not None, name
+            assert csv_text([name], [col]) == csv_text_reference([name], [col]), name
+        header, cols = list(columns), list(columns.values())
+        assert csv_text(header, cols) == csv_text_reference(header, cols)
+        assert csv_text([], cols) == csv_text_reference([], cols)
+
+    def test_zero_rows(self):
+        empty = [np.zeros(0), np.zeros(0, dtype=np.int64)]
+        assert csv_text(["a", "b"], empty) == csv_text_reference(["a", "b"], empty) == "a,b\n"
+        assert csv_text([], empty) == csv_text_reference([], empty) == "\n"
+
+    def test_both_sides_of_the_half_rule(self):
+        # 10 distinct values in 20 rows are formatted once each; 11 are
+        # formatted cell by cell. Both write the reference bytes.
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(11) * 10.0 ** rng.integers(-300, 300, 11)
+        at_half = np.concatenate([values[:10], values[:10]])
+        over_half = np.concatenate([values, values[:9]])
+        assert _distinct_texts(at_half) is not None
+        assert _distinct_texts(over_half) is None
+        cols = [at_half, over_half, np.arange(20)]
+        assert csv_text(["a", "b", "c"], cols) == csv_text_reference(["a", "b", "c"], cols)
 
 
 def read_csv(path):

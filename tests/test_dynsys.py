@@ -1,4 +1,3 @@
-import math
 import warnings
 from dataclasses import replace
 
@@ -7,25 +6,19 @@ import pytest
 
 from echolab.dynsys import (
     LorenzParams,
-    TimeSeries,
     WING_FIXED_POINT,
     TANGENT_CHUNK,
-    _distinct_texts,
     check_divergence,
     circle_rotation,
-    csv_text,
-    example_drive,
     integrate_lorenz,
     lorenz_jacobian,
     lorenz_rhs,
     lorenz_step_jacobian,
     lorenz_tangent_maps,
 )
-from echolab.errors import DimensionMismatchError, IntegrationDivergedError
+from echolab.errors import IntegrationDivergedError
 from oracles import (
-    csv_text_reference,
     integrate_lorenz_reference,
-    iterate_with_step_check,
     lorenz_step_jacobian_reference,
     rk4_step,
 )
@@ -199,101 +192,3 @@ class TestCircleRotation:
         ts = circle_rotation(1.0, 0.0, 50)
         assert np.all(ts.samples >= 0.0)
         assert np.all(ts.samples < 2 * np.pi)
-
-
-class TestExampleDrives:
-    def zero_input(self, n):
-        return TimeSeries(step=1.0, samples=np.zeros((n, 1)))
-
-    def test_tanh2x_converges_to_positive_fixed_point(self):
-        # Bisection oracle on tanh(2x) - x gives x* = 0.9575040240772688.
-        out = example_drive(self.zero_input(80), np.array([0.9]))
-        tail = out.samples[50:, 0]
-        assert np.max(np.abs(tail - 0.9575040240772688)) < 1e-6
-
-    def test_tanh2x_zero_is_fixed(self):
-        out = example_drive(self.zero_input(30), np.array([0.0]))
-        assert np.all(out.samples == 0.0)
-
-    def test_tanh2x_stays_in_unit_interval(self):
-        rng = np.random.default_rng(7)
-        z = TimeSeries(step=1.0, samples=rng.uniform(-1, 1, (200, 1)))
-        out = example_drive(z, np.array([0.73]))
-        assert np.all(np.abs(out.samples) <= 1.0)
-
-    # From inside the basin of the positive fixed point, from the
-    # negative side, and from the unstable fixed point 0.
-    @pytest.mark.parametrize("x0", [[0.3], [-0.8], [0.0]])
-    def test_matches_per_step_reference(self, x0):
-        z = TimeSeries(step=1.0, samples=np.random.default_rng(3).uniform(0, 1, (300, 1)))
-        fmap = lambda x, z: np.tanh(2.0 * x + z)
-        expected = iterate_with_step_check(fmap, z, np.array(x0))
-        out = example_drive(z, np.array(x0))
-        assert out.samples.tobytes() == expected.tobytes()
-
-    def test_wrong_state_dim_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            example_drive(self.zero_input(3), np.array([0.1, 0.2]))
-
-    def test_vector_input_rejected(self):
-        z = TimeSeries(step=1.0, samples=np.zeros((3, 2)))
-        with pytest.raises(DimensionMismatchError):
-            example_drive(z, np.array([0.1]))
-
-
-class TestCsvText:
-    def test_values_keep_the_artifact_formats(self):
-        # Integers as integers, -0.0 as -0, inf as inf, floats at .17g:
-        # the formats of str(int(v)), "inf" and f"{v:.17g}" they replace.
-        col = [3, -0.0, math.inf, 1.0 / 3.0, 100.0]
-        lines = csv_text(["v", "w"], [col, np.array(col)]).splitlines()
-        old = [f"{v:.17g}" for v in col]
-        assert old == ["3", "-0", "inf", "0.33333333333333331", "100"]
-        assert lines == ["v,w"] + [f"{v},{v}" for v in old]
-
-    def test_uint8_matrix_without_header(self):
-        M = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=np.uint8)
-        old = "\n".join(",".join(str(int(v)) for v in row) for row in M) + "\n"
-        assert csv_text([], M.T) == old
-
-    def test_floats_parse_back_exactly(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
-        rows = csv_text(["x"], [x]).splitlines()[1:]
-        assert np.array_equal(np.array([float(r) for r in rows]), x)
-
-    def test_repeated_values_match_the_cell_by_cell_writer(self):
-        # Each column repeats its values, so each is formatted once per
-        # distinct bit pattern; the bytes are the row template's.
-        n = 40
-        columns = {
-            "signed_zero": np.tile([0.0, -0.0, 0.0, 1.5], n // 4),
-            "extremes": np.tile([math.inf, -math.inf, 5e-324, -5e-324], n // 4),
-            "int64": np.tile(np.array([-(2**62), 0, 7, 2**62 + 1], dtype=np.int64), n // 4),
-            "uint8": np.tile(np.array([0, 1, 255, 128], dtype=np.uint8), n // 4),
-            "bool": np.tile([True, False, False, True], n // 4),
-            "constant": np.full(n, 1.0 / 3.0),
-        }
-        for name, col in columns.items():
-            assert _distinct_texts(col) is not None, name
-            assert csv_text([name], [col]) == csv_text_reference([name], [col]), name
-        header, cols = list(columns), list(columns.values())
-        assert csv_text(header, cols) == csv_text_reference(header, cols)
-        assert csv_text([], cols) == csv_text_reference([], cols)
-
-    def test_zero_rows(self):
-        empty = [np.zeros(0), np.zeros(0, dtype=np.int64)]
-        assert csv_text(["a", "b"], empty) == csv_text_reference(["a", "b"], empty) == "a,b\n"
-        assert csv_text([], empty) == csv_text_reference([], empty) == "\n"
-
-    def test_both_sides_of_the_half_rule(self):
-        # 10 distinct values in 20 rows are formatted once each; 11 are
-        # formatted cell by cell. Both write the reference bytes.
-        rng = np.random.default_rng(9)
-        values = rng.standard_normal(11) * 10.0 ** rng.integers(-300, 300, 11)
-        at_half = np.concatenate([values[:10], values[:10]])
-        over_half = np.concatenate([values, values[:9]])
-        assert _distinct_texts(at_half) is not None
-        assert _distinct_texts(over_half) is None
-        cols = [at_half, over_half, np.arange(20)]
-        assert csv_text(["a", "b", "c"], cols) == csv_text_reference(["a", "b", "c"], cols)

@@ -82,11 +82,36 @@ def imported_modules(source):
     return out
 
 
-def test_only_cli_imports_json():
+def formats_artifacts(source):
+    """Whether a module imports json or defines or names `csv_text`."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return "json" in imported_modules(source) or "csv_text" in names
+
+
+def test_format_checker_sees_json_and_the_csv_writer():
+    assert formats_artifacts("import json\n")
+    assert formats_artifacts("from json import dumps\n")
+    assert formats_artifacts("def csv_text(header, columns):\n    return ''\n")
+    assert formats_artifacts("from .cli import csv_text\n")
+    assert formats_artifacts("from . import cli\ntext = cli.csv_text([], [])\n")
+    assert not formats_artifacts("import numpy as np\ndef to_rows(x):\n    return np.asarray(x)\n")
+
+
+def test_only_cli_formats_artifacts():
     # The artifacts' file formats are chosen where they are written: the
-    # library types stay numeric and `cli` alone serialises them.
-    importers = {p.stem for p in SRC.glob("*.py") if "json" in imported_modules(p.read_text())}
-    assert importers == {"cli"}
+    # library types stay numeric and `cli` alone formats and serialises them.
+    formatters = {p.stem for p in SRC.glob("*.py") if formats_artifacts(p.read_text())}
+    assert formatters == {"cli"}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -19,6 +19,12 @@ from echolab.training import Readout, online_step, solve_offline
 from oracles import online_moment_solution
 
 
+def grid_rms(model, readout):
+    """RMS over the evaluation grid of the learned minus the closed-form solution."""
+    _, _, approx, exact = grid_solution(model, readout)
+    return float(np.sqrt(np.mean((approx - exact) ** 2)))
+
+
 def wide_feature_model(n, seed, scale):
     """Features with weights U[-scale, scale], wider than the solver's."""
     rng = make_rng(seed)
@@ -123,17 +129,17 @@ class TestOfflineSolve:
         sol = solve_dirichlet_offline(model, sample, lam=1e-6)
         assert np.isfinite(sol.interior_rms)
         assert np.isfinite(sol.boundary_rms)
-        assert np.isfinite(grid_solution(model, sol.readout)[1])
+        assert np.isfinite(grid_rms(model, sol.readout))
 
     def test_large_configuration_beats_small(self):
         # Reference run: the 500-feature pseudo-inverse solve hits the
         # quartic harmonic almost exactly (grid RMS ~ 1e-7 vs ~ 0.25).
         m50 = build_feature_model(50, seed=0)
         s50 = sample_disc(50, 50, seed=100)
-        g50 = grid_solution(m50, solve_dirichlet_offline(m50, s50, lam=1e-6).readout)[1]
+        g50 = grid_rms(m50, solve_dirichlet_offline(m50, s50, lam=1e-6).readout)
         m500 = build_feature_model(500, seed=0)
         s500 = sample_disc(500, 500, seed=100)
-        g500 = grid_solution(m500, solve_dirichlet_offline(m500, s500, lam=0.0).readout)[1]
+        g500 = grid_rms(m500, solve_dirichlet_offline(m500, s500, lam=0.0).readout)
         assert g500 < 0.5 * g50
 
     def test_weighting_equivalence_with_equal_counts(self):
@@ -210,9 +216,9 @@ class TestOnlineSolve:
         model = build_feature_model(100, seed=3)
         sample = sample_disc(100, 100, seed=4)
         lam_off = (len(sample.interior) + len(sample.boundary)) / 2.0
-        g_off = grid_solution(model, solve_dirichlet_offline(model, sample, lam=lam_off).readout)[1]
+        g_off = grid_rms(model, solve_dirichlet_offline(model, sample, lam=lam_off).readout)
         w_on = online_iteration(model, sample, 50_000)
-        g_on = grid_solution(model, Readout(w=w_on, lam=1.0, provenance="online_1k"))[1]
+        g_on = grid_rms(model, Readout(w=w_on, lam=1.0, provenance="online_1k"))
         assert g_on < 2.0 * g_off
 
 
@@ -236,22 +242,17 @@ class TestAnalyticSolution:
 
 
 class TestExports:
-    def test_solution_field_csv_shape(self):
+    def test_grid_solution_on_the_evaluation_grid(self):
         model = build_feature_model(10, seed=0)
         sample = sample_disc(10, 10, seed=0)
         sol = solve_dirichlet_offline(model, sample, lam=1e-4)
-        lines = grid_solution(model, sol.readout)[0].splitlines()
-        assert lines[0] == "r,theta,phi_hat,phi_exact,abs_err"
-        assert len(lines) == 1 + 50 * 200
-
-    def test_grid_solution_csv_and_rms(self):
-        model = build_feature_model(10, seed=0)
-        sample = sample_disc(10, 10, seed=0)
-        sol = solve_dirichlet_offline(model, sample, lam=1e-4)
-        text, rms = grid_solution(model, sol.readout)
-        # The RMS is that of the exported errors, to the bit.
-        abs_err = np.array([float(line.split(",")[4]) for line in text.splitlines()[1:]])
-        assert rms == float(np.sqrt(np.mean(abs_err**2)))
+        r, theta, approx, exact = grid_solution(model, sol.readout)
+        grid_r, grid_theta = evaluation_grid()
+        assert r.tobytes() == grid_r.tobytes() and theta.tobytes() == grid_theta.tobytes()
+        assert len(r) == 50 * 200
+        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        assert approx.tobytes() == (eval_features(model, pts) @ sol.readout.w).tobytes()
+        assert exact.tobytes() == analytic_disc_solution(r, theta).tobytes()
 
     def test_interior_point_validation(self):
         with pytest.raises(ValueError):

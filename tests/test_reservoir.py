@@ -43,6 +43,14 @@ def circle_past_obs(epsilon, m, omega, truncation):
     return omega(np.mod(m - np.arange(truncation + 1) * epsilon, 2 * np.pi))
 
 
+def example_spec(units):
+    """The scalar example x -> tanh(2x + z) as an ESN (A = 2, C = 1,
+    b = 0), in `units` uncoupled copies."""
+    return ReservoirSpec(
+        n=units, d=1, A=2.0 * np.eye(units), C=np.ones(units), b=np.zeros(units)
+    )
+
+
 def linear_spec(A, C, seed=0):
     n = A.shape[0]
     return ReservoirSpec(
@@ -110,6 +118,11 @@ class TestDrive:
         out = drive(spec, scalar_series(np.linspace(-5, 5, 50)), np.zeros(8))
         assert np.all(np.abs(out.samples[1:]) < 1.0)
 
+    def test_wrong_state_size_rejected(self):
+        # A start state of another size is not broadcast into the spec's.
+        with pytest.raises(ValueError):
+            drive(example_spec(1), scalar_series(np.zeros(3)), np.array([0.1, 0.2]))
+
     def test_dim_mismatch(self):
         spec = ReservoirSpec(n=4, d=2, A=lower_shift_matrix(4), C=np.eye(4, 2), b=np.zeros(4))
         with pytest.raises(DimensionMismatchError):
@@ -125,6 +138,33 @@ class TestDrive:
         x0 = np.full(n, 0.1)
         expected = iterate_with_step_check(lambda x, z: spec.step(x, np.atleast_1d(z)), z, x0)
         assert drive(spec, z, x0).samples.tobytes() == expected.tobytes()
+
+    def test_example_converges_to_its_stable_fixed_points(self):
+        # Bisection oracle on tanh(2x) - x gives x* = 0.9575040240772688;
+        # by symmetry -x* is the other stable fixed point.
+        out = drive(example_spec(2), scalar_series(np.zeros(80)), np.array([-0.9, 0.9]))
+        tail = out.samples[50:]
+        assert np.max(np.abs(tail - [-0.9575040240772688, 0.9575040240772688])) < 1e-6
+
+    def test_example_zero_is_fixed(self):
+        out = drive(example_spec(1), scalar_series(np.zeros(30)), np.array([0.0]))
+        assert np.all(out.samples == 0.0)
+
+    def test_example_stays_in_unit_interval(self):
+        z = scalar_series(np.random.default_rng(7).uniform(-1, 1, 200))
+        out = drive(example_spec(2), z, np.array([0.73, -0.2]))
+        assert np.all(np.abs(out.samples) <= 1.0)
+
+    # One unit from inside the basin of the positive fixed point, from the
+    # negative side and from the unstable fixed point 0; two units from
+    # the starts of the `gs_examples` branches.
+    @pytest.mark.parametrize("x0", [[0.3], [-0.8], [0.0], [-0.9, 0.9]])
+    def test_example_matches_per_step_reference(self, x0):
+        z = scalar_series(np.random.default_rng(3).uniform(0, 1, 300))
+        fmap = lambda x, z: np.tanh(2.0 * x + z)
+        expected = iterate_with_step_check(fmap, z, np.array(x0))
+        out = drive(example_spec(len(x0)), z, np.array(x0))
+        assert out.samples.tobytes() == expected.tobytes()
 
     def test_unstable_identity_reservoir_reports_step(self):
         # x_k = 2^k from x0 = 1: 2^39 < 1e12 < 2^40, so step 40 is the

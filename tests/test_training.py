@@ -11,7 +11,6 @@ from echolab.training import (
     RegressionProblem,
     normal_equation_residual,
     online_step,
-    problem_from_series,
     run_online,
     solve_offline,
     value_targets,
@@ -283,16 +282,6 @@ class TestValueTargets:
             value_targets(np.ones((3, 1)), np.ones(2), gamma=1.0)
         with pytest.raises(ValueError):
             value_targets(np.ones((1, 1)), np.ones(1), 0.5)
-
-
-class TestProblemFromSeries:
-    def test_burn_in_dropped(self):
-        states = np.arange(120.0)[:, None]
-        targets = np.arange(120.0) * 2
-        prob = problem_from_series(states, targets)
-        assert prob.states.shape == (20, 1)
-        assert prob.states[0, 0] == 100.0
-        assert prob.targets[0] == 200.0
 
 
 def bellman_residual(features, w, rewards, gamma):
