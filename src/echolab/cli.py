@@ -23,6 +23,7 @@ format to equal text, the bytes are the same as formatting every cell.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -209,8 +210,10 @@ def parse_config_text(text: str) -> Dict[str, object]:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = _coerce(value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key}")
+        out[key] = _coerce(value)
     return out
 
 
@@ -231,6 +234,17 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
+def _output_dir_problem(outdir: Path) -> Optional[str]:
+    """The diagnostic for an outdir that `run` could not create, judged
+    without creating anything: its nearest existing ancestor, or outdir
+    itself, is not a directory. None when nothing is in the way."""
+    existing = next(path for path in (outdir, *outdir.parents) if os.path.exists(path))
+    if os.path.isdir(existing):
+        return None
+    reason = os.strerror(errno.EEXIST if existing == outdir else errno.ENOTDIR)
+    return f"output_dir: cannot create {outdir}: {reason}"
+
+
 def validate(config: ExperimentConfig) -> List[str]:
     """All violations at once, parameters in table order then unknown
     keys; an empty list means runnable."""
@@ -244,6 +258,8 @@ def validate(config: ExperimentConfig) -> List[str]:
         diagnostics.append("seed: required nonnegative integer")
     if not config.output_dir:
         diagnostics.append("output_dir: required")
+    elif (problem := _output_dir_problem(Path(config.output_dir))) is not None:
+        diagnostics.append(problem)
     if table is None:
         return diagnostics
     valid: Dict[str, object] = {}

@@ -18,17 +18,32 @@ A filtration is held as one pair of arrays per dimension, entry values
 and vertex rows, each sorted by (value, vertices); the order of the
 whole filtration, by (value, dimension, vertices), follows from them.
 The Rips complex is built dimension by dimension with numpy: each
-k-simplex row gains a common upper neighbour of all its vertices, and
-each dimension is sorted by one lexsort. The simplices stay
-materialised rather than enumerated implicitly by combinatorial index:
-every simplex of the top dimension that does not kill a class is an
-essential class and is listed in the diagram, so the top simplices are
-enumerated anyway. Hand-built filtrations enter through a list
-constructor, and one generic path serves them and Rips alike. Boundary
-matrices and coboundaries share one face lookup, `_facet_index`. The
-diagram is likewise a set of columns, degree, birth and death, with
-death infinity for a class still alive at the end of the filtration;
-`PersistencePair` objects are built only when read.
+k-simplex row gains a common upper neighbour of all its vertices.
+Extended in lexicographic order, the rows come out in lexicographic
+order, and one stable sort by value puts each dimension in filtration
+order. The simplices stay materialised rather than enumerated
+implicitly by combinatorial index: every simplex of the top dimension
+that does not kill a class is an essential class and is listed in the
+diagram, so the top simplices are enumerated anyway. Hand-built
+filtrations enter through a list constructor, and one generic path
+serves them and Rips alike. Boundary matrices and coboundaries share
+one face lookup, `_facet_index`. The diagram is likewise a set of
+columns, degree, birth and death, with death infinity for a class
+still alive at the end of the filtration; `PersistencePair` objects
+are built only when read.
+
+Labels and faces are found by index table, as Ripser finds faces by
+combinatorial index rather than by search. `_positions` maps each
+vertex label to its position in the sorted labels through a dense
+table indexed by label - lowest label, and `_facet_index` maps each
+facet, its vertex positions read as one base-radix key, to its face
+index through a dense table of radix ** (k + 1) entries; -1 marks an
+absent label or face. A table is built only when it has no more
+entries than the query array it answers, so it never outgrows the
+queries. Otherwise (sparse labels, or the facets of few
+(k+1)-simplices among many possible k-simplices) the keys are sorted
+and searched. Both paths give the same indices and raise the same
+ValueError for a missing face or label (`_index_of`).
 """
 
 from __future__ import annotations
@@ -137,20 +152,21 @@ def rips_filtration(points: np.ndarray, max_dim: int, max_eps: float) -> Filtrat
     values, vertices = [vals], [rows]
     # Each k-simplex extends a (k-1)-simplex by a common neighbour of
     # all its vertices beyond its largest one, so none is listed twice.
+    # Extending the rows in lexicographic order lists the new rows in
+    # lexicographic order too, so a stable sort by value alone puts them
+    # in filtration order; the lexicographic rows feed the next dimension.
     for _ in range(max_dim):
         common = upper[rows[:, 0]]
         for col in rows.T[1:]:
             common &= upper[col]
-        parent, new = np.nonzero(common)
+        parent, new = np.divmod(np.flatnonzero(common), m)
         vals = vals[parent]
         for col in rows.T:
             vals = np.maximum(vals, dist[col[parent], new])
         rows = np.column_stack([rows[parent], new])
-        # lexsort's last key is its primary one: by value, then vertices.
-        order = np.lexsort((*rows.T[::-1], vals))
-        rows, vals = rows[order], vals[order]
-        values.append(vals)
-        vertices.append(rows)
+        order = np.argsort(vals, kind="stable")
+        values.append(vals[order])
+        vertices.append(rows[order])
     return Filtration(tuple(values), tuple(vertices))
 
 
@@ -162,10 +178,12 @@ def boundary_matrix(filtration: Filtration, k: int, eps: float) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("boundary matrices start at k = 1")
-    rows, cols = (filtration.vertices[j][filtration.values[j] <= eps] for j in (k - 1, k))
-    radix = int(filtration.vertices[0].max(initial=0)) + 1
+    labels = np.sort(filtration.vertices[0][:, 0])
+    rows, cols = (
+        _positions(labels, filtration.vertices[j][filtration.values[j] <= eps]) for j in (k - 1, k)
+    )
     out = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    out[_facet_index(rows, cols, radix), np.arange(len(cols))[:, None]] = 1
+    out[_facet_index(rows, cols, len(labels)), np.arange(len(cols))[:, None]] = 1
     return out
 
 
@@ -214,12 +232,40 @@ class _UnionFind:
         return root
 
 
-def _positions(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Positions of the queries in a sorted array that must hold them all."""
-    pos = np.searchsorted(table, queries)
-    if queries.size and (table.size == 0 or np.any(table.take(pos, mode="clip") != queries)):
-        raise ValueError("filtration is not closed under taking faces")
-    return pos
+_NOT_CLOSED = "filtration is not closed under taking faces"
+
+
+def _index_of(keys: np.ndarray, queries: np.ndarray, span: int) -> np.ndarray:
+    """Index in keys, distinct ints in [0, span), of each query; all must be keys.
+
+    A dense table of span entries, -1 where no key lies, answers the
+    queries when it has no more entries than there are queries, so it
+    never outgrows them; otherwise the keys are sorted and the queries
+    found by binary search. A query that is not a key raises on either
+    path.
+    """
+    if keys.size and span <= queries.size:
+        table = np.full(span, -1, dtype=np.int64)
+        table[keys] = np.arange(len(keys))
+        # An absent query reads -1 or, out of range, a clipped slot:
+        # either way a key other than itself.
+        found = table.take(queries, mode="clip")
+        if np.any(keys[found] != queries):
+            raise ValueError(_NOT_CLOSED)
+        return found
+    by_key = np.argsort(keys)
+    pos = np.searchsorted(keys[by_key], queries)
+    if queries.size and (keys.size == 0 or np.any(keys[by_key.take(pos, mode="clip")] != queries)):
+        raise ValueError(_NOT_CLOSED)
+    return by_key[pos]
+
+
+def _positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Vertex rows as positions in the sorted vertex labels, which need
+    not be contiguous or nonnegative; each label is keyed by label -
+    lowest label."""
+    low, high = (int(labels[0]), int(labels[-1])) if labels.size else (0, -1)
+    return _index_of(labels - low, rows - low, high - low + 1)
 
 
 def _simplex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -235,12 +281,10 @@ def _simplex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
 
 def _facet_index(faces: np.ndarray, cofaces: np.ndarray, radix: int) -> np.ndarray:
     """Entry (t, p) is the index in faces of coface t without its vertex p."""
-    face_keys = _simplex_keys(faces, radix)
-    by_key = np.argsort(face_keys)
     facet_keys = np.empty((len(cofaces), cofaces.shape[1]), dtype=np.int64)
     for p in range(cofaces.shape[1]):
         facet_keys[:, p] = _simplex_keys(np.delete(cofaces, p, axis=1), radix)
-    return by_key[_positions(face_keys[by_key], facet_keys)]
+    return _index_of(_simplex_keys(faces, radix), facet_keys, radix ** faces.shape[1])
 
 
 def _coboundaries(
@@ -323,12 +367,10 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
     values = filtration.values
     max_dim = filtration.max_dimension()
 
-    # Vertex labels need not be contiguous: each simplex becomes a row of
-    # positions in the sorted labels.
     by_label = np.argsort(filtration.vertices[0][:, 0])
     labels = filtration.vertices[0][by_label, 0]
     root_birth = values[0][by_label]
-    rows = [_positions(labels, verts.reshape(-1)).reshape(verts.shape) for verts in filtration.vertices]
+    rows = [_positions(labels, verts) for verts in filtration.vertices]
 
     # Blocks of pairs (degree, births, deaths).
     blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
@@ -418,6 +460,8 @@ def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:
     the distances and the chosen indices keep their bits. Every caller
     passes 3-D points.
     """
+    if n_landmarks < 1:
+        raise ValueError("n_landmarks must be >= 1")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(points)
     if n_landmarks >= m:

@@ -70,6 +70,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config_text("just some words")
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        text = "experiment = homology\nseed = 1\n# seed = 3\n seed=2\noutput_dir = out\n"
+        with pytest.raises(ValueError, match="^line 4: duplicate key seed$"):
+            parse_config_text(text)
+        assert main(["validate", write_config(tmp_path, text)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "config error: line 4: duplicate key seed\n"
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "experiment = homology\nseed = 1\noutput_dir = out\n")
         monkeypatch.setenv("ECHOLAB_SEED", "99")
@@ -424,6 +431,19 @@ class TestRun:
         assert run(config) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"output_dir: cannot create {blocker / 'out'}: ")
         assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("below,reason", [("out", "Not a directory"), ("", "File exists")])
+    def test_validate_refuses_an_uncreatable_output_dir(self, tmp_path, capsys, below, reason):
+        # What `run` cannot create, `validate` refuses, creating nothing.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / below if below else blocker
+        path = write_config(tmp_path, f"experiment = homology\nseed = 1\noutput_dir = {outdir}\n")
+        assert main(["validate", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == f"output_dir: cannot create {outdir}: {reason}\n"
+        assert main(["run", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"output_dir: cannot create {outdir}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "file"]
 
     def test_write_error_fails_the_run(self, tmp_path, monkeypatch):
         # An artifact that cannot be written fails the run like a runner error.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -215,6 +216,13 @@ class TestBoundaryMatrix:
         assert M.shape == (6, 6)
         assert np.all(M.sum(axis=0) == 2)
 
+    def test_labels_need_not_start_at_zero(self):
+        filt = self.hexagon_filtration()
+        for shift in (-7, 5):
+            shifted = Filtration(filt.values, tuple(rows + shift for rows in filt.vertices))
+            for k in (1, 2):
+                assert np.array_equal(boundary_matrix(shifted, k, eps=2.0), boundary_matrix(filt, k, eps=2.0))
+
     def test_example_filtration_matches_tables_without_orders(self):
         # The worked-example complex carries exact entry values, so the
         # printed tables are also reproducible by permuting its matrix.
@@ -398,6 +406,9 @@ class TestPersistenceMatchesColumnReduction:
 
     def test_true_rips_hexagon(self):
         filt = rips_filtration(hexagon_points(), max_dim=3, max_eps=2.5)
+        # Edges found by table (3 * 20 facets, 6**2 slots), triangles by
+        # search (4 * 15 facets, 6**3 slots).
+        assert [len(v) for v in filt.values] == [6, 15, 20, 15]
         self.assert_same_diagram(filt)
 
     def test_random_clouds(self):
@@ -428,10 +439,49 @@ class TestPersistenceMatchesColumnReduction:
         self.assert_same_diagram(Filtration.from_simplices(simplices))
 
     def test_missing_face_rejected(self):
+        # Both found by search: 3 facets for 3**2 edge slots, 2 labels for 4.
         vertices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,))]
         no_edge = vertices + [(1.0, 1, (0, 1)), (1.0, 1, (1, 3)), (1.0, 2, (0, 1, 3))]
         no_vertex = vertices + [(1.0, 1, (0, 2))]
         for simplices in (no_edge, no_vertex):
+            with pytest.raises(ValueError, match="closed under taking faces"):
+                persistence(Filtration.from_simplices(simplices))
+
+    # `persistence` looks labels and faces up by a dense table when the
+    # table has no more entries than the queries it answers, and by
+    # sorted search otherwise. Each case below states which path it takes.
+
+    def test_negative_labels_by_table(self):
+        filt = rips_filtration(make_rng(22).uniform(0, 1, (15, 2)), max_dim=2, max_eps=0.8)
+        shifted = Filtration(filt.values, tuple(rows - 7 for rows in filt.vertices))
+        assert shifted.vertices[0].min() == -7
+        assert_same_columns(self.assert_same_diagram(shifted), persistence(filt))
+
+    def test_sparse_labels_by_search(self):
+        # A label table would span 10**9 + 1 entries for a handful of queries.
+        pair = [(0.0, 0, (0,)), (0.0, 0, (10**9,)), (1.0, 1, (0, 10**9))]
+        self.assert_same_diagram(Filtration.from_simplices(pair))
+        filt = rips_filtration(make_rng(23).uniform(0, 1, (15, 2)), max_dim=2, max_eps=0.8)
+        spread = Filtration(filt.values, tuple(rows * 10**6 - 5 for rows in filt.vertices))
+        assert_same_columns(self.assert_same_diagram(spread), persistence(filt))
+
+    def test_random_cloud_to_tetrahedra(self):
+        filt = rips_filtration(make_rng(31).uniform(0, 1, (60, 3)), max_dim=3, max_eps=0.55)
+        n_triangles, n_tetrahedra = len(filt.values[2]), len(filt.values[3])
+        assert 3 * n_triangles >= 60**2  # edges of the triangles by table
+        assert 4 * n_tetrahedra < 60**3  # triangles of the tetrahedra by search
+        self.assert_same_diagram(filt)
+
+    def test_missing_face_rejected_by_table(self):
+        # The full 2-skeleton on 5 vertices: 30 edge queries, 25 table slots.
+        skeleton = [(0.0, 0, (i,)) for i in range(5)]
+        skeleton += [(1.0, 1, e) for e in itertools.combinations(range(5), 2)]
+        skeleton += [(2.0, 2, t) for t in itertools.combinations(range(5), 3)]
+        no_edge = [s for s in skeleton if s[2] != (1, 3)]
+        no_vertex = [s for s in skeleton if s[2] != (2,)]  # labels {0, 1, 3, 4}: 4 is in range
+        below = skeleton + [(3.0, 1, (-1, 0))]
+        above = skeleton + [(3.0, 1, (4, 5))]
+        for simplices in (no_edge, no_vertex, below, above):
             with pytest.raises(ValueError, match="closed under taking faces"):
                 persistence(Filtration.from_simplices(simplices))
 
@@ -467,6 +517,12 @@ class TestAttractorExperiment:
     def test_subsample_minimum(self):
         with pytest.raises(ValueError):
             attractor_h1_experiment(np.random.default_rng(0).normal(size=(100, 2)), subsample=10, max_eps=1.0)
+
+    def test_maxmin_needs_a_landmark(self):
+        pts = make_rng(12).uniform(0, 1, (20, 2))
+        for n_landmarks in (0, -3):
+            with pytest.raises(ValueError, match="n_landmarks"):
+                maxmin_subsample(pts, n_landmarks)
 
     def test_maxmin_spreads_points(self):
         rng = make_rng(13)
