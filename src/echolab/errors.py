@@ -21,20 +21,12 @@ class DegenerateMatrixError(EcholabError):
     """A matrix cannot be rescaled or factored as requested."""
 
 
-class SeriesDivergentError(EcholabError):
-    """A matrix power series does not converge (spectral radius >= 1)."""
-
-
 class SpectrumCollisionError(EcholabError):
     """A requested resolvent is singular because an eigenvalue collides."""
 
 
 class SingularProblemError(EcholabError):
     """An unregularised least squares problem is rank deficient."""
-
-
-class ContractionBoundError(EcholabError):
-    """A constant learning rate violates its contraction precondition."""
 
 
 class NonErgodicError(EcholabError):

@@ -1,8 +1,7 @@
 """Reservoir construction and iteration.
 
 Covers random ESN generation (one recipe: uniform A rescaled to a target
-2-norm, uniform C and b), driven and readout-fed autonomous iteration,
-the explicit series form of the linear generalised synchronisation, and
+2-norm, uniform C and b), driven and readout-fed autonomous iteration, and
 the two linear-independence predicates behind the embedding result.
 The scalar example x -> tanh(2x + z), whose two stable branches show
 that generalised synchronisation need not be unique, is the ESN with
@@ -28,7 +27,6 @@ from .dynsys import TimeSeries, iterate_map
 from .errors import (
     DegenerateMatrixError,
     DimensionMismatchError,
-    SeriesDivergentError,
     SpectrumCollisionError,
 )
 
@@ -189,57 +187,6 @@ def autonomous_drive(
         lambda x, _, nxt: spec.advance(x, spec.C @ (W.T @ x), nxt), x0, range(n_steps)
     )
     return TimeSeries(step=1.0, samples=out)
-
-
-@dataclass
-class GsSeriesResult:
-    value: np.ndarray
-    tail_bound: float
-
-
-def linear_gs_series(
-    spec: ReservoirSpec,
-    past_obs: np.ndarray,
-    truncation: int,
-) -> GsSeriesResult:
-    """Truncated series sum_{k=0}^{K} A^k C w_k for a linear reservoir.
-
-    `past_obs` holds w_k = omega(phi^{-k}(m)) for k = 0..K, one row
-    each. Requires identity activation, zero bias, and spectral radius
-    strictly below one; reports the geometric tail bound
-    ||A||_2^(K+1) sup|omega| ||C|| / (1 - ||A||_2), with sup|omega| taken
-    over the supplied observations.
-    """
-    if spec.activation != "identity" or np.any(spec.b != 0.0):
-        raise ValueError("series form requires identity activation and zero bias")
-    if spectral_radius(spec.A) >= 1.0:
-        raise SeriesDivergentError("spectral radius of A must be < 1")
-    obs = np.atleast_2d(np.asarray(past_obs, dtype=float).reshape(truncation + 1, -1))
-    value = np.zeros(spec.n)
-    power_times_c = spec.C.copy()
-    for k in range(truncation + 1):
-        value = value + power_times_c @ obs[k]
-        power_times_c = spec.A @ power_times_c
-    norm_a = matrix_2norm(spec.A)
-    sup = float(np.max(np.abs(obs)))
-    if norm_a < 1.0:
-        tail = norm_a ** (truncation + 1) * sup * matrix_2norm(spec.C) / (1.0 - norm_a)
-    else:
-        tail = float("inf")
-    return GsSeriesResult(value=value, tail_bound=tail)
-
-
-def trajectory_past_obs(series: TimeSeries, index: int, truncation: int) -> np.ndarray:
-    """Backward window of a stored trajectory, treated as two-sided.
-
-    Requires index >= truncation so k steps of history exist; intended
-    for post-burn-in indices where the stored orbit approximates a
-    bi-infinite one.
-    """
-    if index < truncation:
-        raise ValueError("need at least `truncation` samples of history")
-    rows = series.samples[index - truncation : index + 1]
-    return rows[::-1].copy()
 
 
 def _per_member(result: np.ndarray) -> Union[bool, np.ndarray]:

@@ -90,15 +90,24 @@ class Filtration:
 
     @classmethod
     def from_simplices(cls, simplices: Sequence[Tuple[float, int, Simplex]]) -> "Filtration":
-        """Filtration of a list of (value, dimension, vertices) entries."""
+        """Filtration of a list of (value, dimension, vertices) entries.
+
+        Each simplex may be listed once: a repeat, whatever its value,
+        raises ValueError naming its (dimension, vertices).
+        """
         dims = max((dim for _, dim, _ in simplices), default=0) + 1
         values: List[List[float]] = [[] for _ in range(dims)]
         vertices: List[List[Simplex]] = [[] for _ in range(dims)]
+        seen = set()
         for value, dim, verts in simplices:
             if value < 0:
                 raise ValueError("filtration values must be nonnegative")
             if len(verts) != dim + 1:
                 raise ValueError(f"simplex {verts} has wrong dimension tag {dim}")
+            key = (dim, tuple(sorted(verts)))
+            if key in seen:
+                raise ValueError(f"simplex (dimension, vertices) {(dim, tuple(verts))} is repeated")
+            seen.add(key)
             values[dim].append(value)
             vertices[dim].append(verts)
         return cls(

@@ -2,24 +2,17 @@
 
 Offline Tikhonov least squares through the SVD of the R factor of the
 feature matrix (taken from the QR of [X | Y], so neither Q nor the
-left singular vectors of X are formed), the two online
-stochastic iterations (constant step and 1/k step), and the feature
-transform that turns value estimation into ordinary regression.
-
-The online iterations of `run_online` apply the one update
-`online_step`, W <- (1 - alpha lam) W - alpha G^T (G W - u), whose
-fixed point in the mean is the ridge solution of the feature moments,
-(E[g g^T] + lam I)^{-1} E[g u].
+left singular vectors of X are formed), and the feature transform that
+turns value estimation into ordinary regression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractionBoundError, SingularProblemError
+from .errors import SingularProblemError
 
 SVD_TRUNCATION = 1e-12
 
@@ -92,86 +85,6 @@ def solve_offline(
     coeffs = sv * (U.T @ qty) / (sv**2 + lam)
     w = Vt.T @ coeffs
     return Readout(w=w, lam=lam, provenance="offline_svd")
-
-
-def normal_equation_residual(problem: RegressionProblem, readout: Readout) -> float:
-    """Relative residual of (X^T X + lam I) W - X^T Y."""
-    X, Y = problem.states, problem.targets
-    rhs = X.T @ Y
-    lhs = X.T @ (X @ readout.w) + readout.lam * readout.w
-    denom = np.linalg.norm(rhs)
-    return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else float(
-        np.linalg.norm(lhs)
-    )
-
-
-def online_step(
-    w: np.ndarray, G: np.ndarray, u, alpha: float, lam: float
-) -> np.ndarray:
-    """One stochastic ridge update (1 - alpha lam) W - alpha G^T (G W - u).
-
-    G holds one feature row per target in u: a (P,) row with a scalar
-    target is the single-sample update (1 - alpha lam) W - alpha g (W^T g - u).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    G = np.atleast_2d(G)
-    return (1.0 - alpha * lam) * w - alpha * (G.T @ (G @ w - u))
-
-
-@dataclass
-class OnlineResult:
-    readout: Readout
-    trace: np.ndarray  # (step, ||W_k - W_ref||) rows
-    mean_w: np.ndarray
-
-
-def run_online(
-    features: Iterable[Tuple[np.ndarray, float]],
-    schedule,
-    lam: float,
-    w0: np.ndarray,
-    w_ref: Optional[np.ndarray] = None,
-    trace_every: int = 1000,
-) -> OnlineResult:
-    """Run the online iteration over a stream of (g_k, u_k) pairs.
-
-    schedule is ('const', alpha) or ('one_over_k',); the constant
-    schedule enforces alpha < 1 / (lam + ||g_k||^2) on every sample and
-    rejects violations with ContractionBoundError. The 1/k schedule
-    starts at k = 1 (alpha_1 = 1). Returns the final readout, a sparse
-    trace of ||W_k - w_ref|| (or ||W_k|| when no reference is given),
-    and the running mean of the iterates.
-    """
-    kind = schedule[0]
-    if kind not in ("const", "one_over_k"):
-        raise ValueError(f"unknown schedule {kind!r}")
-    w = np.asarray(w0, dtype=float).reshape(-1).copy()
-    mean_w = np.zeros_like(w)
-    trace = []
-    k = 0
-    for g_k, u_k in features:
-        k += 1
-        g_k = np.asarray(g_k, dtype=float).reshape(-1)
-        if kind == "const":
-            alpha = schedule[1]
-            if alpha >= 1.0 / (lam + g_k @ g_k):
-                raise ContractionBoundError(
-                    f"alpha = {alpha} >= 1/(lambda + ||g||^2) at step {k}"
-                )
-        else:
-            alpha = 1.0 / k
-        w = online_step(w, g_k, u_k, alpha, lam)
-        mean_w += (w - mean_w) / k
-        if k % trace_every == 0 or k == 1:
-            ref = w_ref if w_ref is not None else np.zeros_like(w)
-            trace.append((k, float(np.linalg.norm(w - ref))))
-    provenance = "online_const" if kind == "const" else "online_1k"
-    return OnlineResult(
-        readout=Readout(w=w, lam=lam, provenance=provenance),
-        trace=np.array(trace) if trace else np.zeros((0, 2)),
-        mean_w=mean_w,
-    )
 
 
 def value_targets(

@@ -11,7 +11,6 @@ from echolab.errors import (
     IntegrationDivergedError,
     SingularProblemError,
 )
-from echolab.pde import eval_feature_laplacian, eval_features
 from echolab.reservoir import check_condition_C, check_condition_D, make_rng, spectral_radius
 from echolab.stochastic import stationary_distribution
 from echolab.training import SVD_TRUNCATION
@@ -255,6 +254,26 @@ def embedding_check_reference(seed, n, trials, period):
     return {"trials": trials, "condition_D_pass": ok_d, "condition_C_pass": ok_c}
 
 
+def linear_gs_series_reference(A, C, past_obs):
+    """(value, tail bound) of the truncated series sum_{k=0}^{K} A^k C w_k.
+
+    This is the generalised synchronisation of the linear reservoir
+    x -> A x + C z, with w_k the k-th row of `past_obs` (the observation
+    k steps back). The tail bound is
+    ||A||_2^(K+1) sup|w| ||C||_2 / (1 - ||A||_2), infinite when ||A||_2 >= 1.
+    """
+    obs = np.asarray(past_obs, dtype=float).reshape(len(past_obs), -1)
+    value = np.zeros(A.shape[0])
+    power_times_c = np.asarray(C, dtype=float)
+    for w_k in obs:
+        value = value + power_times_c @ w_k
+        power_times_c = A @ power_times_c
+    norm_a = np.linalg.norm(A, 2)
+    if norm_a >= 1.0:
+        return value, math.inf
+    return value, norm_a ** len(obs) * np.max(np.abs(obs)) * np.linalg.norm(C, 2) / (1.0 - norm_a)
+
+
 # Per-step Lorenz and Lyapunov references: numpy on 3-vectors, one call
 # per RK4 stage and one QR per iteration.
 
@@ -403,7 +422,7 @@ def value_mc_reference(
 
 
 # Ridge readouts: the offline solve through the thin SVD of X itself, and
-# the limits of the online ridge iteration.
+# the residual of the normal equations.
 
 
 def solve_offline_reference(problem, lam=0.0, truncate=False):
@@ -427,23 +446,15 @@ def solve_offline_reference(problem, lam=0.0, truncate=False):
     return Vt.T @ (sv * (U.T @ Y) / (sv**2 + lam)), rank
 
 
-def moment_solution(second_moment, cross_moment, lam):
-    """W* = (E[g g^T] + lam I)^{-1} E[g u], the online iterations' limit."""
-    P = second_moment.shape[0]
-    return np.linalg.solve(second_moment + lam * np.eye(P), cross_moment)
-
-
-def online_moment_solution(model, sample):
-    """Limit of the online 1/k Dirichlet iteration on the cycled sample.
-
-    `moment_solution` of the sample-mean moments of the rows
-    [Lap f(z); f(z')] with targets [0, h(z')], at unit ridge.
-    """
-    lap = eval_feature_laplacian(model, sample.interior)
-    feat = eval_features(model, sample.boundary)
-    second = lap.T @ lap / len(lap) + feat.T @ feat / len(feat)
-    cross = feat.T @ sample.boundary_values / len(feat)
-    return moment_solution(second, cross, 1.0)
+def normal_equation_residual(problem, readout):
+    """Relative residual of the ridge normal equations,
+    ||(X^T X + lam I) W - X^T Y|| / ||X^T Y||, or ||(X^T X + lam I) W||
+    when X^T Y = 0."""
+    X, Y = problem.states, problem.targets
+    rhs = X.T @ Y
+    lhs = X.T @ (X @ readout.w) + readout.lam * readout.w
+    denom = np.linalg.norm(rhs)
+    return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else float(np.linalg.norm(lhs))
 
 
 def csv_text_reference(header, columns):

@@ -212,18 +212,9 @@ def unreachable(sources, root):
 
 
 # Definitions no experiment reaches yet, each waiting for the experiment
-# named in its reason. Wiring one in means removing it here.
-PENDING_WIRE_IN = {
-    "reservoir.linear_gs_series": "embedding_check: the linear GS as an explicit series",
-    "reservoir.GsSeriesResult": "result of linear_gs_series",
-    "errors.SeriesDivergentError": "raised by linear_gs_series when rho(A) >= 1",
-    "reservoir.trajectory_past_obs": "embedding_check: backward observations of a stored orbit",
-    "training.run_online": "value_learn: the online TD(0) readout",
-    "training.online_step": "the update rule of run_online",
-    "training.OnlineResult": "result of run_online",
-    "errors.ContractionBoundError": "raised by run_online for a too-large constant step",
-    "training.normal_equation_residual": "readout health record of each solve",
-}
+# named in its reason; empty while every definition serves one. Wiring
+# one in means removing it here.
+PENDING_WIRE_IN = {}
 
 # Definitions and members no experiment reads, read from outside the library.
 READ_OUTSIDE = {
@@ -301,7 +292,7 @@ def test_every_definition_serves_an_experiment():
 
 def test_new_dead_definition_fails_the_guard():
     # An unreferenced function appended to a real module, and a method and
-    # a field no code reads, show up as unreachable beside the wire-in backlog.
+    # a field no code reads, show up as unreachable beside the listed definitions.
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     sources["topology"] += "\n\ndef orphan():\n    return 0\n"
     sources["dynsys"] = sources["dynsys"].replace(

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from echolab import pde
 from echolab.pde import (
+    GRID_BLOCK,
     DirichletSample,
     RandomFeatureModel,
     analytic_disc_solution,
@@ -14,9 +18,7 @@ from echolab.pde import (
     solve_dirichlet_offline,
 )
 from echolab.reservoir import make_rng
-from echolab.training import Readout, online_step, solve_offline
-
-from oracles import online_moment_solution
+from echolab.training import solve_offline
 
 
 def grid_rms(model, readout):
@@ -178,48 +180,63 @@ class TestOfflineSolve:
         model = build_feature_model(500, seed=0)
         sample = sample_disc(500, 500, seed=100)
         sol = solve_dirichlet_offline(model, sample, lam=0.0)
-        r, theta = evaluation_grid()
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        field = eval_features(model, pts) @ sol.readout.w
+        field = grid_solution(model, sol.readout)[2]
         assert np.max(np.abs(field)) <= 1.0 + sol.boundary_rms + 0.05
 
 
-def online_iteration(model, sample, n_steps, w0=None):
-    """The 1/k iteration of `online_step` at unit ridge on the rows
-    [Lap f(z); f(z')] with targets [0, h(z')], cycling the sample."""
-    lap = eval_feature_laplacian(model, sample.interior)
-    feat = eval_features(model, sample.boundary)
-    w = np.zeros(model.n) if w0 is None else np.asarray(w0, dtype=float).copy()
-    for k in range(1, n_steps + 1):
-        i, j = (k - 1) % len(lap), (k - 1) % len(feat)
-        rows = np.stack((lap[i], feat[j]))
-        w = online_step(w, rows, (0.0, sample.boundary_values[j]), 1.0 / k, 1.0)
-    return w
+def default_solution(seed):
+    """The pde_dirichlet experiment's model and readout at its default
+    config: n = ell = ell' = 500, lam = 0."""
+    model = build_feature_model(500, seed=seed)
+    sample = sample_disc(500, 500, seed=seed + 1)
+    return model, solve_dirichlet_offline(model, sample, lam=0.0).readout
 
 
-class TestOnlineSolve:
-    def test_homogeneous_data_decays_to_zero(self):
-        model = build_feature_model(10, seed=0)
-        sample = homogeneous_sample(10, seed=1)
-        w = online_iteration(model, sample, 5000, w0=np.ones(10))
-        assert np.linalg.norm(w) < 1e-3
+class TestBlockedGrid:
+    """`grid_solution` evaluates the grid GRID_BLOCK rows at a time.
 
-    def test_cycled_sample_reaches_ridge_solution(self):
-        # Oracle: direct normal-equation solve of the cycled moments.
-        model = build_feature_model(10, seed=1)
-        sample = sample_disc(8, 8, seed=2)
-        w_star = online_moment_solution(model, sample)
-        w = online_iteration(model, sample, 100_000)
-        assert np.linalg.norm(w - w_star) / np.linalg.norm(w_star) < 1e-3
+    Against the one-shot product F @ w of the whole grid's features, each
+    point may differ by rounding alone: the two sum the same n products
+    in possibly different orders, so by at most 2 n eps (|F| @ |w|).
+    """
 
-    def test_online_grid_rms_close_to_offline(self):
-        model = build_feature_model(100, seed=3)
-        sample = sample_disc(100, 100, seed=4)
-        lam_off = (len(sample.interior) + len(sample.boundary)) / 2.0
-        g_off = grid_rms(model, solve_dirichlet_offline(model, sample, lam=lam_off).readout)
-        w_on = online_iteration(model, sample, 50_000)
-        g_on = grid_rms(model, Readout(w=w_on, lam=1.0, provenance="online_1k"))
-        assert g_on < 2.0 * g_off
+    @staticmethod
+    def one_shot_and_bound(model, readout, r, theta):
+        """F @ w over the whole grid's features F, and 2 n eps (|F| @ |w|)."""
+        features = eval_features(model, np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+        bound = 2 * model.n * np.finfo(float).eps * (np.abs(features) @ np.abs(readout.w))
+        return features @ readout.w, bound
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_field_within_summation_bound(self, seed):
+        model, readout = default_solution(seed)
+        r, theta, approx, exact = grid_solution(model, readout)
+        one_shot, bound = self.one_shot_and_bound(model, readout, r, theta)
+        assert np.all(np.abs(approx - one_shot) <= bound)
+        rms, rms_one_shot = (float(np.sqrt(np.mean((f - exact) ** 2))) for f in (approx, one_shot))
+        assert abs(rms - rms_one_shot) <= 1e-4 * rms_one_shot
+
+    def test_partial_last_block(self, monkeypatch):
+        # 2.5 blocks of the real grid: the last block holds GRID_BLOCK / 2 rows.
+        model, readout = default_solution(0)
+        r, theta = evaluation_grid()
+        m = 5 * GRID_BLOCK // 2
+        monkeypatch.setattr(pde, "evaluation_grid", lambda: (r[:m], theta[:m]))
+        got_r, _, approx, _ = grid_solution(model, readout)
+        assert len(got_r) == len(approx) == m
+        one_shot, bound = self.one_shot_and_bound(model, readout, r[:m], theta[:m])
+        assert np.all(np.abs(approx - one_shot) <= bound)
+
+    def test_working_set_is_one_block(self):
+        # The whole grid's (10000, 500) feature matrix alone is 40 MB.
+        model, readout = default_solution(0)
+        tracemalloc.start()
+        try:
+            grid_solution(model, readout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestAnalyticSolution:
@@ -251,7 +268,11 @@ class TestExports:
         assert r.tobytes() == grid_r.tobytes() and theta.tobytes() == grid_theta.tobytes()
         assert len(r) == 50 * 200
         pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        assert approx.tobytes() == (eval_features(model, pts) @ sol.readout.w).tobytes()
+        blocks = [
+            eval_features(model, pts[i : i + GRID_BLOCK]) @ sol.readout.w
+            for i in range(0, len(pts), GRID_BLOCK)
+        ]
+        assert approx.tobytes() == np.concatenate(blocks).tobytes()
         assert exact.tobytes() == analytic_disc_solution(r, theta).tobytes()
 
     def test_interior_point_validation(self):

@@ -173,6 +173,15 @@ class TestFiltrationFromSimplices:
         with pytest.raises(ValueError, match="dimension tag"):
             Filtration.from_simplices([(0.0, 1, (0,))])
 
+    def test_repeated_simplex_rejected(self):
+        # Accepted, the second copy of vertex 0 would be a phantom
+        # essential H0 class.
+        simplices = [(0.0, 0, (0,)), (0.0, 0, (0,)), (0.0, 0, (1,)), (1.0, 1, (0, 1))]
+        with pytest.raises(ValueError, match=r"\(0, \(0,\)\) is repeated"):
+            Filtration.from_simplices(simplices)
+        with pytest.raises(ValueError, match=r"\(1, \(1, 0\)\) is repeated"):
+            Filtration.from_simplices(simplices[2:] + [(0.0, 0, (0,)), (2.0, 1, (1, 0))])
+
     def test_dimensions_out_of_order_rejected(self):
         # Each dimension is in order, but the edge precedes a vertex of
         # smaller value.

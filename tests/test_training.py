@@ -3,20 +3,17 @@ import pytest
 
 from echolab.cli import train_lorenz_readout
 from echolab.dynsys import LorenzParams, integrate_lorenz
-from echolab.errors import ContractionBoundError, SingularProblemError
+from echolab.errors import SingularProblemError
 from echolab.pde import build_feature_model, sample_disc, stacked_problem
 from echolab.reservoir import make_rng
 from echolab.stochastic import markov_value_oracle
 from echolab.training import (
     RegressionProblem,
-    normal_equation_residual,
-    online_step,
-    run_online,
     solve_offline,
     value_targets,
 )
 
-from oracles import moment_solution, solve_offline_reference
+from oracles import normal_equation_residual, solve_offline_reference
 
 
 def rank_at_zero_ridge(problem):
@@ -119,112 +116,6 @@ class TestSolveMatchesThinSvdReference:
     def test_same_rank_without_ridge(self, make):
         problem = make()
         assert rank_at_zero_ridge(problem) == solve_offline_reference(problem, truncate=True)[1]
-
-
-class TestOnlineStep:
-    def test_exact_solution_is_fixed_point(self):
-        g = np.array([1.0, 2.0])
-        w = np.array([0.2, 0.4])  # w @ g = 1.0
-        out = online_step(w, g, 1.0, 0.3, 0.0)
-        assert np.array_equal(out, w)
-
-    def test_single_step_arithmetic(self):
-        out = online_step(np.zeros(3), np.array([1.0, 0.0, 0.0]), 1.0, 0.5, 0.0)
-        assert np.allclose(out, [0.5, 0.0, 0.0])
-
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            online_step(np.zeros(1), np.ones(1), 0.0, 0.0, 0.0)
-
-    def test_rows_sum_their_single_row_updates(self):
-        # Two rows at once: (1 - a lam) W - a (g1 (W.g1 - u1) + g2 (W.g2 - u2)).
-        rng = make_rng(8)
-        w, G, u = rng.standard_normal(4), rng.standard_normal((2, 4)), rng.standard_normal(2)
-        alpha, lam = 0.1, 0.5
-        expected = (1 - alpha * lam) * w - alpha * sum(g * (w @ g - t) for g, t in zip(G, u))
-        assert np.allclose(online_step(w, G, u, alpha, lam), expected, atol=1e-14)
-
-
-class TestRunOnline:
-    def constant_stream(self, g, u, n):
-        return ((g, u) for _ in range(n))
-
-    def test_one_over_k_constant_features(self):
-        # Rank-1 closed form: (g g^T + lam I)^{-1} g u = g u / (lam + ||g||^2).
-        g = np.array([1.0, 2.0, -1.0])
-        u, lam = 2.0, 0.5
-        expected = g * u / (lam + g @ g)
-        res = run_online(
-            self.constant_stream(g, u, 100_000), ("one_over_k",), lam, np.zeros(3)
-        )
-        assert np.linalg.norm(res.readout.w - expected) < 1e-4
-        assert res.readout.provenance == "online_1k"
-
-    def test_const_schedule_geometric_convergence(self):
-        g = np.array([0.6, -0.8])
-        u, lam, alpha = 1.0, 0.25, 0.5
-        assert alpha < 1.0 / (lam + g @ g)
-        expected = g * u / (lam + g @ g)
-        res = run_online(
-            self.constant_stream(g, u, 200), ("const", alpha), lam, np.zeros(2),
-            w_ref=expected, trace_every=10,
-        )
-        # On constant data the iteration is a fixed linear recurrence, so
-        # the error contracts at least like (1 - alpha * lam)^k.
-        assert np.linalg.norm(res.readout.w - expected) < (1 - alpha * lam) ** 150
-        errs = res.trace[:, 1]
-        assert np.all(np.diff(errs) <= 1e-12)
-
-    def test_const_schedule_bound_enforced(self):
-        g = np.array([2.0, 2.0])
-        with pytest.raises(ContractionBoundError):
-            run_online(self.constant_stream(g, 1.0, 10), ("const", 0.2), 0.0, np.zeros(2))
-
-    def test_iid_finite_support_converges_to_moment_solution(self):
-        # Features drawn from a 3-point support; the exact-moment oracle
-        # is the closed-form ridge limit of the stream.
-        support = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        targets = np.array([1.0, -1.0, 0.5])
-        probs = np.array([0.5, 0.3, 0.2])
-        lam = 0.1
-        second = sum(p * np.outer(s, s) for p, s in zip(probs, support))
-        cross = sum(p * s * t for p, s, t in zip(probs, support, targets))
-        w_star = moment_solution(second, cross, lam)
-
-        rng = make_rng(7)
-        n = 200_000
-        idx = rng.choice(3, size=n, p=probs)
-        stream = ((support[i], targets[i]) for i in idx)
-        res = run_online(stream, ("one_over_k",), lam, np.zeros(2), w_ref=w_star, trace_every=10_000)
-        assert np.linalg.norm(res.readout.w - w_star) < 1e-2
-        # Convergence trend: late error well below early error.
-        early = res.trace[res.trace[:, 0] == 10_000, 1][0]
-        late = res.trace[-1, 1]
-        assert late < early
-
-    def test_const_alpha_ergodic_mean_and_bound(self):
-        support = np.array([[1.0, 0.2], [0.3, 1.0]])
-        targets = np.array([0.8, -0.4])
-        probs = np.array([0.5, 0.5])
-        lam, alpha = 0.2, 0.3
-        second = sum(p * np.outer(s, s) for p, s in zip(probs, support))
-        cross = sum(p * s * t for p, s, t in zip(probs, support, targets))
-        w_star = moment_solution(second, cross, lam)
-        rng = make_rng(9)
-        n = 100_000
-        idx = rng.choice(2, size=n, p=probs)
-        stream = ((support[i], targets[i]) for i in idx)
-        res = run_online(stream, ("const", alpha), lam, np.zeros(2), w_ref=w_star, trace_every=100)
-        # Long-run mean of the iterates sits near W* ...
-        assert np.linalg.norm(res.mean_w - w_star) < 0.05
-        # ... and the residual-over-lambda bound caps the excursion.
-        residuals = [
-            np.linalg.norm((np.outer(s, s) + lam * np.eye(2)) @ w_star - s * t)
-            for s, t in zip(support, targets)
-        ]
-        bound = np.sqrt(np.mean([r**2 for r in residuals])) / lam
-        tail = res.trace[res.trace[:, 0] > 1000, 1]
-        assert np.max(tail) <= bound + 1e-9
 
 
 class TestValueTargets:
