@@ -207,7 +207,7 @@ class TestBlockedGrid:
         bound = 2 * model.n * np.finfo(float).eps * (np.abs(features) @ np.abs(readout.w))
         return features @ readout.w, bound
 
-    @pytest.mark.parametrize("seed", [0, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 2, 3, 84, 85])
     def test_field_within_summation_bound(self, seed):
         model, readout = default_solution(seed)
         r, theta, approx, exact = grid_solution(model, readout)
@@ -227,6 +227,27 @@ class TestBlockedGrid:
         one_shot, bound = self.one_shot_and_bound(model, readout, r[:m], theta[:m])
         assert np.all(np.abs(approx - one_shot) <= bound)
 
+    def test_grid_within_one_block_is_the_one_shot_product(self, monkeypatch):
+        # Fewer rows than GRID_BLOCK make one block: the one-shot product.
+        model, readout = default_solution(0)
+        r, theta = evaluation_grid()
+        m = GRID_BLOCK // 3
+        monkeypatch.setattr(pde, "evaluation_grid", lambda: (r[:m], theta[:m]))
+        approx = grid_solution(model, readout)[2]
+        assert approx.tobytes() == self.one_shot_and_bound(model, readout, r[:m], theta[:m])[0].tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_any_block_size_within_summation_bound(self, monkeypatch, block):
+        # Single rows, and blocks that leave a partial one of 5 rows.
+        model, readout = default_solution(2)
+        r, theta = evaluation_grid()
+        m = 250
+        monkeypatch.setattr(pde, "evaluation_grid", lambda: (r[:m], theta[:m]))
+        monkeypatch.setattr(pde, "GRID_BLOCK", block)
+        approx = grid_solution(model, readout)[2]
+        one_shot, bound = self.one_shot_and_bound(model, readout, r[:m], theta[:m])
+        assert np.all(np.abs(approx - one_shot) <= bound)
+
     def test_working_set_is_one_block(self):
         # The whole grid's (10000, 500) feature matrix alone is 40 MB.
         model, readout = default_solution(0)
@@ -237,6 +258,23 @@ class TestBlockedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_working_set_grows_with_rows_not_features(self, monkeypatch):
+        # Doubling the grid from 5000 to 10000 rows may add the O(m)
+        # arrays (points, field, closed form: at most 8 floats a row), not
+        # the n = 500 floats a row of the grid's feature matrix.
+        model, readout = default_solution(0)
+        r, theta = evaluation_grid()
+        peaks = {}
+        for m in (len(r) // 2, len(r)):
+            monkeypatch.setattr(pde, "evaluation_grid", lambda m=m: (r[:m], theta[:m]))
+            tracemalloc.start()
+            try:
+                grid_solution(model, readout)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[len(r)] - peaks[len(r) // 2] < 8 * 8 * (len(r) // 2)
 
 
 class TestAnalyticSolution:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -248,7 +249,44 @@ class TestContraction:
 
 class TestLinearGsSeries:
     """A driven linear reservoir against the series form of its
-    generalised synchronisation, sum_k A^k C omega(phi^{-k}(m))."""
+    generalised synchronisation, sum_k A^k C omega(phi^{-k}(m)).
+
+    The series is `linear_gs_series_reference`; the tests before the
+    drive test pin that oracle down by hand and by the GS equation."""
+
+    def test_zero_matrix_gives_direct_injection(self):
+        value, tail_bound = linear_gs_series_reference(
+            np.zeros((3, 3)), np.array([[2.0], [0.0], [1.0]]), np.array([0.5, 9.0, 9.0])
+        )
+        assert np.allclose(value, [1.0, 0.0, 0.5])
+        assert tail_bound == 0.0
+
+    def test_decayed_shift_unrolled_by_hand(self):
+        # A = 0.99 * shift, C = e1: A^k C = 0.99^k e_{k+1} for k < 3, else 0.
+        value, _ = linear_gs_series_reference(
+            0.99 * lower_shift_matrix(3), np.eye(3, 1), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        )
+        assert np.allclose(value, [1.0, 0.99 * 2.0, 0.99**2 * 3.0], atol=1e-14)
+
+    def test_gs_equation_self_consistency(self):
+        # f(m) = A f(phi^{-1}(m)) + C omega(m) within the two tail bounds.
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((4, 4))
+        A *= 0.4 / np.linalg.norm(A, 2)
+        C = rng.standard_normal((4, 1))
+        eps, K, m = 0.31, 60, 1.234
+        omega = lambda angle: np.cos(angle)
+        f_m, tail_m = linear_gs_series_reference(A, C, circle_past_obs(eps, m, omega, K))
+        f_prev, tail_prev = linear_gs_series_reference(
+            A, C, circle_past_obs(eps, np.mod(m - eps, 2 * np.pi), omega, K)
+        )
+        assert tail_m < 1e-20 and tail_prev < 1e-20
+        rhs = A @ f_prev + C[:, 0] * omega(m)
+        assert np.linalg.norm(f_m - rhs) < 10 * (tail_m + tail_prev) + 1e-12
+
+    def test_divergent_norm_has_no_tail_bound(self):
+        _, tail_bound = linear_gs_series_reference(np.eye(2), np.ones((2, 1)), np.zeros(3))
+        assert tail_bound == math.inf
 
     def test_drive_converges_to_series(self):
         # Circle rotation drive; iterate the reservoir and compare the

@@ -182,6 +182,15 @@ class TestFiltrationFromSimplices:
         with pytest.raises(ValueError, match=r"\(1, \(1, 0\)\) is repeated"):
             Filtration.from_simplices(simplices[2:] + [(0.0, 0, (0,)), (2.0, 1, (1, 0))])
 
+    def test_example_without_the_repeat_has_one_essential_class(self):
+        # The two vertices are joined at 1: one H0 class dies there, one
+        # lives on.
+        filt = Filtration.from_simplices([(0.0, 0, (0,)), (0.0, 0, (1,)), (1.0, 1, (0, 1))])
+        diag = persistence(filt)
+        assert diag.degree.tolist() == [0, 0]
+        assert diag.birth.tolist() == [0.0, 0.0]
+        assert diag.death.tolist() == [1.0, math.inf]
+
     def test_dimensions_out_of_order_rejected(self):
         # Each dimension is in order, but the edge precedes a vertex of
         # smaller value.

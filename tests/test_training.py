@@ -8,6 +8,7 @@ from echolab.pde import build_feature_model, sample_disc, stacked_problem
 from echolab.reservoir import make_rng
 from echolab.stochastic import markov_value_oracle
 from echolab.training import (
+    Readout,
     RegressionProblem,
     solve_offline,
     value_targets,
@@ -73,6 +74,27 @@ class TestSolveOffline:
             Y = rng.standard_normal(50)
             prob = RegressionProblem(X, Y)
             out = solve_offline(prob, lam=lam)
+            assert normal_equation_residual(prob, out) < 1e-8
+
+    def test_stationarity_check_rejects_another_ridge(self):
+        # The 1e-8 bound above has power: the solve at a neighbouring
+        # lambda, scored as if solved at lam, misses it by far.
+        rng = make_rng(1)
+        prob = RegressionProblem(rng.standard_normal((50, 8)), rng.standard_normal(50))
+        for lam, other in ((1e-3, 1e-1), (1.0, 10.0)):
+            w = solve_offline(prob, lam=other).w
+            assert normal_equation_residual(prob, Readout(w=w, lam=lam)) > 1e-5
+
+    def test_targets_orthogonal_to_features_give_zero_readout(self):
+        # X^T Y = 0 exactly: the features live on the first six rows and
+        # the targets on the last four, so the ridge solution is W = 0.
+        rng = make_rng(4)
+        X = np.vstack([rng.integers(-3, 4, (6, 3)).astype(float), np.zeros((4, 3))])
+        Y = np.concatenate([np.zeros(6), rng.standard_normal(4)])
+        prob = RegressionProblem(X, Y)
+        for lam in (0.0, 1e-3, 1.0):
+            out = solve_offline(prob, lam=lam)
+            assert np.max(np.abs(out.w)) < 1e-12
             assert normal_equation_residual(prob, out) < 1e-8
 
     def test_monotone_regularisation(self):
