@@ -367,15 +367,24 @@ def train_lorenz_readout(
     first coordinate for forecasting. States x_0, ..., x_{ell-1} pair with
     the targets, and the first DEFAULT_BURN_IN (100) pairs are dropped as
     transient.
+
+    The reservoir is driven into the first n columns of one
+    (ell + 1, n + 1) array and the targets fill its last column, so the
+    returned states are a view of the design's first n columns and the
+    problem's design is rows DEFAULT_BURN_IN..ell-1 of that array,
+    wrapped without a copy. Row ell, the state after the last input,
+    pairs with no target; its target cell holds NaN.
     """
     spec = generate(standard_esn(n, seed))
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
-    states = drive(spec, inputs, np.zeros(n))
+    design = np.empty((ell + 1, n + 1))
+    states = drive(spec, inputs, np.zeros(n), out=design[:, :n])
     if target == "zeta":
-        targets = trajectory.samples[:ell, 2]
+        design[:ell, n] = trajectory.samples[:ell, 2]
     else:
-        targets = trajectory.samples[1 : ell + 1, 0]
-    problem = RegressionProblem(states.samples[DEFAULT_BURN_IN:ell], targets[DEFAULT_BURN_IN:])
+        design[:ell, n] = trajectory.samples[1 : ell + 1, 0]
+    design[ell, n] = np.nan
+    problem = RegressionProblem.from_design(design[DEFAULT_BURN_IN:ell])
     readout = solve_offline(problem, lam=lam)
     return spec, states, readout, problem
 
@@ -416,11 +425,13 @@ def run_lorenz_forecast(seed: int, *, n: int, ell: int, lam: float, horizon: int
     spec, states, readout, _ = train_lorenz_readout(
         trajectory, n, ell, lam, seed, target="next_xi"
     )
+    # Before the autonomous orbit exists, so the SVD's copies and the
+    # orbit are never held at once.
+    variances = explained_variances(states.samples[DEFAULT_BURN_IN:], 3)
     auto = autonomous_drive(spec, readout.w, states.samples[ell], horizon)
     forecast = auto.samples[:-1] @ readout.w
     truth = trajectory.samples[ell + 1 : ell + horizon + 1, 0]
     times = np.arange(ell + 1, ell + horizon + 1) * trajectory.step
-    variances = explained_variances(states.samples[DEFAULT_BURN_IN:], 3)
     return {
         "forecast.csv": csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
         "forecast_summary.json": {

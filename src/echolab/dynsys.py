@@ -15,21 +15,21 @@ of any length holds one stack in memory.
 
 Every map iteration (`drive` and `autonomous_drive` in `reservoir`) runs
 through `iterate_map`, the one iteration kernel: it allocates the state
-array once and the map writes each new state into its row. Every
-iteration, the Lorenz orbit included, shares one divergence policy:
-loops run to the end with overflow warnings silenced, and
-`check_divergence` raises IntegrationDivergedError at the first step
-whose state is non-finite or beyond DIVERGENCE_THRESHOLD.
+array once, or takes the caller's, and the map writes each new state
+into its row. Every iteration, the Lorenz orbit included, shares one
+divergence policy: loops run to the end with overflow warnings
+silenced, and `check_divergence` raises IntegrationDivergedError at the
+first step whose state is non-finite or beyond DIVERGENCE_THRESHOLD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import IntegrationDivergedError
+from .errors import DimensionMismatchError, IntegrationDivergedError
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -207,17 +207,27 @@ def iterate_map(
     fmap: Callable[[np.ndarray, object, np.ndarray], object],
     x0: np.ndarray,
     inputs: Iterable,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """States x_0 = x0, x_{k+1} = f(x_k, z_k) over `inputs`, one per row.
 
-    `fmap(x, z, out)` writes x_{k+1} into `out`, which is row k + 1 of
+    `fmap(x, z, nxt)` writes x_{k+1} into `nxt`, which is row k + 1 of
     the result; `x` is row k and must not be written. `inputs` must have
-    a length; the result has len(inputs) + 1 rows of x0's size. The loop
-    runs to the end with overflow warnings silenced, then
-    `check_divergence` raises IntegrationDivergedError at the first step
-    out of range.
+    a length; the result has len(inputs) + 1 rows of x0's size. It is
+    written into `out` when given, which is then returned: a float64
+    array of exactly that shape whose rows are contiguous (unit column
+    stride), such as the leading columns of a wider array; otherwise
+    DimensionMismatchError is raised before any step. The loop runs to
+    the end with overflow warnings silenced, then `check_divergence`
+    raises IntegrationDivergedError at the first step out of range.
     """
-    out = np.empty((len(inputs) + 1, x0.shape[0]))
+    shape = (len(inputs) + 1, x0.shape[0])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or out.strides[1] != out.itemsize:
+        raise DimensionMismatchError(
+            f"out must be a float64 array of shape {shape} with contiguous rows"
+        )
     out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for x, z, nxt in zip(out, inputs, out[1:]):

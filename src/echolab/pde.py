@@ -135,16 +135,19 @@ def stacked_problem(model: RandomFeatureModel, sample: DirichletSample) -> Stack
     per-region means, so a ridge penalty of 2*lambda/(ell+ell')
     reproduces the weighted objective exactly. With ell = ell' this
     minimiser coincides with the unweighted stacking at penalty lambda.
-    The unweighted blocks are returned too, for the residuals.
+    The unweighted blocks are returned too, for the residuals. The
+    weighted blocks and targets are written straight into the problem's
+    (ell + ell', n + 1) design, which is wrapped without a copy.
     """
     ell, ell_prime = len(sample.interior), len(sample.boundary)
     laplacian = eval_feature_laplacian(model, sample.interior)
     features = eval_features(model, sample.boundary)
-    X = np.vstack([laplacian / math.sqrt(ell), features / math.sqrt(ell_prime)])
-    Y = np.concatenate(
-        [np.zeros(ell), sample.boundary_values / math.sqrt(ell_prime)]
-    )
-    return StackedProblem(RegressionProblem(X, Y), laplacian, features)
+    design = np.empty((ell + ell_prime, model.n + 1))
+    np.divide(laplacian, math.sqrt(ell), out=design[:ell, :-1])
+    np.divide(features, math.sqrt(ell_prime), out=design[ell:, :-1])
+    design[:ell, -1] = 0.0
+    np.divide(sample.boundary_values, math.sqrt(ell_prime), out=design[ell:, -1])
+    return StackedProblem(RegressionProblem.from_design(design), laplacian, features)
 
 
 def solve_dirichlet_offline(

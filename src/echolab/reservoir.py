@@ -19,7 +19,7 @@ A it already has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -148,7 +148,12 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
     )
 
 
-def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> TimeSeries:
+def drive(
+    spec: ReservoirSpec,
+    input_series: TimeSeries,
+    x0: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> TimeSeries:
     """Iterate x_{k+1} = activation(A x_k + C z_k + b) over the inputs.
 
     Output has len(input) + 1 samples and starts at x0. The input terms
@@ -157,13 +162,20 @@ def drive(spec: ReservoirSpec, input_series: TimeSeries, x0: np.ndarray) -> Time
     `ReservoirSpec.step`. Raises IntegrationDivergedError (naming the
     step) if the state leaves the finite range, as an unstable identity
     reservoir does.
+
+    `out`, if given, receives the states, as in `iterate_map`: a float64
+    (len(input) + 1, n) array with contiguous rows, such as the first n
+    columns of a wider design array. The returned series' samples are
+    then a view of `out`, and the states keep the bits they have in a
+    fresh array. Raises DimensionMismatchError for an input of the wrong
+    dimension or an `out` of the wrong shape, dtype or row layout.
     """
     if input_series.dim != spec.d:
         raise DimensionMismatchError(
             f"input dim {input_series.dim} != reservoir input dim {spec.d}"
         )
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    out = iterate_map(spec.advance, x0, input_series.samples @ spec.C.T)
+    out = iterate_map(spec.advance, x0, input_series.samples @ spec.C.T, out)
     return TimeSeries(step=input_series.step, samples=out)
 
 

@@ -4,6 +4,13 @@ Offline Tikhonov least squares through the SVD of the R factor of the
 feature matrix (taken from the QR of [X | Y], so neither Q nor the
 left singular vectors of X are formed), and the feature transform that
 turns value estimation into ordinary regression.
+
+A `RegressionProblem` holds one array, its design [X | Y], which the
+solve factors as it stands; the states X and targets Y are views of it.
+`RegressionProblem(states, targets)` copies both into a new design once.
+`RegressionProblem.from_design` wraps a design the caller has already
+laid out, such as the array a reservoir was driven into, without a copy,
+so a state matrix is never held twice.
 """
 
 from __future__ import annotations
@@ -33,20 +40,47 @@ class Readout:
             raise ValueError("readout weights must be finite")
 
 
-@dataclass
 class RegressionProblem:
-    """Feature rows X (ell x P) with scalar targets Y (ell)."""
+    """Feature rows X (ell x P) with scalar targets Y (ell), held as the
+    one design array [X | Y] of shape (ell, P + 1).
 
-    states: np.ndarray
-    targets: np.ndarray
+    `design` is what `solve_offline` factors; `states` (its first P
+    columns) and `targets` (its last column) are views of it, so writing
+    to them writes to the design. The constructor copies states and
+    targets into a new design; `from_design` wraps an existing one.
+    """
 
-    def __post_init__(self):
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        self.targets = np.asarray(self.targets, dtype=float).reshape(-1)
-        if self.states.shape[0] != self.targets.shape[0]:
+    def __init__(self, states, targets):
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        targets = np.asarray(targets, dtype=float).reshape(-1)
+        if states.shape[0] != targets.shape[0]:
             raise ValueError("row count of states must match targets")
-        if self.states.shape[0] < 1:
+        if states.ndim != 2:
+            raise ValueError("states must be a 2-D array")
+        self._set_design(np.column_stack([states, targets]))
+
+    @classmethod
+    def from_design(cls, design) -> "RegressionProblem":
+        """The problem whose design is `design`, [X | Y] with the targets
+        in the last column; a float64 array is wrapped, not copied.
+
+        Raises ValueError, with the constructor's messages, unless
+        `design` is 2-D with at least one row and two columns.
+        """
+        problem = cls.__new__(cls)
+        problem._set_design(np.asarray(design, dtype=float))
+        return problem
+
+    def _set_design(self, design: np.ndarray) -> None:
+        if design.ndim != 2:
+            raise ValueError("states must be a 2-D array")
+        if design.shape[1] < 2:
+            raise ValueError("need at least one feature column")
+        if design.shape[0] < 1:
             raise ValueError("need at least one sample")
+        self.design = design
+        self.states = design[:, :-1]
+        self.targets = design[:, -1]
 
 
 def solve_offline(
@@ -57,19 +91,21 @@ def solve_offline(
     """Ridge solution W* = sum_k sigma_k (U_k^T Q^T Y) / (sigma_k^2 + lam) V_k.
 
     X = Q R with R the first k = min(ell, P) rows of the R factor of
-    [X | Y]; the same rows of that factor's last column hold Q^T Y. The
-    SVD R = U S V^T of the k x P factor has the singular values and
-    right vectors of X, so the solve never forms Q or an ell-row U.
+    the problem's design [X | Y], which is factored as it stands, with
+    no copy made here; the same rows of that factor's last column hold
+    Q^T Y. The SVD R = U S V^T of the k x P factor has the singular
+    values and right vectors of X, so the solve never forms Q or an
+    ell-row U.
     With lam = 0 the problem must have full column rank (singular values
     below 1e-12 of the largest count as zero) or SingularProblemError is
     raised; truncate=True takes the pseudo-inverse over the surviving
     directions instead, which rank-deficient feature stacks need.
     """
-    X, Y = problem.states, problem.targets
+    X = problem.states
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     k = min(X.shape)
-    R_aug = np.linalg.qr(np.column_stack([X, Y]), mode="r")[:k]
+    R_aug = np.linalg.qr(problem.design, mode="r")[:k]
     U, sv, Vt = np.linalg.svd(R_aug[:, :-1], full_matrices=False)
     qty = R_aug[:, -1]
     keep = slice(None)

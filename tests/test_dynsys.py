@@ -11,12 +11,13 @@ from echolab.dynsys import (
     check_divergence,
     circle_rotation,
     integrate_lorenz,
+    iterate_map,
     lorenz_jacobian,
     lorenz_rhs,
     lorenz_step_jacobian,
     lorenz_tangent_maps,
 )
-from echolab.errors import IntegrationDivergedError
+from echolab.errors import DimensionMismatchError, IntegrationDivergedError
 from oracles import (
     integrate_lorenz_reference,
     lorenz_step_jacobian_reference,
@@ -171,6 +172,33 @@ class TestCheckDivergence:
         states = np.full((3, 2), 1e12)
         states[0] = np.inf
         check_divergence(states)
+
+
+def doubling(x, z, nxt):
+    """x_{k+1} = 2 x_k + z_k, written into `nxt`."""
+    np.multiply(x, 2.0, out=nxt)
+    nxt += z
+
+
+class TestIterateMap:
+    def test_out_is_filled_and_returned(self):
+        wide = np.full((4, 3), -1.0)
+        got = iterate_map(doubling, np.array([1.0, 0.5]), [1.0, 0.0, 2.0], out=wide[:, :2])
+        assert np.shares_memory(got, wide)
+        expected = [[1.0, 0.5], [3.0, 2.0], [6.0, 4.0], [14.0, 10.0]]
+        assert np.array_equal(wide[:, :2], expected)
+        assert np.array_equal(iterate_map(doubling, np.array([1.0, 0.5]), [1.0, 0.0, 2.0]), expected)
+        assert np.all(wide[:, 2] == -1.0)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((3, 2)), np.zeros((4, 3)), np.zeros((4, 4))[:, ::2], np.zeros((2, 4)).T],
+    )
+    def test_bad_out_rejected_before_any_step(self, out):
+        calls = []
+        with pytest.raises(DimensionMismatchError):
+            iterate_map(lambda *a: calls.append(a), np.zeros(2), [1.0, 0.0, 2.0], out=out)
+        assert calls == [] and np.all(out == 0.0)
 
 
 class TestCircleRotation:

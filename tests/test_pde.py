@@ -16,6 +16,7 @@ from echolab.pde import (
     grid_solution,
     sample_disc,
     solve_dirichlet_offline,
+    stacked_problem,
 )
 from echolab.reservoir import make_rng
 from echolab.training import solve_offline
@@ -159,6 +160,22 @@ class TestOfflineSolve:
 
         direct = solve_offline(RegressionProblem(X, Y), lam=lam)
         assert np.allclose(sol.readout.w, direct.w, atol=1e-10)
+
+    def test_design_is_the_stacked_weighted_blocks(self):
+        model = build_feature_model(30, seed=2)
+        sample = sample_disc(40, 25, seed=3)
+        stacked = stacked_problem(model, sample)
+        lap = eval_feature_laplacian(model, sample.interior)
+        feat = eval_features(model, sample.boundary)
+        expected = np.column_stack(
+            [
+                np.vstack([lap / np.sqrt(40), feat / np.sqrt(25)]),
+                np.concatenate([np.zeros(40), sample.boundary_values / np.sqrt(25)]),
+            ]
+        )
+        assert stacked.problem.design.tobytes() == expected.tobytes()
+        assert stacked.laplacian.tobytes() == lap.tobytes()
+        assert stacked.features.tobytes() == feat.tobytes()
 
     def test_solution_linearity_of_laplacian(self):
         # Laplacian of W^T f equals W^T (Laplacian f): check the

@@ -137,6 +137,44 @@ class TestDrive:
         expected = iterate_with_step_check(lambda x, z: spec.step(x, np.atleast_1d(z)), z, x0)
         assert drive(spec, z, x0).samples.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: generate(ReservoirGenConfig(300, 1, 0.9, 1.0, 0.5, seed=4)),
+            lambda: linear_spec(0.5 * np.eye(3), np.ones(3)),
+            lambda: example_spec(1),
+        ],
+        ids=["tanh_esn", "identity", "example"],
+    )
+    def test_out_gets_the_bits_of_a_fresh_array(self, make_spec):
+        # Drive into the first n columns of a wider array, as a design
+        # [X | Y] is laid out; the last column is left alone.
+        spec = make_spec()
+        z = scalar_series(np.random.default_rng(8).uniform(-1, 1, 200))
+        x0 = np.full(spec.n, 0.3)
+        wide = np.full((201, spec.n + 1), 5.0)
+        out = drive(spec, z, x0, out=wide[:, : spec.n])
+        assert np.shares_memory(out.samples, wide)
+        assert out.samples.tobytes() == drive(spec, z, x0).samples.tobytes()
+        assert np.all(wide[:, -1] == 5.0)
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda: np.zeros((30, 4)),  # one row short
+            lambda: np.zeros((31, 5)),  # one column too many
+            lambda: np.zeros((31, 8))[:, ::2],  # rows not contiguous
+            lambda: np.zeros((4, 31)).T,  # column-major
+            lambda: np.zeros((31, 4), dtype=np.float32),
+        ],
+    )
+    def test_bad_out_rejected_before_iterating(self, make_out):
+        spec = generate(ReservoirGenConfig(4, 1, 0.9, 1.0, 0.5, seed=1))
+        out = make_out()
+        with pytest.raises(DimensionMismatchError):
+            drive(spec, scalar_series(np.ones(30)), np.full(4, 0.5), out=out)
+        assert np.all(out == 0.0)
+
     def test_example_converges_to_its_stable_fixed_points(self):
         # Bisection oracle on tanh(2x) - x gives x* = 0.9575040240772688;
         # by symmetry -x* is the other stable fixed point.

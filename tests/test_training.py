@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from echolab.cli import train_lorenz_readout
-from echolab.dynsys import LorenzParams, integrate_lorenz
+from echolab.cli import DEFAULT_BURN_IN, standard_esn, train_lorenz_readout
+from echolab.dynsys import LorenzParams, TimeSeries, integrate_lorenz
 from echolab.errors import SingularProblemError
 from echolab.pde import build_feature_model, sample_disc, stacked_problem
-from echolab.reservoir import make_rng
+from echolab.reservoir import drive, generate, make_rng
 from echolab.stochastic import markov_value_oracle
 from echolab.training import (
     Readout,
@@ -105,6 +107,114 @@ class TestSolveOffline:
         lams = [1e-6, 1e-4, 1e-2, 1.0, 100.0]
         norms = [np.linalg.norm(solve_offline(prob, lam=l).w) for l in lams]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def laid_out(X, Y):
+    """The no-copy problem on [X | Y] written into a fresh design."""
+    design = np.empty((X.shape[0], X.shape[1] + 1))
+    design[:, :-1] = X
+    design[:, -1] = Y
+    return RegressionProblem.from_design(design)
+
+
+class TestDesign:
+    def test_constructor_copies_into_one_design(self):
+        X, Y = np.arange(6.0).reshape(3, 2), np.array([7.0, 8.0, 9.0])
+        problem = RegressionProblem(X, Y)
+        assert np.array_equal(problem.design, np.column_stack([X, Y]))
+        assert not np.shares_memory(problem.design, X)
+        assert np.shares_memory(problem.states, problem.design)
+        assert np.shares_memory(problem.targets, problem.design)
+
+    def test_from_design_wraps_without_copy(self):
+        wide = np.arange(20.0).reshape(5, 4)
+        problem = RegressionProblem.from_design(wide[1:4])
+        assert np.shares_memory(problem.design, wide)
+        assert np.array_equal(problem.states, wide[1:4, :3])
+        assert np.array_equal(problem.targets, wide[1:4, 3])
+
+    # Each malformed design beside the constructor input that lays it out.
+    @pytest.mark.parametrize(
+        "design, states, targets",
+        [
+            (np.zeros((2, 3, 4)), np.zeros((2, 3, 3)), np.zeros(2)),
+            (np.zeros(4), np.zeros((4, 0, 1)), np.zeros(4)),
+            (np.zeros((5, 1)), np.zeros((5, 0)), np.zeros(5)),
+            (np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0)),
+        ],
+    )
+    def test_from_design_rejects_with_the_constructor_message(self, design, states, targets):
+        with pytest.raises(ValueError) as wrapped:
+            RegressionProblem.from_design(design)
+        with pytest.raises(ValueError) as built:
+            RegressionProblem(states, targets)
+        assert str(wrapped.value) == str(built.value)
+
+    def test_rows_must_match(self):
+        with pytest.raises(ValueError, match="row count"):
+            RegressionProblem(np.zeros((4, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("lam, truncate", [(1e-6, False), (0.0, True)])
+    def test_no_copy_solve_has_the_copied_bits(self, lam, truncate):
+        # The lam = 0 case is rank deficient: columns 3..5 repeat 0..2.
+        rng = make_rng(5)
+        X = rng.standard_normal((200, 6))
+        if lam == 0.0:
+            X[:, 3:] = X[:, :3]
+        Y = rng.standard_normal(200)
+        copied = solve_offline(RegressionProblem(X, Y), lam=lam, truncate=truncate)
+        wrapped = solve_offline(laid_out(X, Y), lam=lam, truncate=truncate)
+        assert wrapped.w.tobytes() == copied.w.tobytes()
+
+    def test_no_copy_solve_allocates_one_design_copy(self):
+        # np.linalg.qr copies its input once (LAPACK's own buffer is not
+        # traced); building [X | Y] in the solve would make it two.
+        rng = make_rng(6)
+        problem = laid_out(rng.standard_normal((4000, 50)), rng.standard_normal(4000))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_offline(problem, lam=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.1 * problem.design.nbytes
+
+
+def readout_from_fresh_states(trajectory, n, ell, lam, seed, target):
+    """`train_lorenz_readout`'s readout with the states driven into an
+    array of their own and copied into the problem."""
+    spec = generate(standard_esn(n, seed))
+    inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
+    states = drive(spec, inputs, np.zeros(n)).samples
+    if target == "zeta":
+        targets = trajectory.samples[:ell, 2]
+    else:
+        targets = trajectory.samples[1 : ell + 1, 0]
+    problem = RegressionProblem(states[DEFAULT_BURN_IN:ell], targets[DEFAULT_BURN_IN:])
+    return solve_offline(problem, lam=lam).w
+
+
+class TestLorenzReadoutDesign:
+    # n = 300 is the benchmark's reservoir size; its products may take
+    # another BLAS path than n = 20.
+    @pytest.mark.parametrize(
+        "n, ell, seed, target",
+        [(20, 300, 1, "zeta"), (20, 300, 7, "next_xi"), (300, 1000, 42, "next_xi")],
+    )
+    def test_readout_has_the_bits_of_fresh_states(self, n, ell, seed, target):
+        trajectory = integrate_lorenz(LorenzParams(), ell + 1)
+        readout = train_lorenz_readout(trajectory, n, ell, 1e-9, seed, target)[2]
+        expected = readout_from_fresh_states(trajectory, n, ell, 1e-9, seed, target)
+        assert readout.w.tobytes() == expected.tobytes()
+
+    def test_problem_design_is_the_driven_array(self):
+        trajectory = integrate_lorenz(LorenzParams(), 300)
+        _, states, _, problem = train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, "zeta")
+        assert np.shares_memory(problem.design, states.samples)
+        assert np.shares_memory(problem.states, states.samples)
+        assert np.array_equal(problem.states, states.samples[DEFAULT_BURN_IN:300])
+        assert np.array_equal(problem.targets, trajectory.samples[DEFAULT_BURN_IN:300, 2])
 
 
 class TestSolveMatchesThinSvdReference:
