@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .dynsys import (
+    LORENZ_MAX_EXPONENT,
     LorenzParams,
     TimeSeries,
     WING_FIXED_POINT,
@@ -73,6 +74,7 @@ from .stochastic import (
     value_mc,
 )
 from .topology import (
+    ATTRACTOR_RIPS_DIM,
     PersistenceDiagram,
     attractor_h1_experiment,
     boundary_matrix,
@@ -87,6 +89,11 @@ EXIT_RUNTIME = 3
 
 # Reservoir states dropped as transient before a Lorenz readout is fitted.
 DEFAULT_BURN_IN = 100
+
+# A forecast is valid while its error, normalised by the RMS of the
+# training inputs, stays at or below this (Pathak et al. 2018, with the
+# valid time in Lyapunov times lambda_1 * t).
+VALID_ERROR = 0.4
 
 
 class Param(NamedTuple):
@@ -346,8 +353,23 @@ def _distinct_texts(column: np.ndarray) -> Optional[list]:
     return texts[inverse].tolist()
 
 
+def listed_pairs(diagram: PersistenceDiagram, top: int) -> PersistenceDiagram:
+    """The pairs a diagram artifact lists: degree below `top`, the top
+    dimension of the filtration the diagram was computed from, and death
+    greater than birth; an infinite death is kept.
+
+    With no (top + 1)-simplices nothing can kill a top-degree class, so
+    those rows say nothing about the shape; a pair [b, b) is alive at no
+    epsilon. Ripser lists the same pairs (Bauer, J. Appl. Comput. Topol.
+    5, 391, 2021). Row order is kept, and the Betti numbers of the listed
+    pairs equal those of the full diagram in every degree below `top`.
+    """
+    keep = (diagram.degree < top) & (diagram.death > diagram.birth)
+    return PersistenceDiagram(diagram.degree[keep], diagram.birth[keep], diagram.death[keep])
+
+
 def diagram_csv(diagram: PersistenceDiagram) -> str:
-    """One `degree,birth,death` row per persistence pair."""
+    """One `degree,birth,death` row per pair; callers pass `listed_pairs`."""
     return csv_text(["degree", "birth", "death"], [diagram.degree, diagram.birth, diagram.death])
 
 
@@ -362,28 +384,27 @@ def train_lorenz_readout(
     """Shared pipeline: drive a reservoir with a Lorenz orbit and fit a readout.
 
     `trajectory` holds at least ell + 1 samples; its first coordinate
-    xi_0, ..., xi_{ell-1} drives the reservoir. target 'zeta' learns the
-    third coordinate from the first; 'next_xi' learns the one-step-ahead
-    first coordinate for forecasting. States x_0, ..., x_{ell-1} pair with
-    the targets, and the first DEFAULT_BURN_IN (100) pairs are dropped as
+    xi_0, ..., xi_{ell-1} drives the reservoir, so state x_k has seen
+    xi_0, ..., xi_{k-1}. State x_k pairs with sample k of the target:
+    target 'zeta' learns the third coordinate zeta_k; 'next_xi' learns
+    xi_k, the input x_k has not yet seen, which is the map
+    `autonomous_drive` runs when it feeds the readout back as the next
+    input. The first DEFAULT_BURN_IN (100) pairs are dropped as
     transient.
 
     The reservoir is driven into the first n columns of one
     (ell + 1, n + 1) array and the targets fill its last column, so the
     returned states are a view of the design's first n columns and the
     problem's design is rows DEFAULT_BURN_IN..ell-1 of that array,
-    wrapped without a copy. Row ell, the state after the last input,
-    pairs with no target; its target cell holds NaN.
+    wrapped without a copy. Every cell is written: row ell, the state
+    after the last input, holds target sample ell, which the fit does
+    not read.
     """
     spec = generate(standard_esn(n, seed))
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
     design = np.empty((ell + 1, n + 1))
     states = drive(spec, inputs, np.zeros(n), out=design[:, :n])
-    if target == "zeta":
-        design[:ell, n] = trajectory.samples[:ell, 2]
-    else:
-        design[:ell, n] = trajectory.samples[1 : ell + 1, 0]
-    design[ell, n] = np.nan
+    design[:, n] = trajectory.samples[: ell + 1, 2 if target == "zeta" else 0]
     problem = RegressionProblem.from_design(design[DEFAULT_BURN_IN:ell])
     readout = solve_offline(problem, lam=lam)
     return spec, states, readout, problem
@@ -428,16 +449,27 @@ def run_lorenz_forecast(seed: int, *, n: int, ell: int, lam: float, horizon: int
     # Before the autonomous orbit exists, so the SVD's copies and the
     # orbit are never held at once.
     variances = explained_variances(states.samples[DEFAULT_BURN_IN:], 3)
+    # x_ell has seen xi_0..xi_{ell-1}, so x_{ell+j} . w forecasts xi_{ell+j}.
     auto = autonomous_drive(spec, readout.w, states.samples[ell], horizon)
     forecast = auto.samples[:-1] @ readout.w
-    truth = trajectory.samples[ell + 1 : ell + horizon + 1, 0]
-    times = np.arange(ell + 1, ell + horizon + 1) * trajectory.step
+    truth = trajectory.samples[ell : ell + horizon, 0]
+    times = np.arange(ell, ell + horizon) * trajectory.step
+    scale = float(np.sqrt(np.mean(trajectory.samples[:ell, 0] ** 2)))
+    # Steps before the normalised error first exceeds VALID_ERROR; `not <=`
+    # also ends the window at a non-finite forecast.
+    over = np.flatnonzero(~(np.abs(forecast - truth) <= VALID_ERROR * scale))
+    steps = int(over[0]) if over.size else horizon
     return {
         "forecast.csv": csv_text(["t", "true_xi", "forecast_xi"], [times, truth, forecast]),
         "forecast_summary.json": {
             "horizon": horizon,
             "bounded": bool(np.max(np.abs(auto.samples)) < 1e6),
             "explained_variance": variances.tolist(),
+            "valid_steps": steps,
+            "valid_lyapunov_times": steps * trajectory.step * LORENZ_MAX_EXPONENT,
+            "valid_error_threshold": VALID_ERROR,
+            "error_scale": scale,
+            "lyapunov_exponent": LORENZ_MAX_EXPONENT,
         },
     }
 
@@ -457,7 +489,10 @@ def run_fixed_point(seed: int, *, n: int, ell: int, lam: float, tau: float) -> A
     start = wing_start_state(spec)
     result = newton_fixed_point(psi, lambda x: esn_jacobian(spec, readout.w, x), start)
     reference = lorenz_linearization_eigs(tau=tau)
+    # By increasing modulus, then angle: the order `eigvals` returns can
+    # change under a rounding-level move of x*.
     esn_eigs = result.jacobian_eigs
+    esn_eigs = esn_eigs[np.lexsort((np.angle(esn_eigs), np.abs(esn_eigs)))]
     dists = [np.min(np.abs(esn_eigs - ref)) for ref in reference]
     matched = [int(np.argmin(np.abs(esn_eigs - ref))) for ref in reference]
     rest = np.delete(np.abs(esn_eigs), matched)
@@ -504,14 +539,20 @@ def run_lyapunov(seed: int, *, n_iter: int, tau: float) -> Artifacts:
 
 
 def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: float) -> Artifacts:
+    """The hexagon's boundary matrices, Betti profiles and diagram, or
+    the Lorenz landmark diagram and its H1 summary.
+
+    Both diagrams list `listed_pairs` of the full persistence diagram,
+    and the hexagon's profiles count those pairs in degrees 0..top-1.
+    """
     if source == "hexagon":
         filt = hexagon_example_filtration()
-        diagram = persistence(filt)
-        dims = range(filt.max_dimension() + 1)
+        top = filt.max_dimension()
+        diagram = listed_pairs(persistence(filt), top)
         profile = {}
         for key, eps in (("at_1", 1.0), ("at_sqrt3", float(np.sqrt(3))), ("at_2", 2.0)):
             curve = diagram.betti_at(eps)
-            profile[key] = [curve.get(k, 0) for k in dims]
+            profile[key] = [curve.get(k, 0) for k in range(top)]
         return {
             "boundary_1.csv": csv_text([], boundary_matrix(filt, 1, eps=1.9).T),
             "boundary_2.csv": csv_text([], boundary_matrix(filt, 2, eps=1.9).T),
@@ -523,7 +564,7 @@ def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: f
         trajectory.samples[ell // 2 :], subsample=subsample, max_eps=max_eps
     )
     return {
-        "diagram.csv": diagram_csv(res.diagram),
+        "diagram.csv": diagram_csv(listed_pairs(res.diagram, ATTRACTOR_RIPS_DIM)),
         "h1_summary.json": {
             "gap_ratio": res.gap_ratio,
             "top_persistences": res.top_persistences,

@@ -86,6 +86,10 @@ class LorenzParams:
 # Wing equilibrium used by the fixed-point diagnostics.
 WING_FIXED_POINT = np.array([6.0 * np.sqrt(2.0), 6.0 * np.sqrt(2.0), 27.0])
 
+# Largest Lyapunov exponent of the classical Lorenz system, per unit time
+# (Sprott, Chaos and Time-Series Analysis, 2003); `lyapunov` reproduces it.
+LORENZ_MAX_EXPONENT = 0.9056
+
 
 def lorenz_rhs(state: np.ndarray, params: LorenzParams) -> np.ndarray:
     """Lorenz vector field at a (3,) state or at each row of a (k, 3) batch."""

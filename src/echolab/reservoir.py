@@ -108,27 +108,6 @@ def spectral_radius(A: np.ndarray) -> Union[float, np.ndarray]:
     return float(rho) if rho.ndim == 0 else rho
 
 
-def matrix_2norm(A: np.ndarray) -> float:
-    """2-norm by power iteration on A^T A, with a dense fallback.
-
-    Stops once the estimate of ||A||_2^2 moves by at most 1e-10
-    relative, or after 1000 iterations falls back to the dense norm.
-    """
-    AtA = A.T @ A
-    v = np.ones(A.shape[1]) / np.sqrt(A.shape[1])
-    prev = 0.0
-    for _ in range(1000):
-        w = AtA @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= 1e-10 * norm:
-            return float(np.sqrt(norm))
-        prev = norm
-    return float(np.linalg.norm(A, 2))
-
-
 def generate(config: ReservoirGenConfig) -> ReservoirSpec:
     """Draw a ReservoirSpec deterministically from the config seed.
 
@@ -137,7 +116,7 @@ def generate(config: ReservoirGenConfig) -> ReservoirSpec:
     rng = make_rng(config.seed)
     n = config.n
     A = rng.uniform(-1.0, 1.0, (n, n))
-    norm = matrix_2norm(A)
+    norm = float(np.linalg.norm(A, 2))
     if norm == 0.0:
         raise DegenerateMatrixError("zero matrix cannot be rescaled")
     A *= config.a_norm / norm

@@ -22,9 +22,11 @@ k-simplex row gains a common upper neighbour of all its vertices.
 Extended in lexicographic order, the rows come out in lexicographic
 order, and one stable sort by value puts each dimension in filtration
 order. The simplices stay materialised rather than enumerated
-implicitly by combinatorial index: every simplex of the top dimension
-that does not kill a class is an essential class and is listed in the
-diagram, so the top simplices are enumerated anyway. Hand-built
+implicitly by combinatorial index: the top simplices are the cofaces
+the last reduction reads, and every one that does not kill a class is
+an essential class of the full diagram `persistence` returns, so they
+are enumerated anyway. (The diagram artifacts leave those classes out:
+with no simplex of one dimension more, nothing could kill them.) Hand-built
 filtrations enter through a list constructor, and one generic path
 serves them and Rips alike. Boundary matrices and coboundaries share
 one face lookup, `_facet_index`. The diagram is likewise a set of
@@ -494,6 +496,10 @@ def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:
     return np.array(chosen)
 
 
+# The attractor's Rips complex stops at triangles, the simplices that kill H1 loops.
+ATTRACTOR_RIPS_DIM = 2
+
+
 @dataclass
 class AttractorH1Result:
     diagram: PersistenceDiagram
@@ -518,7 +524,7 @@ def attractor_h1_experiment(
     if float(np.linalg.norm(diam_probe)) == 0.0:
         raise DegenerateCloudError("all points coincide")
     landmarks = pts[maxmin_subsample(pts, subsample)]
-    diagram = persistence(rips_filtration(landmarks, max_dim=2, max_eps=max_eps))
+    diagram = persistence(rips_filtration(landmarks, ATTRACTOR_RIPS_DIM, max_eps=max_eps))
     h1 = diagram.degree == 1
     lifetimes = np.minimum(diagram.death[h1], max_eps) - diagram.birth[h1]
     persistences = np.sort(lifetimes)[::-1].tolist()

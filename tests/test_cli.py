@@ -18,15 +18,25 @@ from echolab.cli import (
     ExperimentConfig,
     _distinct_texts,
     csv_text,
+    diagram_csv,
+    listed_pairs,
     load_config,
     main,
     parse_config_text,
     run,
     train_lorenz_readout,
     validate,
+    wing_start_state,
 )
+from echolab.diagnostics import esn_jacobian, lorenz_linearization_eigs, newton_fixed_point
 from echolab.dynsys import LorenzParams, TimeSeries, circle_rotation, integrate_lorenz
-from echolab.reservoir import ReservoirSpec, autonomous_drive, drive
+from echolab.reservoir import ReservoirSpec, autonomous_drive, autonomous_map, drive
+from echolab.topology import (
+    attractor_h1_experiment,
+    hexagon_example_filtration,
+    persistence,
+    rips_filtration,
+)
 from oracles import csv_text_reference, iterate_with_step_check
 
 
@@ -43,6 +53,43 @@ def _benchmark_workloads():
 BENCHMARK_WORKLOADS = _benchmark_workloads()
 # Every experiment the benchmark runs, Lorenz `homology` included, at its warm-up sizes.
 TINY_STEPS = [step for name in sorted(BENCHMARK_WORKLOADS) for step in BENCHMARK_WORKLOADS[name](1, True)]
+
+
+def full_diagram(source):
+    """The top dimension, full persistence diagram and config parameters
+    of a `homology` source: the hexagon, or the tiny Lorenz config."""
+    if source == "hexagon":
+        filt = hexagon_example_filtration()
+        return filt.max_dimension(), persistence(filt), {}
+    (step,) = BENCHMARK_WORKLOADS["attractor_h1"](1, True)
+    ell = step.params["ell"]
+    points = integrate_lorenz(LorenzParams(), ell).samples[ell // 2 :]
+    diagram = attractor_h1_experiment(
+        points, subsample=step.params["subsample"], max_eps=step.params["max_eps"]
+    ).diagram
+    return 2, diagram, step.params
+
+
+def diagram_rows(text):
+    """The degree, birth and death columns of diagram CSV text."""
+    lines = text.splitlines()
+    assert lines[0] == "degree,birth,death"
+    cells = [line.split(",") for line in lines[1:]]
+    degree = np.array([int(row[0]) for row in cells], dtype=np.int64)
+    birth, death = (np.array([float(row[i]) for row in cells]) for i in (1, 2))
+    return degree, birth, death
+
+
+def betti_of_rows(rows, eps, top):
+    """Betti numbers 0..top-1 at eps counted from diagram rows."""
+    degree, birth, death = rows
+    alive = (birth <= eps) & (eps < death)
+    return [int(np.count_nonzero(alive & (degree == k))) for k in range(top)]
+
+
+def betti_below(diagram, eps, top):
+    curve = diagram.betti_at(eps)
+    return [curve.get(k, 0) for k in range(top)]
 
 
 def write_config(tmp_path, text):
@@ -249,44 +296,59 @@ class TestRun:
         assert (outdir / "boundary_2.csv").exists()
         assert (outdir / "diagram.csv").exists()
 
-    def test_homology_hexagon_profiles_come_from_one_diagram(self, tmp_path):
-        # betti.json and diagram.csv read the same bytes as a fresh
-        # persistence call for each Betti profile and one for the diagram.
-        from echolab.topology import hexagon_example_filtration, persistence
+    @pytest.mark.parametrize("source", ["hexagon", "lorenz"])
+    def test_diagram_lists_the_masked_pairs(self, tmp_path, source):
+        # diagram.csv holds, as a cell-by-cell writer formats them, the rows
+        # of the full diagram whose degree is below the filtration's top
+        # dimension and whose death is after their birth.
+        top, full, params = full_diagram(source)
+        config = ExperimentConfig("homology", 1, str(tmp_path), parameters=params)
+        assert run(config) == EXIT_OK
+        # The full diagram has rows of both kinds to leave out.
+        assert np.any(full.degree == top) and np.any(full.death == full.birth)
+        keep = (full.degree < top) & (full.death > full.birth)
+        want = csv_text_reference(
+            ["degree", "birth", "death"], [full.degree[keep], full.birth[keep], full.death[keep]]
+        )
+        text = (tmp_path / "diagram.csv").read_text()
+        assert text == want
+        degree, birth, death = diagram_rows(text)
+        assert np.all(degree < top) and np.all(death > birth)
+        assert np.isinf(death).any()
 
-        config = ExperimentConfig(experiment="homology", seed=1, output_dir=str(tmp_path))
+    def test_hexagon_lists_seven_pairs_and_counts_them(self, tmp_path):
+        config = ExperimentConfig("homology", 1, str(tmp_path))
         assert run(config) == EXIT_OK
         filt = hexagon_example_filtration()
-
-        def betti(eps):
-            curve = persistence(filt).betti_at(eps)
-            return [curve.get(k, 0) for k in range(filt.max_dimension() + 1)]
-
-        expected = {"at_1": betti(1.0), "at_sqrt3": betti(float(np.sqrt(3))), "at_2": betti(2.0)}
-        assert (tmp_path / "betti.json").read_text() == json.dumps(expected)
-        lines = (tmp_path / "diagram.csv").read_text().splitlines()
-        assert lines[0] == "degree,birth,death"
-        degree, birth, death = zip(*(line.split(",") for line in lines[1:]))
-        diagram = persistence(filt)
-        assert np.array([int(v) for v in degree]).tobytes() == diagram.degree.tobytes()
-        assert np.array([float(v) for v in birth]).tobytes() == diagram.birth.tobytes()
-        assert np.array([float(v) for v in death]).tobytes() == diagram.death.tobytes()
-
-    def test_lorenz_diagram_matches_the_cell_by_cell_writer(self, tmp_path):
-        from echolab.topology import attractor_h1_experiment
-
-        (step,) = BENCHMARK_WORKLOADS["attractor_h1"](1, True)
-        config = ExperimentConfig("homology", step.seed, str(tmp_path), parameters=step.params)
-        assert run(config) == EXIT_OK
-        ell = step.params["ell"]
-        points = integrate_lorenz(LorenzParams(), ell).samples[ell // 2 :]
-        diagram = attractor_h1_experiment(
-            points, subsample=step.params["subsample"], max_eps=step.params["max_eps"]
-        ).diagram
-        want = csv_text_reference(
-            ["degree", "birth", "death"], [diagram.degree, diagram.birth, diagram.death]
+        full = persistence(filt)
+        top = filt.max_dimension()
+        rows = diagram_rows((tmp_path / "diagram.csv").read_text())
+        # Five components merge at 1, one lives on, and the central hole
+        # lives on [1, 2); the other 24 pairs of the full diagram are
+        # zero-length or of degree 3.
+        assert len(full.degree) == 31
+        assert list(zip(*(column.tolist() for column in rows))) == (
+            [(0, 0.0, 1.0)] * 5 + [(0, 0.0, math.inf), (1, 1.0, 2.0)]
         )
-        assert (tmp_path / "diagram.csv").read_text() == want
+        betti = json.loads((tmp_path / "betti.json").read_text())
+        assert betti == {"at_1": [1, 1, 0], "at_sqrt3": [1, 1, 0], "at_2": [1, 0, 0]}
+        for key, eps in (("at_1", 1.0), ("at_sqrt3", math.sqrt(3.0)), ("at_2", 2.0)):
+            assert betti[key] == betti_of_rows(rows, eps, top) == betti_below(full, eps, top)
+        for eps in (0.0, 0.5, 1.5, 1.8, 2.5):
+            assert betti_of_rows(rows, eps, top) == betti_below(full, eps, top)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_listed_pairs_keep_the_betti_numbers_of_random_clouds(self, seed):
+        points = np.random.default_rng(seed).uniform(size=(12, 2))
+        filt = rips_filtration(points, max_dim=3, max_eps=0.8)
+        assert filt.max_dimension() == 3
+        full = persistence(filt)
+        assert np.any(full.degree == 3) and np.any(full.death == full.birth)
+        rows = diagram_rows(diagram_csv(listed_pairs(full, 3)))
+        assert np.all(rows[0] < 3) and np.all(rows[2] > rows[1])
+        values = np.unique(np.concatenate(filt.values))
+        for eps in np.concatenate([values, (values[:-1] + values[1:]) / 2, [values[-1] + 1]]):
+            assert betti_of_rows(rows, eps, 3) == betti_below(full, eps, 3)
 
     @pytest.mark.parametrize("step", TINY_STEPS, ids=lambda step: step.label)
     def test_reproducible_bytes(self, tmp_path, step):
@@ -597,18 +659,41 @@ class TestEsnPipelines:
         spec, states, readout, _ = train_lorenz_readout(
             trajectory, 20, 300, 1e-9, 1, target="next_xi"
         )
+        # x_300 has seen xi_0..xi_299, so the first forecast is of xi_300.
         auto = autonomous_drive(spec, readout.w, states.samples[300], 50)
         header, values = read_csv(tmp_path / "forecast.csv")
         assert header == "t,true_xi,forecast_xi"
         assert values.shape == (50, 3)
-        assert np.array_equal(values[:, 0], np.arange(301, 351) * trajectory.step)
-        assert np.array_equal(values[:, 1], trajectory.samples[301:, 0])
+        assert np.array_equal(values[:, 0], np.arange(300, 350) * trajectory.step)
+        assert np.array_equal(values[:, 1], trajectory.samples[300:350, 0])
         # The one orbit's training prefix is the orbit lorenz_train integrates.
         short = integrate_lorenz(LorenzParams(), 300).samples
         assert trajectory.samples[:301].tobytes() == short.tobytes()
         assert np.array_equal(values[:, 2], auto.samples[:-1] @ readout.w)
         summary = json.loads((tmp_path / "forecast_summary.json").read_text())
         assert summary["horizon"] == 50 and len(summary["explained_variance"]) == 3
+        scale = np.sqrt(np.mean(trajectory.samples[:300, 0] ** 2))
+        assert summary["error_scale"] == scale
+        assert (summary["valid_error_threshold"], summary["lyapunov_exponent"]) == (0.4, 0.9056)
+        error = np.abs(values[:, 2] - values[:, 1]) / scale
+        steps = summary["valid_steps"]
+        assert np.all(error[:steps] <= 0.4) and (steps == 50 or error[steps] > 0.4)
+        assert summary["valid_lyapunov_times"] == steps * 0.01 * 0.9056
+
+    def test_forecast_stays_valid_for_tens_of_steps(self, tmp_path):
+        # n = 100, ell = 3000 stays valid for 44-79 steps at seeds 0-11
+        # (60 at seed 42); a readout trained one step further ahead than
+        # the map it drives is off after 1 or 2.
+        config = ExperimentConfig(
+            "lorenz_forecast", seed=42, output_dir=str(tmp_path),
+            parameters={"n": 100, "ell": 3000, "horizon": 200},
+        )
+        assert run(config) == EXIT_OK
+        summary = json.loads((tmp_path / "forecast_summary.json").read_text())
+        assert summary["bounded"]
+        assert summary["valid_steps"] >= 30
+        _, values = read_csv(tmp_path / "forecast.csv")
+        assert np.all(np.abs(values[:30, 2] - values[:30, 1]) <= 5.0)
 
     def test_fixed_point(self, tmp_path):
         self.run_experiment(tmp_path, "fixed_point")
@@ -618,8 +703,21 @@ class TestEsnPipelines:
         assert values.shape == (20, 2)
         assert np.array_equal(values[:, 0], result["jacobian_eigs_real"])
         assert np.array_equal(values[:, 1], result["jacobian_eigs_imag"])
+        # Rows by increasing modulus, then angle.
+        eigs = values[:, 0] + 1j * values[:, 1]
+        assert np.array_equal(np.lexsort((np.angle(eigs), np.abs(eigs))), np.arange(20))
+        # The same eigenvalues as the unsorted ones, and the same matches.
+        trajectory = integrate_lorenz(LorenzParams(), 300)
+        spec, _, readout, _ = train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, "next_xi")
+        unsorted = newton_fixed_point(
+            autonomous_map(spec, readout.w),
+            lambda x: esn_jacobian(spec, readout.w, x),
+            wing_start_state(spec),
+        ).jacobian_eigs
+        assert np.array_equal(np.sort_complex(unsorted), np.sort_complex(eigs))
         match = json.loads((tmp_path / "eigenvalue_match.json").read_text())
-        assert len(match["match_distances"]) == 3
+        reference = lorenz_linearization_eigs(tau=0.01)
+        assert match["match_distances"] == [float(np.min(np.abs(unsorted - r))) for r in reference]
 
 
 class TestMain:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -20,7 +21,6 @@ from echolab.reservoir import (
     drive,
     generate,
     make_rng,
-    matrix_2norm,
     spectral_radius,
 )
 from oracles import iterate_with_step_check, linear_gs_series_reference
@@ -58,11 +58,17 @@ def linear_spec(A, C, seed=0):
 
 
 class TestGenerate:
-    def test_rescaled_2norm_hits_target(self):
-        for seed in (0, 1, 2):
-            cfg = ReservoirGenConfig(40, 1, 1.0, 0.05, 0.05, seed=seed)
-            spec = generate(cfg)
-            assert abs(np.linalg.norm(spec.A, 2) - 1.0) < 1e-10
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 42, 601])
+    def test_rescaled_2norm_hits_target(self, seed):
+        spec = generate(ReservoirGenConfig(40, 1, 0.8, 0.05, 0.05, seed=seed))
+        assert abs(np.linalg.norm(spec.A, 2) - 0.8) < 1e-12
+
+    def test_forecasting_reservoir_of_seed_42_keeps_its_bits(self):
+        # The dense 2-norm is the value the power iteration it replaced
+        # fell back to at n = 300, seed 42, so this A is unchanged.
+        A = generate(ReservoirGenConfig(300, 1, 1.0, 0.05, 0.05, seed=42)).A
+        digest = hashlib.sha256(A.tobytes()).hexdigest()
+        assert digest == "49617ae8b6adc77ea812cfd497ce71d0285e0e2abb167a6b91388bbd3623bfdc"
 
     def test_input_and_bias_within_their_ranges(self):
         spec = generate(ReservoirGenConfig(50, 3, 0.9, 0.2, 0.05, seed=6))
@@ -263,14 +269,6 @@ class TestAutonomousDrive:
 
 
 class TestContraction:
-    def test_global_contraction_reports_norm(self):
-        # ||A||_2 < 1 makes the state map a global contraction.
-        assert abs(matrix_2norm(0.9 * np.eye(3)) - 0.9) < 1e-10
-
-    def test_lower_shift_not_contracting(self):
-        # ||A||_2 bounds the state-contraction factor; the shift has norm 1.
-        assert abs(matrix_2norm(lower_shift_matrix(3)) - 1.0) < 1e-10
-
     def test_esp_decay_bound(self):
         cfg = ReservoirGenConfig(10, 1, 0.5, 0.2, 0.1, seed=8)
         spec = generate(cfg)
@@ -468,11 +466,5 @@ class TestStackedConditions:
 
 
 class TestNormHelpers:
-    def test_power_iteration_matches_svd(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            A = rng.standard_normal((30, 30))
-            assert abs(matrix_2norm(A) - np.linalg.norm(A, 2)) < 1e-8 * np.linalg.norm(A, 2)
-
     def test_spectral_radius_diagonal(self):
         assert abs(spectral_radius(np.diag([0.3, -2.0, 1.1])) - 2.0) < 1e-12

@@ -187,10 +187,7 @@ def readout_from_fresh_states(trajectory, n, ell, lam, seed, target):
     spec = generate(standard_esn(n, seed))
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
     states = drive(spec, inputs, np.zeros(n)).samples
-    if target == "zeta":
-        targets = trajectory.samples[:ell, 2]
-    else:
-        targets = trajectory.samples[1 : ell + 1, 0]
+    targets = trajectory.samples[:ell, 2 if target == "zeta" else 0]
     problem = RegressionProblem(states[DEFAULT_BURN_IN:ell], targets[DEFAULT_BURN_IN:])
     return solve_offline(problem, lam=lam).w
 
@@ -207,6 +204,28 @@ class TestLorenzReadoutDesign:
         readout = train_lorenz_readout(trajectory, n, ell, 1e-9, seed, target)[2]
         expected = readout_from_fresh_states(trajectory, n, ell, 1e-9, seed, target)
         assert readout.w.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("target", ["zeta", "next_xi"])
+    def test_every_design_cell_is_written(self, monkeypatch, target):
+        # Fresh float arrays start as NaN here, so a cell that is read
+        # before it is written, or never written, shows up as NaN.
+        empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        trajectory = integrate_lorenz(LorenzParams(), 300)
+        monkeypatch.setattr(np, "empty", nan_filled)
+        _, states, readout, problem = train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, target)
+        monkeypatch.undo()
+        design = problem.design.base
+        assert design is states.samples.base and design.shape == (301, 21)
+        assert np.all(np.isfinite(design)) and np.all(np.isfinite(readout.w))
+        column = 2 if target == "zeta" else 0
+        assert np.array_equal(design[:, 20], trajectory.samples[:301, column])
 
     def test_problem_design_is_the_driven_array(self):
         trajectory = integrate_lorenz(LorenzParams(), 300)
