@@ -46,8 +46,10 @@ from .dynsys import (
     lorenz_tangent_maps,
 )
 from .diagnostics import (
+    LORENZ_EXPONENT_SPREAD,
     esn_jacobian,
     lorenz_linearization_eigs,
+    lorenz_reorth_interval,
     lyapunov_qr,
     explained_variances,
     newton_fixed_point,
@@ -425,7 +427,6 @@ def run_lorenz_train(seed: int, *, n: int, ell: int, lam: float) -> Artifacts:
         "readout.json": {
             "w": readout.w.tolist(),
             "lambda": readout.lam,
-            "provenance": readout.provenance,
             "burn_in": DEFAULT_BURN_IN,
         },
         "reservoir.json": {
@@ -517,15 +518,15 @@ def run_fixed_point(seed: int, *, n: int, ell: int, lam: float, tau: float) -> A
 
 def run_lyapunov(seed: int, *, n_iter: int, tau: float) -> Artifacts:
     settle = integrate_lorenz(LorenzParams(tau=tau), 1000)
-    # At the default tau = 0.01 the frame's columns separate by about
-    # exp((lambda_1 - lambda_3) * 10 * tau) = exp(15.5 * 0.1) ~ 4.7 over
-    # 10 steps, far from ill-conditioned, so one QR per 10 steps gives the
-    # exponents of a QR per step to 6e-14 (measured 5.9e-14 at the default
-    # 200k steps) at a tenth of the factorisations.
+    # The longest QR interval whose frame growth stays within
+    # REORTH_GROWTH_BOUND = 1e4: 50 steps at the default tau = 0.01, a
+    # growth of exp(15.48 * 0.5) ~ 2.3e3, where the exponents match one QR
+    # per step to 2.4e-13 over 20k steps (one QR per 100 steps: 1.4e-7).
+    reorth_every = lorenz_reorth_interval(tau)
     result = lyapunov_qr(
         lorenz_tangent_maps(LorenzParams(tau=tau, initial=settle.samples[-1]), n_iter),
         tau=tau,
-        reorth_every=10,
+        reorth_every=reorth_every,
     )
     header = ["iter"] + [f"lambda_{i+1}" for i in range(result.exponents.shape[0])]
     return {
@@ -533,6 +534,8 @@ def run_lyapunov(seed: int, *, n_iter: int, tau: float) -> Artifacts:
             "exponents": result.exponents.tolist(),
             "n_iterations": result.n_iterations,
             "running_mean_drift": result.running_mean_drift,
+            "reorth_every": reorth_every,
+            "reorth_growth": math.exp(LORENZ_EXPONENT_SPREAD * reorth_every * tau),
         },
         "lyapunov_trace.csv": csv_text(header, result.running_means.T),
     }

@@ -30,7 +30,6 @@ class Readout:
 
     w: np.ndarray
     lam: float = 0.0
-    provenance: str = "offline_svd"
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float).reshape(-1)
@@ -120,7 +119,7 @@ def solve_offline(
     sv, U, Vt = sv[keep], U[:, keep], Vt[keep]
     coeffs = sv * (U.T @ qty) / (sv**2 + lam)
     w = Vt.T @ coeffs
-    return Readout(w=w, lam=lam, provenance="offline_svd")
+    return Readout(w=w, lam=lam)
 
 
 def value_targets(

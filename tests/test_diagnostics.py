@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from echolab.diagnostics import (
+    RECORD_EVERY,
     FixedPointResult,
     _gram_schmidt,
     esn_jacobian,
     explained_variances,
     lorenz_linearization_eigs,
+    lorenz_reorth_interval,
     lyapunov_qr,
     newton_fixed_point,
 )
 from echolab.dynsys import (
+    TANGENT_CHUNK,
     WING_FIXED_POINT,
     LorenzParams,
     TimeSeries,
@@ -293,6 +296,28 @@ class TestGramSchmidt:
         assert _gram_schmidt([[1.0, 0.0], [2.0, 0.0]]) is None
 
 
+class TestLorenzReorthInterval:
+    @pytest.mark.parametrize(
+        "tau, interval", [(0.001, 100), (0.01, 50), (0.05, 10), (0.1, 5), (1.0, 1)]
+    )
+    def test_interval_table(self, tau, interval):
+        assert lorenz_reorth_interval(tau) == interval
+        assert RECORD_EVERY % interval == 0
+        assert TANGENT_CHUNK % interval == 0
+
+    def test_interval_keeps_the_growth_bound(self):
+        # The chosen interval's growth is within 1e4 and the next divisor's
+        # is not, wherever one step alone stays within the bound.
+        spread = 2 * 0.9056 + 10.0 + 1.0 + 8.0 / 3.0
+        divisors = [m for m in range(1, 101) if 100 % m == 0]
+        for tau in np.geomspace(1e-4, 0.5, 40):
+            m = lorenz_reorth_interval(tau)
+            assert np.exp(spread * m * tau) <= 1e4
+            longer = [k for k in divisors if k > m]
+            if longer:
+                assert np.exp(spread * longer[0] * tau) > 1e4
+
+
 class TestLyapunovQrLorenz:
     """The blocked QR on Lorenz tangent maps against the per-step reference."""
 
@@ -331,7 +356,24 @@ class TestLyapunovQrLorenz:
         assert ten.running_means.shape == one.running_means.shape
         assert np.max(np.abs(ten.running_means - one.running_means)) < 1e-10
 
-    @pytest.mark.parametrize("reorth_every", [1, 10])
+    def test_derived_interval_matches_reorth_one(self):
+        # One QR per 50 steps (the interval at tau = 0.01) against one per
+        # step: measured 2.4e-13 on the exponents and 6.9e-12 on the
+        # running means; 100 steps would lose 1.4e-7.
+        x0 = self.orbit_start()
+        tau = LorenzParams().tau
+        one = lyapunov_qr(lorenz_tangent_maps(LorenzParams(initial=x0), 20000), tau=tau)
+        derived = lyapunov_qr(
+            lorenz_tangent_maps(LorenzParams(initial=x0), 20000),
+            tau=tau,
+            reorth_every=lorenz_reorth_interval(tau),
+        )
+        assert np.max(np.abs(derived.exponents - one.exponents)) < 1e-12
+        assert derived.running_means.shape == one.running_means.shape
+        assert np.array_equal(derived.running_means[:, 0], one.running_means[:, 0])
+        assert np.max(np.abs(derived.running_means - one.running_means)) < 1e-10
+
+    @pytest.mark.parametrize("reorth_every", [1, 10, 50])
     def test_stack_split_does_not_change_a_bit(self, reorth_every):
         # Blocks follow the global step index, so cutting one sequence
         # into stacks of 7, 13 and 180 (blocks straddling the cuts) gives
