@@ -15,9 +15,9 @@ its columns may have spread by up to REORTH_GROWTH_BOUND.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, inf, log
+from math import exp, hypot, inf, log
 from operator import mul
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -34,13 +34,17 @@ NEWTON_MAX_ITER = 100
 NEWTON_RETRIES = 3
 RECORD_EVERY = 100
 # Largest spread exp((lambda_1 - lambda_d) * m * tau) the columns of a
-# Lyapunov frame may reach between two QR factorisations.
-REORTH_GROWTH_BOUND = 1e4
+# Lyapunov frame may reach between two QR factorisations. Up to 4e3 the
+# Lorenz exponents match one QR per step to 6e-12 and the running means
+# to 7e-11 over 20k steps (intervals 4 to 50, two or three orbit starts);
+# at 1e4 the running means are off by 5e-10.
+REORTH_GROWTH_BOUND = 4e3
 # lambda_1 - lambda_3 of the classical Lorenz system: lambda_2 = 0 and the
 # exponents sum to the trace -(sigma + 1 + beta), so the spread is
-# 2 * LORENZ_MAX_EXPONENT + sigma + 1 + beta with sigma = 10, beta = 8/3:
-# about 15.48.
-LORENZ_EXPONENT_SPREAD = 2.0 * LORENZ_MAX_EXPONENT + 10.0 + 1.0 + 8.0 / 3.0
+# 2 * LORENZ_MAX_EXPONENT + sigma + 1 + beta, about 15.48.
+LORENZ_EXPONENT_SPREAD = (
+    2.0 * LORENZ_MAX_EXPONENT + LorenzParams().sigma + 1.0 + LorenzParams().beta
+)
 
 
 @dataclass
@@ -178,7 +182,8 @@ def lyapunov_qr(
     map and is the default. For Lorenz, `lorenz_reorth_interval(tau)`
     gives the longest interval whose growth stays within
     REORTH_GROWTH_BOUND: 50 steps at tau = 0.01, where the exponents
-    match one QR per step to 2.4e-13 over 20k steps.
+    match one QR per step to 2.4e-13 over 20k steps, and to 6e-12 where
+    the growth nears the bound.
     """
     if reorth_every < 1 or RECORD_EVERY % reorth_every != 0:
         raise ValueError(f"reorth_every must divide {RECORD_EVERY}")
@@ -213,18 +218,19 @@ def lyapunov_qr(
     )
 
 
-def lorenz_reorth_interval(tau: float) -> int:
-    """Largest divisor m of RECORD_EVERY with
-    exp(LORENZ_EXPONENT_SPREAD * m * tau) <= REORTH_GROWTH_BOUND, or 1
-    if no divisor passes.
+def lorenz_reorth_interval(tau: float) -> Tuple[int, float]:
+    """(m, growth): the largest divisor m of RECORD_EVERY whose growth
+    exp(LORENZ_EXPONENT_SPREAD * m * tau) is at most REORTH_GROWTH_BOUND,
+    or 1 if no divisor passes.
 
-    100 at tau = 0.001, 50 at 0.01, 10 at 0.05, 5 at 0.1, and 1 from
-    tau of about 0.3 on; from about 0.6 on even one step exceeds the
+    m is 100 at tau = 0.001, 50 at 0.01, 10 at 0.05, 5 at 0.1, and 1 from
+    tau of about 0.27 on; from about 0.54 on even one step exceeds the
     bound.
     """
     longest = log(REORTH_GROWTH_BOUND) / (LORENZ_EXPONENT_SPREAD * tau)
     divisors = (m for m in range(1, RECORD_EVERY + 1) if RECORD_EVERY % m == 0)
-    return max((m for m in divisors if m <= longest), default=1)
+    m = max((m for m in divisors if m <= longest), default=1)
+    return m, exp(LORENZ_EXPONENT_SPREAD * m * tau)
 
 
 def _block_products(stack: np.ndarray, m: int) -> np.ndarray:

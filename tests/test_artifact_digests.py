@@ -24,7 +24,7 @@ from typing import Dict
 
 import numpy as np
 
-from echolab.cli import EXIT_OK, ExperimentConfig, run
+from echolab.cli import EXIT_OK, EXPERIMENTS, ExperimentConfig, run
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 SEEDS = (7, 42)
@@ -90,6 +90,11 @@ def artifact_digests(workdir: Path) -> Dict[str, str]:
                     key = f"{label}/{seed}/{path.name}"
                     digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+def test_configs_cover_every_experiment():
+    assert {experiment for experiment, _ in CONFIGS.values()} == set(EXPERIMENTS)
+    assert {"hexagon", "lorenz"} <= {params.get("source") for _, params in CONFIGS.values()}
 
 
 def test_artifacts_match_the_committed_digests(tmp_path):

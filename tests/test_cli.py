@@ -466,7 +466,7 @@ class TestRun:
         # none moves by more than 0.05 (0.013 here; 2.0e-4 at 200k steps).
         assert 0.0 < doc["running_mean_drift"] < 0.05
         # One QR per 50 steps, over which the frame spreads by
-        # exp(15.48 * 0.5) ~ 2.3e3, within the 1e4 bound.
+        # exp(15.48 * 0.5) ~ 2.3e3, within the 4e3 bound.
         assert doc["reorth_every"] == 50
         assert 2.2e3 < doc["reorth_growth"] < 2.4e3
         trace = (tmp_path / "lyapunov_trace.csv").read_text().splitlines()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from echolab.diagnostics import (
+    LORENZ_EXPONENT_SPREAD,
     RECORD_EVERY,
+    REORTH_GROWTH_BOUND,
     FixedPointResult,
     _gram_schmidt,
     esn_jacobian,
@@ -301,21 +303,21 @@ class TestLorenzReorthInterval:
         "tau, interval", [(0.001, 100), (0.01, 50), (0.05, 10), (0.1, 5), (1.0, 1)]
     )
     def test_interval_table(self, tau, interval):
-        assert lorenz_reorth_interval(tau) == interval
+        assert lorenz_reorth_interval(tau)[0] == interval
         assert RECORD_EVERY % interval == 0
         assert TANGENT_CHUNK % interval == 0
 
     def test_interval_keeps_the_growth_bound(self):
-        # The chosen interval's growth is within 1e4 and the next divisor's
-        # is not, wherever one step alone stays within the bound.
-        spread = 2 * 0.9056 + 10.0 + 1.0 + 8.0 / 3.0
+        # The chosen interval's growth is within the bound and the next
+        # divisor's is not, wherever one step alone stays within it.
         divisors = [m for m in range(1, 101) if 100 % m == 0]
         for tau in np.geomspace(1e-4, 0.5, 40):
-            m = lorenz_reorth_interval(tau)
-            assert np.exp(spread * m * tau) <= 1e4
+            m, growth = lorenz_reorth_interval(tau)
+            assert growth == pytest.approx(np.exp(LORENZ_EXPONENT_SPREAD * m * tau))
+            assert growth <= REORTH_GROWTH_BOUND
             longer = [k for k in divisors if k > m]
             if longer:
-                assert np.exp(spread * longer[0] * tau) > 1e4
+                assert np.exp(LORENZ_EXPONENT_SPREAD * longer[0] * tau) > REORTH_GROWTH_BOUND
 
 
 class TestLyapunovQrLorenz:
@@ -356,19 +358,27 @@ class TestLyapunovQrLorenz:
         assert ten.running_means.shape == one.running_means.shape
         assert np.max(np.abs(ten.running_means - one.running_means)) < 1e-10
 
-    def test_derived_interval_matches_reorth_one(self):
-        # One QR per 50 steps (the interval at tau = 0.01) against one per
-        # step: measured 2.4e-13 on the exponents and 6.9e-12 on the
-        # running means; 100 steps would lose 1.4e-7.
-        x0 = self.orbit_start()
-        tau = LorenzParams().tau
-        one = lyapunov_qr(lorenz_tangent_maps(LorenzParams(initial=x0), 20000), tau=tau)
-        derived = lyapunov_qr(
-            lorenz_tangent_maps(LorenzParams(initial=x0), 20000),
-            tau=tau,
-            reorth_every=lorenz_reorth_interval(tau),
-        )
-        assert np.max(np.abs(derived.exponents - one.exponents)) < 1e-12
+    @pytest.mark.parametrize(
+        "tau, interval, near_bound, exponent_tol",
+        [(0.01, 50, False, 1e-12), (0.0107, 50, True, 1e-11), (0.0535, 10, True, 1e-11)],
+    )
+    def test_derived_interval_matches_reorth_one(self, tau, interval, near_bound, exponent_tol):
+        # The derived interval against one QR per step. At the default
+        # tau = 0.01 (growth 2.3e3) measured 2.4e-13 on the exponents and
+        # 6.9e-12 on the running means; 100 steps would lose 1.4e-7. At
+        # tau = 0.0107 and 0.0535 the growth is 3.9e3, within 5% of the 4e3
+        # bound (a larger bound must move these points up to it): measured
+        # 4.8e-12 and 9.7e-13 on the exponents, 6.2e-12 and 1.7e-11 on the
+        # running means. At a growth of 1e4 they are off by up to 3.6e-11
+        # and 4.8e-10.
+        m, growth = lorenz_reorth_interval(tau)
+        assert m == interval and growth <= REORTH_GROWTH_BOUND
+        if near_bound:
+            assert growth > 0.95 * REORTH_GROWTH_BOUND
+        params = LorenzParams(tau=tau, initial=self.orbit_start())
+        one = lyapunov_qr(lorenz_tangent_maps(params, 20000), tau=tau)
+        derived = lyapunov_qr(lorenz_tangent_maps(params, 20000), tau=tau, reorth_every=m)
+        assert np.max(np.abs(derived.exponents - one.exponents)) < exponent_tol
         assert derived.running_means.shape == one.running_means.shape
         assert np.array_equal(derived.running_means[:, 0], one.running_means[:, 0])
         assert np.max(np.abs(derived.running_means - one.running_means)) < 1e-10

@@ -8,9 +8,6 @@ from echolab.dynsys import LorenzParams, integrate_lorenz
 from echolab.errors import DegenerateCloudError, FiltrationOrderError
 from echolab.reservoir import make_rng
 from echolab.topology import (
-    _coboundaries,
-    _entries_by_face,
-    _facet_index,
     hexagon_example_filtration,
     Filtration,
     attractor_h1_experiment,
@@ -401,45 +398,6 @@ class TestPersistence:
         assert diagram.degree.tolist() == [0]
         assert diagram.birth.tolist() == [0.0]
         assert diagram.death.tolist() == [math.inf]
-
-
-class TestCoboundaryOrder:
-    """Both sorts of `_entries_by_face` give the order of the combined
-    key face * m + coface that the coboundary CSR is defined by."""
-
-    @staticmethod
-    def combined_key_order(entry_face, per_coface):
-        coface = np.arange(len(entry_face)) // per_coface
-        return np.argsort(entry_face * (len(entry_face) // per_coface) + coface)
-
-    @staticmethod
-    def distinct_facet_ids(rng, n_faces, n_cofaces, per_coface):
-        rows = [rng.choice(n_faces, per_coface, replace=False) for _ in range(n_cofaces)]
-        return np.concatenate(rows).astype(np.int64)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_csr_equals_the_combined_key(self, seed):
-        points = make_rng(seed).standard_normal((40, 3))
-        filt = rips_filtration(points, max_dim=3, max_eps=1.6)
-        for k in (0, 1, 2):
-            faces, cofaces = filt.vertices[k], filt.vertices[k + 1]
-            assert len(cofaces) > 0
-            indptr, indices = _coboundaries(faces, cofaces, len(points))
-            entry_face = _facet_index(faces, cofaces, len(points)).reshape(-1)
-            want = self.combined_key_order(entry_face, k + 2) // (k + 2)
-            assert np.array_equal(indices, want)
-            assert indptr == np.concatenate(
-                [[0], np.cumsum(np.bincount(entry_face, minlength=len(faces)))]
-            ).tolist()
-
-    @pytest.mark.parametrize("n_faces", [1 << 16, (1 << 16) + 1, 100_000])
-    def test_both_sorts_keep_coface_order_within_a_face(self, n_faces):
-        # Up to 2**16 faces (ids to 65535) the uint16 radix sort runs,
-        # beyond it the int64 key; both are the stable order by face.
-        entry_face = self.distinct_facet_ids(make_rng(3), n_faces, 2000, 3)
-        assert entry_face.max() > 60000
-        got = _entries_by_face(entry_face, n_faces, 3)
-        assert np.array_equal(got, np.argsort(entry_face, kind="stable"))
 
 
 class TestPersistenceMatchesColumnReduction:
