@@ -14,8 +14,9 @@ outputs.
 Every numeric CSV artifact is written by `csv_text`, one `.17g` value
 per cell, so each float reads back to the same bits. A column that
 repeats its values (at most half as many distinct values as rows, as the
-`degree` and `death` columns of a persistence diagram or the grid
-coordinates of the Dirichlet solution field) is formatted once per
+`degree` and `birth` columns of the attractor's persistence diagram, the
+grid coordinates of the Dirichlet solution field, the columns of
+`gs_branches.csv` and those of every hexagon CSV) is formatted once per
 distinct bit pattern and its rows reuse those strings; since equal bits
 format to equal text, the bytes are the same as formatting every cell.
 """
@@ -75,7 +76,6 @@ from .stochastic import (
     value_mc,
 )
 from .topology import (
-    ATTRACTOR_RIPS_DIM,
     PersistenceDiagram,
     attractor_h1_experiment,
     boundary_matrix,
@@ -138,9 +138,6 @@ def esn_parameters(n_min: int = 1) -> Dict[str, Param]:
     return {"n": integer(300, n_min), "ell": integer(20000, 200), "lam": nonnegative(1e-9)}
 
 
-TAU = positive(0.01)
-
-
 def subsample_ok(value, valid) -> bool:
     # The landmarks come from the orbit's last ell - ell//2 + 1 samples.
     ell = valid.get("ell")
@@ -158,8 +155,8 @@ PARAMETERS: Dict[str, Dict[str, Param]] = {
     "lorenz_train": esn_parameters(),
     # The summary reports the explained variance of three principal components.
     "lorenz_forecast": {**esn_parameters(n_min=3), "horizon": integer(4000)},
-    "fixed_point": {**esn_parameters(), "tau": TAU},
-    "lyapunov": {"n_iter": integer(200_000, 100), "tau": TAU},
+    "fixed_point": esn_parameters(),
+    "lyapunov": {"n_iter": integer(200_000, 100), "tau": positive(0.01)},
     # ell, subsample and max_eps are read only when source is lorenz but
     # checked whatever the source.
     "homology": {
@@ -231,9 +228,6 @@ def load_config(path: str) -> ExperimentConfig:
         k.split(".", 1)[1]: v for k, v in flat.items() if k.startswith("params.")
     }
     seed = flat.get("seed")
-    env_seed = os.environ.get("ECHOLAB_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     return ExperimentConfig(
         experiment=str(flat.get("experiment", "")),
         seed=seed if seed is not None else -1,
@@ -354,23 +348,8 @@ def _distinct_texts(column: np.ndarray) -> Optional[list]:
     return texts[inverse].tolist()
 
 
-def listed_pairs(diagram: PersistenceDiagram, top: int) -> PersistenceDiagram:
-    """The pairs a diagram artifact lists: degree below `top`, the top
-    dimension of the filtration the diagram was computed from, and death
-    greater than birth; an infinite death is kept.
-
-    With no (top + 1)-simplices nothing can kill a top-degree class, so
-    those rows say nothing about the shape; a pair [b, b) is alive at no
-    epsilon. Ripser lists the same pairs (Bauer, J. Appl. Comput. Topol.
-    5, 391, 2021). Row order is kept, and the Betti numbers of the listed
-    pairs equal those of the full diagram in every degree below `top`.
-    """
-    keep = (diagram.degree < top) & (diagram.death > diagram.birth)
-    return PersistenceDiagram(diagram.degree[keep], diagram.birth[keep], diagram.death[keep])
-
-
 def diagram_csv(diagram: PersistenceDiagram) -> str:
-    """One `degree,birth,death` row per pair; callers pass `listed_pairs`."""
+    """One `degree,birth,death` row per pair of a `persistence` diagram."""
     return csv_text(["degree", "birth", "death"], [diagram.degree, diagram.birth, diagram.death])
 
 
@@ -480,7 +459,7 @@ def wing_start_state(spec) -> np.ndarray:
     return drive(spec, const, np.zeros(spec.n)).samples[-1]
 
 
-def run_fixed_point(seed: int, *, n: int, ell: int, lam: float, tau: float) -> Artifacts:
+def run_fixed_point(seed: int, *, n: int, ell: int, lam: float) -> Artifacts:
     trajectory = integrate_lorenz(LorenzParams(), ell)
     spec, _, readout, _ = train_lorenz_readout(
         trajectory, n, ell, lam, seed, target="next_xi"
@@ -488,7 +467,7 @@ def run_fixed_point(seed: int, *, n: int, ell: int, lam: float, tau: float) -> A
     psi = autonomous_map(spec, readout.w)
     start = wing_start_state(spec)
     result = newton_fixed_point(psi, lambda x: esn_jacobian(spec, readout.w, x), start)
-    reference = lorenz_linearization_eigs(tau=tau)
+    reference = lorenz_linearization_eigs(tau=trajectory.step)
     # By increasing modulus, then angle: the order `eigvals` returns can
     # change under a rounding-level move of x*.
     esn_eigs = result.jacobian_eigs
@@ -544,13 +523,13 @@ def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: f
     """The hexagon's boundary matrices, Betti profiles and diagram, or
     the Lorenz landmark diagram and its H1 summary.
 
-    Both diagrams list `listed_pairs` of the full persistence diagram,
-    and the hexagon's profiles count those pairs in degrees 0..top-1.
+    The hexagon's profiles count its diagram's pairs in every degree
+    below its skeleton dimension.
     """
     if source == "hexagon":
         filt = hexagon_example_filtration()
-        top = filt.max_dimension()
-        diagram = listed_pairs(persistence(filt), top)
+        top = len(filt.values) - 1
+        diagram = persistence(filt)
         profile = {}
         for key, eps in (("at_1", 1.0), ("at_sqrt3", float(np.sqrt(3))), ("at_2", 2.0)):
             curve = diagram.betti_at(eps)
@@ -566,7 +545,7 @@ def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: f
         trajectory.samples[ell // 2 :], subsample=subsample, max_eps=max_eps
     )
     return {
-        "diagram.csv": diagram_csv(listed_pairs(res.diagram, ATTRACTOR_RIPS_DIM)),
+        "diagram.csv": diagram_csv(res.diagram),
         "h1_summary.json": {
             "gap_ratio": res.gap_ratio,
             "top_persistences": res.top_persistences,

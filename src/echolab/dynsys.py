@@ -107,16 +107,15 @@ def lorenz_rhs(state: np.ndarray, params: LorenzParams) -> np.ndarray:
 def lorenz_jacobian(state: np.ndarray, params: LorenzParams) -> np.ndarray:
     """Jacobian of the Lorenz vector field: (3, 3), or (k, 3, 3) for a batch."""
     x, y, z = np.asarray(state, dtype=float).T
-    one = np.ones_like(x)
-    sigma, beta = params.sigma * one, params.beta * one
-    return np.stack(
-        [
-            np.stack([-sigma, sigma, 0.0 * one], axis=-1),
-            np.stack([params.rho - z, -one, -x], axis=-1),
-            np.stack([y, x, -beta], axis=-1),
-        ],
-        axis=-2,
-    )
+    out = np.empty(np.shape(x) + (3, 3))
+    out[..., 0, :] = -params.sigma, params.sigma, 0.0
+    out[..., 1, 0] = params.rho - z
+    out[..., 1, 1] = -1.0
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = y
+    out[..., 2, 1] = x
+    out[..., 2, 2] = -params.beta
+    return out
 
 
 def _lorenz_orbit(params: LorenzParams, start: np.ndarray, n_steps: int) -> np.ndarray:

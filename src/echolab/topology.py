@@ -12,7 +12,7 @@ order. Simplices that already killed a class one degree down are
 skipped, and a column whose earliest coface is still free pairs at
 once without being copied. By the duality of de Silva, Morozov and
 Vejdemo-Johansson (Inverse Problems 27, 2011) the pairs equal those of
-boundary-column reduction. Betti numbers are read off the diagram.
+boundary-column reduction.
 
 A filtration is held as one pair of arrays per dimension, entry values
 and vertex rows, each sorted by (value, vertices); the order of the
@@ -23,16 +23,25 @@ Extended in lexicographic order, the rows come out in lexicographic
 order, and one stable sort by value puts each dimension in filtration
 order. The simplices stay materialised rather than enumerated
 implicitly by combinatorial index: the top simplices are the cofaces
-the last reduction reads, and every one that does not kill a class is
-an essential class of the full diagram `persistence` returns, so they
-are enumerated anyway. (The diagram artifacts leave those classes out:
-with no simplex of one dimension more, nothing could kill them.) Hand-built
+the last reduction reads, so they are enumerated anyway. Hand-built
 filtrations enter through a list constructor, and one generic path
-serves them and Rips alike. Boundary matrices and coboundaries share
-one face lookup, `_facet_index`. The diagram is likewise a set of
-columns, degree, birth and death, with death infinity for a class
-still alive at the end of the filtration; `PersistencePair` objects
-are built only when read.
+serves them and Rips alike.
+
+The diagram lists only the pairs that carry homology, as Ripser does
+(Bauer, J. Appl. Comput. Topol. 5, 391, 2021). Its degrees lie below
+the skeleton dimension, the top dimension the filtration holds arrays
+for (`rips_filtration`'s max_dim, even when no simplex of that
+dimension is in range): with no simplex of one dimension more, nothing
+could kill a top-degree class, so those classes say nothing about the
+shape and are never computed. Its pairs die after they are born: a
+pair [b, b) is alive at no epsilon. The Betti numbers of every degree
+below the skeleton dimension are read off the diagram.
+
+Boundary matrices and coboundaries share one face lookup,
+`_facet_index`. The diagram is likewise a set of columns, degree,
+birth and death, with death infinity for a class still alive at the
+end of the filtration; `PersistencePair` objects are built only when
+read.
 
 Labels and faces are found by index table, as Ripser finds faces by
 combinatorial index rather than by search. `_positions` maps each
@@ -82,8 +91,10 @@ class Filtration:
     vertices[k] (n_k x k+1 int64) their vertex labels, one increasing row
     per simplex, both in filtration order: by value, then by vertices.
     The whole filtration is ordered by (value, dimension, vertices).
-    `ordered` is False when `from_simplices` met its list out of that
-    order; `persistence` then refuses the filtration.
+    len(values) - 1 is its skeleton dimension, whether or not a simplex
+    of that dimension is present. `ordered` is False when
+    `from_simplices` met its list out of that order; `persistence` then
+    refuses the filtration.
     """
 
     values: Tuple[np.ndarray, ...]
@@ -133,9 +144,6 @@ class Filtration:
 
     def is_sorted(self) -> bool:
         return self.ordered and all(map(_rows_in_order, self.values, self.vertices))
-
-    def max_dimension(self) -> int:
-        return max((k for k, vals in enumerate(self.values) if vals.size), default=-1)
 
 
 def rips_filtration(points: np.ndarray, max_dim: int, max_eps: float) -> Filtration:
@@ -332,6 +340,10 @@ def _reduce_coboundaries(
     arrays, and becomes a set only once it has been reduced, so the
     apparent pairs (pivot free at once) build no set at all.
 
+    Adding a column removes the shared pivot, so the new pivot comes
+    later; one that does not means a column is out of filtration order,
+    and the reduction raises ValueError rather than loop.
+
     Returns {pivot coface: face} for the finite pairs and the faces
     whose columns vanished, which are essential classes.
     """
@@ -352,7 +364,14 @@ def _reduce_coboundaries(
                 reduced[other] if other in reduced
                 else cofaces[indptr[other]:indptr[other + 1]].tolist()
             )
-            low = min(col) if col else None
+            pivot = min(col) if col else None
+            if pivot is not None and pivot <= low:
+                raise ValueError(
+                    f"reducing the coboundary of face {face}: adding the column of face "
+                    f"{other} moved its pivot from coface {low} to {pivot}; "
+                    "coboundaries must list their cofaces in filtration order"
+                )
+            low = pivot
         if low is None:
             essential.append(face)
             continue
@@ -363,20 +382,24 @@ def _reduce_coboundaries(
 
 
 def persistence(filtration: Filtration) -> PersistenceDiagram:
-    """Birth/death pairing by persistent cohomology with clearing.
+    """The pairs that carry homology, by persistent cohomology with clearing.
 
-    Degree 0 uses union-find with the elder rule. Each degree k >= 1
-    then reduces the coboundary columns of its k-simplices in reverse
-    filtration order (`_reduce_coboundaries`), skipping the simplices
-    that killed a class in degree k - 1: the union-find tree edges, then
-    each degree's death simplices. The pairs equal those of boundary
-    column reduction in filtration order. Classes alive at the end get
-    death = infinity.
+    Only degrees below the skeleton dimension, len(values) - 1, are
+    computed, and only pairs with death after birth are kept (the module
+    docstring says why). Degree 0 uses union-find with the elder rule.
+    Each degree k >= 1 then reduces the coboundary columns of its
+    k-simplices in reverse filtration order (`_reduce_coboundaries`),
+    skipping the simplices that killed a class in degree k - 1: the
+    union-find tree edges, then each degree's death simplices. The pairs
+    equal those of boundary column reduction in filtration order. Classes
+    alive at the end get death = infinity.
     """
     if not filtration.is_sorted():
         raise FiltrationOrderError("filtration must be sorted")
     values = filtration.values
-    max_dim = filtration.max_dimension()
+    top = len(values) - 1
+    if top < 1:  # vertices alone: no degree lies below the skeleton dimension
+        return PersistenceDiagram(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
 
     by_label = np.argsort(filtration.vertices[0][:, 0])
     labels = filtration.vertices[0][by_label, 0]
@@ -385,41 +408,37 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
 
     # Blocks of pairs (degree, births, deaths).
     blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    essential: List[np.ndarray] = [root_birth]  # births of the classes that never die
+    uf = _UnionFind(len(labels))
+    born = root_birth.tolist()
+    h0_births, h0_deaths = [], []
     cleared: Set[int] = set()
-    if max_dim >= 1:
-        uf = _UnionFind(len(labels))
-        born = root_birth.tolist()
-        h0_births, h0_deaths = [], []
-        for edge, ((a, b), value) in enumerate(zip(rows[1].tolist(), values[1].tolist())):
-            i, j = uf.find(a), uf.find(b)
-            if i == j:
-                continue
-            # Elder rule: the younger component's class dies here.
-            young, old = (j, i) if (born[j], j) >= (born[i], i) else (i, j)
-            h0_births.append(born[young])
-            h0_deaths.append(value)
-            uf.parent[young] = old
-            cleared.add(edge)
-        blocks.append((0, np.array(h0_births), np.array(h0_deaths)))
-        essential[0] = root_birth[np.array(uf.parent) == np.arange(len(labels))]
-    for k in range(1, max_dim + 1):
-        if k == max_dim:
-            alive = np.ones(len(values[k]), dtype=bool)
-            alive[list(cleared)] = False
-        else:
-            indptr, cofaces = _coboundaries(rows[k], rows[k + 1], len(labels))
-            owner, alive = _reduce_coboundaries(indptr, cofaces, cleared)
-            lows = np.fromiter(owner, np.int64, len(owner))
-            faces = np.fromiter(owner.values(), np.int64, len(owner))
-            blocks.append((k, values[k][faces], values[k + 1][lows]))
-            cleared = set(owner)
-        essential.append(values[k][alive])
-    blocks += [(k, b, np.full(len(b), math.inf)) for k, b in enumerate(essential)]
+    for edge, ((a, b), value) in enumerate(zip(rows[1].tolist(), values[1].tolist())):
+        i, j = uf.find(a), uf.find(b)
+        if i == j:
+            continue
+        # Elder rule: the younger component's class dies here.
+        young, old = (j, i) if (born[j], j) >= (born[i], i) else (i, j)
+        h0_births.append(born[young])
+        h0_deaths.append(value)
+        uf.parent[young] = old
+        cleared.add(edge)
+    roots = root_birth[np.array(uf.parent) == np.arange(len(labels))]
+    blocks.append((0, np.array(h0_births), np.array(h0_deaths)))
+    blocks.append((0, roots, np.full(len(roots), math.inf)))
+    for k in range(1, top):
+        indptr, cofaces = _coboundaries(rows[k], rows[k + 1], len(labels))
+        owner, alive = _reduce_coboundaries(indptr, cofaces, cleared)
+        lows = np.fromiter(owner, np.int64, len(owner))
+        faces = np.fromiter(owner.values(), np.int64, len(owner))
+        blocks.append((k, values[k][faces], values[k + 1][lows]))
+        blocks.append((k, values[k][alive], np.full(len(alive), math.inf)))
+        cleared = set(owner)
 
     degrees, births, deaths = zip(*blocks)
     degree = np.repeat(degrees, [len(b) for b in births])
     birth, death = np.concatenate(births), np.concatenate(deaths)
+    listed = death > birth
+    degree, birth, death = degree[listed], birth[listed], death[listed]
     order = np.lexsort((death, birth, degree))
     return PersistenceDiagram(degree[order], birth[order], death[order])
 

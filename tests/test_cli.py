@@ -18,8 +18,6 @@ from echolab.cli import (
     ExperimentConfig,
     _distinct_texts,
     csv_text,
-    diagram_csv,
-    listed_pairs,
     load_config,
     main,
     parse_config_text,
@@ -31,12 +29,7 @@ from echolab.cli import (
 from echolab.diagnostics import esn_jacobian, lorenz_linearization_eigs, newton_fixed_point
 from echolab.dynsys import LorenzParams, TimeSeries, circle_rotation, integrate_lorenz
 from echolab.reservoir import ReservoirSpec, autonomous_drive, autonomous_map, drive
-from echolab.topology import (
-    attractor_h1_experiment,
-    hexagon_example_filtration,
-    persistence,
-    rips_filtration,
-)
+from echolab.topology import attractor_h1_experiment, hexagon_example_filtration, persistence
 from oracles import csv_text_reference, iterate_with_step_check
 
 
@@ -55,41 +48,18 @@ BENCHMARK_WORKLOADS = _benchmark_workloads()
 TINY_STEPS = [step for name in sorted(BENCHMARK_WORKLOADS) for step in BENCHMARK_WORKLOADS[name](1, True)]
 
 
-def full_diagram(source):
-    """The top dimension, full persistence diagram and config parameters
-    of a `homology` source: the hexagon, or the tiny Lorenz config."""
+def homology_diagram(source):
+    """The persistence diagram and config parameters of a `homology`
+    source: the hexagon, or the tiny Lorenz config."""
     if source == "hexagon":
-        filt = hexagon_example_filtration()
-        return filt.max_dimension(), persistence(filt), {}
+        return persistence(hexagon_example_filtration()), {}
     (step,) = BENCHMARK_WORKLOADS["attractor_h1"](1, True)
     ell = step.params["ell"]
     points = integrate_lorenz(LorenzParams(), ell).samples[ell // 2 :]
     diagram = attractor_h1_experiment(
         points, subsample=step.params["subsample"], max_eps=step.params["max_eps"]
     ).diagram
-    return 2, diagram, step.params
-
-
-def diagram_rows(text):
-    """The degree, birth and death columns of diagram CSV text."""
-    lines = text.splitlines()
-    assert lines[0] == "degree,birth,death"
-    cells = [line.split(",") for line in lines[1:]]
-    degree = np.array([int(row[0]) for row in cells], dtype=np.int64)
-    birth, death = (np.array([float(row[i]) for row in cells]) for i in (1, 2))
-    return degree, birth, death
-
-
-def betti_of_rows(rows, eps, top):
-    """Betti numbers 0..top-1 at eps counted from diagram rows."""
-    degree, birth, death = rows
-    alive = (birth <= eps) & (eps < death)
-    return [int(np.count_nonzero(alive & (degree == k))) for k in range(top)]
-
-
-def betti_below(diagram, eps, top):
-    curve = diagram.betti_at(eps)
-    return [curve.get(k, 0) for k in range(top)]
+    return diagram, step.params
 
 
 def write_config(tmp_path, text):
@@ -124,12 +94,6 @@ class TestConfigParsing:
         assert main(["validate", write_config(tmp_path, text)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == "config error: line 4: duplicate key seed\n"
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, "experiment = homology\nseed = 1\noutput_dir = out\n")
-        monkeypatch.setenv("ECHOLAB_SEED", "99")
-        config = load_config(path)
-        assert config.seed == 99
-
 
 class TestValidate:
     def test_missing_seed_named(self):
@@ -160,7 +124,6 @@ class TestValidate:
         "experiment,key,bad,good",
         [
             ("homology", "source", "lorenzz", "lorenz"),
-            ("fixed_point", "tau", -0.01, 0.01),
             ("lyapunov", "tau", 0, 0.01),
             ("lorenz_train", "lam", -1e-9, 0),
             ("lorenz_train", "n", 0, 1),
@@ -181,7 +144,6 @@ class TestValidate:
             ("homology", "max_eps", float("inf"), 0.5),
             ("homology", "max_eps", float("nan"), 0.5),
             ("lorenz_train", "lam", float("inf"), 1e-9),
-            ("fixed_point", "tau", float("inf"), 0.01),
             ("embedding_check", "n", 0, 1),
             ("embedding_check", "n", -1, 1),
             ("embedding_check", "n", 2.5, 2),
@@ -243,6 +205,12 @@ class TestValidate:
         assert run(config) == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_fixed_point_takes_no_tau(self):
+        # The reference eigenvalues use the step of the integrated orbit,
+        # so a tau key would move the reference alone.
+        config = ExperimentConfig("fixed_point", 1, "out", parameters={"tau": 0.02})
+        assert validate(config) == ["params.tau: unknown; expected one of n, ell, lam"]
+
     def test_lorenz_keys_checked_for_hexagon(self):
         # The table checks every key of an experiment, including those
         # its chosen source does not read.
@@ -256,10 +224,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
     @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
-    def test_benchmark_configs_valid(self, tmp_path, monkeypatch, workload, tiny):
+    def test_benchmark_configs_valid(self, tmp_path, workload, tiny):
         # Every config the benchmark writes, at its seeds 1-3, passes
         # `validate` once it has gone through the config file parser.
-        monkeypatch.delenv("ECHOLAB_SEED", raising=False)
         for seed in (1, 2, 3):
             for step in BENCHMARK_WORKLOADS[workload](seed, tiny):
                 path = write_config(tmp_path, step.config_text(str(tmp_path / step.label)))
@@ -290,65 +257,21 @@ class TestRun:
         assert manifest["version"]
         assert "error" not in manifest
         betti = json.loads((outdir / "betti.json").read_text())
-        assert betti["at_1"][:2] == [1, 1]
-        assert betti["at_sqrt3"][:3] == [1, 1, 0]
-        assert betti["at_2"][:3] == [1, 0, 0]
+        # One entry per degree below the skeleton dimension, 3.
+        assert betti == {"at_1": [1, 1, 0], "at_sqrt3": [1, 1, 0], "at_2": [1, 0, 0]}
         assert (outdir / "boundary_2.csv").exists()
         assert (outdir / "diagram.csv").exists()
 
     @pytest.mark.parametrize("source", ["hexagon", "lorenz"])
-    def test_diagram_lists_the_masked_pairs(self, tmp_path, source):
-        # diagram.csv holds, as a cell-by-cell writer formats them, the rows
-        # of the full diagram whose degree is below the filtration's top
-        # dimension and whose death is after their birth.
-        top, full, params = full_diagram(source)
+    def test_diagram_csv_holds_the_persistence_rows(self, tmp_path, source):
+        # diagram.csv holds the rows of `persistence`'s diagram as a
+        # cell-by-cell writer formats them.
+        diagram, params = homology_diagram(source)
         config = ExperimentConfig("homology", 1, str(tmp_path), parameters=params)
         assert run(config) == EXIT_OK
-        # The full diagram has rows of both kinds to leave out.
-        assert np.any(full.degree == top) and np.any(full.death == full.birth)
-        keep = (full.degree < top) & (full.death > full.birth)
-        want = csv_text_reference(
-            ["degree", "birth", "death"], [full.degree[keep], full.birth[keep], full.death[keep]]
-        )
-        text = (tmp_path / "diagram.csv").read_text()
-        assert text == want
-        degree, birth, death = diagram_rows(text)
-        assert np.all(degree < top) and np.all(death > birth)
-        assert np.isinf(death).any()
-
-    def test_hexagon_lists_seven_pairs_and_counts_them(self, tmp_path):
-        config = ExperimentConfig("homology", 1, str(tmp_path))
-        assert run(config) == EXIT_OK
-        filt = hexagon_example_filtration()
-        full = persistence(filt)
-        top = filt.max_dimension()
-        rows = diagram_rows((tmp_path / "diagram.csv").read_text())
-        # Five components merge at 1, one lives on, and the central hole
-        # lives on [1, 2); the other 24 pairs of the full diagram are
-        # zero-length or of degree 3.
-        assert len(full.degree) == 31
-        assert list(zip(*(column.tolist() for column in rows))) == (
-            [(0, 0.0, 1.0)] * 5 + [(0, 0.0, math.inf), (1, 1.0, 2.0)]
-        )
-        betti = json.loads((tmp_path / "betti.json").read_text())
-        assert betti == {"at_1": [1, 1, 0], "at_sqrt3": [1, 1, 0], "at_2": [1, 0, 0]}
-        for key, eps in (("at_1", 1.0), ("at_sqrt3", math.sqrt(3.0)), ("at_2", 2.0)):
-            assert betti[key] == betti_of_rows(rows, eps, top) == betti_below(full, eps, top)
-        for eps in (0.0, 0.5, 1.5, 1.8, 2.5):
-            assert betti_of_rows(rows, eps, top) == betti_below(full, eps, top)
-
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_listed_pairs_keep_the_betti_numbers_of_random_clouds(self, seed):
-        points = np.random.default_rng(seed).uniform(size=(12, 2))
-        filt = rips_filtration(points, max_dim=3, max_eps=0.8)
-        assert filt.max_dimension() == 3
-        full = persistence(filt)
-        assert np.any(full.degree == 3) and np.any(full.death == full.birth)
-        rows = diagram_rows(diagram_csv(listed_pairs(full, 3)))
-        assert np.all(rows[0] < 3) and np.all(rows[2] > rows[1])
-        values = np.unique(np.concatenate(filt.values))
-        for eps in np.concatenate([values, (values[:-1] + values[1:]) / 2, [values[-1] + 1]]):
-            assert betti_of_rows(rows, eps, 3) == betti_below(full, eps, 3)
+        columns = [diagram.degree, diagram.birth, diagram.death]
+        want = csv_text_reference(["degree", "birth", "death"], columns)
+        assert (tmp_path / "diagram.csv").read_text() == want
 
     @pytest.mark.parametrize("step", TINY_STEPS, ids=lambda step: step.label)
     def test_reproducible_bytes(self, tmp_path, step):

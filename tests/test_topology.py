@@ -10,6 +10,10 @@ from echolab.reservoir import make_rng
 from echolab.topology import (
     hexagon_example_filtration,
     Filtration,
+    PersistenceDiagram,
+    _coboundaries,
+    _positions,
+    _reduce_coboundaries,
     attractor_h1_experiment,
     boundary_matrix,
     maxmin_subsample,
@@ -24,6 +28,7 @@ from oracles import (
     HEXAGON_FACES,
     HEXAGON_VERTICES,
     brute_force_betti,
+    f2_rank_dense,
     hexagon_points,
     maxmin_subsample_reference,
     persistence_by_column_reduction,
@@ -44,10 +49,41 @@ def unit_triangle():
     return np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
 
 
+def skeleton_dimension(filtration):
+    return len(filtration.values) - 1
+
+
 def betti_numbers(filtration, eps):
-    """Betti numbers at eps from the diagram, one per dimension of the filtration."""
+    """Betti numbers at eps from the diagram, one per degree below the
+    skeleton dimension."""
     curve = persistence(filtration).betti_at(eps)
-    return [curve.get(k, 0) for k in range(filtration.max_dimension() + 1)]
+    return [curve.get(k, 0) for k in range(skeleton_dimension(filtration))]
+
+
+def listed(diagram, top):
+    """The rows of a full diagram that carry homology: degree below the
+    skeleton dimension top and death after birth, an infinite death kept."""
+    keep = (diagram.degree < top) & (diagram.death > diagram.birth)
+    return PersistenceDiagram(diagram.degree[keep], diagram.birth[keep], diagram.death[keep])
+
+
+def probe_values(filtration):
+    """Every entry value of the filtration, the midpoints between them, and
+    one value below and one above them all."""
+    values = np.unique(np.concatenate(filtration.values))
+    if not values.size:
+        return values
+    return np.concatenate([values, (values[:-1] + values[1:]) / 2, [values[0] - 1, values[-1] + 1]])
+
+
+def betti_curves(diagram, grid, top):
+    """Betti numbers 0..top-1 at each value of grid, counted from the rows:
+    a pair is alive on [birth, death)."""
+    curves = []
+    for k in range(top):
+        born, dead = (np.sort(c[diagram.degree == k]) for c in (diagram.birth, diagram.death))
+        curves.append(np.searchsorted(born, grid, "right") - np.searchsorted(dead, grid, "right"))
+    return np.array(curves).T
 
 
 def of_degree(diagram, k):
@@ -290,21 +326,27 @@ class TestBettiNumbers:
             pts = rng.uniform(0, 1, (12, 2))
             eps = rng.uniform(0.2, 0.7)
             filt = rips_filtration(pts, max_dim=2, max_eps=1.5)
-            assert betti_numbers(filt, eps) == brute_force_betti(pts, eps, 2)
+            assert betti_numbers(filt, eps) == brute_force_betti(pts, eps, 2)[:2]
 
     def test_euler_characteristic_consistency(self):
+        # The diagram gives the Betti numbers below the skeleton dimension,
+        # 3; the top one is the nullity of the top boundary map.
         filt = self.hexagon_filtration(max_dim=3)
         for eps in (0.5, 1.0, 1.2, SQRT3, 1.9, 2.0):
             chi_simplices = sum((-1) ** k * int((v <= eps).sum()) for k, v in enumerate(filt.values))
-            betti = betti_numbers(filt, eps)
+            n_top = int((filt.values[3] <= eps).sum())
+            top_betti = n_top - f2_rank_dense(boundary_matrix(filt, 3, eps))
+            betti = betti_numbers(filt, eps) + [top_betti]
             chi_betti = sum((-1) ** k * b for k, b in enumerate(betti))
             assert chi_simplices == chi_betti
 
 
 class TestPersistence:
     def test_single_point(self):
-        filt = Filtration.from_simplices([(0.0, 0, (0,))])
-        diag = persistence(filt)
+        # Alone, the point's class is of the top degree and is not listed;
+        # asked for edges, the complex lists it as essential.
+        assert persistence(Filtration.from_simplices([(0.0, 0, (0,))])).pairs == ()
+        diag = persistence(rips_filtration(np.zeros((1, 2)), max_dim=1, max_eps=1.0))
         assert len(diag.pairs) == 1
         assert diag.pairs[0].degree == 0
         assert math.isinf(diag.pairs[0].death)
@@ -351,7 +393,7 @@ class TestPersistence:
         filt = rips_filtration(pts, max_dim=2, max_eps=1.5)
         diag = persistence(filt)
         for eps in (0.1, 0.25, 0.4, 0.6, 0.9, 1.2):
-            betti = brute_force_betti(pts, eps, 2)
+            betti = brute_force_betti(pts, eps, 2)[:2]  # degrees below the skeleton dimension
             curve = diag.betti_at(eps)
             for k, b in enumerate(betti):
                 assert curve.get(k, 0) == b, f"mismatch at eps={eps}, degree {k}"
@@ -392,25 +434,32 @@ class TestPersistence:
                 assert abs(d1 - d2) <= 2 * delta
 
     def test_diagram_columns(self):
-        filt = Filtration.from_simplices([(0.0, 0, (0,))])
-        diagram = persistence(filt)
-        assert diagram.degree.dtype == np.int64
-        assert diagram.degree.tolist() == [0]
-        assert diagram.birth.tolist() == [0.0]
-        assert diagram.death.tolist() == [math.inf]
+        for max_dim, rows in ((0, 0), (1, 1)):
+            diagram = persistence(rips_filtration(np.zeros((1, 2)), max_dim, max_eps=1.0))
+            assert diagram.degree.dtype == np.int64
+            assert diagram.degree.tolist() == [0] * rows
+            assert diagram.birth.tolist() == [0.0] * rows
+            assert diagram.death.tolist() == [math.inf] * rows
 
 
 class TestPersistenceMatchesColumnReduction:
-    """Cohomology with clearing pairs exactly as boundary-column reduction."""
+    """Cohomology with clearing pairs exactly as boundary-column reduction,
+    and lists the reference's pairs that carry homology: degree below the
+    skeleton dimension, death after birth."""
 
     @staticmethod
     def assert_same_diagram(filt):
         got = persistence(filt)
-        want = persistence_by_column_reduction(filt)
+        top = skeleton_dimension(filt)
+        full = persistence_by_column_reduction(filt)
+        want = listed(full, top)
         assert [(p.degree, p.birth, p.death) for p in got.pairs] == [
             (p.degree, p.birth, p.death) for p in want.pairs
         ]
         assert_same_columns(got, want)
+        # The rows left out change no Betti number below the skeleton dimension.
+        grid = probe_values(filt)
+        assert np.array_equal(betti_curves(got, grid, top), betti_curves(full, grid, top))
         return got
 
     def assert_same_as_experiment(self, points, subsample, max_eps):
@@ -420,7 +469,36 @@ class TestPersistenceMatchesColumnReduction:
         assert_same_columns(got, res.diagram)
 
     def test_hexagon_example(self):
-        self.assert_same_diagram(hexagon_example_filtration())
+        # Five components merge at 1, one lives on, and the central hole
+        # lives on [1, 2); the other 24 pairs of the full diagram are
+        # zero-length or of degree 3, the skeleton dimension.
+        filt = hexagon_example_filtration()
+        got = self.assert_same_diagram(filt)
+        assert [(p.degree, p.birth, p.death) for p in got.pairs] == (
+            [(0, 0.0, 1.0)] * 5 + [(0, 0.0, math.inf), (1, 1.0, 2.0)]
+        )
+        full = persistence_by_column_reduction(filt)
+        assert len(full.degree) == 31
+        assert np.any(full.degree == 3) and np.any(full.death == full.birth)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_rows_left_out_of_random_clouds(self, seed):
+        filt = rips_filtration(make_rng(seed).uniform(size=(12, 2)), max_dim=3, max_eps=0.8)
+        assert len(filt.values[3])
+        full = persistence_by_column_reduction(filt)
+        assert np.any(full.degree == 3) and np.any(full.death == full.birth)
+        self.assert_same_diagram(filt)
+
+    def test_rips_without_triangles_keeps_its_loop(self):
+        # Asked for triangles, the unit square has none by 1 (its diagonals
+        # are sqrt(2) long), so its loop is still listed, as essential.
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        filt = rips_filtration(square, max_dim=2, max_eps=1.0)
+        assert len(filt.values[2]) == 0
+        got = self.assert_same_diagram(filt)
+        assert [(p.degree, p.birth, p.death) for p in got.pairs] == (
+            [(0, 0.0, 1.0)] * 3 + [(0, 0.0, math.inf), (1, 1.0, math.inf)]
+        )
 
     def test_true_rips_hexagon(self):
         filt = rips_filtration(hexagon_points(), max_dim=3, max_eps=2.5)
@@ -502,6 +580,34 @@ class TestPersistenceMatchesColumnReduction:
         for simplices in (no_edge, no_vertex, below, above):
             with pytest.raises(ValueError, match="closed under taking faces"):
                 persistence(Filtration.from_simplices(simplices))
+
+
+class TestCoboundaries:
+    def test_cofaces_in_filtration_order(self):
+        # Each face's cofaces are exactly the (k+1)-simplices holding it,
+        # listed in increasing (filtration) order.
+        rng = make_rng(32)
+        for _ in range(10):
+            filt = rips_filtration(rng.uniform(0, 1, (15, 2)), 3, float(rng.uniform(0.3, 1.5)))
+            labels = np.sort(filt.vertices[0][:, 0])
+            for k in (1, 2):
+                faces, cofaces = (_positions(labels, filt.vertices[j]) for j in (k, k + 1))
+                indptr, indices = _coboundaries(faces, cofaces, len(labels))
+                facets = [set(itertools.combinations(c, k + 1)) for c in cofaces.tolist()]
+                for i, face in enumerate(map(tuple, faces.tolist())):
+                    want = [t for t, of_t in enumerate(facets) if face in of_t]
+                    assert indices[indptr[i]:indptr[i + 1]].tolist() == want
+
+    def test_out_of_order_column_raises(self):
+        # Face 2's column lists coface 1 before coface 0, so face 2 owns
+        # pivot 1 and face 1 pivot 0. Reducing face 0 ({1}) then adds
+        # columns forever, {0}, {1}, {0}, ..., unless it is stopped when
+        # the pivot fails to move later.
+        indptr = [0, 1, 3, 5]
+        cofaces = np.array([1, 0, 1, 1, 0])
+        message = r"face 0: .* face 2 moved its pivot from coface 1 to 0;"
+        with pytest.raises(ValueError, match=message):
+            _reduce_coboundaries(indptr, cofaces, set())
 
 
 class TestAttractorExperiment:
