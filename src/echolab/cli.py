@@ -425,8 +425,8 @@ def run_lorenz_forecast(seed: int, *, n: int, ell: int, lam: float, horizon: int
     spec, states, readout, _ = train_lorenz_readout(
         trajectory, n, ell, lam, seed, target="next_xi"
     )
-    # Before the autonomous orbit exists, so the SVD's copies and the
-    # orbit are never held at once.
+    # Before the autonomous orbit exists, so the centred copy of the
+    # states, the Gram matrix and the projection are never held with the orbit.
     variances = explained_variances(states.samples[DEFAULT_BURN_IN:], 3)
     # x_ell has seen xi_0..xi_{ell-1}, so x_{ell+j} . w forecasts xi_{ell+j}.
     auto = autonomous_drive(spec, readout.w, states.samples[ell], horizon)

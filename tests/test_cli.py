@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from echolab.cli import (
+    DEFAULT_BURN_IN,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
@@ -607,6 +608,21 @@ class TestEsnPipelines:
         steps = summary["valid_steps"]
         assert np.all(error[:steps] <= 0.4) and (steps == 50 or error[steps] > 0.4)
         assert summary["valid_lyapunov_times"] == steps * 0.01 * 0.9056
+
+    def test_forecast_variances_are_those_of_the_driven_states(self, tmp_path):
+        # The summary's variances are those of the driven states after the
+        # burn-in, rows 100..ell: a thin SVD of those rows agrees to 8 eps
+        # of the largest variance.
+        self.run_experiment(tmp_path, "lorenz_forecast", horizon=50)
+        trajectory = integrate_lorenz(LorenzParams(), 350)
+        _, states, _, _ = train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, target="next_xi")
+        X = states.samples[DEFAULT_BURN_IN:]
+        assert X.shape == (201, 20)
+        sv = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)[1]
+        full = sv[:3] ** 2 / (X.shape[0] - 1)
+        summary = json.loads((tmp_path / "forecast_summary.json").read_text())
+        err = np.abs(np.array(summary["explained_variance"]) - full)
+        assert np.max(err) <= 8 * np.finfo(float).eps * full[0]
 
     def test_forecast_stays_valid_for_tens_of_steps(self, tmp_path):
         # n = 100, ell = 3000 stays valid for 44-79 steps at seeds 0-11

@@ -3,6 +3,7 @@ import pytest
 
 from echolab.diagnostics import (
     LORENZ_EXPONENT_SPREAD,
+    PCA_OVERSAMPLE,
     RECORD_EVERY,
     REORTH_GROWTH_BOUND,
     FixedPointResult,
@@ -433,22 +434,78 @@ class TestPca:
         assert abs(var[0] - X.var(axis=0, ddof=1).sum()) < 1e-12 * var[0]
         assert np.all(var[1:] < 1e-25 * var[0])
 
+    @staticmethod
+    def _assert_matches_thin_svd(X, k, exact=None):
+        # Within 8 eps of the largest variance of a thin SVD of the
+        # centred samples and, when given, of the exact variances.
+        sv = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)[1]
+        references = [sv[:k] ** 2 / (X.shape[0] - 1)]
+        if exact is not None:
+            references.append(exact[:k])
+        var = explained_variances(X, k)
+        for full in references:
+            assert np.max(np.abs(var - full)) <= 8 * np.finfo(float).eps * full[0]
+
+    @staticmethod
+    def _reservoir_states(n, ell, seed):
+        spec = generate(
+            ReservoirGenConfig(n=n, d=1, a_norm=1.0, c_scale=0.05, b_scale=0.05, seed=seed)
+        )
+        xi = integrate_lorenz(LorenzParams(), ell).samples[:, :1]
+        return drive(spec, TimeSeries(step=0.01, samples=xi), np.zeros(n)).samples[100:]
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_full_svd_on_reservoir_states(self, seed):
-        # The singular values alone and those of the thin SVD that also
-        # computes U and V come from different LAPACK paths. Each is
-        # accurate to a few ulps of the largest singular value, so the
-        # variances agree to 8 eps of the largest variance; the smallest
-        # of them can differ by more than that relative to itself.
-        spec = generate(
-            ReservoirGenConfig(n=100, d=1, a_norm=1.0, c_scale=0.05, b_scale=0.05, seed=seed)
-        )
-        xi = integrate_lorenz(LorenzParams(), 3000).samples[:, :1]
-        X = drive(spec, TimeSeries(step=0.01, samples=xi), np.zeros(100)).samples[100:]
-        sv = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)[1]
-        full = sv[:3] ** 2 / (X.shape[0] - 1)
-        err = np.abs(explained_variances(X, 3) - full)
-        assert np.max(err) <= 8 * np.finfo(float).eps * full[0]
+        # The Ritz values come from an eigenbasis of the Gram matrix and
+        # a small SVD of the samples projected onto it; the thin SVD
+        # reduces the samples themselves. Each is accurate to a few ulps
+        # of the largest singular value, so the variances agree to 8 eps
+        # of the largest variance; the smallest of them can differ by
+        # more than that relative to itself.
+        self._assert_matches_thin_svd(self._reservoir_states(100, 3000, seed), 3)
+
+    def test_matches_full_svd_at_benchmark_dimension(self):
+        # n = 300 as in the ESN benchmark, over fewer driven steps.
+        self._assert_matches_thin_svd(self._reservoir_states(300, 2000, 1), 3)
+
+    @staticmethod
+    def _exact_cloud(m, n, offset):
+        # m samples of a cloud in R^n whose centred samples and variances
+        # are exact in floating point: +-1 Hadamard columns without the
+        # constant one (orthogonal, mean zero) scaled by distinct dyadic
+        # s_j and rotated by the orthogonal D H_n / sqrt(n), n in {4, 16},
+        # where the signs D keep every principal direction off the diagonal.
+        # The singular values are sqrt(m) * s_j, the variances
+        # m * s_j**2 / (m - 1). On Gaussian clouds the thin SVD is itself
+        # off by up to 20 eps of the largest variance; here it is exact to
+        # a few eps.
+        def hadamard(size):
+            h = np.ones((1, 1))
+            while h.shape[0] < size:
+                h = np.block([[h, h], [h, -h]])
+            return h
+
+        s = np.arange(2 * n, n, -1) / 16.0
+        rotation = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)[:, None] * hadamard(n)
+        centred = (hadamard(m)[:, 1 : n + 1] * s) @ rotation.T / np.sqrt(n)
+        X = centred + offset
+        assert np.array_equal(X - X.mean(axis=0), centred)
+        return X, m * s**2 / (m - 1)
+
+    def test_matches_full_svd_far_from_origin(self):
+        # A mean 1e3 times the spread, in more dimensions than the trial
+        # space: the samples must be centred before the Gram matrix is
+        # formed, or its leading eigenvector points at the mean and the
+        # trial space misses part of the spread.
+        X, exact = self._exact_cloud(512, 16, 1e3)
+        self._assert_matches_thin_svd(X, 3, exact)
+
+    @pytest.mark.parametrize("m, n, k", [(256, 4, 2), (256, 4, 4), (512, 16, 10), (512, 16, 16)])
+    def test_matches_full_svd_when_every_column_is_used(self, m, n, k):
+        # k = n, or n below k + PCA_OVERSAMPLE: the trial space is all of R^n.
+        assert n < k + PCA_OVERSAMPLE
+        X, exact = self._exact_cloud(m, n, 5.0)
+        self._assert_matches_thin_svd(X, k, exact)
 
     def test_k_beyond_samples_or_dimension_rejected(self):
         with pytest.raises(ValueError):
