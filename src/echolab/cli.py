@@ -188,6 +188,9 @@ PARAMETERS: Dict[str, Dict[str, Param]] = {
 EXPERIMENTS = tuple(PARAMETERS)
 
 
+CONFIG_KEYS = ("experiment", "seed", "output_dir")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -223,7 +226,14 @@ def parse_config_text(text: str) -> Dict[str, object]:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """The config at `path`; ValueError names each key other than
+    CONFIG_KEYS and params.<name>, which `run` would never read."""
     flat = parse_config_text(Path(path).read_text())
+    unknown = [k for k in flat if k not in CONFIG_KEYS and not k.startswith("params.")]
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(unknown)}; expected {', '.join(CONFIG_KEYS)} or params.*"
+        )
     parameters = {
         k.split(".", 1)[1]: v for k, v in flat.items() if k.startswith("params.")
     }

@@ -29,7 +29,7 @@ from .errors import (
     NearNeutralFixedPointError,
     NewtonConvergenceError,
 )
-from .reservoir import ReservoirSpec, make_rng
+from .reservoir import ReservoirSpec, autonomous_map, make_rng
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -119,12 +119,11 @@ def esn_jacobian(spec: ReservoirSpec, w: np.ndarray, x: np.ndarray) -> np.ndarra
     For tanh this is diag(1 - tanh^2(pre)) (A + C W^T); the identity
     activation drops the diagonal factor.
     """
-    w = np.asarray(w, dtype=float).reshape(spec.n, spec.d)
-    x = np.asarray(x, dtype=float).reshape(spec.n)
-    linear = spec.A + spec.C @ w.T
+    linear = spec.A + spec.C @ np.asarray(w, dtype=float).reshape(spec.n, spec.d).T
     if spec.activation == "identity":
         return linear
-    return (1.0 - spec.step(x, w.T @ x) ** 2)[:, None] * linear
+    x = np.asarray(x, dtype=float).reshape(spec.n)
+    return (1.0 - autonomous_map(spec, w)(x) ** 2)[:, None] * linear
 
 
 def lorenz_linearization_eigs(tau: float = 0.01) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -118,15 +118,7 @@ class DirichletSolution:
     boundary_rms: float
 
 
-class StackedProblem(NamedTuple):
-    """The weighted design and its two blocks before weighting."""
-
-    problem: RegressionProblem
-    laplacian: np.ndarray  # (ell, n) feature Laplacian at the interior points
-    features: np.ndarray  # (ell', n) features at the boundary points
-
-
-def stacked_problem(model: RandomFeatureModel, sample: DirichletSample) -> StackedProblem:
+def stacked_problem(model: RandomFeatureModel, sample: DirichletSample) -> RegressionProblem:
     """Stacked design with the balanced 1/sqrt(ell) block weighting.
 
     Interior rows hold the feature Laplacian with zero targets and
@@ -135,35 +127,32 @@ def stacked_problem(model: RandomFeatureModel, sample: DirichletSample) -> Stack
     per-region means, so a ridge penalty of 2*lambda/(ell+ell')
     reproduces the weighted objective exactly. With ell = ell' this
     minimiser coincides with the unweighted stacking at penalty lambda.
-    The unweighted blocks are returned too, for the residuals. The
-    weighted blocks and targets are written straight into the problem's
-    (ell + ell', n + 1) design, which is wrapped without a copy.
+    The weighted blocks and targets are written straight into the
+    problem's (ell + ell', n + 1) design, which is wrapped without a copy.
     """
     ell, ell_prime = len(sample.interior), len(sample.boundary)
-    laplacian = eval_feature_laplacian(model, sample.interior)
-    features = eval_features(model, sample.boundary)
     design = np.empty((ell + ell_prime, model.n + 1))
-    np.divide(laplacian, math.sqrt(ell), out=design[:ell, :-1])
-    np.divide(features, math.sqrt(ell_prime), out=design[ell:, :-1])
+    np.divide(eval_feature_laplacian(model, sample.interior), math.sqrt(ell), out=design[:ell, :-1])
+    np.divide(eval_features(model, sample.boundary), math.sqrt(ell_prime), out=design[ell:, :-1])
     design[:ell, -1] = 0.0
     np.divide(sample.boundary_values, math.sqrt(ell_prime), out=design[ell:, -1])
-    return StackedProblem(RegressionProblem.from_design(design), laplacian, features)
+    return RegressionProblem.from_design(design)
 
 
 def solve_dirichlet_offline(
     model: RandomFeatureModel, sample: DirichletSample, lam: float
 ) -> DirichletSolution:
-    """Offline SVD solve of the stacked interior/boundary problem."""
-    stacked = stacked_problem(model, sample)
-    lam_eff = 2.0 * lam / (len(stacked.laplacian) + len(stacked.features))
-    readout = solve_offline(stacked.problem, lam=lam_eff, truncate=True)
-    w = readout.w
-    interior_residual = stacked.laplacian @ w
-    boundary_residual = stacked.features @ w - sample.boundary_values
+    """Offline SVD solve of the stacked interior/boundary problem; each
+    region's residual RMS is the 2-norm of its block of the weighted
+    residual, whose rows carry the weights 1/sqrt(ell) and 1/sqrt(ell')."""
+    problem = stacked_problem(model, sample)
+    ell = len(sample.interior)
+    readout = solve_offline(problem, lam=2.0 * lam / len(problem.design), truncate=True)
+    residual = problem.states @ readout.w - problem.targets
     return DirichletSolution(
         readout=readout,
-        interior_rms=float(np.sqrt(np.mean(interior_residual**2))),
-        boundary_rms=float(np.sqrt(np.mean(boundary_residual**2))),
+        interior_rms=float(np.linalg.norm(residual[:ell])),
+        boundary_rms=float(np.linalg.norm(residual[ell:])),
     )
 
 

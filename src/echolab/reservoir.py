@@ -74,9 +74,6 @@ class ReservoirSpec:
             np.tanh(out, out=out)
         return out
 
-    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.advance(x, self.C @ z, np.empty(self.n))
-
 
 @dataclass
 class ReservoirGenConfig:
@@ -138,9 +135,9 @@ def drive(
     Output has len(input) + 1 samples and starts at x0. The input terms
     C z_k come from one product over the whole series; for scalar input
     each is a single multiplication, so the states carry the bits of
-    `ReservoirSpec.step`. Raises IntegrationDivergedError (naming the
-    step) if the state leaves the finite range, as an unstable identity
-    reservoir does.
+    `advance(x, C @ z, out)` stepped one input at a time. Raises
+    IntegrationDivergedError (naming the step) if the state leaves the
+    finite range, as an unstable identity reservoir does.
 
     `out`, if given, receives the states, as in `iterate_map`: a float64
     (len(input) + 1, n) array with contiguous rows, such as the first n
@@ -158,25 +155,28 @@ def drive(
     return TimeSeries(step=input_series.step, samples=out)
 
 
-def autonomous_map(spec: ReservoirSpec, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The readout-fed map psi(x) = activation(A x + C (W^T x) + b)."""
+def autonomous_map(spec: ReservoirSpec, w: np.ndarray) -> Callable[..., np.ndarray]:
+    """The readout-fed map psi(x) = activation(A x + C (W^T x) + b), as
+    psi(x, out=None): `out`, a new array if None, must not overlap x."""
     W = np.asarray(w, dtype=float).reshape(spec.n, spec.d)
-    return lambda x: spec.step(x, W.T @ x)
+
+    def psi(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return spec.advance(x, spec.C @ (W.T @ x), np.empty(spec.n) if out is None else out)
+
+    return psi
 
 
 def autonomous_drive(
     spec: ReservoirSpec, w: np.ndarray, x0: np.ndarray, n_steps: int
 ) -> TimeSeries:
-    """Run the autonomous phase for n_steps.
+    """Run the autonomous phase for n_steps of `autonomous_map`.
 
     Raises IntegrationDivergedError, naming the first step out of range,
     if the state leaves the finite range.
     """
-    W = np.asarray(w, dtype=float).reshape(spec.n, spec.d)
+    psi = autonomous_map(spec, w)
     x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    out = iterate_map(
-        lambda x, _, nxt: spec.advance(x, spec.C @ (W.T @ x), nxt), x0, range(n_steps)
-    )
+    out = iterate_map(lambda x, _, nxt: psi(x, nxt), x0, range(n_steps))
     return TimeSeries(step=1.0, samples=out)
 
 

@@ -193,10 +193,13 @@ def boundary_matrix(filtration: Filtration, k: int, eps: float) -> np.ndarray:
     """F2 matrix of the degree-k boundary map of the simplices entering by eps.
 
     Columns are the k-simplices, rows the (k-1)-simplices, both in
-    filtration order. Entry 1 marks the face relation.
+    filtration order. Entry 1 marks the face relation. Raises
+    FiltrationOrderError unless the filtration is sorted.
     """
     if k < 1:
         raise ValueError("boundary matrices start at k = 1")
+    if not filtration.is_sorted():
+        raise FiltrationOrderError("filtration must be sorted")
     labels = np.sort(filtration.vertices[0][:, 0])
     rows, cols = (
         _positions(labels, filtration.vertices[j][filtration.values[j] <= eps]) for j in (k - 1, k)
@@ -288,14 +291,9 @@ def _positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _simplex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
-    """One int64 per row of vertex ids in [0, radix), the row read in base radix."""
-    if radix ** rows.shape[1] > np.iinfo(np.int64).max:
-        raise ValueError(f"{radix} vertices are too many for {rows.shape[1]}-vertex keys")
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        keys *= radix
-        keys += col
-    return keys
+    """One int64 per row of vertex ids in [0, radix), the row read in base
+    radix; ValueError when radix ** rows.shape[1] overflows the keys."""
+    return np.ravel_multi_index(rows.T, (radix,) * rows.shape[1])
 
 
 def _facet_index(faces: np.ndarray, cofaces: np.ndarray, radix: int) -> np.ndarray:

@@ -677,6 +677,24 @@ class TestMain:
         assert main(["validate", path]) == EXIT_VALIDATION
         assert "gamma" in capsys.readouterr().out
 
+    def test_misspelt_top_level_keys_rejected(self, tmp_path, monkeypatch, capsys):
+        # Keys `run` never reads are reported, not dropped: without the
+        # check this config would run into the working directory with
+        # gamma at its default.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(
+            tmp_path,
+            "experiment = value_learn\nseed = 1\noutptu_dir = out\nparam.gamma = 0.5\n",
+        )
+        expected = (
+            "config error: unknown key(s) outptu_dir, param.gamma; "
+            "expected experiment, seed, output_dir or params.*\n"
+        )
+        for command in ("validate", "run"):
+            assert main([command, path]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "artifacts"
         path = write_config(

@@ -164,7 +164,7 @@ class TestOfflineSolve:
     def test_design_is_the_stacked_weighted_blocks(self):
         model = build_feature_model(30, seed=2)
         sample = sample_disc(40, 25, seed=3)
-        stacked = stacked_problem(model, sample)
+        problem = stacked_problem(model, sample)
         lap = eval_feature_laplacian(model, sample.interior)
         feat = eval_features(model, sample.boundary)
         expected = np.column_stack(
@@ -173,9 +173,25 @@ class TestOfflineSolve:
                 np.concatenate([np.zeros(40), sample.boundary_values / np.sqrt(25)]),
             ]
         )
-        assert stacked.problem.design.tobytes() == expected.tobytes()
-        assert stacked.laplacian.tobytes() == lap.tobytes()
-        assert stacked.features.tobytes() == feat.tobytes()
+        assert problem.design.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, ell, ell_prime, lam", [(30, 40, 25, 1e-4), (500, 500, 500, 0.0)])
+    def test_region_rms_within_summation_bound(self, n, ell, ell_prime, lam):
+        # Each region's RMS is read off the weighted residual; against the
+        # RMS of the unweighted residual F w - g of its feature rows F it
+        # may differ by rounding alone, at most n eps max_i(|F_i| @ |w|).
+        model = build_feature_model(n, seed=2)
+        sample = sample_disc(ell, ell_prime, seed=3)
+        sol = solve_dirichlet_offline(model, sample, lam=lam)
+        w = sol.readout.w
+        regions = [
+            (sol.interior_rms, eval_feature_laplacian(model, sample.interior), 0.0),
+            (sol.boundary_rms, eval_features(model, sample.boundary), sample.boundary_values),
+        ]
+        for reported, F, g in regions:
+            rms = float(np.sqrt(np.mean((F @ w - g) ** 2)))
+            bound = n * np.finfo(float).eps * np.max(np.abs(F) @ np.abs(w))
+            assert abs(reported - rms) <= bound
 
     def test_solution_linearity_of_laplacian(self):
         # Laplacian of W^T f equals W^T (Laplacian f): check the

@@ -140,7 +140,9 @@ class TestDrive:
         spec = generate(ReservoirGenConfig(n, 1, 0.9, 1.0, 0.5, seed=4, activation=activation))
         z = scalar_series(np.random.default_rng(4).uniform(-3, 3, 400))
         x0 = np.full(n, 0.1)
-        expected = iterate_with_step_check(lambda x, z: spec.step(x, np.atleast_1d(z)), z, x0)
+        expected = iterate_with_step_check(
+            lambda x, z: spec.advance(x, spec.C @ np.atleast_1d(z), np.empty(n)), z, x0
+        )
         assert drive(spec, z, x0).samples.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(

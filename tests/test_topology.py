@@ -14,6 +14,7 @@ from echolab.topology import (
     _coboundaries,
     _positions,
     _reduce_coboundaries,
+    _simplex_keys,
     attractor_h1_experiment,
     boundary_matrix,
     maxmin_subsample,
@@ -276,6 +277,15 @@ class TestBoundaryMatrix:
             shifted = Filtration(filt.values, tuple(rows + shift for rows in filt.vertices))
             for k in (1, 2):
                 assert np.array_equal(boundary_matrix(shifted, k, eps=2.0), boundary_matrix(filt, k, eps=2.0))
+
+    def test_unsorted_filtration_rejected(self):
+        # Edge (0, 2) enters at 2.0 but is listed before edge (0, 1) at 1.0.
+        filt = Filtration.from_simplices(
+            [(0, 0, (0,)), (0, 0, (1,)), (0, 0, (2,)), (2.0, 1, (0, 2)), (1.0, 1, (0, 1))]
+        )
+        assert not filt.is_sorted()
+        with pytest.raises(FiltrationOrderError):
+            boundary_matrix(filt, 1, eps=2.0)
 
     def test_example_filtration_matches_tables_without_orders(self):
         # The worked-example complex carries exact entry values, so the
@@ -597,6 +607,10 @@ class TestCoboundaries:
                 for i, face in enumerate(map(tuple, faces.tolist())):
                     want = [t for t, of_t in enumerate(facets) if face in of_t]
                     assert indices[indptr[i]:indptr[i + 1]].tolist() == want
+
+    def test_simplex_keys_overflow_raises(self):
+        with pytest.raises(ValueError):
+            _simplex_keys(np.zeros((2, 3), dtype=np.int64), 2**21 + 1)
 
     def test_out_of_order_column_raises(self):
         # Face 2's column lists coface 1 before coface 0, so face 2 owns

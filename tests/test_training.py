@@ -41,7 +41,7 @@ def wide_problem():
 
 def tiny_pde_problem():
     model = build_feature_model(40, seed=1)
-    return stacked_problem(model, sample_disc(40, 40, seed=2))[0]
+    return stacked_problem(model, sample_disc(40, 40, seed=2))
 
 
 class TestSolveOffline:
