@@ -172,9 +172,11 @@ PARAMETERS: Dict[str, Dict[str, Param]] = {
         "burn_in": Param(500, burn_in_ok, "must be an integer in [1, n_steps)"),
     },
     "embedding_check": {"n": integer(10), "trials": integer(200), "period": integer(3)},
+    # value_mc draws 200 rollouts of ceil(ln 1e-9 / ln gamma) steps: at
+    # gamma = 0.999 that is 20,713 steps, about 33 MB per rollout-sized array.
     # The unregularised two-weight readout needs two transitions, so three samples.
     "value_learn": {
-        "gamma": finite(0.9, lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+        "gamma": finite(0.9, lambda v: 0 <= v <= 0.999, "must lie in [0, 0.999]"),
         "length": integer(400, 3),
     },
     "pde_dirichlet": {
@@ -241,7 +243,7 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=str(flat.get("experiment", "")),
         seed=seed if seed is not None else -1,
-        output_dir=str(flat.get("output_dir", ".")),
+        output_dir=str(flat.get("output_dir", "")),
         parameters=parameters,
     )
 
@@ -610,15 +612,15 @@ def run_value_learn(seed: int, *, gamma: float, length: int) -> Artifacts:
     r_table = np.array([1.0, 0.0])
     oracle = markov_value_oracle(P, r_table, gamma)
     spec = ProcessSpec(P, emissions, seed=seed)
-    _, states = sample_path(spec, length)
+    series, states = sample_path(spec, length)
     features = np.eye(2)[states]
     rewards = r_table[states[:-1]]
     problem = value_targets(features, rewards, gamma)
     readout = solve_offline(problem, lam=0.0)
     residual = float(np.mean((problem.states @ readout.w - problem.targets) ** 2))
-    reward_fn = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
+    reward_fn = RewardFunctional(window=1, fn=lambda w: r_table[w[:, -1, 0].astype(int)])
     mc = value_mc(
-        spec, reward_fn, gamma, history=emissions[states[-1]][None, :],
+        spec, reward_fn, gamma, history=series.samples[-1:],
         n_rollouts=200, current_state=int(states[-1]), seed=seed,
     )
     ratio = bellman_contraction_check(P, np.eye(2), gamma, states, n_pairs=100, seed=seed)

@@ -8,8 +8,8 @@ expectation operator.
 Every random step consumes exactly one double of its generator and maps
 it through the cumulative law, as `Generator.choice(k, p=p)` does, so a
 path is fixed by its seed however many paths are drawn together.
-Monte-Carlo rollouts run as one batch: one draw block per call, and one
-reward call per distinct window, found by one lexsort of the windows' bits.
+Monte-Carlo rollouts run as one batch: one draw block per estimate, and
+one reward call that scores the stack of every rollout's windows.
 """
 
 from __future__ import annotations
@@ -118,21 +118,25 @@ def sample_path(spec: ProcessSpec, length: int) -> Tuple[TimeSeries, np.ndarray]
 class RewardFunctional:
     """Causal reward depending on the last `window` inputs.
 
-    fn receives a (window, d) array, newest input last, and must return
-    a finite float; each call checks this and raises AdmissibilityError
-    otherwise. fn must be a pure function of the window's values:
-    `value_mc` calls it once per distinct window of a batch, not once
-    per rollout step.
+    fn receives a stack of m windows, an (m, window, d) array with the
+    newest input last in each row, and returns the m rewards; row i's
+    reward must depend on row i alone. Each call checks all m values at
+    once: ValueError if fn did not return m of them, AdmissibilityError
+    if one is not finite.
     """
 
     window: int
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, recent: np.ndarray) -> float:
-        value = float(self.fn(np.atleast_2d(recent)))
-        if not math.isfinite(value):
+    def __call__(self, windows: np.ndarray) -> np.ndarray:
+        values = np.asarray(self.fn(windows), dtype=float)
+        if values.shape != (len(windows),):
+            raise ValueError(
+                f"reward functional returned shape {values.shape} for {len(windows)} windows"
+            )
+        if not np.all(np.isfinite(values)):
             raise AdmissibilityError("reward functional produced a non-finite value")
-        return value
+        return values
 
 
 @dataclass
@@ -162,10 +166,8 @@ def value_mc(
 
     All rollouts run as one batch: the `horizon - 1` future steps of
     every rollout come from one `_draw_finite` block seeded with `seed`
-    (one double per step, rollout-major), and the reward is called once
-    per distinct window, distinct meaning bitwise different: one
-    `np.lexsort` over the windows' uint64 bit columns orders them, and
-    a compare of adjacent sorted rows finds the distinct ones. Each
+    (one double per step, rollout-major), and one reward call scores
+    the stack of all `n_rollouts * horizon` windows, rollout-major. Each
     rollout's return is accumulated step by step in time order, so the
     value and stderr are those of the per-rollout, per-step loop.
     """
@@ -181,24 +183,9 @@ def value_mc(
     future = _draw_finite(spec, make_rng(seed), (n_rollouts, horizon - 1), current_state)[0]
     recent = history[len(history) - reward.window :]
     paths = np.concatenate([np.broadcast_to(recent, (n_rollouts,) + recent.shape), future], axis=1)
-    # Window k of a rollout is paths[:, k : k + window]. Windows are keyed
-    # by their raw bits, so equal-comparing values such as 0.0 and -0.0
-    # still get their own reward call.
+    # Window k of a rollout is paths[:, k : k + window].
     windows = sliding_window_view(paths, reward.window, axis=1).swapaxes(-1, -2)
-    bits = np.ascontiguousarray(windows).view(np.uint64).reshape(n_rollouts * horizon, -1)
-    # One lexsort over the key columns, first column most significant;
-    # a sorted row starts a new distinct window where it differs from
-    # the row before it.
-    order = np.lexsort(bits.T[::-1])
-    ranked = bits[order]
-    starts = np.ones(len(ranked), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    inverse = np.empty(len(ranked), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    values = np.array(
-        [reward(row.view(np.float64).reshape(recent.shape)) for row in ranked[starts]]
-    )
-    rewards = values[inverse.reshape(n_rollouts, horizon)]
+    rewards = reward(windows.reshape((-1,) + recent.shape)).reshape(n_rollouts, horizon)
     # Summed in time order, as the per-step loop did; a pairwise sum or a
     # matrix product would round differently.
     totals = np.zeros(n_rollouts)

@@ -415,7 +415,7 @@ def value_mc_reference(
         total = 0.0
         for k in range(horizon):
             window = path[base + k - reward.window + 1 : base + k + 1]
-            total += gamma**k * reward(window)
+            total += gamma**k * reward(window[None])[0]
         totals[r] = total
     stderr = float(totals.std(ddof=1) / math.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
     return float(totals.mean()), stderr, rng

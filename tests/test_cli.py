@@ -132,6 +132,7 @@ class TestValidate:
             ("lyapunov", "n_iter", 99, 100),
             ("value_learn", "gamma", -0.1, 0),
             ("value_learn", "gamma", float("nan"), 0.5),
+            ("value_learn", "gamma", 0.9999, 0.999),
             ("lorenz_forecast", "horizon", -1, 1),
             ("lorenz_forecast", "n", 2, 3),
             ("value_learn", "length", 2, 3),
@@ -679,8 +680,8 @@ class TestMain:
 
     def test_misspelt_top_level_keys_rejected(self, tmp_path, monkeypatch, capsys):
         # Keys `run` never reads are reported, not dropped: without the
-        # check this config would run into the working directory with
-        # gamma at its default.
+        # check this config would be refused only for its missing
+        # output_dir, and the misspelt gamma would go unreported.
         monkeypatch.chdir(tmp_path)
         path = write_config(
             tmp_path,
@@ -693,6 +694,17 @@ class TestMain:
         for command in ("validate", "run"):
             assert main([command, path]) == EXIT_VALIDATION
             assert capsys.readouterr().err == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
+    def test_config_without_output_dir_rejected(self, tmp_path, monkeypatch, capsys):
+        # A config that names no output_dir is refused by both commands,
+        # and nothing is written into the working directory.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, "experiment = homology\nseed = 1\n")
+        assert main(["validate", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == "output_dir: required\n"
+        assert main(["run", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "output_dir: required\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
 
     def test_run_subcommand(self, tmp_path):

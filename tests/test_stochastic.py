@@ -78,7 +78,7 @@ class TestSamplePath:
 class TestValueMc:
     def test_constant_reward_geometric_sum(self):
         spec = iid_chain([[0.0]], [1.0])
-        reward = RewardFunctional(window=1, fn=lambda recent: 2.0)
+        reward = RewardFunctional(window=1, fn=lambda w: np.full(len(w), 2.0))
         gamma = 0.9
         est = value_mc(spec, reward, gamma, history=np.zeros((1, 1)), n_rollouts=20)
         assert est.stderr < 1e-12
@@ -86,7 +86,7 @@ class TestValueMc:
 
     def test_gamma_zero_returns_reward_of_history(self):
         spec = iid_chain([[0.0], [1.0]], [0.5, 0.5], seed=1)
-        reward = RewardFunctional(window=2, fn=lambda recent: recent[-1, 0] - recent[0, 0])
+        reward = RewardFunctional(window=2, fn=lambda w: w[:, -1, 0] - w[:, 0, 0])
         hist = np.array([[1.0], [3.0]])
         est = value_mc(spec, reward, 0.0, history=hist, n_rollouts=10)
         assert est.value == 2.0
@@ -98,7 +98,7 @@ class TestValueMc:
         r_table = np.array([1.0, -0.5])
         oracle = markov_value_oracle(P, r_table, gamma)
         spec = ProcessSpec(P, emissions, seed=2)
-        reward = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
+        reward = RewardFunctional(window=1, fn=lambda w: r_table[w[:, -1, 0].astype(int)])
         for state in (0, 1):
             est = value_mc(
                 spec, reward, gamma,
@@ -113,9 +113,9 @@ class TestValueMc:
         # the stationary law.
         P, em = np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([[0.0], [1.0]])
         r_table = np.array([1.0, -0.5])
-        last = RewardFunctional(window=1, fn=lambda recent: r_table[int(recent[-1, 0])])
+        last = RewardFunctional(window=1, fn=lambda w: r_table[w[:, -1, 0].astype(int)])
         pair = RewardFunctional(
-            window=2, fn=lambda recent: recent[-1, 0] * recent[0, 0] - 0.25 * recent[-1, 0]
+            window=2, fn=lambda w: w[:, -1, 0] * w[:, 0, 0] - 0.25 * w[:, -1, 0]
         )
         markov = value_mc(
             ProcessSpec(P, em), last, 0.9, history=em[1][None, :],
@@ -132,9 +132,17 @@ class TestValueMc:
 
     def test_unbounded_reward_flagged(self):
         spec = iid_chain([[1.0]], [1.0])
-        reward = RewardFunctional(window=1, fn=lambda recent: float("nan"))
+        reward = RewardFunctional(window=1, fn=lambda w: np.full(len(w), np.nan))
         with pytest.raises(AdmissibilityError):
             value_mc(spec, reward, 0.5, history=np.ones((1, 1)), n_rollouts=2)
+
+    @pytest.mark.parametrize("surplus", [-1, 1])
+    def test_wrong_number_of_rewards_rejected(self, surplus):
+        # gamma = 0.5 gives a horizon of 30, so 4 rollouts make 120 windows.
+        spec = iid_chain([[0.0], [1.0]], [0.5, 0.5])
+        reward = RewardFunctional(window=1, fn=lambda w: np.zeros(len(w) + surplus))
+        with pytest.raises(ValueError, match=rf"\({120 + surplus},\) for 120 windows"):
+            value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=4)
 
 
 class TestBatchedRolloutsMatchPerStepReference:
@@ -157,7 +165,7 @@ class TestBatchedRolloutsMatchPerStepReference:
     def reward(window, d):
         weights = np.linspace(-1.0, 1.5, window * d).reshape(window, d)
         return RewardFunctional(
-            window=window, fn=lambda recent: float(np.tanh(weights * recent).sum())
+            window=window, fn=lambda w: np.tanh(weights * w).sum(axis=(1, 2))
         )
 
     @pytest.mark.parametrize("window", [1, 2, 3])
@@ -222,23 +230,23 @@ class TestBatchedRolloutsMatchPerStepReference:
     def test_signed_zeros_are_distinct_windows(self):
         # 0.0 and -0.0 compare equal but are different inputs to fn.
         spec = iid_chain([[0.0], [-0.0]], [0.5, 0.5])
-        reward = RewardFunctional(window=1, fn=lambda recent: math.copysign(1.0, recent[-1, 0]))
+        reward = RewardFunctional(window=1, fn=lambda w: np.copysign(1.0, w[:, -1, 0]))
         est = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=20, seed=3)
         ref = value_mc_reference(spec, reward, 0.5, np.zeros((1, 1)), 20, est.horizon, seed=3)
         assert est.stderr > 0 and (est.value, est.stderr) == ref[:2]
 
     def test_two_column_windows_with_signed_zeros(self):
         # Rows that differ only in the sign of a zero, in either column,
-        # are different windows: one reward call each, and the estimate
-        # of the per-rollout loop.
+        # reach fn as they are: one call with every rollout's windows in
+        # the per-rollout loop's order, and that loop's estimate.
         table = [[0.0, -0.0], [-0.0, 0.0], [0.0, 1.0]]
         spec = ProcessSpec(np.array([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]]), table)
         weights = np.array([[0.5, -1.0], [2.0, 0.25]])
 
         def counted(calls):
-            def fn(recent):
-                calls.append(recent.tobytes())
-                return float((weights * np.copysign(1.0, recent)).sum() + recent.sum())
+            def fn(w):
+                calls.append(w.copy())
+                return (weights * np.copysign(1.0, w)).sum(axis=(1, 2)) + w.sum(axis=(1, 2))
             return RewardFunctional(window=2, fn=fn)
 
         history = np.array([[-0.0, 0.0], [0.0, -0.0]])
@@ -248,15 +256,28 @@ class TestBatchedRolloutsMatchPerStepReference:
             spec, counted(ref_calls), 0.8, history, 30, est.horizon, 1, seed=9
         )
         assert (est.value, est.stderr) == (value, stderr)
-        assert sorted(calls) == sorted(set(ref_calls))
-        assert len(calls) == 9  # every ordered pair of the three rows
+        assert len(calls) == 1 and calls[0].shape == (30 * est.horizon, 2, 2)
+        assert calls[0].tobytes() == np.concatenate(ref_calls).tobytes()
+
+    def test_fifty_state_chain_with_two_columns(self):
+        # A random 50-state chain with a random two-column table: windows
+        # of three rows seldom repeat, and all are scored in one call.
+        rng = np.random.default_rng(31)
+        P = rng.random((50, 50))
+        spec = ProcessSpec(P / P.sum(axis=1, keepdims=True), rng.standard_normal((50, 2)), seed=6)
+        reward, history = self.reward(3, 2), rng.standard_normal((3, 2))
+        est = value_mc(spec, reward, 0.8, history, n_rollouts=20, current_state=7, seed=13)
+        value, stderr, _ = value_mc_reference(
+            spec, reward, 0.8, history, 20, est.horizon, 7, seed=13
+        )
+        assert (est.value, est.stderr) == (value, stderr)
 
     def test_nan_in_a_late_rollout_raises(self):
         # State 1 is rare: the first rollout (the stream's first draws,
         # rollout-major) never emits it, a later one does.
         spec = iid_chain([[0.0], [1.0]], [0.99, 0.01])
         reward = RewardFunctional(
-            window=1, fn=lambda recent: float("nan") if recent[-1, 0] == 1.0 else 1.0
+            window=1, fn=lambda w: np.where(w[:, -1, 0] == 1.0, np.nan, 1.0)
         )
         first = value_mc(spec, reward, 0.5, np.zeros((1, 1)), n_rollouts=1, seed=6)
         assert first.value == 2.0 - 0.5 ** (first.horizon - 1)
