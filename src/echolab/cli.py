@@ -8,8 +8,9 @@ name, and this module is the only one that chooses their schema,
 formats them and writes files. `run` writes a manifest before any heavy
 computation and the artifacts only after the runner returns, so a
 failed run leaves only its manifest, which records the exception's type
-and message. Identical config and seed give byte-identical numeric
-outputs.
+and message, and every parameter the run used, defaults included.
+Identical config and seed give byte-identical numeric outputs. JSON
+artifacts are strict (RFC 8259): a figure with no finite value is null.
 
 Every numeric CSV artifact is written by `csv_text`, one `.17g` value
 per cell, so each float reads back to the same bits. A column that
@@ -30,7 +31,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
@@ -533,7 +534,8 @@ def run_lyapunov(seed: int, *, n_iter: int, tau: float) -> Artifacts:
 
 def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: float) -> Artifacts:
     """The hexagon's boundary matrices, Betti profiles and diagram, or
-    the Lorenz landmark diagram and its H1 summary.
+    the Lorenz landmark diagram and its H1 summary, whose `gap_ratio` is
+    null without a third H1 class of positive lifetime to divide by.
 
     The hexagon's profiles count its diagram's pairs in every degree
     below its skeleton dimension.
@@ -559,7 +561,7 @@ def run_homology(seed: int, *, source: str, ell: int, subsample: int, max_eps: f
     return {
         "diagram.csv": diagram_csv(res.diagram),
         "h1_summary.json": {
-            "gap_ratio": res.gap_ratio,
+            "gap_ratio": res.gap_ratio if math.isfinite(res.gap_ratio) else None,
             "top_persistences": res.top_persistences,
         },
     }
@@ -675,6 +677,7 @@ def run(config: ExperimentConfig) -> int:
         return EXIT_VALIDATION
     table = PARAMETERS[config.experiment]
     params = {key: config.parameters.get(key, param.default) for key, param in table.items()}
+    config = replace(config, parameters=params)  # the manifest records the defaults too
     outdir = Path(config.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -687,7 +690,7 @@ def run(config: ExperimentConfig) -> int:
         artifacts = RUNNERS[config.experiment](config.seed, **params)
         for name, content in artifacts.items():
             (outdir / name).write_text(
-                content if isinstance(content, str) else json.dumps(content)
+                content if isinstance(content, str) else json.dumps(content, allow_nan=False)
             )
     except Exception as exc:  # runtime failure -> exit 3 with diagnostic
         print(f"{config.experiment}: {exc}", file=sys.stderr)

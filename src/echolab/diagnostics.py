@@ -64,11 +64,13 @@ class FixedPointResult:
 def _newton_once(psi, jac, x0):
     x = np.asarray(x0, dtype=float).copy()
     eye = np.eye(x.shape[0])
-    for it in range(1, NEWTON_MAX_ITER + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         fx = psi(x)
         residual = float(np.linalg.norm(fx - x))
         if residual < NEWTON_TOL:
-            return x, residual, it - 1
+            return x, residual, it
+        if it == NEWTON_MAX_ITER:
+            raise NewtonConvergenceError(residual, NEWTON_MAX_ITER)
         try:
             delta = np.linalg.solve(jac(x) - eye, -(fx - x))
         except np.linalg.LinAlgError as exc:
@@ -76,11 +78,6 @@ def _newton_once(psi, jac, x0):
         if not np.all(np.isfinite(delta)):
             raise NearNeutralFixedPointError("Newton step is not finite")
         x = x + delta
-    fx = psi(x)
-    residual = float(np.linalg.norm(fx - x))
-    if residual < NEWTON_TOL:
-        return x, residual, NEWTON_MAX_ITER
-    raise NewtonConvergenceError(residual, NEWTON_MAX_ITER)
 
 
 def newton_fixed_point(

@@ -54,7 +54,7 @@ class DegenerateJacobianError(EcholabError):
 
 
 class FiltrationOrderError(EcholabError):
-    """A filtration was not sorted before persistence reduction."""
+    """A filtration's arrays are not in filtration order."""
 
 
 class DegenerateCloudError(EcholabError):

@@ -17,15 +17,16 @@ boundary-column reduction.
 A filtration is held as one pair of arrays per dimension, entry values
 and vertex rows, each sorted by (value, vertices); the order of the
 whole filtration, by (value, dimension, vertices), follows from them.
-The Rips complex is built dimension by dimension with numpy: each
-k-simplex row gains a common upper neighbour of all its vertices.
-Extended in lexicographic order, the rows come out in lexicographic
-order, and one stable sort by value puts each dimension in filtration
-order. The simplices stay materialised rather than enumerated
-implicitly by combinatorial index: the top simplices are the cofaces
-the last reduction reads, so they are enumerated anyway. Hand-built
-filtrations enter through a list constructor, and one generic path
-serves them and Rips alike.
+Checked once when built, its vertex labels are 0, ..., m - 1, so a
+label is also a position. The Rips complex is built dimension by
+dimension with numpy: each k-simplex row gains a common upper
+neighbour of all its vertices. Extended in lexicographic order, the
+rows come out in lexicographic order, and one stable sort by value
+puts each dimension in filtration order. The simplices stay
+materialised rather than enumerated implicitly by combinatorial index:
+the top simplices are the cofaces the last reduction reads, so they
+are enumerated anyway. Hand-built filtrations enter through a list
+constructor, and one generic path serves them and Rips alike.
 
 The diagram lists only the pairs that carry homology, as Ripser does
 (Bauer, J. Appl. Comput. Topol. 5, 391, 2021). Its degrees lie below
@@ -43,25 +44,21 @@ birth and death, with death infinity for a class still alive at the
 end of the filtration; `PersistencePair` objects are built only when
 read.
 
-Labels and faces are found by index table, as Ripser finds faces by
-combinatorial index rather than by search. `_positions` maps each
-vertex label to its position in the sorted labels through a dense
-table indexed by label - lowest label, and `_facet_index` maps each
-facet, its vertex positions read as one base-radix key, to its face
-index through a dense table of radix ** (k + 1) entries; -1 marks an
-absent label or face. A table is built only when it has no more
-entries than the query array it answers, so it never outgrows the
-queries. Otherwise (sparse labels, or the facets of few
-(k+1)-simplices among many possible k-simplices) the keys are sorted
-and searched. Both paths give the same indices and raise the same
-ValueError for a missing face or label (`_index_of`).
+Faces are found by index table, as Ripser finds them by combinatorial
+index rather than by search. `_facet_index` maps each facet, its
+vertex labels read as one base-m key, to its face index through a
+dense table of m ** (k + 1) entries; -1 marks an absent face. A table
+is built only when it has no more entries than the query array it
+answers, so it never outgrows the queries. Otherwise (the facets of
+few (k+1)-simplices among many possible k-simplices) the keys are
+sorted and searched. Both paths give the same indices and raise the
+same ValueError for a missing face (`_index_of`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
@@ -73,14 +70,18 @@ from .errors import DegenerateCloudError, FiltrationOrderError
 
 Simplex = Tuple[int, ...]
 
+_NOT_CLOSED = "filtration is not closed under taking faces"
+
 
 def _rows_in_order(values: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether the (value, row) pairs are nondecreasing, rows read lexicographically."""
-    keys = np.column_stack([values, rows])
-    before, after = keys[:-1], keys[1:]
-    first = (before != after).argmax(axis=1)  # first differing column; 0 if equal
-    at = np.arange(len(first))
-    return bool(np.all(before[at, first] <= after[at, first]))
+    """Whether the (value, row) pairs are nondecreasing, rows read
+    lexicographically; one column at a time, to keep temporaries small."""
+    ahead = values[1:] > values[:-1]  # the pair is decided in order
+    tied = values[1:] == values[:-1]  # still undecided
+    for col in rows.T:
+        ahead |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    return bool(np.all(ahead | tied))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,43 +91,59 @@ class Filtration:
     values[k] (n_k floats) holds the entry values of the k-simplices and
     vertices[k] (n_k x k+1 int64) their vertex labels, one increasing row
     per simplex, both in filtration order: by value, then by vertices.
-    The whole filtration is ordered by (value, dimension, vertices).
+    The whole filtration is in (value, dimension, vertices) order.
     len(values) - 1 is its skeleton dimension, whether or not a simplex
-    of that dimension is present. `ordered` is False when
-    `from_simplices` met its list out of that order; `persistence` then
-    refuses the filtration.
+    of that dimension is present.
+
+    Construction checks the arrays once: a dimension out of order raises
+    FiltrationOrderError; vertex labels other than 0, ..., n_0 - 1, each
+    listed once, or a higher row that is not increasing or names a label
+    outside them, raise ValueError.
     """
 
     values: Tuple[np.ndarray, ...]
     vertices: Tuple[np.ndarray, ...]
-    ordered: bool = True
+
+    def __post_init__(self):
+        if not all(map(_rows_in_order, self.values, self.vertices)):
+            raise FiltrationOrderError("each dimension must be sorted by (value, vertices)")
+        n = len(self.vertices[0])
+        if not np.array_equal(np.sort(self.vertices[0][:, 0]), np.arange(n)):
+            raise ValueError("vertex labels must be 0, ..., n - 1, each listed once")
+        for rows in self.vertices[1:]:
+            cols = rows.T
+            increasing = all(np.all(a < b) for a, b in zip(cols[:-1], cols[1:]))
+            if not (increasing and np.all(cols[0] >= 0) and np.all(cols[-1] < n)):
+                raise ValueError(
+                    f"{_NOT_CLOSED}: a row names an unlisted vertex or is not increasing"
+                )
 
     @classmethod
     def from_simplices(cls, simplices: Sequence[Tuple[float, int, Simplex]]) -> "Filtration":
-        """Filtration of a list of (value, dimension, vertices) entries.
+        """Filtration of a list of (value, dimension, vertices) entries, in any order.
 
         Each simplex may be listed once: a repeat, whatever its value,
         raises ValueError naming its (dimension, vertices).
         """
-        dims = max((dim for _, dim, _ in simplices), default=0) + 1
-        values: List[List[float]] = [[] for _ in range(dims)]
-        vertices: List[List[Simplex]] = [[] for _ in range(dims)]
-        seen = set()
+        entries: Dict[Tuple[int, Simplex], float] = {}
         for value, dim, verts in simplices:
             if value < 0:
                 raise ValueError("filtration values must be nonnegative")
             if len(verts) != dim + 1:
                 raise ValueError(f"simplex {verts} has wrong dimension tag {dim}")
             key = (dim, tuple(sorted(verts)))
-            if key in seen:
+            if key in entries:
                 raise ValueError(f"simplex (dimension, vertices) {(dim, tuple(verts))} is repeated")
-            seen.add(key)
+            entries[key] = value
+        dims = max((dim for dim, _ in entries), default=0) + 1
+        values: List[List[float]] = [[] for _ in range(dims)]
+        vertices: List[List[Simplex]] = [[] for _ in range(dims)]
+        for value, dim, verts in sorted((value, *key) for key, value in entries.items()):
             values[dim].append(value)
             vertices[dim].append(verts)
         return cls(
             tuple(np.array(v, dtype=float) for v in values),
             tuple(np.array(vs, dtype=np.int64).reshape(-1, k + 1) for k, vs in enumerate(vertices)),
-            all(map(operator.le, simplices, itertools.islice(simplices, 1, None))),
         )
 
     @cached_property
@@ -141,9 +158,6 @@ class Filtration:
         # order, so a stable sort by value gives (value, dimension, vertices).
         order = np.argsort(np.concatenate(self.values), kind="stable")
         return tuple(entries[i] for i in order.tolist())
-
-    def is_sorted(self) -> bool:
-        return self.ordered and all(map(_rows_in_order, self.values, self.vertices))
 
 
 def rips_filtration(points: np.ndarray, max_dim: int, max_eps: float) -> Filtration:
@@ -193,19 +207,13 @@ def boundary_matrix(filtration: Filtration, k: int, eps: float) -> np.ndarray:
     """F2 matrix of the degree-k boundary map of the simplices entering by eps.
 
     Columns are the k-simplices, rows the (k-1)-simplices, both in
-    filtration order. Entry 1 marks the face relation. Raises
-    FiltrationOrderError unless the filtration is sorted.
+    filtration order. Entry 1 marks the face relation.
     """
     if k < 1:
         raise ValueError("boundary matrices start at k = 1")
-    if not filtration.is_sorted():
-        raise FiltrationOrderError("filtration must be sorted")
-    labels = np.sort(filtration.vertices[0][:, 0])
-    rows, cols = (
-        _positions(labels, filtration.vertices[j][filtration.values[j] <= eps]) for j in (k - 1, k)
-    )
+    rows, cols = (filtration.vertices[j][filtration.values[j] <= eps] for j in (k - 1, k))
     out = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    out[_facet_index(rows, cols, len(labels)), np.arange(len(cols))[:, None]] = 1
+    out[_facet_index(rows, cols, len(filtration.values[0])), np.arange(len(cols))[:, None]] = 1
     return out
 
 
@@ -254,9 +262,6 @@ class _UnionFind:
         return root
 
 
-_NOT_CLOSED = "filtration is not closed under taking faces"
-
-
 def _index_of(keys: np.ndarray, queries: np.ndarray, span: int) -> np.ndarray:
     """Index in keys, distinct ints in [0, span), of each query; all must be keys.
 
@@ -280,14 +285,6 @@ def _index_of(keys: np.ndarray, queries: np.ndarray, span: int) -> np.ndarray:
     if queries.size and (keys.size == 0 or np.any(keys[by_key.take(pos, mode="clip")] != queries)):
         raise ValueError(_NOT_CLOSED)
     return by_key[pos]
-
-
-def _positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vertex rows as positions in the sorted vertex labels, which need
-    not be contiguous or nonnegative; each label is keyed by label -
-    lowest label."""
-    low, high = (int(labels[0]), int(labels[-1])) if labels.size else (0, -1)
-    return _index_of(labels - low, rows - low, high - low + 1)
 
 
 def _simplex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -392,25 +389,22 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
     equal those of boundary column reduction in filtration order. Classes
     alive at the end get death = infinity.
     """
-    if not filtration.is_sorted():
-        raise FiltrationOrderError("filtration must be sorted")
-    values = filtration.values
+    values, vertices = filtration.values, filtration.vertices
     top = len(values) - 1
     if top < 1:  # vertices alone: no degree lies below the skeleton dimension
         return PersistenceDiagram(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
 
-    by_label = np.argsort(filtration.vertices[0][:, 0])
-    labels = filtration.vertices[0][by_label, 0]
-    root_birth = values[0][by_label]
-    rows = [_positions(labels, verts) for verts in filtration.vertices]
+    n_vertices = len(values[0])
+    root_birth = np.empty(n_vertices)
+    root_birth[vertices[0][:, 0]] = values[0]
 
     # Blocks of pairs (degree, births, deaths).
     blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    uf = _UnionFind(len(labels))
+    uf = _UnionFind(n_vertices)
     born = root_birth.tolist()
     h0_births, h0_deaths = [], []
     cleared: Set[int] = set()
-    for edge, ((a, b), value) in enumerate(zip(rows[1].tolist(), values[1].tolist())):
+    for edge, ((a, b), value) in enumerate(zip(vertices[1].tolist(), values[1].tolist())):
         i, j = uf.find(a), uf.find(b)
         if i == j:
             continue
@@ -420,11 +414,11 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
         h0_deaths.append(value)
         uf.parent[young] = old
         cleared.add(edge)
-    roots = root_birth[np.array(uf.parent) == np.arange(len(labels))]
+    roots = root_birth[np.array(uf.parent) == np.arange(n_vertices)]
     blocks.append((0, np.array(h0_births), np.array(h0_deaths)))
     blocks.append((0, roots, np.full(len(roots), math.inf)))
     for k in range(1, top):
-        indptr, cofaces = _coboundaries(rows[k], rows[k + 1], len(labels))
+        indptr, cofaces = _coboundaries(vertices[k], vertices[k + 1], n_vertices)
         owner, alive = _reduce_coboundaries(indptr, cofaces, cleared)
         lows = np.fromiter(owner, np.int64, len(owner))
         faces = np.fromiter(owner.values(), np.int64, len(owner))
@@ -454,8 +448,8 @@ def hexagon_example_filtration() -> Filtration:
     """
     sqrt3 = math.sqrt(3.0)
     entries: List[Tuple[float, int, Simplex]] = [(0.0, 0, (i,)) for i in range(6)]
-    sides = [tuple(sorted((i, (i + 1) % 6))) for i in range(6)]
-    diagonals = [tuple(sorted((i, (i + 2) % 6))) for i in range(6)]
+    sides = [(i, (i + 1) % 6) for i in range(6)]
+    diagonals = [(i, (i + 2) % 6) for i in range(6)]
     long_diagonals = [(i, i + 3) for i in range(3)]
     ears = [tuple(sorted((i, (i + 1) % 6, (i + 2) % 6))) for i in range(6)]
     for e in sides:
@@ -471,7 +465,7 @@ def hexagon_example_filtration() -> Filtration:
             entries.append((2.0, 2, f))
     for t in itertools.combinations(range(6), 4):
         entries.append((2.0, 3, t))
-    return Filtration.from_simplices(sorted(entries))
+    return Filtration.from_simplices(entries)
 
 
 def maxmin_subsample(points: np.ndarray, n_landmarks: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used only by the test suite."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -463,6 +464,16 @@ def csv_text_reference(header, columns):
     row = ",".join(["%.17g"] * len(columns))
     lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
     return "\n".join(lines) + "\n"
+
+
+def strict_json(text):
+    """The JSON document in text, read as RFC 8259 reads it: the NaN,
+    Infinity and -Infinity that `json.loads` accepts by default raise."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def maxmin_subsample_reference(points, n_landmarks):

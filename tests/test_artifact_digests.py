@@ -25,6 +25,7 @@ from typing import Dict
 import numpy as np
 
 from echolab.cli import EXIT_OK, EXPERIMENTS, ExperimentConfig, run
+from oracles import strict_json
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 SEEDS = (7, 42)
@@ -78,7 +79,8 @@ def environment() -> Dict[str, object]:
 
 def artifact_digests(workdir: Path) -> Dict[str, str]:
     """sha256 of every artifact, keyed 'label/seed/file', each config run
-    through `cli.run` into its own directory under `workdir`."""
+    through `cli.run` into its own directory under `workdir`. Every JSON
+    artifact must parse as strict JSON."""
     digests = {}
     for label, (experiment, params) in CONFIGS.items():
         for seed in SEEDS:
@@ -87,6 +89,8 @@ def artifact_digests(workdir: Path) -> Dict[str, str]:
                 raise RuntimeError(f"{label} failed at seed {seed}")
             for path in sorted(outdir.iterdir()):
                 if path.name != "manifest.json":
+                    if path.suffix == ".json":
+                        strict_json(path.read_text())
                     key = f"{label}/{seed}/{path.name}"
                     digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests

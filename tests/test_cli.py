@@ -31,7 +31,7 @@ from echolab.diagnostics import esn_jacobian, lorenz_linearization_eigs, newton_
 from echolab.dynsys import LorenzParams, TimeSeries, circle_rotation, integrate_lorenz
 from echolab.reservoir import ReservoirSpec, autonomous_drive, autonomous_map, drive
 from echolab.topology import attractor_h1_experiment, hexagon_example_filtration, persistence
-from oracles import csv_text_reference, iterate_with_step_check
+from oracles import csv_text_reference, iterate_with_step_check, strict_json
 
 
 def _benchmark_workloads():
@@ -264,6 +264,23 @@ class TestRun:
         assert (outdir / "boundary_2.csv").exists()
         assert (outdir / "diagram.csv").exists()
 
+    def test_manifest_records_default_parameters(self, tmp_path):
+        config = ExperimentConfig("homology", 1, str(tmp_path), parameters={"source": "hexagon"})
+        assert run(config) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "source": "hexagon", "ell": 8000, "subsample": 400, "max_eps": 10.0,
+        }
+
+    def test_h1_summary_without_a_third_loop_is_strict_json(self, tmp_path):
+        # 50 landmarks of a 200-step orbit give fewer than three H1
+        # classes, so the gap ratio has no finite value.
+        params = {"source": "lorenz", "ell": 200, "subsample": 50, "max_eps": 100.0}
+        assert run(ExperimentConfig("homology", 1, str(tmp_path), parameters=params)) == EXIT_OK
+        summary = strict_json((tmp_path / "h1_summary.json").read_text())
+        assert summary["gap_ratio"] is None
+        assert len(summary["top_persistences"]) == 1
+
     @pytest.mark.parametrize("source", ["hexagon", "lorenz"])
     def test_diagram_csv_holds_the_persistence_rows(self, tmp_path, source):
         # diagram.csv holds the rows of `persistence`'s diagram as a
@@ -436,12 +453,14 @@ class TestRun:
         assert capsys.readouterr().err == f"output_dir: cannot create {outdir}: {reason}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "file"]
 
-    def test_write_error_fails_the_run(self, tmp_path, monkeypatch):
-        # An artifact that cannot be written fails the run like a runner error.
+    @pytest.mark.parametrize("artifacts", [{"no/such.csv": ""}, {"summary.json": {"ratio": math.inf}}])
+    def test_write_error_fails_the_run(self, tmp_path, monkeypatch, artifacts):
+        # An artifact that cannot be written, to its path or as strict
+        # JSON, fails the run like a runner error.
         import echolab.cli as cli_mod
 
         def unwritable(seed, **params):
-            return {"no/such.csv": ""}
+            return artifacts
 
         monkeypatch.setitem(cli_mod.RUNNERS, "homology", unwritable)
         config = ExperimentConfig(experiment="homology", seed=1, output_dir=str(tmp_path))
@@ -546,7 +565,10 @@ class TestEsnPipelines:
         assert set(manifest) == {
             "experiment", "seed", "output_dir", "parameters", "version", "status", "wall_time_s",
         }
-        assert manifest["parameters"] == config.parameters
+        table = PARAMETERS[experiment]
+        assert manifest["parameters"] == {
+            key: config.parameters.get(key, param.default) for key, param in table.items()
+        }
 
     def test_lorenz_train(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_train")

@@ -12,7 +12,6 @@ from echolab.topology import (
     Filtration,
     PersistenceDiagram,
     _coboundaries,
-    _positions,
     _reduce_coboundaries,
     _simplex_keys,
     attractor_h1_experiment,
@@ -156,7 +155,7 @@ class TestRipsFiltration:
 
     def test_sorted_by_value_then_dim(self):
         filt = rips_filtration(hexagon_points(), max_dim=2, max_eps=2.5)
-        assert filt.is_sorted()
+        assert filt.simplices == tuple(sorted(filt.simplices))
 
 
 class TestRipsMatchesReference:
@@ -228,19 +227,48 @@ class TestFiltrationFromSimplices:
         assert diag.birth.tolist() == [0.0, 0.0]
         assert diag.death.tolist() == [1.0, math.inf]
 
-    def test_dimensions_out_of_order_rejected(self):
-        # Each dimension is in order, but the edge precedes a vertex of
-        # smaller value.
-        filt = Filtration.from_simplices([(0.0, 0, (0,)), (1.0, 1, (0, 1)), (0.0, 0, (1,))])
-        assert not filt.is_sorted()
-        with pytest.raises(FiltrationOrderError):
-            persistence(filt)
+    def test_list_order_ignored(self):
+        # The edge is listed before both vertices, and vertex 1 before 0.
+        filt = Filtration.from_simplices([(1.0, 1, (0, 1)), (0.0, 0, (1,)), (0.0, 0, (0,))])
+        assert filt.simplices == ((0.0, 0, (0,)), (0.0, 0, (1,)), (1.0, 1, (0, 1)))
+        assert persistence(filt).death.tolist() == [1.0, math.inf]
+
+    def test_vertices_listed_in_any_order(self):
+        # A closed triangle with every simplex's vertices listed in
+        # decreasing order is stored with increasing rows.
+        simplices = [(0.0, 0, (i,)) for i in range(3)]
+        simplices += [(1.0, 1, e) for e in ((1, 0), (2, 0), (2, 1))] + [(2.0, 2, (2, 1, 0))]
+        filt = Filtration.from_simplices(simplices)
+        assert filt.vertices[1].tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert filt.vertices[2].tolist() == [[0, 1, 2]]
+        assert persistence(filt).death.tolist() == [1.0, 1.0, math.inf, 2.0]
 
     def test_simplices_view_in_filtration_order(self):
         filt = hexagon_example_filtration()
         assert filt.simplices == tuple(sorted(filt.simplices))
         assert len(filt.simplices) == sum(len(v) for v in filt.values)
         assert filt.simplices is filt.simplices
+
+
+class TestFiltrationChecks:
+    """A filtration checks its arrays once, when it is built."""
+
+    def test_labels_must_be_positions(self):
+        # Shifted, spread (10**6 apart) or gapped labels keep every
+        # dimension in order, but are not the positions 0, ..., m - 1.
+        filt = rips_filtration(make_rng(22).uniform(0, 1, (15, 2)), max_dim=2, max_eps=0.8)
+        relabels = (lambda r: r - 7, lambda r: r + 5, lambda r: r * 10**6 - 5, lambda r: r + (r >= 3))
+        for relabel in relabels:
+            with pytest.raises(ValueError, match="vertex labels"):
+                Filtration(filt.values, tuple(map(relabel, filt.vertices)))
+        with pytest.raises(ValueError, match="each listed once"):
+            Filtration((np.zeros(2),), (np.array([[0], [0]]),))
+
+    def test_rows_must_be_increasing_vertices(self):
+        vertices = (np.zeros(3), np.ones(1))
+        for edge in ([1, 0], [1, 1], [-1, 0], [0, 3]):
+            with pytest.raises(ValueError, match="closed under taking faces"):
+                Filtration(vertices, (np.arange(3).reshape(-1, 1), np.array([edge])))
 
 
 class TestBoundaryMatrix:
@@ -271,21 +299,11 @@ class TestBoundaryMatrix:
         assert M.shape == (6, 6)
         assert np.all(M.sum(axis=0) == 2)
 
-    def test_labels_need_not_start_at_zero(self):
-        filt = self.hexagon_filtration()
-        for shift in (-7, 5):
-            shifted = Filtration(filt.values, tuple(rows + shift for rows in filt.vertices))
-            for k in (1, 2):
-                assert np.array_equal(boundary_matrix(shifted, k, eps=2.0), boundary_matrix(filt, k, eps=2.0))
-
     def test_unsorted_filtration_rejected(self):
         # Edge (0, 2) enters at 2.0 but is listed before edge (0, 1) at 1.0.
-        filt = Filtration.from_simplices(
-            [(0, 0, (0,)), (0, 0, (1,)), (0, 0, (2,)), (2.0, 1, (0, 2)), (1.0, 1, (0, 1))]
-        )
-        assert not filt.is_sorted()
+        vertices = (np.arange(3).reshape(-1, 1), np.array([[0, 2], [0, 1]]))
         with pytest.raises(FiltrationOrderError):
-            boundary_matrix(filt, 1, eps=2.0)
+            Filtration((np.zeros(3), np.array([2.0, 1.0])), vertices)
 
     def test_example_filtration_matches_tables_without_orders(self):
         # The worked-example complex carries exact entry values, so the
@@ -418,9 +436,14 @@ class TestPersistence:
         assert all(a >= b for a, b in zip(b0, b0[1:]))
 
     def test_unsorted_filtration_rejected(self):
-        filt = Filtration.from_simplices([(1.0, 0, (0,)), (0.0, 0, (1,))])
+        # Out of order by value, then by vertices at equal values, then
+        # by the second vertex of edges that tie on the first.
+        for values, labels in (([1.0, 0.0], [0, 1]), ([0.0, 0.0], [1, 0])):
+            with pytest.raises(FiltrationOrderError):
+                Filtration((np.array(values),), (np.array(labels).reshape(-1, 1),))
+        edges = np.array([[0, 2], [0, 1]])
         with pytest.raises(FiltrationOrderError):
-            persistence(filt)
+            Filtration((np.zeros(3), np.ones(2)), (np.arange(3).reshape(-1, 1), edges))
 
     def test_stability_under_perturbation(self):
         # Bottleneck stability smoke test: a delta-perturbation moves
@@ -537,39 +560,32 @@ class TestPersistenceMatchesColumnReduction:
 
     def test_empty_and_vertex_only(self):
         self.assert_same_diagram(Filtration.from_simplices([]))
-        self.assert_same_diagram(Filtration.from_simplices([(0.0, 0, (0,)), (0.5, 0, (1,)), (0.5, 0, (3,))]))
+        self.assert_same_diagram(Filtration.from_simplices([(0.0, 0, (0,)), (0.5, 0, (1,)), (0.5, 0, (2,))]))
 
-    def test_non_contiguous_vertex_labels(self):
-        simplices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,)), (1.0, 1, (0, 1)),
-                     (1.0, 1, (0, 3)), (1.0, 1, (1, 3)), (2.0, 2, (0, 1, 3))]
-        self.assert_same_diagram(Filtration.from_simplices(simplices))
+    def test_vertices_enter_out_of_label_order(self):
+        # Vertex 2 enters first and vertex 0 last, so each vertex's birth
+        # is read by its label, not by its place in the vertex list.
+        simplices = [(0.3, 0, (0,)), (0.1, 0, (1,)), (0.0, 0, (2,)), (0.5, 1, (0, 1)),
+                     (0.4, 1, (1, 2)), (0.6, 1, (0, 2)), (0.7, 2, (0, 1, 2))]
+        got = self.assert_same_diagram(Filtration.from_simplices(simplices))
+        assert [(p.degree, p.birth, p.death) for p in got.pairs] == [
+            (0, 0.0, math.inf), (0, 0.1, 0.4), (0, 0.3, 0.5), (1, 0.6, 0.7)
+        ]
 
     def test_missing_face_rejected(self):
-        # Both found by search: 3 facets for 3**2 edge slots, 2 labels for 4.
-        vertices = [(0.0, 0, (0,)), (0.0, 0, (1,)), (0.0, 0, (3,))]
-        no_edge = vertices + [(1.0, 1, (0, 1)), (1.0, 1, (1, 3)), (1.0, 2, (0, 1, 3))]
-        no_vertex = vertices + [(1.0, 1, (0, 2))]
-        for simplices in (no_edge, no_vertex):
-            with pytest.raises(ValueError, match="closed under taking faces"):
-                persistence(Filtration.from_simplices(simplices))
+        # Found by search: 3 facets for 3**2 edge slots.
+        vertices = [(0.0, 0, (i,)) for i in range(3)]
+        no_edge = vertices + [(1.0, 1, (0, 1)), (1.0, 1, (1, 2)), (1.0, 2, (0, 1, 2))]
+        filt = Filtration.from_simplices(no_edge)
+        with pytest.raises(ValueError, match="closed under taking faces"):
+            persistence(filt)
+        # A missing vertex is found when the filtration is built.
+        with pytest.raises(ValueError, match="closed under taking faces"):
+            Filtration.from_simplices(vertices[:2] + [(1.0, 1, (0, 2))])
 
-    # `persistence` looks labels and faces up by a dense table when the
-    # table has no more entries than the queries it answers, and by
-    # sorted search otherwise. Each case below states which path it takes.
-
-    def test_negative_labels_by_table(self):
-        filt = rips_filtration(make_rng(22).uniform(0, 1, (15, 2)), max_dim=2, max_eps=0.8)
-        shifted = Filtration(filt.values, tuple(rows - 7 for rows in filt.vertices))
-        assert shifted.vertices[0].min() == -7
-        assert_same_columns(self.assert_same_diagram(shifted), persistence(filt))
-
-    def test_sparse_labels_by_search(self):
-        # A label table would span 10**9 + 1 entries for a handful of queries.
-        pair = [(0.0, 0, (0,)), (0.0, 0, (10**9,)), (1.0, 1, (0, 10**9))]
-        self.assert_same_diagram(Filtration.from_simplices(pair))
-        filt = rips_filtration(make_rng(23).uniform(0, 1, (15, 2)), max_dim=2, max_eps=0.8)
-        spread = Filtration(filt.values, tuple(rows * 10**6 - 5 for rows in filt.vertices))
-        assert_same_columns(self.assert_same_diagram(spread), persistence(filt))
+    # `persistence` looks faces up by a dense table when the table has no
+    # more entries than the queries it answers, and by sorted search
+    # otherwise. Each case below states which path it takes.
 
     def test_random_cloud_to_tetrahedra(self):
         filt = rips_filtration(make_rng(31).uniform(0, 1, (60, 3)), max_dim=3, max_eps=0.55)
@@ -583,13 +599,17 @@ class TestPersistenceMatchesColumnReduction:
         skeleton = [(0.0, 0, (i,)) for i in range(5)]
         skeleton += [(1.0, 1, e) for e in itertools.combinations(range(5), 2)]
         skeleton += [(2.0, 2, t) for t in itertools.combinations(range(5), 3)]
-        no_edge = [s for s in skeleton if s[2] != (1, 3)]
-        no_vertex = [s for s in skeleton if s[2] != (2,)]  # labels {0, 1, 3, 4}: 4 is in range
+        filt = Filtration.from_simplices([s for s in skeleton if s[2] != (1, 3)])
+        with pytest.raises(ValueError, match="closed under taking faces"):
+            persistence(filt)
+        # A missing vertex, or a label below or above them all, is found
+        # when the filtration is built.
+        no_vertex = [s for s in skeleton if s[2] != (4,)]
         below = skeleton + [(3.0, 1, (-1, 0))]
         above = skeleton + [(3.0, 1, (4, 5))]
-        for simplices in (no_edge, no_vertex, below, above):
+        for simplices in (no_vertex, below, above):
             with pytest.raises(ValueError, match="closed under taking faces"):
-                persistence(Filtration.from_simplices(simplices))
+                Filtration.from_simplices(simplices)
 
 
 class TestCoboundaries:
@@ -599,10 +619,9 @@ class TestCoboundaries:
         rng = make_rng(32)
         for _ in range(10):
             filt = rips_filtration(rng.uniform(0, 1, (15, 2)), 3, float(rng.uniform(0.3, 1.5)))
-            labels = np.sort(filt.vertices[0][:, 0])
             for k in (1, 2):
-                faces, cofaces = (_positions(labels, filt.vertices[j]) for j in (k, k + 1))
-                indptr, indices = _coboundaries(faces, cofaces, len(labels))
+                faces, cofaces = filt.vertices[k], filt.vertices[k + 1]
+                indptr, indices = _coboundaries(faces, cofaces, len(filt.values[0]))
                 facets = [set(itertools.combinations(c, k + 1)) for c in cofaces.tolist()]
                 for i, face in enumerate(map(tuple, faces.tolist())):
                     want = [t for t, of_t in enumerate(facets) if face in of_t]
