@@ -6,12 +6,15 @@ over F2, stationary-process value learning, and a random-feature
 Dirichlet solver, wired together by a config-driven experiment runner.
 Stages hand each other numpy arrays: orbits, observations and reservoir
 states as the `samples` of a `TimeSeries`, point clouds as (m, d) arrays.
+A reservoir is its arrays, `ReservoirSpec(A, C, b)`, and `generate(n,
+seed)` draws the forecasting one; `solve_offline(problem, lam)` fits a
+ridge readout, the pseudo-inverse one at lam = 0.
 """
 
 __version__ = "0.1.0"
 
 from .dynsys import LorenzParams, TimeSeries, integrate_lorenz
-from .reservoir import ReservoirGenConfig, ReservoirSpec, drive, generate
+from .reservoir import ReservoirSpec, drive, generate
 from .training import Readout, RegressionProblem, solve_offline
 
 __all__ = [
@@ -19,7 +22,6 @@ __all__ = [
     "LorenzParams",
     "TimeSeries",
     "integrate_lorenz",
-    "ReservoirGenConfig",
     "ReservoirSpec",
     "drive",
     "generate",

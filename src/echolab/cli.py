@@ -57,7 +57,6 @@ from .diagnostics import (
 )
 from .pde import build_feature_model, grid_solution, sample_disc, solve_dirichlet_offline
 from .reservoir import (
-    ReservoirGenConfig,
     ReservoirSpec,
     autonomous_drive,
     autonomous_map,
@@ -135,7 +134,8 @@ def positive(default: float) -> Param:
 
 
 def esn_parameters(n_min: int = 1) -> Dict[str, Param]:
-    """Reservoir size, training length and ridge of the Lorenz readout."""
+    """Reservoir size, training length and ridge of the Lorenz readout;
+    lam = 0 takes the pseudo-inverse readout, at any rank of the states."""
     return {"n": integer(300, n_min), "ell": integer(20000, 200), "lam": nonnegative(1e-9)}
 
 
@@ -366,11 +366,6 @@ def diagram_csv(diagram: PersistenceDiagram) -> str:
     return csv_text(["degree", "birth", "death"], [diagram.degree, diagram.birth, diagram.death])
 
 
-def standard_esn(n: int, seed: int) -> ReservoirGenConfig:
-    """The hand-tuned forecasting reservoir: unit 2-norm, small uniforms."""
-    return ReservoirGenConfig(n=n, d=1, a_norm=1.0, c_scale=0.05, b_scale=0.05, seed=seed)
-
-
 def train_lorenz_readout(
     trajectory: TimeSeries, n: int, ell: int, lam: float, seed: int, target: str
 ):
@@ -393,7 +388,7 @@ def train_lorenz_readout(
     after the last input, holds target sample ell, which the fit does
     not read.
     """
-    spec = generate(standard_esn(n, seed))
+    spec = generate(n, seed)
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
     design = np.empty((ell + 1, n + 1))
     states = drive(spec, inputs, np.zeros(n), out=design[:, :n])
@@ -424,7 +419,7 @@ def run_lorenz_train(seed: int, *, n: int, ell: int, lam: float) -> Artifacts:
             "n": spec.n,
             "d": spec.d,
             "activation": spec.activation,
-            "seed": spec.seed,
+            "seed": seed,
             "a": spec.A.flatten().tolist(),
             "c": spec.C.flatten().tolist(),
             "b": spec.b.tolist(),
@@ -573,7 +568,7 @@ def run_gs_examples(seed: int, *, n_steps: int, burn_in: int) -> Artifacts:
     z = TimeSeries(step=angles.step, samples=0.5 * np.sin(angles.samples))
     # The scalar example x -> tanh(2x + z) is the ESN with A = 2, C = 1,
     # b = 0; two uncoupled copies run the branches from -0.9 and 0.9.
-    spec = ReservoirSpec(n=2, d=1, A=2.0 * np.eye(2), C=np.ones(2), b=np.zeros(2))
+    spec = ReservoirSpec(A=2.0 * np.eye(2), C=np.ones(2), b=np.zeros(2))
     minus, plus = drive(spec, z, np.array([-0.9, 0.9])).samples.T
     gap = np.abs(plus[burn_in:] - minus[burn_in:])
     # Row k pairs x_k with the angle of the input z_{k-1} that produced it.
@@ -613,8 +608,8 @@ def run_value_learn(seed: int, *, gamma: float, length: int) -> Artifacts:
     emissions = np.array([[0.0], [1.0]])
     r_table = np.array([1.0, 0.0])
     oracle = markov_value_oracle(P, r_table, gamma)
-    spec = ProcessSpec(P, emissions, seed=seed)
-    series, states = sample_path(spec, length)
+    spec = ProcessSpec(P, emissions)
+    series, states = sample_path(spec, length, seed)
     features = np.eye(2)[states]
     rewards = r_table[states[:-1]]
     problem = value_targets(features, rewards, gamma)

@@ -123,7 +123,7 @@ def esn_jacobian(spec: ReservoirSpec, w: np.ndarray, x: np.ndarray) -> np.ndarra
     return (1.0 - autonomous_map(spec, w)(x) ** 2)[:, None] * linear
 
 
-def lorenz_linearization_eigs(tau: float = 0.01) -> np.ndarray:
+def lorenz_linearization_eigs(tau: float) -> np.ndarray:
     """Eigenvalues of exp(J tau) at the wing equilibrium, exp(tau * eig J)."""
     jacobian = lorenz_jacobian(WING_FIXED_POINT, LorenzParams())
     return np.exp(tau * np.linalg.eigvals(jacobian))

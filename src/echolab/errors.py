@@ -25,10 +25,6 @@ class SpectrumCollisionError(EcholabError):
     """A requested resolvent is singular because an eigenvalue collides."""
 
 
-class SingularProblemError(EcholabError):
-    """An unregularised least squares problem is rank deficient."""
-
-
 class NonErgodicError(EcholabError):
     """A Markov chain has no unique stationary distribution."""
 

@@ -3,7 +3,8 @@
 The problem is Laplace's equation on the unit disc with boundary data
 cos(4 theta). The module holds frozen random tanh features on the plane
 with weights U[-0.05, 0.05], their Laplacian, area-uniform interior and
-uniform boundary sampling, the offline stacked ridge solve, and the
+uniform boundary sampling, the offline stacked ridge solve (at lam = 0
+the pseudo-inverse, since the stack is rank deficient), and the
 closed-form solution r^4 cos(4 theta), against which the learned
 solution is scored on a 50 x 200 polar grid.
 
@@ -23,22 +24,25 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .reservoir import make_rng
 from .training import Readout, RegressionProblem, solve_offline
 
 
 @dataclass
 class RandomFeatureModel:
-    """Feature map z -> tanh(C z + b) with frozen random weights."""
+    """Feature map z -> tanh(C z + b) with frozen random weights: one
+    feature per entry of b, and one row of C (n x d) per feature, else
+    DimensionMismatchError."""
 
-    n: int
-    d: int
     C: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float).reshape(self.n, self.d)
-        self.b = np.asarray(self.b, dtype=float).reshape(self.n)
+        self.C = np.asarray(self.C, dtype=float)
+        self.b = np.asarray(self.b, dtype=float).reshape(-1)
+        if self.C.ndim != 2 or self.C.shape[0] != len(self.b):
+            raise DimensionMismatchError(f"C must be {len(self.b)} x d, not {self.C.shape}")
 
 
 def build_feature_model(n: int, seed: int = 0) -> RandomFeatureModel:
@@ -46,7 +50,7 @@ def build_feature_model(n: int, seed: int = 0) -> RandomFeatureModel:
     rng = make_rng(seed)
     C = rng.uniform(-0.05, 0.05, (n, 2))
     b = rng.uniform(-0.05, 0.05, n)
-    return RandomFeatureModel(n=n, d=2, C=C, b=b)
+    return RandomFeatureModel(C=C, b=b)
 
 
 def eval_features(model: RandomFeatureModel, z: np.ndarray) -> np.ndarray:
@@ -131,7 +135,7 @@ def stacked_problem(model: RandomFeatureModel, sample: DirichletSample) -> Regre
     problem's (ell + ell', n + 1) design, which is wrapped without a copy.
     """
     ell, ell_prime = len(sample.interior), len(sample.boundary)
-    design = np.empty((ell + ell_prime, model.n + 1))
+    design = np.empty((ell + ell_prime, len(model.b) + 1))
     np.divide(eval_feature_laplacian(model, sample.interior), math.sqrt(ell), out=design[:ell, :-1])
     np.divide(eval_features(model, sample.boundary), math.sqrt(ell_prime), out=design[ell:, :-1])
     design[:ell, -1] = 0.0
@@ -147,7 +151,7 @@ def solve_dirichlet_offline(
     residual, whose rows carry the weights 1/sqrt(ell) and 1/sqrt(ell')."""
     problem = stacked_problem(model, sample)
     ell = len(sample.interior)
-    readout = solve_offline(problem, lam=2.0 * lam / len(problem.design), truncate=True)
+    readout = solve_offline(problem, lam=2.0 * lam / len(problem.design))
     residual = problem.states @ readout.w - problem.targets
     return DirichletSolution(
         readout=readout,

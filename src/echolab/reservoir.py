@@ -37,28 +37,41 @@ RANK_TOLERANCE = 1e-10
 class ReservoirSpec:
     """A fixed reservoir: state map x -> activation(A x + C z + b).
 
-    activation is 'tanh' or 'identity'; seed records provenance only.
+    The state size n and input size d are read off A (n x n) and C: a
+    1-D C of n entries is the input column of a scalar-input reservoir,
+    any other C must be n x d, else DimensionMismatchError. activation
+    is 'tanh' or 'identity'.
     """
 
-    n: int
-    d: int
     A: np.ndarray
     C: np.ndarray
     b: np.ndarray
     activation: str = "tanh"
-    seed: int = 0
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
-        self.C = np.asarray(self.C, dtype=float).reshape(self.n, self.d)
-        self.b = np.asarray(self.b, dtype=float).reshape(self.n)
-        if self.A.shape != (self.n, self.n):
-            raise DimensionMismatchError("A must be n x n")
+        n = self.A.shape[0] if self.A.ndim == 2 else -1
+        if self.A.shape != (n, n):
+            raise DimensionMismatchError(f"A must be square, not {self.A.shape}")
+        self.C = np.asarray(self.C, dtype=float)
+        if self.C.shape == (n,):
+            self.C = self.C.reshape(n, 1)
+        elif self.C.ndim != 2 or self.C.shape[0] != n:
+            raise DimensionMismatchError(f"C must be {n} x d, not {self.C.shape}")
+        self.b = np.asarray(self.b, dtype=float).reshape(n)
         if self.activation not in ("tanh", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
         for arr in (self.A, self.C, self.b):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("reservoir entries must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.C.shape[1]
 
     def advance(self, x: np.ndarray, input_term: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write activation((A x + input_term) + b) into `out` and return it.
@@ -75,24 +88,6 @@ class ReservoirSpec:
         return out
 
 
-@dataclass
-class ReservoirGenConfig:
-    """Recipe for a random reservoir.
-
-    A has entries U[-1, 1] rescaled to matrix 2-norm `a_norm`; C (n x d)
-    and b have entries U[-c_scale, c_scale] and U[-b_scale, b_scale].
-    `activation` is 'tanh' or 'identity' (the linear reservoir).
-    """
-
-    n: int
-    d: int
-    a_norm: float
-    c_scale: float
-    b_scale: float
-    seed: int = 0
-    activation: str = "tanh"
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so every draw is replayable bit-exactly."""
     return np.random.Generator(np.random.Philox(seed))
@@ -105,23 +100,33 @@ def spectral_radius(A: np.ndarray) -> Union[float, np.ndarray]:
     return float(rho) if rho.ndim == 0 else rho
 
 
-def generate(config: ReservoirGenConfig) -> ReservoirSpec:
-    """Draw a ReservoirSpec deterministically from the config seed.
+def generate(
+    n: int,
+    seed: int,
+    *,
+    d: int = 1,
+    a_norm: float = 1.0,
+    c_scale: float = 0.05,
+    b_scale: float = 0.05,
+    activation: str = "tanh",
+) -> ReservoirSpec:
+    """A random reservoir drawn deterministically from `seed`.
 
-    A, then C, then b come from one generator, in that order.
+    A has entries U[-1, 1] rescaled to matrix 2-norm `a_norm`; C (n x d)
+    and b have entries U[-c_scale, c_scale] and U[-b_scale, b_scale].
+    A, then C, then b come from one generator, in that order. The
+    defaults are the hand-tuned forecasting reservoir: unit 2-norm,
+    small uniforms and scalar input.
     """
-    rng = make_rng(config.seed)
-    n = config.n
+    rng = make_rng(seed)
     A = rng.uniform(-1.0, 1.0, (n, n))
     norm = float(np.linalg.norm(A, 2))
     if norm == 0.0:
         raise DegenerateMatrixError("zero matrix cannot be rescaled")
-    A *= config.a_norm / norm
-    C = rng.uniform(-config.c_scale, config.c_scale, (n, config.d))
-    b = rng.uniform(-config.b_scale, config.b_scale, n)
-    return ReservoirSpec(
-        n=n, d=config.d, A=A, C=C, b=b, activation=config.activation, seed=config.seed
-    )
+    A *= a_norm / norm
+    C = rng.uniform(-c_scale, c_scale, (n, d))
+    b = rng.uniform(-b_scale, b_scale, n)
+    return ReservoirSpec(A=A, C=C, b=b, activation=activation)
 
 
 def drive(

@@ -1,9 +1,10 @@
 """Stationary ergodic input processes and value functionals.
 
 The input process is a finite Markov chain started from its stationary
-law and emitting one row per state. The module also holds Monte-Carlo
-value estimation and an empirical contraction check for the one-step
-expectation operator.
+law and emitting one row per state. A `ProcessSpec` holds the chain
+alone; `sample_path` and `value_mc` each take the seed of their draws.
+The module also holds Monte-Carlo value estimation and an empirical
+contraction check for the one-step expectation operator.
 
 Every random step consumes exactly one double of its generator and maps
 it through the cumulative law, as `Generator.choice(k, p=p)` does, so a
@@ -31,12 +32,11 @@ class ProcessSpec:
     """A finite Markov chain started from its stationary distribution.
 
     State k moves to state j with probability `transition[k, j]` and
-    emits the row `emissions[k]`; `seed` fixes the sampled path.
+    emits the row `emissions[k]`.
     """
 
     transition: np.ndarray
     emissions: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=float)
@@ -101,16 +101,16 @@ def _draw_finite(
     return spec.emissions[states], states
 
 
-def sample_path(spec: ProcessSpec, length: int) -> Tuple[TimeSeries, np.ndarray]:
+def sample_path(spec: ProcessSpec, length: int, seed: int) -> Tuple[TimeSeries, np.ndarray]:
     """Seeded, replayable sample of the chain and its hidden states.
 
-    One path of `_draw_finite` from a generator seeded with `spec.seed`.
+    One path of `_draw_finite` from a generator seeded with `seed`.
     The initial state is drawn from the stationary distribution, so the
     path is stationary from index 0.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    rows, states = _draw_finite(spec, make_rng(spec.seed), (1, length))
+    rows, states = _draw_finite(spec, make_rng(seed), (1, length))
     return TimeSeries(step=1.0, samples=rows[0]), states[0]
 
 
@@ -152,7 +152,7 @@ def value_mc(
     reward: RewardFunctional,
     gamma: float,
     history: np.ndarray,
-    n_rollouts: int = 200,
+    n_rollouts: int,
     current_state: Optional[int] = None,
     seed: int = 0,
 ) -> ValueEstimate:
@@ -209,7 +209,7 @@ def bellman_contraction_check(
     feature_table: np.ndarray,
     gamma: float,
     path_states: np.ndarray,
-    n_pairs: int = 100,
+    n_pairs: int,
     seed: int = 0,
 ) -> float:
     """Empirical Lipschitz ratio of H -> gamma E[H(next)] + R.

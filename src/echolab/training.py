@@ -3,7 +3,8 @@
 Offline Tikhonov least squares through the SVD of the R factor of the
 feature matrix (taken from the QR of [X | Y], so neither Q nor the
 left singular vectors of X are formed), and the feature transform that
-turns value estimation into ordinary regression.
+turns value estimation into ordinary regression. lam = 0 always means
+the minimum-norm pseudo-inverse solution, whatever the rank of X.
 
 A `RegressionProblem` holds one array, its design [X | Y], which the
 solve factors as it stands; the states X and targets Y are views of it.
@@ -18,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SingularProblemError
 
 SVD_TRUNCATION = 1e-12
 
@@ -82,11 +81,7 @@ class RegressionProblem:
         self.targets = design[:, -1]
 
 
-def solve_offline(
-    problem: RegressionProblem,
-    lam: float = 0.0,
-    truncate: bool = False,
-) -> Readout:
+def solve_offline(problem: RegressionProblem, lam: float) -> Readout:
     """Ridge solution W* = sum_k sigma_k (U_k^T Q^T Y) / (sigma_k^2 + lam) V_k.
 
     X = Q R with R the first k = min(ell, P) rows of the R factor of
@@ -95,28 +90,20 @@ def solve_offline(
     Q^T Y. The SVD R = U S V^T of the k x P factor has the singular
     values and right vectors of X, so the solve never forms Q or an
     ell-row U.
-    With lam = 0 the problem must have full column rank (singular values
-    below 1e-12 of the largest count as zero) or SingularProblemError is
-    raised; truncate=True takes the pseudo-inverse over the surviving
-    directions instead, which rank-deficient feature stacks need.
+    With lam = 0 the sum runs over the singular values above
+    SVD_TRUNCATION (1e-12) of the largest only: the minimum-norm
+    pseudo-inverse solution, the limit of the ridge solution as lam -> 0,
+    and ordinary least squares when X has full column rank.
     """
-    X = problem.states
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    k = min(X.shape)
+    k = min(problem.states.shape)
     R_aug = np.linalg.qr(problem.design, mode="r")[:k]
     U, sv, Vt = np.linalg.svd(R_aug[:, :-1], full_matrices=False)
     qty = R_aug[:, -1]
-    keep = slice(None)
     if lam == 0.0:
         rank = int(np.sum(sv > SVD_TRUNCATION * sv[0])) if sv.size and sv[0] > 0 else 0
-        if rank < X.shape[1]:
-            if not truncate:
-                raise SingularProblemError(
-                    f"rank {rank} < {X.shape[1]} columns with lambda = 0"
-                )
-            keep = slice(0, rank)
-    sv, U, Vt = sv[keep], U[:, keep], Vt[keep]
+        sv, U, Vt = sv[:rank], U[:, :rank], Vt[:rank]
     coeffs = sv * (U.T @ qty) / (sv**2 + lam)
     w = Vt.T @ coeffs
     return Readout(w=w, lam=lam)

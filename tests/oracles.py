@@ -10,7 +10,6 @@ from echolab.dynsys import DIVERGENCE_THRESHOLD, TimeSeries
 from echolab.errors import (
     DegenerateJacobianError,
     IntegrationDivergedError,
-    SingularProblemError,
 )
 from echolab.reservoir import check_condition_C, check_condition_D, make_rng, spectral_radius
 from echolab.stochastic import stationary_distribution
@@ -396,9 +395,9 @@ def draw_finite_reference(spec, rng, length, start=None):
     return spec.emissions[states], states
 
 
-def sample_path_reference(spec, length):
+def sample_path_reference(spec, length, seed):
     """(rows, states) of `sample_path`, drawn per step."""
-    return draw_finite_reference(spec, make_rng(spec.seed), length)
+    return draw_finite_reference(spec, make_rng(seed), length)
 
 
 def value_mc_reference(
@@ -426,25 +425,17 @@ def value_mc_reference(
 # the residual of the normal equations.
 
 
-def solve_offline_reference(problem, lam=0.0, truncate=False):
-    """(w, rank) of W* = sum_k sigma_k (U_k^T Y) / (sigma_k^2 + lam) V_k
-    from the thin SVD X = U S V^T, with the ell-row U formed.
-
-    The rank counts singular values above SVD_TRUNCATION of the largest.
-    With lam = 0 a rank below the column count raises
-    SingularProblemError, or with truncate=True keeps the surviving
-    directions only.
+def solve_offline_reference(problem, lam):
+    """W* = sum_k sigma_k (U_k^T Y) / (sigma_k^2 + lam) V_k from the thin
+    SVD X = U S V^T, with the ell-row U formed. With lam = 0 the sum
+    keeps the singular values above SVD_TRUNCATION of the largest only.
     """
     X, Y = problem.states, problem.targets
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    rank = int(np.sum(sv > SVD_TRUNCATION * sv[0])) if sv.size and sv[0] > 0 else 0
-    keep = slice(None)
-    if lam == 0.0 and rank < X.shape[1]:
-        if not truncate:
-            raise SingularProblemError(f"rank {rank} < {X.shape[1]} columns with lambda = 0")
-        keep = slice(0, rank)
-    sv, U, Vt = sv[keep], U[:, keep], Vt[keep]
-    return Vt.T @ (sv * (U.T @ Y) / (sv**2 + lam)), rank
+    if lam == 0.0:
+        rank = int(np.sum(sv > SVD_TRUNCATION * sv[0])) if sv.size and sv[0] > 0 else 0
+        sv, U, Vt = sv[:rank], U[:, :rank], Vt[:rank]
+    return Vt.T @ (sv * (U.T @ Y) / (sv**2 + lam))
 
 
 def normal_equation_residual(problem, readout):

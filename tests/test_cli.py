@@ -570,6 +570,15 @@ class TestEsnPipelines:
             key: config.parameters.get(key, param.default) for key, param in table.items()
         }
 
+    @pytest.mark.parametrize("experiment", ["lorenz_train", "lorenz_forecast", "fixed_point"])
+    def test_zero_ridge_runs_on_rank_deficient_states(self, tmp_path, experiment):
+        # The 200 x 250 design of n = 250 units has rank 33 (seed 1), so
+        # lam = 0, read from a config as the integer 0, takes the
+        # pseudo-inverse readout.
+        self.run_experiment(tmp_path, experiment, n=250, lam=0)
+        if experiment == "lorenz_train":
+            assert json.loads((tmp_path / "readout.json").read_text())["lambda"] == 0.0
+
     def test_lorenz_train(self, tmp_path):
         self.run_experiment(tmp_path, "lorenz_train")
         trajectory = integrate_lorenz(LorenzParams(), 300)
@@ -591,9 +600,7 @@ class TestEsnPipelines:
         for key, array in (("a", spec.A), ("c", spec.C), ("b", spec.b)):
             assert np.array(doc[key]).tobytes() == array.reshape(-1).tobytes()
         # A reservoir rebuilt from reservoir.json drives like the original.
-        clone = ReservoirSpec(
-            n=20, d=1, A=np.reshape(doc["a"], (20, 20)), C=doc["c"], b=doc["b"], seed=1
-        )
+        clone = ReservoirSpec(A=np.reshape(doc["a"], (20, 20)), C=doc["c"], b=doc["b"])
         z = TimeSeries(step=1.0, samples=np.sin(np.arange(30.0))[:, None])
         x0 = np.zeros(20)
         assert np.array_equal(drive(spec, z, x0).samples, drive(clone, z, x0).samples)

@@ -30,7 +30,7 @@ from echolab.errors import (
     NearNeutralFixedPointError,
     NewtonConvergenceError,
 )
-from echolab.reservoir import ReservoirGenConfig, autonomous_map, drive, generate, make_rng
+from echolab.reservoir import autonomous_map, drive, generate, make_rng
 from oracles import (
     lorenz_step_jacobian_reference,
     lorenz_step_reference,
@@ -106,7 +106,7 @@ class TestNewton:
 
 class TestEsnJacobian:
     def random_spec(self, seed, activation="tanh"):
-        return generate(ReservoirGenConfig(7, 1, 0.8, 0.3, 0.1, seed=seed, activation=activation))
+        return generate(7, seed, a_norm=0.8, c_scale=0.3, b_scale=0.1, activation=activation)
 
     def test_matches_finite_differences(self):
         rng = make_rng(0)
@@ -448,9 +448,7 @@ class TestPca:
 
     @staticmethod
     def _reservoir_states(n, ell, seed):
-        spec = generate(
-            ReservoirGenConfig(n=n, d=1, a_norm=1.0, c_scale=0.05, b_scale=0.05, seed=seed)
-        )
+        spec = generate(n, seed)
         xi = integrate_lorenz(LorenzParams(), ell).samples[:, :1]
         return drive(spec, TimeSeries(step=0.01, samples=xi), np.zeros(n)).samples[100:]
 

@@ -18,6 +18,7 @@ from echolab.pde import (
     solve_dirichlet_offline,
     stacked_problem,
 )
+from echolab.errors import DimensionMismatchError
 from echolab.reservoir import make_rng
 from echolab.training import solve_offline
 
@@ -32,7 +33,7 @@ def wide_feature_model(n, seed, scale):
     """Features with weights U[-scale, scale], wider than the solver's."""
     rng = make_rng(seed)
     C = rng.uniform(-scale, scale, (n, 2))
-    return RandomFeatureModel(n=n, d=2, C=C, b=rng.uniform(-scale, scale, n))
+    return RandomFeatureModel(C=C, b=rng.uniform(-scale, scale, n))
 
 
 def homogeneous_sample(ell, seed):
@@ -54,6 +55,11 @@ def numerical_laplacian(f, z, h=1e-4):
 
 
 class TestFeatures:
+    @pytest.mark.parametrize("C, b", [(np.ones((2, 3)), np.zeros(3)), (np.ones(3), np.zeros(3))])
+    def test_one_row_of_c_per_feature(self, C, b):
+        with pytest.raises(DimensionMismatchError):
+            RandomFeatureModel(C=C, b=b)
+
     def test_zero_weights_zero_features(self):
         model = build_feature_model(5, seed=0)
         model.C[:] = 0.0
@@ -237,7 +243,7 @@ class TestBlockedGrid:
     def one_shot_and_bound(model, readout, r, theta):
         """F @ w over the whole grid's features F, and 2 n eps (|F| @ |w|)."""
         features = eval_features(model, np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-        bound = 2 * model.n * np.finfo(float).eps * (np.abs(features) @ np.abs(readout.w))
+        bound = 2 * len(model.b) * np.finfo(float).eps * (np.abs(features) @ np.abs(readout.w))
         return features @ readout.w, bound
 
     @pytest.mark.parametrize("seed", [0, 2, 3, 84, 85])

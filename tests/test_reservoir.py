@@ -12,7 +12,6 @@ from echolab.errors import (
     SpectrumCollisionError,
 )
 from echolab.reservoir import (
-    ReservoirGenConfig,
     ReservoirSpec,
     autonomous_drive,
     autonomous_map,
@@ -44,41 +43,35 @@ def circle_past_obs(epsilon, m, omega, truncation):
 def example_spec(units):
     """The scalar example x -> tanh(2x + z) as an ESN (A = 2, C = 1,
     b = 0), in `units` uncoupled copies."""
-    return ReservoirSpec(
-        n=units, d=1, A=2.0 * np.eye(units), C=np.ones(units), b=np.zeros(units)
-    )
+    return ReservoirSpec(A=2.0 * np.eye(units), C=np.ones(units), b=np.zeros(units))
 
 
-def linear_spec(A, C, seed=0):
-    n = A.shape[0]
-    return ReservoirSpec(
-        n=n, d=1, A=A, C=np.asarray(C, dtype=float), b=np.zeros(n),
-        activation="identity", seed=seed,
-    )
+def linear_spec(A, C):
+    return ReservoirSpec(A=A, C=C, b=np.zeros(A.shape[0]), activation="identity")
 
 
 class TestGenerate:
     @pytest.mark.parametrize("seed", [0, 1, 7, 11, 42, 601])
     def test_rescaled_2norm_hits_target(self, seed):
-        spec = generate(ReservoirGenConfig(40, 1, 0.8, 0.05, 0.05, seed=seed))
+        spec = generate(40, seed, a_norm=0.8)
         assert abs(np.linalg.norm(spec.A, 2) - 0.8) < 1e-12
 
     def test_forecasting_reservoir_of_seed_42_keeps_its_bits(self):
         # The dense 2-norm is the value the power iteration it replaced
         # fell back to at n = 300, seed 42, so this A is unchanged.
-        A = generate(ReservoirGenConfig(300, 1, 1.0, 0.05, 0.05, seed=42)).A
+        A = generate(300, 42).A
         digest = hashlib.sha256(A.tobytes()).hexdigest()
         assert digest == "49617ae8b6adc77ea812cfd497ce71d0285e0e2abb167a6b91388bbd3623bfdc"
 
     def test_input_and_bias_within_their_ranges(self):
-        spec = generate(ReservoirGenConfig(50, 3, 0.9, 0.2, 0.05, seed=6))
+        spec = generate(50, 6, d=3, a_norm=0.9, c_scale=0.2)
         assert spec.C.shape == (50, 3) and spec.b.shape == (50,)
         assert np.all(np.abs(spec.C) <= 0.2) and np.all(np.abs(spec.b) <= 0.05)
         assert np.abs(spec.C).max() > 0.1 and np.abs(spec.b).max() > 0.025
 
     def test_draws_a_then_c_then_b_from_one_generator(self):
         # The draw order fixes every reservoir a seed names.
-        spec = generate(ReservoirGenConfig(6, 2, 0.7, 0.3, 0.1, seed=9))
+        spec = generate(6, 9, d=2, a_norm=0.7, c_scale=0.3, b_scale=0.1)
         rng = make_rng(9)
         A = rng.uniform(-1.0, 1.0, (6, 6))
         assert np.allclose(spec.A, A * (0.7 / np.linalg.norm(A, 2)), rtol=1e-9, atol=0)
@@ -86,18 +79,36 @@ class TestGenerate:
         assert np.array_equal(spec.b, rng.uniform(-0.1, 0.1, 6))
 
     def test_seeded_determinism(self):
-        cfg = ReservoirGenConfig(20, 1, 0.9, 0.05, 0.05, seed=42)
-        a, b = generate(cfg), generate(cfg)
+        a, b = generate(20, 42, a_norm=0.9), generate(20, 42, a_norm=0.9)
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.C, b.C)
         assert np.array_equal(a.b, b.b)
 
 
+class TestSpec:
+    def test_sizes_read_off_a_and_c(self):
+        spec = ReservoirSpec(A=np.eye(3), C=np.ones((3, 2)), b=np.zeros(3))
+        assert (spec.n, spec.d) == (3, 2)
+        column = ReservoirSpec(A=np.eye(3), C=np.arange(3.0), b=np.zeros(3)).C
+        assert column.tolist() == [[0.0], [1.0], [2.0]]
+
+    @pytest.mark.parametrize(
+        "A, C",
+        [
+            (0.5 * np.eye(3), np.arange(6.0).reshape(2, 3)),  # C transposed
+            (np.eye(4), np.ones((2, 2))),  # n entries, but not one per state
+            (np.eye(3), np.ones(2)),
+            (np.ones((3, 2)), np.ones(3)),  # A not square
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, A, C):
+        with pytest.raises(DimensionMismatchError):
+            ReservoirSpec(A=A, C=C, b=np.zeros(3))
+
+
 class TestDrive:
     def test_identity_relay(self):
-        spec = ReservoirSpec(
-            n=1, d=1, A=np.zeros((1, 1)), C=np.eye(1), b=np.zeros(1), activation="identity"
-        )
+        spec = ReservoirSpec(A=np.zeros((1, 1)), C=np.eye(1), b=np.zeros(1), activation="identity")
         z = scalar_series([3.0, -1.0, 2.5])
         out = drive(spec, z, np.array([7.0]))
         assert np.allclose(out.samples[:, 0], [7.0, 3.0, -1.0, 2.5])
@@ -117,8 +128,7 @@ class TestDrive:
         assert np.array_equal(out.samples[k], z[k - n : k][::-1])
 
     def test_tanh_states_inside_unit_cube(self):
-        cfg = ReservoirGenConfig(8, 1, 1.2, 1.0, 1.0, seed=0)
-        spec = generate(cfg)
+        spec = generate(8, 0, a_norm=1.2, c_scale=1.0, b_scale=1.0)
         out = drive(spec, scalar_series(np.linspace(-5, 5, 50)), np.zeros(8))
         assert np.all(np.abs(out.samples[1:]) < 1.0)
 
@@ -128,7 +138,7 @@ class TestDrive:
             drive(example_spec(1), scalar_series(np.zeros(3)), np.array([0.1, 0.2]))
 
     def test_dim_mismatch(self):
-        spec = ReservoirSpec(n=4, d=2, A=lower_shift_matrix(4), C=np.eye(4, 2), b=np.zeros(4))
+        spec = ReservoirSpec(A=lower_shift_matrix(4), C=np.eye(4, 2), b=np.zeros(4))
         with pytest.raises(DimensionMismatchError):
             drive(spec, scalar_series([1.0]), np.zeros(4))
 
@@ -137,7 +147,7 @@ class TestDrive:
     # another BLAS path than n = 30.
     @pytest.mark.parametrize("n, activation", [(30, "tanh"), (300, "tanh"), (30, "identity")])
     def test_matches_per_step_reference(self, n, activation):
-        spec = generate(ReservoirGenConfig(n, 1, 0.9, 1.0, 0.5, seed=4, activation=activation))
+        spec = generate(n, 4, a_norm=0.9, c_scale=1.0, b_scale=0.5, activation=activation)
         z = scalar_series(np.random.default_rng(4).uniform(-3, 3, 400))
         x0 = np.full(n, 0.1)
         expected = iterate_with_step_check(
@@ -148,7 +158,7 @@ class TestDrive:
     @pytest.mark.parametrize(
         "make_spec",
         [
-            lambda: generate(ReservoirGenConfig(300, 1, 0.9, 1.0, 0.5, seed=4)),
+            lambda: generate(300, 4, a_norm=0.9, c_scale=1.0, b_scale=0.5),
             lambda: linear_spec(0.5 * np.eye(3), np.ones(3)),
             lambda: example_spec(1),
         ],
@@ -177,7 +187,7 @@ class TestDrive:
         ],
     )
     def test_bad_out_rejected_before_iterating(self, make_out):
-        spec = generate(ReservoirGenConfig(4, 1, 0.9, 1.0, 0.5, seed=1))
+        spec = generate(4, 1, a_norm=0.9, c_scale=1.0, b_scale=0.5)
         out = make_out()
         with pytest.raises(DimensionMismatchError):
             drive(spec, scalar_series(np.ones(30)), np.full(4, 0.5), out=out)
@@ -214,8 +224,7 @@ class TestDrive:
         # x_k = 2^k from x0 = 1: 2^39 < 1e12 < 2^40, so step 40 is the
         # first out of range; the loop runs on to inf without warnings.
         spec = ReservoirSpec(
-            n=1, d=1, A=np.array([[2.0]]), C=np.zeros((1, 1)), b=np.zeros(1),
-            activation="identity",
+            A=np.array([[2.0]]), C=np.zeros((1, 1)), b=np.zeros(1), activation="identity"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -227,8 +236,7 @@ class TestDrive:
 class TestAutonomousDrive:
     def test_unstable_readout_loop_reports_step(self):
         spec = ReservoirSpec(
-            n=2, d=1, A=np.eye(2), C=np.array([[1.0], [1.0]]), b=np.zeros(2),
-            activation="identity",
+            A=np.eye(2), C=np.array([[1.0], [1.0]]), b=np.zeros(2), activation="identity"
         )
         # psi(x) = x + (x_0, x_0): the first coordinate doubles each step.
         with warnings.catch_warnings():
@@ -244,7 +252,7 @@ class TestAutonomousDrive:
         [(30, "tanh", 0.9, 0.1), (300, "tanh", 0.9, 0.1), (30, "identity", 0.5, 0.01)],
     )
     def test_matches_per_step_reference(self, n, activation, a_norm, w_scale):
-        spec = generate(ReservoirGenConfig(n, 1, a_norm, 1.0, 0.5, seed=5, activation=activation))
+        spec = generate(n, 5, a_norm=a_norm, c_scale=1.0, b_scale=0.5, activation=activation)
         w = np.random.default_rng(5).uniform(-w_scale, w_scale, n)
         psi = autonomous_map(spec, w)
         x0 = np.full(n, 0.2)
@@ -253,16 +261,13 @@ class TestAutonomousDrive:
         assert out.samples.tobytes() == expected.tobytes()
 
     def test_all_zero_system_constant(self):
-        spec = ReservoirSpec(
-            n=2, d=1, A=np.zeros((2, 2)), C=np.zeros((2, 1)), b=np.zeros(2), activation="tanh"
-        )
+        spec = ReservoirSpec(A=np.zeros((2, 2)), C=np.zeros((2, 1)), b=np.zeros(2))
         out = autonomous_drive(spec, np.zeros(2), np.array([0.3, -0.4]), 5)
         assert np.all(out.samples[1:] == 0.0)
 
     def test_scalar_projection_iteration(self):
         spec = ReservoirSpec(
-            n=2, d=1, A=np.zeros((2, 2)), C=np.array([[1.0], [0.0]]),
-            b=np.zeros(2), activation="identity",
+            A=np.zeros((2, 2)), C=np.array([[1.0], [0.0]]), b=np.zeros(2), activation="identity"
         )
         w = np.array([1.0, 0.0])
         out = autonomous_drive(spec, w, np.array([0.7, 9.9]), 4)
@@ -272,8 +277,7 @@ class TestAutonomousDrive:
 
 class TestContraction:
     def test_esp_decay_bound(self):
-        cfg = ReservoirGenConfig(10, 1, 0.5, 0.2, 0.1, seed=8)
-        spec = generate(cfg)
+        spec = generate(10, 8, a_norm=0.5, c_scale=0.2, b_scale=0.1)
         rng = np.random.default_rng(3)
         z = scalar_series(rng.uniform(-1, 1, 60))
         x0 = rng.standard_normal(10)

@@ -24,14 +24,14 @@ def two_state_chain(p_stay=0.9):
     return P, emissions
 
 
-def iid_chain(support, probabilities, seed=0):
+def iid_chain(support, probabilities):
     """An i.i.d. draw from `support`: a chain whose rows all equal the law."""
-    return ProcessSpec(np.tile(probabilities, (len(probabilities), 1)), support, seed=seed)
+    return ProcessSpec(np.tile(probabilities, (len(probabilities), 1)), support)
 
 
 class TestSamplePath:
     def test_iid_sign_mean(self):
-        path, _ = sample_path(iid_chain([[-1.0], [1.0]], [0.5, 0.5], seed=3), 100_000)
+        path, _ = sample_path(iid_chain([[-1.0], [1.0]], [0.5, 0.5]), 100_000, 3)
         # CLT oracle: 3 sigma / sqrt(n) < 0.01 for unit-variance signs.
         assert abs(path.samples.mean()) < 0.02
 
@@ -39,21 +39,20 @@ class TestSamplePath:
         P, emissions = two_state_chain()
         pi = stationary_distribution(P)
         assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
-        spec = ProcessSpec(P, emissions, seed=5)
-        path, states = sample_path(spec, 100_000)
+        path, states = sample_path(ProcessSpec(P, emissions), 100_000, 5)
         occupancy = np.bincount(states, minlength=2) / len(states)
         assert np.max(np.abs(occupancy - pi)) < 0.02
 
     def test_seeded_replay(self):
-        spec = ProcessSpec(*two_state_chain(0.7), seed=11)
-        (a, a_states), (b, b_states) = sample_path(spec, 500), sample_path(spec, 500)
+        spec = ProcessSpec(*two_state_chain(0.7))
+        (a, a_states), (b, b_states) = sample_path(spec, 500, 11), sample_path(spec, 500, 11)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a_states, b_states)
 
     def test_reducible_chain_rejected(self):
         P = np.eye(2)
         with pytest.raises(NonErgodicError):
-            sample_path(ProcessSpec(P, [[0.0], [1.0]]), 10)
+            sample_path(ProcessSpec(P, [[0.0], [1.0]]), 10, 0)
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -68,8 +67,7 @@ class TestSamplePath:
 
     def test_stationarity_of_marginals(self):
         P, emissions = two_state_chain(0.8)
-        spec = ProcessSpec(P, emissions, seed=7)
-        _, states = sample_path(spec, 60_000)
+        _, states = sample_path(ProcessSpec(P, emissions), 60_000, 7)
         early = np.bincount(states[:20_000], minlength=2) / 20_000
         late = np.bincount(states[40_000:], minlength=2) / 20_000
         assert np.max(np.abs(early - late)) < 3.0 / math.sqrt(20_000) * 3
@@ -85,7 +83,7 @@ class TestValueMc:
         assert abs(est.value - 2.0 / (1 - gamma)) < 1e-6
 
     def test_gamma_zero_returns_reward_of_history(self):
-        spec = iid_chain([[0.0], [1.0]], [0.5, 0.5], seed=1)
+        spec = iid_chain([[0.0], [1.0]], [0.5, 0.5])
         reward = RewardFunctional(window=2, fn=lambda w: w[:, -1, 0] - w[:, 0, 0])
         hist = np.array([[1.0], [3.0]])
         est = value_mc(spec, reward, 0.0, history=hist, n_rollouts=10)
@@ -97,7 +95,7 @@ class TestValueMc:
         gamma = 0.9
         r_table = np.array([1.0, -0.5])
         oracle = markov_value_oracle(P, r_table, gamma)
-        spec = ProcessSpec(P, emissions, seed=2)
+        spec = ProcessSpec(P, emissions)
         reward = RewardFunctional(window=1, fn=lambda w: r_table[w[:, -1, 0].astype(int)])
         for state in (0, 1):
             est = value_mc(
@@ -155,11 +153,11 @@ class TestBatchedRolloutsMatchPerStepReference:
     def process(self, kind, d=1):
         table = self.TABLE[:, :d]
         if kind == "iid":
-            return iid_chain(table, [0.2, 0.5, 0.3], seed=3)
+            return iid_chain(table, [0.2, 0.5, 0.3])
         if kind == "markov":
             P = np.array([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.25, 0.25, 0.5]])
-            return ProcessSpec(P, table, seed=4)
-        return ProcessSpec(self.ZERO_ROW, table, seed=5)
+            return ProcessSpec(P, table)
+        return ProcessSpec(self.ZERO_ROW, table)
 
     @staticmethod
     def reward(window, d):
@@ -199,12 +197,12 @@ class TestBatchedRolloutsMatchPerStepReference:
         ref = value_mc_reference(spec, reward, 0.9, np.zeros((2, 1)), 50, est.horizon, 2, seed=8)
         assert est.horizon == 197 and (est.value, est.stderr) == ref[:2]
 
-    @pytest.mark.parametrize("kind", ["iid", "markov", "zero_row"])
+    @pytest.mark.parametrize("kind, seed", [("iid", 3), ("markov", 4), ("zero_row", 5)])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_sample_path_rows_and_states(self, kind, d):
+    def test_sample_path_rows_and_states(self, kind, seed, d):
         spec = self.process(kind, d)
-        series, states = sample_path(spec, 3000)
-        rows, ref_states = sample_path_reference(spec, 3000)
+        series, states = sample_path(spec, 3000, seed)
+        rows, ref_states = sample_path_reference(spec, 3000, seed)
         assert series.samples.tobytes() == rows.tobytes()
         assert states.dtype == ref_states.dtype
         assert states.tobytes() == ref_states.tobytes()
@@ -264,7 +262,7 @@ class TestBatchedRolloutsMatchPerStepReference:
         # of three rows seldom repeat, and all are scored in one call.
         rng = np.random.default_rng(31)
         P = rng.random((50, 50))
-        spec = ProcessSpec(P / P.sum(axis=1, keepdims=True), rng.standard_normal((50, 2)), seed=6)
+        spec = ProcessSpec(P / P.sum(axis=1, keepdims=True), rng.standard_normal((50, 2)))
         reward, history = self.reward(3, 2), rng.standard_normal((3, 2))
         est = value_mc(spec, reward, 0.8, history, n_rollouts=20, current_state=7, seed=13)
         value, stderr, _ = value_mc_reference(
@@ -296,8 +294,7 @@ class TestBellmanContraction:
 
     def test_half_gamma_two_state_chain(self):
         P, emissions = two_state_chain()
-        spec = ProcessSpec(P, emissions, seed=9)
-        _, states = sample_path(spec, 2000)
+        _, states = sample_path(ProcessSpec(P, emissions), 2000, 9)
         ratio = bellman_contraction_check(P, np.eye(2), 0.5, states, n_pairs=100)
         assert ratio <= 0.55
 

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from echolab.cli import DEFAULT_BURN_IN, standard_esn, train_lorenz_readout
+from echolab.cli import DEFAULT_BURN_IN, train_lorenz_readout
 from echolab.dynsys import LorenzParams, TimeSeries, integrate_lorenz
-from echolab.errors import SingularProblemError
 from echolab.pde import build_feature_model, sample_disc, stacked_problem
 from echolab.reservoir import drive, generate, make_rng
 from echolab.stochastic import markov_value_oracle
@@ -19,19 +18,19 @@ from echolab.training import (
 from oracles import normal_equation_residual, solve_offline_reference
 
 
-def rank_at_zero_ridge(problem):
-    """The rank `solve_offline` finds at lam = 0: the column count when
-    it solves, else the rank its SingularProblemError names."""
-    try:
-        solve_offline(problem, lam=0.0)
-    except SingularProblemError as err:
-        return int(str(err).split()[1])
-    return problem.states.shape[1]
+def esn_problem(n):
+    """The seed-1 `zeta` design of an n-unit reservoir over 300 Lorenz
+    samples: 200 rows after the burn-in."""
+    trajectory = integrate_lorenz(LorenzParams(), 300)
+    return train_lorenz_readout(trajectory, n, 300, 1e-9, 1, target="zeta")[3]
 
 
 def tiny_esn_problem():
-    trajectory = integrate_lorenz(LorenzParams(), 300)
-    return train_lorenz_readout(trajectory, 20, 300, 1e-9, 1, target="zeta")[3]
+    return esn_problem(20)
+
+
+def wide_esn_problem():
+    return esn_problem(250)
 
 
 def wide_problem():
@@ -64,10 +63,12 @@ class TestSolveOffline:
         oracle = np.linalg.solve(X.T @ X + lam * np.eye(10), X.T @ Y)
         assert np.linalg.norm(out.w - oracle) < 1e-8 * np.linalg.norm(oracle)
 
-    def test_rank_deficient_without_ridge_raises(self):
+    def test_rank_deficient_without_ridge_is_the_pseudo_inverse(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        with pytest.raises(SingularProblemError):
-            solve_offline(RegressionProblem(X, np.ones(3)), lam=0.0)
+        y = np.array([1.0, 0.0, 2.0])
+        w = solve_offline(RegressionProblem(X, y), lam=0.0).w
+        expected = np.linalg.pinv(X) @ y
+        assert np.max(np.abs(w - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_stationarity_identity(self):
         rng = make_rng(1)
@@ -154,16 +155,16 @@ class TestDesign:
         with pytest.raises(ValueError, match="row count"):
             RegressionProblem(np.zeros((4, 2)), np.zeros(3))
 
-    @pytest.mark.parametrize("lam, truncate", [(1e-6, False), (0.0, True)])
-    def test_no_copy_solve_has_the_copied_bits(self, lam, truncate):
+    @pytest.mark.parametrize("lam", [1e-6, 0.0])
+    def test_no_copy_solve_has_the_copied_bits(self, lam):
         # The lam = 0 case is rank deficient: columns 3..5 repeat 0..2.
         rng = make_rng(5)
         X = rng.standard_normal((200, 6))
         if lam == 0.0:
             X[:, 3:] = X[:, :3]
         Y = rng.standard_normal(200)
-        copied = solve_offline(RegressionProblem(X, Y), lam=lam, truncate=truncate)
-        wrapped = solve_offline(laid_out(X, Y), lam=lam, truncate=truncate)
+        copied = solve_offline(RegressionProblem(X, Y), lam=lam)
+        wrapped = solve_offline(laid_out(X, Y), lam=lam)
         assert wrapped.w.tobytes() == copied.w.tobytes()
 
     def test_no_copy_solve_allocates_one_design_copy(self):
@@ -184,7 +185,7 @@ class TestDesign:
 def readout_from_fresh_states(trajectory, n, ell, lam, seed, target):
     """`train_lorenz_readout`'s readout with the states driven into an
     array of their own and copied into the problem."""
-    spec = generate(standard_esn(n, seed))
+    spec = generate(n, seed)
     inputs = TimeSeries(step=trajectory.step, samples=trajectory.samples[:ell, :1])
     states = drive(spec, inputs, np.zeros(n)).samples
     targets = trajectory.samples[:ell, 2 if target == "zeta" else 0]
@@ -240,33 +241,33 @@ class TestSolveMatchesThinSvdReference:
     """The R-factor solve against the thin SVD of X, on predictions X w.
 
     Tolerances are relative, ||X (w - w_ref)|| / ||X w_ref||, set from
-    measured gaps with margin: 3.0e-14 on the n=20 ESN states (cond
-    8e10), 2.2e-15 on the wide problem and 2.3e-8 on the PDE stack (cond
-    3e15, rank 32 of 40), whose truncated pseudo-inverse keeps singular
-    values down to 1e-12 of the largest and so magnifies the rounding of
-    either factorisation.
+    measured gaps with margin. On the n=20 ESN states (cond 8e10): 4.0e-15
+    at lam = 1e-9 and 5.1e-13 at lam = 0, which is least squares at full
+    rank (seeds 1-8 gave up to 3.4e-12). On the n=250 ESN states (rank 33
+    of 250, cond 1e12 over the kept directions): 2.6e-12 at lam = 0
+    (seeds 1-8: 3.3e-13 to 2.6e-12). 2.2e-15 on the wide problem, and
+    2.3e-8 on the PDE stack (cond 3e15, rank 32 of 40). The pseudo-inverse
+    keeps singular values down to 1e-12 of the largest and so magnifies
+    the rounding of either factorisation.
     """
 
     @pytest.mark.parametrize(
-        "make, lam, truncate, tol",
+        "make, lam, tol",
         [
-            (tiny_esn_problem, 1e-9, False, 1e-12),
-            (wide_problem, 0.0, True, 1e-13),
-            (wide_problem, 1e-6, True, 1e-13),
-            (tiny_pde_problem, 0.0, True, 1e-6),
+            (tiny_esn_problem, 1e-9, 1e-12),
+            (tiny_esn_problem, 0.0, 1e-11),
+            (wide_esn_problem, 0.0, 3e-11),
+            (wide_problem, 0.0, 1e-13),
+            (wide_problem, 1e-6, 1e-13),
+            (tiny_pde_problem, 0.0, 1e-6),
         ],
     )
-    def test_predictions_within_tolerance(self, make, lam, truncate, tol):
+    def test_predictions_within_tolerance(self, make, lam, tol):
         problem = make()
         X = problem.states
-        w_ref, _ = solve_offline_reference(problem, lam=lam, truncate=truncate)
-        w = solve_offline(problem, lam=lam, truncate=truncate).w
+        w_ref = solve_offline_reference(problem, lam)
+        w = solve_offline(problem, lam=lam).w
         assert np.linalg.norm(X @ (w - w_ref)) <= tol * np.linalg.norm(X @ w_ref)
-
-    @pytest.mark.parametrize("make", [tiny_esn_problem, wide_problem, tiny_pde_problem])
-    def test_same_rank_without_ridge(self, make):
-        problem = make()
-        assert rank_at_zero_ridge(problem) == solve_offline_reference(problem, truncate=True)[1]
 
 
 class TestValueTargets:
